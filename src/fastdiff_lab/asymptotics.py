@@ -174,12 +174,16 @@ def extract_coefficient(trace, mode: ModeIndex, params: ModelParams,
     tail_fracs = []
     s_max = grid.s_max
     decay = params.p - mode.degree
+    # snapshot-independent factors of the integrand value at the cut
+    psi_cut = abs(float(eigenfunction_psi(mode, np.sinh(s_max), params)))
+    uB_cut = math.cosh(s_max) ** (-(params.n + params.p))
+    r_cut = np.sinh(s_max) ** (params.n - 1)
+    cosh_cut = math.cosh(s_max)
     for j, (t, w) in enumerate(snaps):
         pairing = float(np.dot(num_w, w[:num_w.size]))
-        # integrand value at the cut ~ w(s_max) psi(s_max) u_B r^n / scale
-        boundary = abs(w[-1]) * abs(
-            float(eigenfunction_psi(mode, np.sinh(s_max), params))
-        ) * math.cosh(s_max) ** (-(params.n + params.p)) * np.sinh(s_max) ** (params.n - 1) * math.cosh(s_max)
+        # integrand value at the cut ~ w(s_max) psi(s_max) u_B r^n / scale;
+        # a regrouped product would round the recorded tail bound differently
+        boundary = abs(w[-1]) * psi_cut * uB_cut * r_cut * cosh_cut
         tail = tail_estimate(boundary, decay)
         tail_fracs.append(tail / abs(pairing) if pairing != 0.0 else math.inf)
         ests[j] = (t, math.exp(-lam * t) * pairing / den)

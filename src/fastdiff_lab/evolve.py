@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .closedform import (
     ModelParams,
     ModeIndex,
     delayed_barenblatt_v,
+    derive_params,
     eigenfunction_v,
 )
 from .geometry import (
@@ -44,6 +45,7 @@ from .geometry import (
     volume_weight,
     weighted_sup,
 )
+from .tridiag import _solve_tridiag
 
 __all__ = [
     "MARGIN_FLOOR",
@@ -107,7 +109,7 @@ class EvolutionState:
 
 
 class _Workspace:
-    """Grid- and parameter-dependent arrays for the flux form."""
+    """Grid- and parameter-dependent arrays for the flux form (read-only)."""
 
     def __init__(self, grid: RadialGrid, params: ModelParams):
         n, p, m = params.n, params.p, params.m
@@ -116,25 +118,29 @@ class _Workspace:
         N = grid.count
         s_half = s[:-1] + h / 2.0
         self.U = np.cosh(s) ** (-(n + p - 2.0))  # u_B^m at nodes 0..N
-        self.dU = np.diff(self.U)
+        self.dU = self.U[1:] - self.U[:-1]
         # flux prefactor r^{n-1} / (m h cosh s) at faces 1/2 .. N-1/2
         self.C = np.sinh(s_half) ** (n - 1) / (m * h * np.cosh(s_half))
         self.masses = cell_masses(grid, params)  # cells 0..N-1
+        self.minv = 1.0 / self.masses
+        for arr in (self.U, self.dU, self.C, self.minv):
+            arr.flags.writeable = False
         self.m = m
         self.N = N
 
     def flux(self, v: np.ndarray) -> np.ndarray:
         G = self.U * v**self.m
         vbar = 1.0 + 0.5 * (v[:-1] + v[1:] - 2.0)
-        return self.C * (np.diff(G) - self.dU * vbar)
+        return self.C * ((G[1:] - G[:-1]) - self.dU * vbar)
 
     def rhs(self, w_full: np.ndarray) -> np.ndarray:
         """d_t w at the unknown nodes 0..N-1 (node N held at w = 0)."""
         v = 1.0 + w_full
         phi = self.flux(v)
         out = np.empty(self.N)
-        out[0] = phi[0] / self.masses[0]
-        out[1:] = np.diff(phi) / self.masses[1:]
+        out[0] = phi[0]
+        np.subtract(phi[1:], phi[:-1], out=out[1:])
+        out /= self.masses
         return out
 
     def jacobian_bands(self, w_full: np.ndarray):
@@ -144,7 +150,7 @@ class _Workspace:
         # flux at face i+1/2 depends on w_i, w_{i+1}
         dphi_left = self.C * (-dG[:-1] - 0.5 * self.dU)
         dphi_right = self.C * (dG[1:] - 0.5 * self.dU)
-        minv = 1.0 / self.masses
+        minv = self.minv
         N = self.N
         diag = np.empty(N)
         diag[0] = dphi_left[0] * minv[0]
@@ -154,15 +160,13 @@ class _Workspace:
         return lower, diag, upper
 
 
-_workspaces: dict[tuple, _Workspace] = {}
+@lru_cache(maxsize=64)
+def _build_workspace(grid: RadialGrid, n: int, m: float) -> _Workspace:
+    return _Workspace(grid, derive_params(n, m))
 
 
 def _workspace(grid: RadialGrid, params: ModelParams) -> _Workspace:
-    key = (grid, params.n, params.m)
-    ws = _workspaces.get(key)
-    if ws is None:
-        ws = _workspaces[key] = _Workspace(grid, params)
-    return ws
+    return _build_workspace(grid, params.n, params.m)
 
 
 def _check_positivity(w_values: np.ndarray, floor: float = 0.0):
@@ -191,28 +195,26 @@ def _newton_be(ws: _Workspace, w0: np.ndarray, dt: float,
     W[ws.N] = w_boundary
 
     def residual(wfull):
-        return wfull[:ws.N] - w0[:ws.N] - dt * ws.rhs(wfull)
+        """F(W) and the rhs(W) it was built from."""
+        r = ws.rhs(wfull)
+        return wfull[:ws.N] - w0[:ws.N] - dt * r, r
 
-    F = residual(W)
+    F, R = residual(W)
     norm = np.max(np.abs(F))
     for _ in range(NEWTON_MAXITER):
         if norm <= NEWTON_TOL:
             break
         lower, diag, upper = ws.jacobian_bands(W)
-        ab = np.zeros((3, ws.N))
-        ab[0, 1:] = -dt * upper
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * lower
-        delta = scipy.linalg.solve_banded((1, 1), ab, -F)
+        delta = _solve_tridiag(-dt * lower, 1.0 - dt * diag, -dt * upper, -F)
         lam = 1.0
         for _damp in range(12):
             trial = W.copy()
             trial[:ws.N] += lam * delta
             if 1.0 + trial[:ws.N].min() > MARGIN_FLOOR:
-                Ft = residual(trial)
+                Ft, Rt = residual(trial)
                 nt = np.max(np.abs(Ft))
                 if nt < norm or nt <= NEWTON_TOL:
-                    W, F, norm = trial, Ft, nt
+                    W, F, R, norm = trial, Ft, Rt, nt
                     break
             lam *= 0.5
         else:
@@ -221,8 +223,9 @@ def _newton_be(ws: _Workspace, w0: np.ndarray, dt: float,
         raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
                           f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
     # one fixed-point sweep; makes the discrete mass telescope exactly and
-    # perturbs the iterate only by O(dt |F|)
-    W[:ws.N] = w0[:ws.N] + dt * ws.rhs(W)
+    # perturbs the iterate only by O(dt |F|).  W is the iterate R was
+    # evaluated at, so rhs(W) is not recomputed.
+    W[:ws.N] = w0[:ws.N] + dt * R
     _check_positivity(W, MARGIN_FLOOR)
     return W
 

@@ -55,7 +55,15 @@ class RadialGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.s_max, self.count + 1)
+        """The node array, shared between calls and therefore read-only."""
+        return _nodes(self.s_max, self.count)
+
+
+@lru_cache(maxsize=64)
+def _nodes(s_max: float, count: int) -> np.ndarray:
+    s = np.linspace(0.0, s_max, count + 1)
+    s.flags.writeable = False
+    return s
 
 
 def make_grid(s_max: float, count: int) -> RadialGrid:
@@ -191,15 +199,17 @@ def norm(f: GridFunction, spec: NormSpec,
     """Evaluate the norm selected by ``spec``.
 
     weighted-holder returns max(weighted sup, seminorm), the full Hölder
-    norm; the L2-uBm kind needs ``params``.
+    norm; the two L2 kinds need ``params``.
     """
     if spec.kind == "weighted-sup":
         return weighted_sup(f, spec.eta)
     if spec.kind == "weighted-holder":
         return max(weighted_sup(f, spec.eta), holder_seminorm(f, spec))
     if spec.kind == "L2-cigar":
+        if params is None:
+            raise ValueError("L2-cigar norm needs model parameters (params)")
         sq = GridFunction(f.grid, 0, f.values**2)
-        return math.sqrt(max(integrate_cigar(sq, params.n if params else 3), 0.0))
+        return math.sqrt(max(integrate_cigar(sq, params.n), 0.0))
     if params is None:
         raise ValueError("L2-uBm norm needs model parameters")
     return math.sqrt(max(inner_product_uBm(f, f, params), 0.0))
@@ -219,14 +229,17 @@ def _cell_masses_cached(s_max: float, count: int, n: int, p: float) -> np.ndarra
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * gx[None, :]
     mu = np.sinh(pts) ** (n - 1) * np.cosh(pts) ** (1.0 - n - p)
-    return (half[:, None] * (mu * gw[None, :])).sum(axis=1)
+    masses = (half[:, None] * (mu * gw[None, :])).sum(axis=1)
+    masses.flags.writeable = False  # shared by every caller of the cache
+    return masses
 
 
 def cell_masses(grid: RadialGrid, params: ModelParams) -> np.ndarray:
     """Finite-volume masses of u_B r^{n-1} dr over node-centred s-cells (B=1).
 
     The nonlinear solver's flux form telescopes exactly against these
-    weights, so sum(w * cell_masses) is a conserved discrete mass.
+    weights, so sum(w * cell_masses) is a conserved discrete mass.  The
+    array is cached and shared, so it is read-only.
     """
     return _cell_masses_cached(grid.s_max, grid.count, params.n, params.p)
 

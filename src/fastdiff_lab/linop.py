@@ -45,6 +45,7 @@ from .closedform import (
     potential_profile,
 )
 from .geometry import GridFunction, RadialGrid, inner_product_uBm
+from .tridiag import _solve_tridiag
 
 __all__ = [
     "TridiagonalOperator",
@@ -422,12 +423,8 @@ def step_linear(op: TridiagonalOperator, f: GridFunction,
     i0 = op.first_node
     x = f.values[i0:op.grid.count]
     rhs = x + 0.5 * dt * _matvec(op, x)
-    m = x.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -0.5 * dt * op.sup[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * op.diag
-    ab[2, :-1] = -0.5 * dt * op.sub[1:]
-    y = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    y = _solve_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
+                       -0.5 * dt * op.sup[:-1], rhs)
     out = np.zeros_like(f.values)
     out[i0:op.grid.count] = y
     return f.with_values(out)

@@ -245,3 +245,16 @@ def test_builders(grid12, params33):
     assert np.array_equal(stb.w.values, stb2.w.values)  # seeded determinism
     std = evolve.delayed_barenblatt_data(grid12, 0.1, 1.0, params33)
     assert std.w.values[0] != 0.0
+
+
+def test_workspace_cache_is_bounded(params33):
+    for count in range(16, 16 + 80):
+        evolve._workspace(geo.make_grid(12.0, count), params33)
+    assert evolve._build_workspace.cache_info().currsize <= 64
+
+
+def test_workspace_arrays_are_read_only(grid12, params33):
+    ws = evolve._workspace(grid12, params33)
+    for arr in (ws.U, ws.dU, ws.C, ws.masses, ws.minv):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

@@ -174,3 +174,20 @@ def test_cell_masses_total(grid12, params33):
 def test_tail_estimate():
     assert geo.tail_estimate(1e-6, 2.0) == pytest.approx(5e-7)
     assert geo.tail_estimate(1.0, 0.0) == np.inf
+
+
+def test_shared_cached_arrays_are_read_only(grid12, params33):
+    masses = geo.cell_masses(grid12, params33)
+    with pytest.raises(ValueError):
+        masses[0] = 1.0
+    with pytest.raises(ValueError):
+        grid12.nodes[0] = 1.0
+    assert geo.cell_masses(grid12, params33)[0] != 1.0
+    assert grid12.nodes[0] == 0.0
+
+
+def test_l2_cigar_norm_needs_params(grid12, params33):
+    f = geo.GridFunction(grid12, 0, np.exp(-grid12.nodes))
+    with pytest.raises(ValueError, match="params"):
+        geo.norm(f, geo.NormSpec("L2-cigar"))
+    assert geo.norm(f, geo.NormSpec("L2-cigar"), params33) > 0.0

@@ -1,0 +1,158 @@
+"""The direct LAPACK tridiagonal kernel against the solve_banded form it replaced."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from fastdiff_lab import evolve
+from fastdiff_lab import geometry as geo
+from fastdiff_lab import linop
+from fastdiff_lab.tridiag import _solve_tridiag
+
+
+def random_system(N, seed):
+    rng = np.random.default_rng(seed)
+    dl = rng.standard_normal(N - 1)
+    du = rng.standard_normal(N - 1)
+    # strictly diagonally dominant rows with diagonals of mixed sign
+    d = 0.5 + rng.random(N)
+    d[1:] += np.abs(dl)
+    d[:-1] += np.abs(du)
+    d *= rng.choice([-1.0, 1.0], N)
+    b = rng.standard_normal(N)
+    return dl, d, du, b
+
+
+def banded(dl, d, du):
+    ab = np.zeros((3, d.size))
+    ab[0, 1:] = du
+    ab[1, :] = d
+    ab[2, :-1] = dl
+    return ab
+
+
+@pytest.mark.parametrize("N", [16, 600, 1200])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matches_solve_banded_bitwise(N, seed):
+    dl, d, du, b = random_system(N, seed)
+    expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
+    got = _solve_tridiag(dl.copy(), d.copy(), du.copy(), b.copy())
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_like_solve_banded(which, bad):
+    arrays = list(random_system(32, 3))
+    arrays[which][5] = bad
+    dl, d, du, b = arrays
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _solve_tridiag(dl, d, du, b)
+
+
+def test_singular_system_raises_like_solve_banded():
+    N = 16
+    dl, d, du, b = np.zeros(N - 1), np.ones(N), np.zeros(N - 1), np.ones(N)
+    d[7] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _solve_tridiag(dl, d, du, b)
+
+
+def _rhs_np_diff(ws, w_full):
+    """The flux-form rhs as it stood on np.diff (oracle)."""
+    v = 1.0 + w_full
+    G = ws.U * v**ws.m
+    vbar = 1.0 + 0.5 * (v[:-1] + v[1:] - 2.0)
+    phi = ws.C * (np.diff(G) - ws.dU * vbar)
+    out = np.empty(ws.N)
+    out[0] = phi[0] / ws.masses[0]
+    out[1:] = np.diff(phi) / ws.masses[1:]
+    return out
+
+
+def _jacobian_bands(ws, w_full):
+    """The Jacobian bands as they stood with 1/masses formed per call (oracle)."""
+    v = 1.0 + w_full
+    dG = ws.U * ws.m * v ** (ws.m - 1.0)
+    dphi_left = ws.C * (-dG[:-1] - 0.5 * ws.dU)
+    dphi_right = ws.C * (dG[1:] - 0.5 * ws.dU)
+    minv = 1.0 / ws.masses
+    N = ws.N
+    diag = np.empty(N)
+    diag[0] = dphi_left[0] * minv[0]
+    diag[1:] = (dphi_left[1:N] - dphi_right[:N - 1]) * minv[1:]
+    lower = -dphi_left[:N - 1] * minv[1:]
+    upper = dphi_right[:N - 1] * minv[:N - 1]
+    return lower, diag, upper
+
+
+def _newton_be_solve_banded(ws, w0, dt, w_boundary):
+    """The Newton step as it stood on scipy.linalg.solve_banded (oracle):
+    three rhs evaluations per step, the closing sweep included."""
+    W = w0.copy()
+    W[ws.N] = w_boundary
+
+    def residual(wfull):
+        return wfull[:ws.N] - w0[:ws.N] - dt * _rhs_np_diff(ws, wfull)
+
+    F = residual(W)
+    norm = np.max(np.abs(F))
+    for _ in range(evolve.NEWTON_MAXITER):
+        if norm <= evolve.NEWTON_TOL:
+            break
+        lower, diag, upper = _jacobian_bands(ws, W)
+        ab = np.zeros((3, ws.N))
+        ab[0, 1:] = -dt * upper
+        ab[1, :] = 1.0 - dt * diag
+        ab[2, :-1] = -dt * lower
+        delta = scipy.linalg.solve_banded((1, 1), ab, -F)
+        lam = 1.0
+        for _damp in range(12):
+            trial = W.copy()
+            trial[:ws.N] += lam * delta
+            if 1.0 + trial[:ws.N].min() > evolve.MARGIN_FLOOR:
+                Ft = residual(trial)
+                nt = np.max(np.abs(Ft))
+                if nt < norm or nt <= evolve.NEWTON_TOL:
+                    W, F, norm = trial, Ft, nt
+                    break
+            lam *= 0.5
+        else:
+            raise evolve.NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
+    else:
+        raise evolve.NewtonError("Newton did not converge")
+    W[:ws.N] = w0[:ws.N] + dt * _rhs_np_diff(ws, W)
+    evolve._check_positivity(W, evolve.MARGIN_FLOOR)
+    return W
+
+
+def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33):
+    grid = geo.make_grid(12.0, 600)
+    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+    ws = evolve._workspace(grid, params33)
+    w_oracle = state.w.values.copy()
+    dt = 0.01
+    for _ in range(20):
+        state = evolve.step_nonlinear(state, dt)
+        w_oracle = _newton_be_solve_banded(ws, w_oracle, dt, 0.0)
+        assert np.array_equal(state.w.values, w_oracle)
+
+
+def test_step_linear_bitwise_equal_to_solve_banded(grid12, params33):
+    op = linop.assemble(0, params33.eta_cr, grid12, params33)
+    f = geo.GridFunction(grid12, 0, np.exp(-((grid12.nodes - 1.0) ** 2)) * (
+        np.arange(grid12.count + 1) < grid12.count))
+    dt = 0.01
+    x = f.values[:grid12.count].copy()
+    for _ in range(5):
+        f = linop.step_linear(op, f, dt)
+        ab = np.zeros((3, x.size))
+        ab[0, 1:] = -0.5 * dt * op.sup[:-1]
+        ab[1, :] = 1.0 - 0.5 * dt * op.diag
+        ab[2, :-1] = -0.5 * dt * op.sub[1:]
+        x = scipy.linalg.solve_banded((1, 1), ab, x + 0.5 * dt * linop._matvec(op, x))
+        assert np.array_equal(f.values[:grid12.count], x)

@@ -5,18 +5,14 @@ Sigma_0 is invariant under the fast-diffusion flow when sigma obeys
 
     (d sigma / d tau)^{p+n} = c_B det Sigma(tau).
 
-c_B is not taken from a formula: it is calibrated numerically, once per
-parameter set, by requiring the PDE residual of the density to vanish at a
-diagonal test Sigma_0 (the time derivative is linear in d sigma/d tau, so a
-single solve per sample point suffices; agreement across sample points is
-checked).  The calibrated value is cached per (n, m, B) and attached to the
-states it produces.
+Substituting the isotropic case Sigma = sigma I into the flow gives
+d sigma / d tau = (4/(1-m)) sigma^{n(1-m)/2}, so c_B = (2(p+n))^{p+n} for
+every B; the constant is attached to the states built here.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineState:
-    """Traceless anisotropy Sigma_0, scalar sigma, calibrated constant cB."""
+    """Traceless anisotropy Sigma_0, scalar sigma, closed-form constant cB."""
 
     sigma0: np.ndarray
     sigma: float
@@ -72,17 +68,22 @@ def _sigma_rate(state: AffineState, sigma: float, params: ModelParams) -> float:
     return math.exp((math.log(state.cB) + np.log(axes).sum()) / np_exp)
 
 
+def _rk4(state: AffineState, s: float, dtau: float,
+         params: ModelParams) -> float:
+    """sigma after one classical RK4 step of the scalar flow from s."""
+    k1 = _sigma_rate(state, s, params)
+    k2 = _sigma_rate(state, s + 0.5 * dtau * k1, params)
+    k3 = _sigma_rate(state, s + 0.5 * dtau * k2, params)
+    k4 = _sigma_rate(state, s + dtau * k3, params)
+    return s + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def affine_step(state: AffineState, dtau: float,
                 params: ModelParams) -> AffineState:
     """Advance sigma by one classical RK4 step of the scalar flow."""
     if dtau <= 0:
         raise ValueError(f"dtau must be positive, got {dtau}")
-    s = state.sigma
-    k1 = _sigma_rate(state, s, params)
-    k2 = _sigma_rate(state, s + 0.5 * dtau * k1, params)
-    k3 = _sigma_rate(state, s + 0.5 * dtau * k2, params)
-    k4 = _sigma_rate(state, s + dtau * k3, params)
-    return replace(state, sigma=s + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return replace(state, sigma=_rk4(state, state.sigma, dtau, params))
 
 
 def _advance(state: AffineState, tau_elapsed: float,
@@ -93,11 +94,7 @@ def _advance(state: AffineState, tau_elapsed: float,
     dtau = tau_elapsed / nsub
     s = state.sigma
     for _ in range(nsub):
-        k1 = _sigma_rate(state, s, params)
-        k2 = _sigma_rate(state, s + 0.5 * dtau * k1, params)
-        k3 = _sigma_rate(state, s + 0.5 * dtau * k2, params)
-        k4 = _sigma_rate(state, s + dtau * k3, params)
-        s = s + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = _rk4(state, s, dtau, params)
     return replace(state, sigma=s)
 
 
@@ -119,91 +116,13 @@ def affine_density(state: AffineState, tau_elapsed: float, y,
     return (params.B + quad) ** (-params.a) * detroot
 
 
-# ---------------------------------------------------------------------------
-# cB calibration
-# ---------------------------------------------------------------------------
-
-_cb_cache: dict[tuple[int, float, float], float] = {}
-_cb_lock = threading.Lock()
-
-
-def _test_sigma0(n: int) -> np.ndarray:
-    """Fixed diagonal traceless test anisotropy."""
-    d = 0.3 * np.linspace(-1.0, 1.0, n)
-    d -= d.mean()
-    return np.diag(d)
-
-
-def _laplacian_fd(f, y: np.ndarray, h: float) -> float:
-    """Fourth-order (Richardson of central second differences) Laplacian."""
-    def lap(hh):
-        total = -2.0 * len(y) * f(y)
-        for d in range(len(y)):
-            e = np.zeros_like(y)
-            e[d] = hh
-            total += f(y + e) + f(y - e)
-        return total / hh**2
-    return (4.0 * lap(h / 2.0) - lap(h)) / 3.0
-
-
 def calibrate_cb(params: ModelParams) -> float:
-    """Numerically calibrate cB so the affine density solves the flow.
-
-    With rho(sigma; y) = det(Sigma)^{-1/2} (B + y' Sigma^{-1} y)^{-a} the
-    time derivative is (d sigma/d tau) * drho/dsigma with the analytic
-
-        drho/dsigma = rho [ -tr(Sigma^{-1})/2 + a (y'Sigma^{-2}y)/(B + y'Sigma^{-1}y) ],
-
-    so each sample point yields d sigma/d tau = (Lap rho^m / m) / (drho/dsigma)
-    with the Laplacian evaluated by fourth-order finite differences; the
-    sample spread is verified and cB = (d sigma/d tau)^{p+n} / det Sigma.
-    """
-    key = (params.n, params.m, params.B)
-    cached = _cb_cache.get(key)
-    if cached is not None:
-        return cached
-
-    n, m, a, B = params.n, params.m, params.a, params.B
-    d = np.diag(_test_sigma0(n))
-    sigma = 1.0
-    axes = sigma + d
-    det = float(np.prod(axes))
-    detroot = det ** -0.5
-
-    def rho(y):
-        quad = float((y * y / axes).sum())
-        return detroot * (B + quad) ** (-a)
-
-    def rho_m(y):
-        return rho(y) ** m
-
-    def drho_dsigma(y):
-        quad1 = float((y * y / axes).sum())
-        quad2 = float((y * y / axes**2).sum())
-        return rho(y) * (-0.5 * (1.0 / axes).sum() + a * quad2 / (B + quad1))
-
-    rng_pts = [0.3 * np.ones(n), 0.7 * np.linspace(1.0, 2.0, n),
-               1.2 * np.linspace(0.5, 1.0, n)[::-1].copy()]
-    rates = []
-    h = 0.02 * math.sqrt(B)
-    for y in rng_pts:
-        lap = _laplacian_fd(rho_m, y, h)
-        rates.append((lap / m) / drho_dsigma(y))
-    rates = np.array(rates)
-    spread = np.ptp(rates) / abs(rates.mean())
-    if spread > 1e-4:
-        raise RuntimeError(
-            f"cB calibration inconsistent across sample points: rates {rates}"
-        )
-    sigma_dot = float(rates.mean())
-    cB = math.exp((params.n + params.p) * math.log(sigma_dot) - math.log(det))
-    with _cb_lock:
-        _cb_cache.setdefault(key, cB)
-    return _cb_cache[key]
+    """The constant cB = (2(p+n))^{p+n} of the sigma flow (independent of B)."""
+    return (2.0 * (params.p + params.n)) ** (params.p + params.n)
 
 
 def make_affine_state(sigma0, sigma: float, params: ModelParams) -> AffineState:
-    """Build a state with the calibrated cB attached."""
+    """Build a state with the closed-form cB attached."""
     state = AffineState(sigma0=np.asarray(sigma0, dtype=float), sigma=sigma,
                         cB=calibrate_cb(params))
     _sigma_axes(state, sigma)  # positive definiteness up front

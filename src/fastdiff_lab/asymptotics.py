@@ -42,6 +42,7 @@ __all__ = [
     "WeightedRateRow",
     "EmptyWindowError",
     "fit_rate",
+    "fit_rate_or_widen",
     "extract_coefficient",
     "mod_time_shift",
     "expansion_residual",
@@ -115,6 +116,18 @@ def fit_rate(times, values, policy: WindowPolicy | None = None) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=r2, window=(float(tw[0]), float(tw[-1])),
                    n_samples=int(tw.size), policy=policy)
+
+
+def fit_rate_or_widen(times, values, policy: WindowPolicy | None = None) -> RateFit:
+    """fit_rate over the policy window; if that window is empty, refit over
+    every positive sample (values normalized to max 1) from two samples on."""
+    try:
+        return fit_rate(times, values, policy)
+    except EmptyWindowError:
+        pos = values[values > 0.0]
+        wide = WindowPolicy(value_lo=float(pos.min()) / 2.0, value_hi=1.0,
+                            min_samples=2)
+        return fit_rate(times, values, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +310,9 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     norms = np.array([
         weighted_sup(GridFunction(trace.grid, 0, w), eta) for _, w in shifted
     ])
-    scale = norms.max()
-    try:
-        fit = fit_rate(times, norms / scale, policy)
-    except EmptyWindowError:
-        # shift removed (almost) everything: fit whatever positive range is
-        # left rather than failing the whole record
-        pos = norms[norms > 0.0]
-        fallback = WindowPolicy(value_lo=float(pos.min()) / scale / 2.0,
-                                value_hi=1.0, min_samples=2)
-        fit = fit_rate(times, norms / scale, fallback)
+    # the shift may remove (almost) everything: then fit whatever positive
+    # range is left rather than failing the whole record
+    fit = fit_rate_or_widen(times, norms / norms.max(), policy)
     return TimeShiftResult(tau0=float(tau0), shifted_rate=fit, Lambda=Lambda,
                            eta=eta, c0=c0, c_slope=slope)
 

@@ -186,14 +186,7 @@ def _fit_norm_series(times, values, policy, rate_rows, name, eta) -> float:
     if scale == 0.0:
         rate_rows.append([name, eta, 0.0, 1.0, float(times[0]), float(times[-1])])
         return 0.0
-    rel = values / scale
-    try:
-        fit = asymptotics.fit_rate(times, rel, policy)
-    except asymptotics.EmptyWindowError:
-        pos = rel[rel > 0.0]
-        wide = asymptotics.WindowPolicy(value_lo=float(pos.min()) / 2.0,
-                                        value_hi=1.0, min_samples=2)
-        fit = asymptotics.fit_rate(times, rel, wide)
+    fit = asymptotics.fit_rate_or_widen(times, values / scale, policy)
     rate_rows.append([name, eta, fit.slope, fit.r_squared,
                       fit.window[0], fit.window[1]])
     return fit.slope
@@ -284,10 +277,8 @@ def _sweep_item(args):
     gamma_meas = shift.shifted_rate.slope / (-2.0 * params.p)
     # flag branch points: competitors of the target rate closer than the
     # fit can resolve make gamma_measured untrustworthy
-    competitors = [-2.0 * params.p, params.lambda_cont,
-                   -2.0 * (params.p + params.n)]
-    if params.p > 6.0:
-        competitors.append(-4.0 * params.p + 8.0)
+    competitors = [-2.0 * params.p] + [
+        lam for lam, _ in closedform.second_order_candidates(params)]
     gaps = [abs(shift.Lambda - c) for c in competitors
             if abs(shift.Lambda - c) > 1e-12]
     degenerate = bool(min(gaps, default=np.inf) < 0.25)

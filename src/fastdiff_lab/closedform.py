@@ -50,6 +50,7 @@ __all__ = [
     "eigenfunction_v",
     "potential_profile",
     "eta_for_target_rate",
+    "second_order_candidates",
     "lambda_second_order",
     "second_order_rates",
     "delayed_barenblatt_v",
@@ -374,12 +375,12 @@ class SecondOrderRates:
     eta: float
 
 
-def lambda_second_order(params: ModelParams) -> tuple[float, RateBranch]:
-    """Spectral gap Lambda below lambda_01 once the time shift is modded out.
+def second_order_candidates(params: ModelParams) -> list[tuple[float, RateBranch]]:
+    """Candidate rates (Lambda, branch) below lambda_01 after the time shift.
 
-    Max over the continuum onset -(p/2+1)^2, the quadrupole value -2(p+n)
-    (used for every n, with the n = 1 crossing at p* = 2(sqrt(2)+1)), and
-    -4p+8 which is an eigenvalue only for p > 6.
+    The continuum onset -(p/2+1)^2, the quadrupole value -2(p+n) (used for
+    every n, with the n = 1 crossing at p* = 2(sqrt(2)+1)), and -4p+8, which
+    is an eigenvalue only for p > 6.
     """
     p = params.p
     cands = [(-((p / 2.0 + 1.0) ** 2),
@@ -387,7 +388,13 @@ def lambda_second_order(params: ModelParams) -> tuple[float, RateBranch]:
              (-2.0 * (p + params.n), RateBranch.LAMBDA20)]
     if p > 6.0:
         cands.append((-4.0 * p + 8.0, RateBranch.LAMBDA02))
-    return max(cands, key=lambda it: it[0])
+    return cands
+
+
+def lambda_second_order(params: ModelParams) -> tuple[float, RateBranch]:
+    """Spectral gap Lambda below lambda_01 once the time shift is modded out:
+    the largest of :func:`second_order_candidates`."""
+    return max(second_order_candidates(params), key=lambda it: it[0])
 
 
 def second_order_rates(params: ModelParams) -> SecondOrderRates:

@@ -132,11 +132,6 @@ class ExperimentConfig:
         a = self.analysis
         if a.fit_value_lo >= a.fit_value_hi:
             raise ConfigError("analysis.fit_value_lo/hi: empty value window")
-        for mm in a.sweep_m:
-            try:
-                derive_params(mc.n, mm, mc.B)
-            except ValueError:
-                pass  # sweep rows may fail individually (partial-failure contract)
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
         return self

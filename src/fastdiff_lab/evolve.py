@@ -122,7 +122,16 @@ class _Workspace:
         # flux prefactor r^{n-1} / (m h cosh s) at faces 1/2 .. N-1/2
         self.C = np.sinh(s_half) ** (n - 1) / (m * h * np.cosh(s_half))
         self.masses = cell_masses(grid, params)  # cells 0..N-1
-        self.minv = 1.0 / self.masses
+        with np.errstate(divide="ignore", over="ignore"):
+            self.minv = 1.0 / self.masses
+        bad = np.flatnonzero(~(np.isfinite(self.masses) & (self.masses > 0.0)
+                               & np.isfinite(self.minv)))
+        if bad.size:
+            raise EvolveError(
+                f"cell masses underflow for n={n}, m={m} (p={p:.6g}) on the "
+                f"grid s_max={grid.s_max:g}, count={N}; the largest s_max "
+                f"with positive masses at spacing h={h:g} is {bad[0] * h:.6g}"
+            )
         for arr in (self.U, self.dU, self.C, self.minv):
             arr.flags.writeable = False
         self.m = m

@@ -38,6 +38,7 @@ import scipy.linalg
 from .closedform import (
     ModelParams,
     ModeIndex,
+    admissible_modes,
     eigenvalue,
     eigenfunction_v,
     essential_threshold,
@@ -306,17 +307,6 @@ class SpectrumReport:
         return [e for e in self.entries if e.mode is not None]
 
 
-def _closed_form_modes(ell: int, eta: float, params: ModelParams):
-    """Admissible (mode, lambda) at this (l, eta), descending lambda."""
-    out = []
-    k = 0
-    while is_admissible(ModeIndex(ell, k), eta, params):
-        mode = ModeIndex(ell, k)
-        out.append((mode, eigenvalue(mode, params)))
-        k += 1
-    return out
-
-
 def top_eigenvalues(op: TridiagonalOperator, count: int,
                     match_tol: float = 0.1) -> SpectrumReport:
     """Largest `count` discrete eigenvalues, matched against closed form.
@@ -350,7 +340,8 @@ def top_eigenvalues(op: TridiagonalOperator, count: int,
         ) from exc
 
     thr = essential_threshold(op.ell, op.eta, op.params)
-    candidates = _closed_form_modes(op.ell, op.eta, op.params)
+    candidates = [(md, lam) for md, lam in admissible_modes(op.eta, op.params)
+                  if md.ell == op.ell]
     entries = []
     for v in vals[::-1]:
         v = float(v)

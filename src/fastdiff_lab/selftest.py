@@ -29,24 +29,6 @@ class CheckResult:
     passed: bool
 
 
-def _admissible_at_etacr(params):
-    out = []
-    ell = 0
-    while True:
-        if params.n == 1 and ell > 1:
-            break
-        k = 0
-        found = False
-        while closedform.is_admissible(ModeIndex(ell, k), params.eta_cr, params):
-            out.append(ModeIndex(ell, k))
-            found = True
-            k += 1
-        if not found:
-            break
-        ell += 1
-    return out
-
-
 ACCEPTANCE_CASES = ((3, 2.0 / 3.0), (1, 0.5), (3, 0.8))
 
 
@@ -57,7 +39,8 @@ def criterion_1_eigenvalues(fast: bool = False) -> list[CheckResult]:
     for (n, m) in ACCEPTANCE_CASES:
         params = derive_params(n, m)
         t0 = time.time()
-        modes = _admissible_at_etacr(params)
+        modes = sorted(md for md, _ in
+                       closedform.admissible_modes(params.eta_cr, params))
         per_ell = {}
         for md in modes:
             per_ell.setdefault(md.ell, []).append(md)
@@ -87,7 +70,8 @@ def criterion_2_residuals(fast: bool = False) -> list[CheckResult]:
     grid = geometry.make_grid(12.0, 1200)
     for (n, m) in cases:
         params = derive_params(n, m)
-        for md in _admissible_at_etacr(params):
+        for md in sorted(mode for mode, _ in
+                         closedform.admissible_modes(params.eta_cr, params)):
             r1 = linop.eigen_residual(md, params.eta_cr, grid, params)
             r2 = linop.eigen_residual(md, params.eta_cr, geometry.refine(grid),
                                       params)
@@ -306,7 +290,7 @@ def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
 
 
 def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
-    """Calibrated affine family: scaled PDE residual <= 1e-4, second order."""
+    """Affine family (closed-form cB): scaled PDE residual <= 1e-4, second order."""
     params = derive_params(2, 2.0 / 3.0)
     state = affine.make_affine_state(np.diag([0.25, -0.25]), 1.0, params)
     h = 0.003125  # cheap enough that fast mode keeps the full resolution

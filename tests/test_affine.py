@@ -1,4 +1,6 @@
-"""Affinely self-similar family: calibration, stepping, PDE residual."""
+"""Affinely self-similar family: closed-form cB, stepping, PDE residual."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,18 +14,60 @@ def params_n2():
     return cf.derive_params(2, 2.0 / 3.0)  # p = 4
 
 
-def test_calibration_matches_independent_derivation(params_n2):
+def _fd_laplacian(f, y, h):
+    """Fourth-order (Richardson of central second differences) Laplacian."""
+    def lap(hh):
+        total = -2.0 * len(y) * f(y)
+        for d in range(len(y)):
+            e = np.zeros_like(y)
+            e[d] = hh
+            total += f(y + e) + f(y - e)
+        return total / hh**2
+    return (4.0 * lap(h / 2.0) - lap(h)) / 3.0
+
+
+def _fd_cb(params):
+    """cB recovered from the flow at a diagonal anisotropic Sigma, sigma = 1.
+
+    With rho = det(Sigma)^{-1/2} (B + y' Sigma^{-1} y)^{-a}, d_tau rho equals
+    (d sigma/d tau) * drho/dsigma for the analytic
+
+        drho/dsigma = rho [ -tr(Sigma^{-1})/2 + a (y'Sigma^{-2}y)/(B + y'Sigma^{-1}y) ],
+
+    so each sample point gives d sigma/d tau = (Lap rho^m / m) / (drho/dsigma);
+    the points must agree, and cB = (d sigma/d tau)^{p+n} / det Sigma.
+    """
+    n, m, a, B = params.n, params.m, params.a, params.B
+    d = 0.3 * np.linspace(-1.0, 1.0, n)
+    axes = 1.0 + (d - d.mean())
+    det = float(np.prod(axes))
+
+    def rho(y):
+        return det ** -0.5 * (B + float((y * y / axes).sum())) ** (-a)
+
+    def drho_dsigma(y):
+        quad1 = float((y * y / axes).sum())
+        quad2 = float((y * y / axes**2).sum())
+        return rho(y) * (-0.5 * (1.0 / axes).sum() + a * quad2 / (B + quad1))
+
+    points = [0.3 * np.ones(n), 0.7 * np.linspace(1.0, 2.0, n),
+              1.2 * np.linspace(0.5, 1.0, n)[::-1].copy()]
+    h = 0.02 * math.sqrt(B)
+    rates = np.array([(_fd_laplacian(lambda z: rho(z) ** m, y, h) / m)
+                      / drho_dsigma(y) for y in points])
+    assert np.ptp(rates) / abs(rates.mean()) <= 1e-4
+    return math.exp((params.n + params.p) * math.log(rates.mean())
+                    - math.log(det))
+
+
+@pytest.mark.parametrize("n, m, B", [(2, 2.0 / 3.0, 1.0), (1, 0.5, 1.0),
+                                     (3, 0.8, 1.0), (4, 0.7, 2.5),
+                                     (6, 0.9, 0.3)])
+def test_calibration_matches_independent_derivation(n, m, B):
     # substituting the affine ansatz into the flow gives, by hand,
     # d sigma/d tau = (4/(1-m)) det(Sigma)^((1-m)/2), i.e. cB = (2(p+n))^(p+n)
-    cb = affine.calibrate_cb(params_n2)
-    analytic = (2.0 * (params_n2.p + params_n2.n)) ** (params_n2.p + params_n2.n)
-    assert cb == pytest.approx(analytic, rel=1e-4)
-
-
-def test_calibration_cached(params_n2):
-    a = affine.calibrate_cb(params_n2)
-    b = affine.calibrate_cb(params_n2)
-    assert a == b
+    params = cf.derive_params(n, m, B)
+    assert affine.calibrate_cb(params) == pytest.approx(_fd_cb(params), rel=1e-4)
 
 
 def test_state_validation(params_n2):
@@ -48,6 +92,15 @@ def test_rk4_fourth_order(params_n2):
         errs.append(abs(cur.sigma - ref.sigma))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.3)
+
+
+def test_advance_is_repeated_affine_step(params_n2):
+    # _advance subdivides into steps of 0.01 through the same RK4 body
+    st = affine.make_affine_state(np.diag([0.25, -0.25]), 1.0, params_n2)
+    stepped = st
+    for _ in range(10):
+        stepped = affine.affine_step(stepped, 0.01, params_n2)
+    assert affine._advance(st, 0.1, params_n2).sigma == stepped.sigma
 
 
 def test_affine_density_isotropic_reduces_to_barenblatt(params_n2):

@@ -59,6 +59,20 @@ def test_fit_rate_window_errors():
         asy.fit_rate(t, np.ones((2, 2)))
 
 
+def test_fit_rate_or_widen():
+    t = np.linspace(0, 1, 5)
+    vals = np.exp(-2.0 * t)  # all above the default value_hi = 1e-2
+    policy = asy.WindowPolicy()
+    fit = asy.fit_rate_or_widen(t, vals, policy)
+    assert fit.slope == pytest.approx(-2.0, abs=1e-12)
+    assert fit.n_samples == 5
+    assert fit.policy.min_samples == 2
+    assert fit.policy.value_lo == pytest.approx(vals[-1] / 2.0)
+    # a window that holds enough samples is fitted as given
+    wide = asy.WindowPolicy(value_lo=1e-3, value_hi=1.0, min_samples=2)
+    assert asy.fit_rate_or_widen(t, vals, wide) == asy.fit_rate(t, vals, wide)
+
+
 # ---------------------------------------------------------------------------
 # extract_coefficient
 # ---------------------------------------------------------------------------

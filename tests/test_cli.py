@@ -1,5 +1,6 @@
 """CLI: commands, config precedence, determinism, exit codes."""
 
+import glob
 import json
 import os
 import subprocess
@@ -24,6 +25,8 @@ from fastdiff_lab.config import (
 # PYTHONPATH=src) no longer points at the checkout, so it is put first as an
 # absolute path: the child then runs the same source tree as the tests.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(fastdiff_lab.__file__)))
+CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
 
 
 def child_env(tmp_path, env_extra=None):
@@ -74,6 +77,13 @@ def test_config_file_and_flag_precedence(tmp_path):
     over = apply_overrides(cfg, model={"m": 0.8})
     assert over.model.m == 0.8
     assert over.grid.count == 400  # untouched sections survive
+
+
+def test_shipped_configs_validate():
+    paths = sorted(glob.glob(os.path.join(CONFIGS_DIR, "*.json")))
+    assert paths
+    for path in paths:
+        load_config(path).validate()
 
 
 def test_config_round_trip():
@@ -229,6 +239,16 @@ def test_exit_code_validation(tmp_path):
     proc = run_cli(["--m", "1.2", "spectrum"], tmp_path)
     assert proc.returncode == 2
     assert "mass-preserving" in proc.stderr
+
+
+def test_underflowing_grid_is_a_named_solver_failure(tmp_path):
+    # p = 197: the cell masses of the default grid underflow near s = 4.3
+    proc = run_cli(["--n", "3", "--m", "0.99", "evolve"], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure:")
+    assert "largest s_max" in lines[0]
 
 
 def test_spectrum_writes_files_and_env_default(tmp_path):

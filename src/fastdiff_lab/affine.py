@@ -117,8 +117,20 @@ def affine_density(state: AffineState, tau_elapsed: float, y,
 
 
 def calibrate_cb(params: ModelParams) -> float:
-    """The constant cB = (2(p+n))^{p+n} of the sigma flow (independent of B)."""
-    return (2.0 * (params.p + params.n)) ** (params.p + params.n)
+    """The constant cB = (2(p+n))^{p+n} of the sigma flow (independent of B).
+
+    It is a float only for p+n < 128, where (2(p+n))^{p+n} < 256^128 = 2^1024;
+    beyond that a ValueError names p+n.
+    """
+    q = params.p + params.n
+    try:
+        return (2.0 * q) ** q
+    except OverflowError:
+        raise ValueError(
+            f"cB = (2(p+n))^(p+n) overflows a float for p+n = {q:.6g} "
+            f"(n={params.n}, m={params.m}); it is representable only for "
+            f"p+n < 128"
+        ) from None
 
 
 def make_affine_state(sigma0, sigma: float, params: ModelParams) -> AffineState:

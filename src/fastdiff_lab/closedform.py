@@ -101,6 +101,11 @@ def derive_params(n: int, m: float, B: float = 1.0) -> ModelParams:
             f"m={m} outside the mass-preserving range ]{m0}, 1[ for n={n}"
         )
     p = 2.0 / (1.0 - m) - n
+    if not p > 0.0:
+        raise ValueError(
+            f"m={m!r} is too close to (n-2)/n for n={n}: p = 2/(1-m) - n "
+            f"rounds to {p!r}, not positive"
+        )
     beta = 0.5 * (1.0 + n / p)
     return ModelParams(n=int(n), m=float(m), B=float(B), p=p, beta=beta,
                        eta_cr=p / 2.0 - 1.0)

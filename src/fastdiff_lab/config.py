@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from .closedform import derive_params
+from .geometry import step_count
 
 __all__ = [
     "ConfigError",
@@ -116,6 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"time.dt: must be positive, got {t.dt}")
         if t.t_final <= 0:
             raise ConfigError(f"time.t_final: must be positive, got {t.t_final}")
+        try:
+            step_count(0.0, t.t_final, t.dt)
+        except ValueError as exc:
+            raise ConfigError(f"time.t_final/time.dt: {exc}") from exc
         if t.record_every < 1 or t.snapshot_every < 1:
             raise ConfigError("time.record_every/snapshot_every: must be >= 1")
         i = self.initial_data

@@ -40,9 +40,10 @@ from .closedform import (
 from .geometry import (
     GridFunction,
     RadialGrid,
+    _node_power,
     cell_masses,
     sphere_area,
-    volume_weight,
+    step_count,
     weighted_sup,
 )
 from .tridiag import _solve_tridiag
@@ -119,10 +120,10 @@ class _Workspace:
         s_half = s[:-1] + h / 2.0
         self.U = np.cosh(s) ** (-(n + p - 2.0))  # u_B^m at nodes 0..N
         self.dU = self.U[1:] - self.U[:-1]
-        # flux prefactor r^{n-1} / (m h cosh s) at faces 1/2 .. N-1/2
-        self.C = np.sinh(s_half) ** (n - 1) / (m * h * np.cosh(s_half))
         self.masses = cell_masses(grid, params)  # cells 0..N-1
         with np.errstate(divide="ignore", over="ignore"):
+            # flux prefactor r^{n-1} / (m h cosh s) at faces 1/2 .. N-1/2
+            self.C = np.sinh(s_half) ** (n - 1) / (m * h * np.cosh(s_half))
             self.minv = 1.0 / self.masses
         bad = np.flatnonzero(~(np.isfinite(self.masses) & (self.masses > 0.0)
                                & np.isfinite(self.minv)))
@@ -131,6 +132,11 @@ class _Workspace:
                 f"cell masses underflow for n={n}, m={m} (p={p:.6g}) on the "
                 f"grid s_max={grid.s_max:g}, count={N}; the largest s_max "
                 f"with positive masses at spacing h={h:g} is {bad[0] * h:.6g}"
+            )
+        if not np.isfinite(self.C).all():
+            raise EvolveError(
+                f"flux prefactor r^(n-1)/(m h cosh s) is not finite for n={n}, "
+                f"m={m!r} on the grid s_max={grid.s_max:g}, count={N}"
             )
         for arr in (self.U, self.dU, self.C, self.minv):
             arr.flags.writeable = False
@@ -296,10 +302,10 @@ def mass_and_moments(w: GridFunction, params: ModelParams) -> MassMoments:
     masses = cell_masses(w.grid, params)
     mass_defect = area * float(np.dot(w.values[:masses.size], masses))
     if params.p > 2.0:
-        s = w.grid.nodes
-        integrand = w.values * np.sinh(s) ** (params.n + 1) \
-            * np.cosh(s) ** (1.0 - params.n - params.p)
-        second = area * float(np.trapezoid(integrand, s))
+        grid = w.grid
+        integrand = w.values * _node_power(grid, "sinh", params.n + 1) \
+            * _node_power(grid, "cosh", 1.0 - params.n - params.p)
+        second = area * float(np.trapezoid(integrand, grid.nodes))
         return MassMoments(mass_defect, second, True)
     return MassMoments(mass_defect, math.nan, False)
 
@@ -315,10 +321,9 @@ def energy(w: GridFunction, params: ModelParams) -> float:
     m = params.m
     H = ((1.0 + w.values) ** (m + 1.0) - 1.0 - (m + 1.0) * w.values) \
         / (m * (m + 1.0))
-    s = w.grid.nodes
-    return sphere_area(params.n) * float(
-        np.trapezoid(H * volume_weight(s, params.n), s)
-    )
+    # tanh(s)**(n-1) is the cigar volume weight (all ones for n = 1)
+    vol = _node_power(w.grid, "tanh", params.n - 1)
+    return sphere_area(params.n) * float(np.trapezoid(H * vol, w.grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -382,7 +387,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         boundary=None) -> EvolutionTrace:
     """Iterate backward-Euler steps, recording diagnostics along the way."""
     params = state0.params
-    steps = int(round((t_final - state0.t) / dt))
+    steps = step_count(state0.t, t_final, dt)
     if steps < 0:
         raise ValueError("t_final lies before the initial time")
 

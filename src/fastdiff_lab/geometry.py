@@ -28,6 +28,7 @@ __all__ = [
     "NormSpec",
     "make_grid",
     "refine",
+    "step_count",
     "s_of_r",
     "r_of_s",
     "volume_weight",
@@ -77,6 +78,38 @@ def make_grid(s_max: float, count: int) -> RadialGrid:
 def refine(grid: RadialGrid) -> RadialGrid:
     """Halve h, preserving s_max."""
     return RadialGrid(grid.s_max, 2 * grid.count)
+
+
+def step_count(t0: float, t_final: float, dt: float) -> int:
+    """Number of steps dt from t0 to t_final.
+
+    Raises ValueError, naming the nearest reachable time, unless
+    t_final - t0 is a whole number of steps within 1e-9 relative.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    span = t_final - t0
+    steps = int(round(span / dt))
+    if abs(steps * dt - span) > 1e-9 * abs(span):
+        raise ValueError(
+            f"t_final - t0 = {span:.12g} is not a whole number of steps "
+            f"dt = {dt:.12g}; the nearest reachable time is "
+            f"{t0 + steps * dt:.12g}"
+        )
+    return steps
+
+
+@lru_cache(maxsize=64, typed=True)
+def _node_power(grid: RadialGrid, fn: str, exponent) -> np.ndarray:
+    """``getattr(np, fn)(grid.nodes) ** exponent``, shared and so read-only.
+
+    ``typed`` keeps an int exponent apart from the equal float, since
+    numpy evaluates ``x ** -1`` and ``x ** 2`` by other routines than
+    ``x ** -1.0`` and ``x ** 2.0``.
+    """
+    out = getattr(np, fn)(grid.nodes) ** exponent
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -175,7 +208,10 @@ def inner_product_uBm(f: GridFunction, g: GridFunction,
 
 def weighted_sup(f: GridFunction, eta: float) -> float:
     """sup_i |(cosh s_i)^{-eta} f_i|."""
-    return float(np.max(np.abs(np.cosh(f.grid.nodes) ** (-eta) * f.values)))
+    return float(np.max(np.abs(_node_power(f.grid, "cosh", -eta) * f.values)))
+
+
+_HOLDER_BLOCK = 1 << 19  # node pairs per block of holder_seminorm
 
 
 def holder_seminorm(f: GridFunction, spec: NormSpec) -> float:
@@ -188,10 +224,17 @@ def holder_seminorm(f: GridFunction, spec: NormSpec) -> float:
         raise ValueError(f"holder_seminorm needs a weighted-holder spec, got {spec.kind}")
     s = f.grid.nodes
     g = np.cosh(s) ** (-spec.eta) * f.values
-    diff = np.abs(g[:, None] - g[None, :])
-    dist = np.abs(s[:, None] - s[None, :])
-    mask = dist > 0
-    return float(np.max(diff[mask] / dist[mask] ** spec.alpha))
+    # rows in blocks of about _HOLDER_BLOCK pairs keep memory O(block N);
+    # the maximum is exact, so the result equals the dense pairwise formula
+    rows = max(1, _HOLDER_BLOCK // s.size)
+
+    def block_max(a):
+        diff = np.abs(g[a:a + rows, None] - g[None, :])
+        dist = np.abs(s[a:a + rows, None] - s[None, :])
+        mask = dist > 0
+        return np.max(diff[mask] / dist[mask] ** spec.alpha)
+
+    return float(np.max([block_max(a) for a in range(0, s.size, rows)]))
 
 
 def norm(f: GridFunction, spec: NormSpec,

@@ -45,8 +45,8 @@ from .closedform import (
     is_admissible,
     potential_profile,
 )
-from .geometry import GridFunction, RadialGrid, inner_product_uBm
-from .tridiag import _solve_tridiag
+from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
+from .tridiag import _factor_tridiag, _solve_factored, _solve_tridiag
 
 __all__ = [
     "TridiagonalOperator",
@@ -151,6 +151,28 @@ def _cell_weight_ratios(grid: RadialGrid, n_eff: int, c_pow: float):
     return Ibar, log_ref
 
 
+def _check_similarity(phi: np.ndarray, first_node: int, ell: int,
+                      eta: float, grid: RadialGrid, params: ModelParams):
+    """Raise EigensolveError unless the similarity weight phi is a finite
+    normal float at every unknown node (``phi[k]`` is node first_node + k).
+
+    Where cosh(s)^-(eta+2) underflows (large p or eta), the ratios
+    phi_{i+1}/phi_i are 0/0 or have lost their digits; ratios of normal
+    floats at neighbouring nodes are finite and positive.  The message
+    names the largest s_max that works at the same spacing.
+    """
+    bad = np.flatnonzero(~(np.isfinite(phi) & (phi >= np.finfo(float).tiny)))
+    if bad.size:
+        h = grid.h
+        raise EigensolveError(
+            f"similarity weight cosh(s)^-(eta+2) leaves the normal float "
+            f"range for n={params.n}, m={params.m} (p={params.p:.6g}), "
+            f"l={ell}, eta={eta:.6g} on the grid s_max={grid.s_max:g}, "
+            f"count={grid.count}; the largest s_max with a representable "
+            f"weight at spacing h={h:g} is {(first_node + bad[0]) * h:.6g}"
+        )
+
+
 # blend window between the desingularized origin frame and the direct
 # conjugated-frame stencil (the origin terms are mild beyond s ~ 1)
 _FRAME_BLEND = (0.4, 1.2)
@@ -229,6 +251,7 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
         i0 = 1
         bc0 = "dirichlet"
 
+    _check_similarity(phi, i0, ell, eta, grid, params)
     sub[1:] *= phi[1:] / phi[:-1]
     sup[:-1] *= phi[:-1] / phi[1:]
 
@@ -465,6 +488,9 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     """
     from .asymptotics import fit_rate
 
+    if f0.grid != op.grid or f0.ell != op.ell:
+        raise ValueError("operator/function mismatch")
+    steps = step_count(0.0, t_final, dt)
     p = params.p
     for mode in modes_to_remove:
         if op.eta + mode.degree >= p:
@@ -483,15 +509,22 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     scale = np.max(np.abs(w_vals))
     if scale == 0.0:
         raise ValueError("projection removed the whole initial profile")
-    w = f0.with_values(w_vals / scale)
 
-    steps = int(round(t_final / dt))
+    # step_linear's Crank-Nicolson step on the unknowns alone, with the
+    # constant matrix factored once; the node(s) held at zero do not change
+    # the sup norm
+    lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
+                         -0.5 * dt * op.sup[:-1])
+    w = f0.with_values(w_vals / scale)
+    x = w.values[op.first_node:op.grid.count]
     times = np.empty(steps + 1)
     sups = np.empty(steps + 1)
     times[0] = 0.0
     sups[0] = 1.0
     for j in range(steps):
-        w = step_linear(op, w, dt)
+        x = _solve_factored(lu, x + 0.5 * dt * _matvec(op, x))
+        if not np.isfinite(x).all():
+            raise ValueError("grid function contains non-finite values")
         times[j + 1] = (j + 1) * dt
-        sups[j + 1] = np.max(np.abs(w.values))
+        sups[j + 1] = np.max(np.abs(x))
     return fit_rate(times, sups, policy)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,13 +88,23 @@ def criterion_2_residuals(fast: bool = False) -> list[CheckResult]:
     return results
 
 
+@lru_cache(maxsize=4)
 def _rate_trace(n, m, fast, seed=7):
+    """The mass-projected bump run of criteria 3, 7 and 11.
+
+    Computed once per (n, m, fast, seed) and shared between the three, so
+    its arrays are read-only.
+    """
     params = derive_params(n, m)
     grid = geometry.make_grid(12.0, 600 if fast else 1200)
     state0 = evolve.bump_data(grid, 0.05, seed=seed, params=params)
     dt = 2e-3 if fast else 1e-3
     trace = evolve.run(state0, dt, 3.0,
                        evolve.RecordOptions(record_every=5))
+    for arr in (state0.w.values, trace.times, trace.sup, trace.mass_defect,
+                trace.energy, trace.min_v, trace.max_v,
+                *trace.weighted.values()):
+        arr.flags.writeable = False
     return params, state0, trace
 
 

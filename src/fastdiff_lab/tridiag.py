@@ -1,4 +1,4 @@
-"""The package's one tridiagonal solver: a direct LAPACK ``?gtsv`` call.
+"""The package's tridiagonal solvers: direct LAPACK ``?gtsv`` and ``?gttrf``/``?gttrs`` calls.
 
 ``scipy.linalg.solve_banded((1, 1), ...)`` packs nothing new for a
 tridiagonal system: it validates, slices the three bands back out of the
@@ -6,13 +6,24 @@ tridiagonal system: it validates, slices the three bands back out of the
 directly gives bitwise-identical solutions without that wrapper cost
 (LAPACK Users' Guide, 3rd ed., ?gtsv), while raising the errors
 ``solve_banded`` raises.
+
+A matrix that is solved against many right sides (a Crank-Nicolson run
+with a fixed step) is factored once with ``dgttrf`` and solved per side
+with ``dgttrs``.  Both routines pivot and eliminate exactly as ``dgtsv``
+does, so the solutions are bitwise those of ``_solve_tridiag``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
 def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
@@ -24,12 +35,33 @@ def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     factors in place, so callers pass freshly built arrays.  Raises
     ValueError on non-finite input and LinAlgError on a singular system.
     """
-    for a in (dl, d, du, b):
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    _check_finite(dl, d, du, b)
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
+def _factor_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors of the tridiagonal matrix with bands (dl, d, du), for
+    ``_solve_factored``.  The bands are left untouched.  Raises ValueError
+    on non-finite bands and LinAlgError on a singular matrix."""
+    _check_finite(dl, d, du)
+    *lu, info = dgttrf(dl, d, du)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gttrf")
+    return tuple(lu)
+
+
+def _solve_factored(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve the factored system for right side b (left untouched).
+    Raises ValueError on a non-finite right side."""
+    _check_finite(b)
+    x, info = dgttrs(*lu, b)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
     return x

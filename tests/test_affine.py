@@ -70,6 +70,17 @@ def test_calibration_matches_independent_derivation(n, m, B):
     assert affine.calibrate_cb(params) == pytest.approx(_fd_cb(params), rel=1e-4)
 
 
+def test_cb_overflow_is_a_named_error():
+    # (2(p+n))^(p+n) is a float only for p+n < 128
+    params = cf.derive_params(3, 0.99)  # p+n = 200
+    with pytest.raises(ValueError, match=r"p\+n = 200 .*p\+n < 128"):
+        affine.calibrate_cb(params)
+    with pytest.raises(ValueError, match="overflows"):
+        affine.make_affine_state(np.diag([0.1, -0.1, 0.0]), 1.0, params)
+    below = cf.derive_params(3, 1.0 - 2.0 / 127.5)  # p+n = 127.5
+    assert math.isfinite(affine.calibrate_cb(below))
+
+
 def test_state_validation(params_n2):
     with pytest.raises(ValueError, match="traceless"):
         affine.AffineState(np.diag([0.5, 0.1]), 1.0, 1.0)

@@ -251,6 +251,27 @@ def test_underflowing_grid_is_a_named_solver_failure(tmp_path):
     assert "largest s_max" in lines[0]
 
 
+def test_underflowing_spectrum_is_a_named_solver_failure(tmp_path):
+    # p = 197: cosh(s)^-(eta_cr+2) of the default grid underflows near s = 7.8
+    proc = run_cli(["--n", "3", "--m", "0.99", "spectrum"], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure:")
+    assert "largest s_max" in lines[0]
+
+
+def test_partial_last_step_is_a_config_error(tmp_path):
+    cfg = apply_overrides(ExperimentConfig(), time={"dt": 3e-3, "t_final": 0.01})
+    with pytest.raises(ConfigError, match="time.t_final/time.dt"):
+        cfg.validate()
+    proc = run_cli(["--dt", "3e-3", "--tfinal", "0.01", "evolve"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nearest reachable time is 0.009" in proc.stderr
+
+
 def test_spectrum_writes_files_and_env_default(tmp_path):
     proc = run_cli(["--points", "200", "--smax", "8", "spectrum"], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -258,3 +258,36 @@ def test_workspace_arrays_are_read_only(grid12, params33):
     for arr in (ws.U, ws.dU, ws.C, ws.masses, ws.minv):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_run_refuses_a_partial_last_step(grid_coarse, params33):
+    st = zero_state(grid_coarse, params33)
+    with pytest.raises(ValueError, match="nearest reachable time is 0.09"):
+        evolve.run(st, 3e-2, 0.1)
+    assert evolve.run(st, 2.5e-2, 0.1).times[-1] == pytest.approx(0.1)
+
+
+def test_observation_weights_are_the_pointwise_formulas(grid12, params33):
+    # mass_and_moments and energy read cached weights; the bits are those
+    # of the expressions they replaced
+    state = evolve.bump_data(grid12, 0.05, seed=5, params=params33)
+    w, s = state.w, grid12.nodes
+    mm = evolve.mass_and_moments(w, params33)
+    integrand = w.values * np.sinh(s) ** (params33.n + 1) \
+        * np.cosh(s) ** (1.0 - params33.n - params33.p)
+    assert mm.second_moment == geo.sphere_area(3) * float(np.trapezoid(integrand, s))
+    for params in (params33, cf.derive_params(1, 0.5)):
+        m = params.m
+        H = ((1.0 + w.values) ** (m + 1.0) - 1.0 - (m + 1.0) * w.values) \
+            / (m * (m + 1.0))
+        want = geo.sphere_area(params.n) * float(
+            np.trapezoid(H * geo.volume_weight(s, params.n), s))
+        assert evolve.energy(w, params) == want
+
+
+def test_tiny_m_is_a_named_solver_failure(grid_coarse):
+    # m h underflows, so the flux prefactor r^(n-1)/(m h cosh s) is infinite
+    params = cf.derive_params(1, 5e-324)
+    w = geo.GridFunction(grid_coarse, 0, np.zeros(grid_coarse.count + 1))
+    with pytest.raises(evolve.EvolveError, match="flux prefactor"):
+        evolve.nonlinear_rhs(w, params)

@@ -10,6 +10,8 @@ from fastdiff_lab import closedform as cf
 from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
 
+from conftest import gaussian_profile
+
 
 def test_make_grid():
     grid = geo.make_grid(12.0, 1200)
@@ -191,3 +193,68 @@ def test_l2_cigar_norm_needs_params(grid12, params33):
     with pytest.raises(ValueError, match="params"):
         geo.norm(f, geo.NormSpec("L2-cigar"))
     assert geo.norm(f, geo.NormSpec("L2-cigar"), params33) > 0.0
+
+
+def _holder_dense(f, spec):
+    """The Hölder seminorm as one (N+1)^2 pairwise formula (oracle)."""
+    s = f.grid.nodes
+    g = np.cosh(s) ** (-spec.eta) * f.values
+    diff = np.abs(g[:, None] - g[None, :])
+    dist = np.abs(s[:, None] - s[None, :])
+    mask = dist > 0
+    return float(np.max(diff[mask] / dist[mask] ** spec.alpha))
+
+
+@pytest.mark.parametrize("count", [64, 300])
+@pytest.mark.parametrize("block", [None, 1000, 1])
+def test_holder_seminorm_blocks_equal_dense_formula(monkeypatch, count, block):
+    if block is not None:  # force several row blocks, down to one row each
+        monkeypatch.setattr(geo, "_HOLDER_BLOCK", block)
+    grid = geo.make_grid(8.0, count)
+    rng = np.random.default_rng(count)
+    f = geo.GridFunction(grid, 0, rng.standard_normal(count + 1))
+    for eta, alpha in ((0.0, 0.5), (0.7, 0.25), (2.0, 0.9)):
+        spec = geo.NormSpec("weighted-holder", eta=eta, alpha=alpha)
+        assert geo.holder_seminorm(f, spec) == _holder_dense(f, spec)
+
+
+def test_holder_seminorm_memory_is_row_blocked():
+    import tracemalloc
+    grid = geo.make_grid(12.0, 6000)
+    f = geo.GridFunction(grid, 0, np.sin(grid.nodes))
+    spec = geo.NormSpec("weighted-holder", eta=0.5, alpha=0.5)
+    tracemalloc.start()
+    try:
+        value = geo.holder_seminorm(f, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value > 0.0
+    assert peak <= 64 * 2**20  # the dense formula needs about 1 GB here
+
+
+def test_node_power_arrays_are_shared_and_read_only(grid12, params33):
+    for fn, exponent in (("cosh", -0.5), ("sinh", 4), ("tanh", 2),
+                         ("cosh", 1.0 - 3 - params33.p)):
+        arr = geo._node_power(grid12, fn, exponent)
+        assert np.array_equal(arr, getattr(np, fn)(grid12.nodes) ** exponent)
+        assert geo._node_power(grid12, fn, exponent) is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_weighted_sup_is_the_pointwise_formula(grid12):
+    f = gaussian_profile(grid12)
+    for eta in (0.0, 0.5, 1, 2.25):
+        want = float(np.max(np.abs(np.cosh(grid12.nodes) ** (-eta) * f.values)))
+        assert geo.weighted_sup(f, eta) == want
+
+
+def test_step_count():
+    assert geo.step_count(0.0, 3.0, 1e-3) == 3000
+    assert geo.step_count(0.0, 3.2, 5e-4) == 6400
+    assert geo.step_count(0.5, 0.5, 1e-2) == 0
+    with pytest.raises(ValueError, match="nearest reachable time is 0.009"):
+        geo.step_count(0.0, 0.01, 3e-3)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        geo.step_count(0.0, 1.0, 0.0)

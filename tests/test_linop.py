@@ -287,3 +287,24 @@ def test_semigroup_decay_rejects_nonintegrable_pairing(grid12):
     f0 = gaussian_profile(grid12, 1.5)
     with pytest.raises(ValueError, match="integrable"):
         linop.semigroup_decay(op, f0, [ModeIndex(0, 2)], 1.0, 1e-2, params)
+
+
+def test_semigroup_decay_refuses_a_partial_last_step(grid12, params33):
+    op = linop.assemble(0, 0.0, grid12, params33)
+    f0 = gaussian_profile(grid12)
+    with pytest.raises(ValueError, match="nearest reachable time is 0.99"):
+        linop.semigroup_decay(op, f0, [], 1.0, 3e-2, params33)
+
+
+def test_assemble_underflow_is_a_named_error(params33):
+    params = cf.derive_params(3, 0.99)  # p = 197, eta_cr = 97.5
+    grid = geo.make_grid(12.0, 1200)
+    linop.assemble(0, 0.0, grid, params)  # cosh^-2 is representable
+    with pytest.raises(linop.EigensolveError,
+                       match=r"eta=97.5 .*largest s_max .* is 7.82"):
+        linop.assemble(0, params.eta_cr, grid, params)
+    with pytest.raises(linop.EigensolveError, match="largest s_max"):
+        linop.assemble(1, params.eta_cr, grid, params)
+    usable = geo.make_grid(7.82, 782)
+    op = linop.assemble(0, params.eta_cr, usable, params)
+    assert np.isfinite(op.diag).all() and (op.sup[:-1] * op.sub[1:] > 0).all()

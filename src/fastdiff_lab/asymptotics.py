@@ -40,6 +40,7 @@ __all__ = [
     "CoefficientRecord",
     "TimeShiftResult",
     "WeightedRateRow",
+    "AnalysisError",
     "EmptyWindowError",
     "fit_rate",
     "fit_rate_or_widen",
@@ -52,7 +53,11 @@ __all__ = [
 ]
 
 
-class EmptyWindowError(ValueError):
+class AnalysisError(ValueError):
+    """A trace cannot give the requested quantity; message says why."""
+
+
+class EmptyWindowError(AnalysisError):
     """No usable samples inside the fit window."""
 
 
@@ -263,6 +268,11 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     weighted sup norm with Lambda = max{lambda_0^cont, lambda_02, lambda_20}.
     """
     mode01 = ModeIndex(0, 1)
+    if mode01.degree >= params.p:
+        raise AnalysisError(
+            f"time-shift modding needs the lambda_01 mode, which exists only "
+            f"for p > 2 (m > m_2); here p={params.p:.6g}"
+        )
     if Lambda is None:
         Lambda, _ = lambda_second_order(params)
     eta = eta_for_target_rate(Lambda, params)
@@ -387,7 +397,7 @@ def expansion_residual(trace, Lambda: float,
         norms.append(weighted_sup(GridFunction(trace.grid, 0, resid), eta))
     times = np.array(times)
     norms = np.array(norms)
-    return fit_rate(times, norms / norms.max(), policy)
+    return fit_rate_or_widen(times, norms / norms.max(), policy)
 
 
 # ---------------------------------------------------------------------------

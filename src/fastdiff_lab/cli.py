@@ -1,8 +1,8 @@
 """Command-line front end: reproducible experiments over the library.
 
 Subcommands: spectrum, evolve, expand, sweep, modes, selftest.
-Exit codes: 0 success, 2 config validation, 3 solver failure, 4 selftest
-tolerance failure.
+Exit codes: 0 success, 2 config validation, 3 solver or analysis failure,
+4 selftest tolerance failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import traceback
 import numpy as np
 
 from . import asymptotics, closedform, evolve, geometry, linop
+from .asymptotics import AnalysisError
 from .closedform import ModeIndex, derive_params
 from .config import (
     ConfigError,
@@ -39,6 +40,16 @@ def _params(cfg: ExperimentConfig):
 
 def _grid(cfg: ExperimentConfig):
     return geometry.make_grid(cfg.grid.s_max, cfg.grid.count)
+
+
+def _require_unit_b(cfg: ExperimentConfig):
+    """The nonlinear solver normalizes B to 1 while the pairings read
+    psi(r^2/B), so a run with B != 1 would mix two Barenblatts."""
+    if cfg.model.B != 1.0:
+        raise ConfigError(
+            f"model.B: nonlinear runs normalize B to 1 (B is a scaling "
+            f"symmetry), got {cfg.model.B}"
+        )
 
 
 def _policy(cfg: ExperimentConfig):
@@ -138,6 +149,7 @@ def cmd_modes(cfg: ExperimentConfig) -> ReportBundle:
 
 def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     """Nonlinear radial run: trace CSV plus fitted decay rates."""
+    _require_unit_b(cfg)
     params = _params(cfg)
     grid = _grid(cfg)
     state0 = _initial_state(cfg, params, grid)
@@ -174,6 +186,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
         "sup_slope": sup_slope,
         "mass_drift": drift,
         "mass_drift_per_time": drift / max(trace.times[-1] - trace.times[0], 1e-300),
+        "backward_euler_steps": trace.backward_euler_steps,
     }
     return bundle
 
@@ -194,6 +207,7 @@ def _fit_norm_series(times, values, policy, rate_rows, name, eta) -> float:
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     """Coefficient extraction, time-shift modding, expansion residual."""
+    _require_unit_b(cfg)
     params = _params(cfg)
     grid = _grid(cfg)
     state0 = _initial_state(cfg, params, grid)
@@ -248,6 +262,7 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
         # near-degenerate eigenvalue spacings widen the trustworthy error
         # bars on fitted rates (resonant rational m)
         "near_degenerate_pairs": asymptotics.near_degenerate_pairs(params),
+        "backward_euler_steps": trace.backward_euler_steps,
     }
     return bundle
 
@@ -289,6 +304,7 @@ def _sweep_item(args):
 
 def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
     """Map m to measured/closed-form (gamma, delta) rows, in parallel."""
+    _require_unit_b(cfg)
     ms = cfg.analysis.sweep_m
     if not ms:
         raise ConfigError("analysis.sweep_m: sweep requires a list of m values")
@@ -431,6 +447,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (EvolveError, EigensolveError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except AnalysisError as exc:
+        print(f"analysis failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except Exception:
         traceback.print_exc()

@@ -47,7 +47,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class TimeConfig:
-    dt: float = 1e-3
+    dt: float = 4e-3
     t_final: float = 3.0
     record_every: int = 5
     snapshot_every: int = 10

@@ -14,12 +14,20 @@ the discrete flux exactly (Barenblatt is a fixed point to machine
 precision), and the discrete mass sum(w_i M_i) telescopes, so conservation
 holds to the boundary-flux level rather than to quadrature error.
 
-Time stepping is backward Euler with a damped tridiagonal Newton iteration
-(first order in time, unconditionally stable for long rate windows); each
-accepted step ends with one fixed-point sweep W = w + dt R(W), which keeps
-the discrete mass exact without affecting the O(dt) accuracy.  A
-Richardson-extrapolated two-half-step variant is provided for convergence
-studies.  B is normalized to 1 here (see geometry).
+The building block is a backward-Euler (BE) step solved by a damped
+tridiagonal Newton iteration, ``step_nonlinear``: first order in time,
+unconditionally stable, and on Newton failure it halves dt.  ``run`` steps
+with ``step_bdf2``, the second-order backward differentiation formula (BDF2)
+
+    W = (4/3) w_n - (1/3) w_{n-1} + (2/3) dt R(W),
+
+which is the same Newton solve with the combination as its base point and
+(2/3) dt as its step.  A BE step starts the history, and a BDF2 step whose
+Newton iteration fails is redone as a BE step (the history points stay dt
+apart, so BDF2 resumes on the next step).  Every accepted step ends with
+one fixed-point sweep W = base + dt' R(W), which keeps the discrete mass
+exact without affecting the order.  B is normalized to 1 here (see
+geometry).
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ __all__ = [
     "RecordOptions",
     "nonlinear_rhs",
     "step_nonlinear",
-    "step_nonlinear_extrapolated",
+    "step_bdf2",
     "run",
     "mass_and_moments",
     "energy",
@@ -269,14 +277,21 @@ def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
                           params=state.params)
 
 
-def step_nonlinear_extrapolated(state: EvolutionState, dt: float,
-                                boundary=None) -> EvolutionState:
-    """Richardson pair of backward-Euler steps: second order in time."""
-    full = step_nonlinear(state, dt, boundary)
-    half = step_nonlinear(step_nonlinear(state, dt / 2.0, boundary),
-                          dt / 2.0, boundary)
-    vals = 2.0 * half.w.values - full.w.values
-    return EvolutionState(t=state.t + dt, w=state.w.with_values(vals),
+def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
+              boundary=None) -> EvolutionState:
+    """One BDF2 step from the history (prev, state), which lie dt apart.
+
+    No dt halving: on Newton failure it raises, and ``run`` redoes the step
+    with ``step_nonlinear``.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    ws = _workspace(state.w.grid, state.params)
+    t_new = state.t + dt
+    bval = 0.0 if boundary is None else float(boundary(t_new))
+    base = (4.0 * state.w.values - prev.w.values) / 3.0
+    W = _newton_be(ws, base, 2.0 * dt / 3.0, bval)
+    return EvolutionState(t=t_new, w=state.w.with_values(W),
                           params=state.params)
 
 
@@ -372,6 +387,8 @@ class EvolutionTrace:
     min_v: np.ndarray
     max_v: np.ndarray
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    # steps taken by backward Euler: the start plus any redone BDF2 step
+    backward_euler_steps: int = 0
 
     def weighted_norm(self, eta: float) -> np.ndarray:
         if eta == 0.0 and eta not in self.weighted:
@@ -385,7 +402,7 @@ class EvolutionTrace:
 def run(state0: EvolutionState, dt: float, t_final: float,
         record: RecordOptions = RecordOptions(),
         boundary=None) -> EvolutionTrace:
-    """Iterate backward-Euler steps, recording diagnostics along the way."""
+    """Iterate BDF2 steps (see module doc), recording diagnostics."""
     params = state0.params
     steps = step_count(state0.t, t_final, dt)
     if steps < 0:
@@ -409,10 +426,19 @@ def run(state0: EvolutionState, dt: float, t_final: float,
                 step_index % record.snapshot_every == 0:
             snapshots.append((state.t, state.w.values.copy()))
 
-    state = state0
+    state, prev, be_steps = state0, None, 0
     observe(state, 0)
     for j in range(1, steps + 1):
-        state = step_nonlinear(state, dt, boundary)
+        new = None
+        if prev is not None:
+            try:
+                new = step_bdf2(prev, state, dt, boundary)
+            except EvolveError:
+                pass
+        if new is None:
+            new = step_nonlinear(state, dt, boundary)
+            be_steps += 1
+        prev, state = state, new
         if j % record.record_every == 0 or j == steps:
             observe(state, j)
 
@@ -422,6 +448,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         weighted={eta: np.array(vals) for eta, vals in weighted.items()},
         mass_defect=np.array(masses), energy=np.array(energies),
         min_v=np.array(mins), max_v=np.array(maxs), snapshots=snapshots,
+        backward_euler_steps=be_steps,
     )
 
 

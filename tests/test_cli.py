@@ -162,6 +162,32 @@ def test_cmd_expand():
     assert bundle.table("coefficients").rows
 
 
+def test_default_expand_reports_one_backward_euler_step():
+    # BE starts the BDF2 history; no BDF2 step of the default run is redone
+    bundle = cli.cmd_expand(ExperimentConfig().validate())
+    assert bundle.summary["backward_euler_steps"] == 1
+    assert cli.cmd_evolve(fast_cfg()).summary["backward_euler_steps"] == 1
+
+
+def test_b_other_than_one_is_a_config_error():
+    # the solver normalizes B to 1 while the pairings read psi(r^2/B)
+    cfg = apply_overrides(fast_cfg(), model={"B": 2.0},
+                          analysis={"sweep_m": (0.7,)}).validate()
+    for cmd in (cli.cmd_evolve, cli.cmd_expand, cli.cmd_sweep):
+        with pytest.raises(ConfigError, match="model.B"):
+            cmd(cfg)
+
+
+def test_short_expand_widens_its_residual_fit():
+    # 13 snapshots leave no sample in the default value window of the
+    # expansion residual; the fit widens instead of failing
+    cfg = apply_overrides(ExperimentConfig(), model={"n": 1, "m": 0.5},
+                          grid={"count": 300}, time={"t_final": 0.5}).validate()
+    bundle = cli.cmd_expand(cfg)
+    assert np.isfinite(bundle.summary["residual_slope"])
+    assert np.isfinite(bundle.summary["gamma_measured"])
+
+
 def test_cmd_sweep_partial_failure():
     cfg = config_from_dict({
         "model": {"n": 3, "m": 0.7},
@@ -260,6 +286,36 @@ def test_underflowing_spectrum_is_a_named_solver_failure(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("solver failure:")
     assert "largest s_max" in lines[0]
+
+
+def assert_one_named_line(proc, code, prefix):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    return lines[0]
+
+
+def test_expand_without_lambda01_is_a_named_failure(tmp_path):
+    # p = 1/3 <= 2: there is no lambda_01 mode to mod out
+    proc = run_cli(["--n", "3", "--m", "0.4", "--points", "300",
+                    "--tfinal", "0.5", "expand"], tmp_path)
+    line = assert_one_named_line(proc, 3, "analysis failure:")
+    assert "p > 2" in line
+
+
+def test_expand_too_short_to_fit_is_a_named_failure(tmp_path):
+    # 5 steps leave only the initial snapshot: no fit survives widening
+    proc = run_cli(["--n", "1", "--m", "0.5", "--points", "300",
+                    "--tfinal", "0.02", "expand"], tmp_path)
+    assert_one_named_line(proc, 3, "analysis failure:")
+
+
+def test_b_other_than_one_exits_with_a_config_error(tmp_path):
+    proc = run_cli(["--b-param", "2", "--points", "300", "--tfinal", "0.5",
+                    "evolve"], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "model.B" in line
 
 
 def test_partial_last_step_is_a_config_error(tmp_path):

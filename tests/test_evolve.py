@@ -68,6 +68,9 @@ def test_step_fixed_point_exact(grid12, params33):
 def test_step_rejects_bad_dt(grid12, params33):
     with pytest.raises(ValueError, match="dt"):
         evolve.step_nonlinear(zero_state(grid12, params33), -0.1)
+    st = zero_state(grid12, params33)
+    with pytest.raises(ValueError, match="dt"):
+        evolve.step_bdf2(st, st, 0.0)
 
 
 def test_state_positivity_guard(grid12, params33):
@@ -185,19 +188,55 @@ def test_envelope_continuity(grid12, params33):
     assert env.upper == pytest.approx(1.0, abs=0.05)
 
 
-def test_step_extrapolated_second_order(grid_coarse, params33):
+def final_values(state0, dt, t_final, boundary=None):
+    """w at t_final from evolve.run (BDF2), recording only the two ends."""
+    steps = int(round((t_final - state0.t) / dt))
+    trace = evolve.run(state0, dt, t_final,
+                       evolve.RecordOptions(record_every=steps,
+                                            snapshot_every=steps),
+                       boundary=boundary)
+    return trace.snapshots[-1][1]
+
+
+def test_run_bdf2_second_order(grid_coarse, params33):
     st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
-    # reference with tiny BE steps
-    ref = st0
-    for _ in range(512):
-        ref = evolve.step_nonlinear(ref, 0.2 / 512)
-    errs = []
-    for nsteps in (2, 4):
-        st = st0
-        for _ in range(nsteps):
-            st = evolve.step_nonlinear_extrapolated(st, 0.2 / nsteps)
-        errs.append(np.max(np.abs(st.w.values - ref.w.values)))
+    # reference with tiny BDF2 steps
+    ref = final_values(st0, 0.2 / 512, 0.2)
+    errs = [np.max(np.abs(final_values(st0, 0.2 / nsteps, 0.2) - ref))
+            for nsteps in (2, 4)]
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.3)
+
+
+def test_run_starts_with_one_backward_euler_step(grid_coarse, params33):
+    st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
+    tr = evolve.run(st0, 1e-2, 0.2)
+    assert tr.backward_euler_steps == 1
+    # the BE start matches step_nonlinear bit for bit
+    assert np.array_equal(final_values(st0, 1e-2, 1e-2),
+                          evolve.step_nonlinear(st0, 1e-2).w.values)
+
+
+def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
+        grid_coarse, params33, monkeypatch):
+    st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
+    want = final_values(st0, 1e-2, 0.2)
+    bdf2, calls = evolve.step_bdf2, []
+
+    def fail_third(*args, **kwargs):
+        calls.append(args[1].t)
+        if len(calls) == 3:
+            raise evolve.NewtonError("forced")
+        return bdf2(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step_bdf2", fail_third)
+    tr = evolve.run(st0, 1e-2, 0.2, evolve.RecordOptions(snapshot_every=1))
+    assert tr.backward_euler_steps == 2
+    # every step after the start tries BDF2 (19 of 20), including the one
+    # right after the redone step: the history stays dt apart
+    assert len(calls) == 19
+    assert np.allclose(np.diff(tr.times), 1e-2)
+    # one first-order step moves the end state by O(dt^2) only
+    assert np.max(np.abs(tr.snapshots[-1][1] - want)) <= 1e-4
 
 
 def test_nonlinear_slope_converges_to_linear(params33):
@@ -215,14 +254,8 @@ def test_nonlinear_slope_converges_to_linear(params33):
     for eps in (0.1, 0.05, 0.025):
         st = evolve.EvolutionState(
             0.0, geo.GridFunction(grid, 0, eps * shape), params33)
-        times, sups = [0.0], [eps]
-        dt = 1e-3
-        for j in range(1200):
-            st = evolve.step_nonlinear_extrapolated(st, dt)
-            times.append(st.t)
-            sups.append(float(np.max(np.abs(st.w.values))))
-        fit = fit_rate(np.array(times), np.array(sups) / max(sups),
-                       WindowPolicy(1e-4, 0.5))
+        tr = evolve.run(st, 1e-3, 1.2)
+        fit = fit_rate(tr.times, tr.sup / tr.sup.max(), WindowPolicy(1e-4, 0.5))
         slopes.append(fit.slope)
     # the amplitude-dependent part halves with eps ...
     d1 = abs(slopes[0] - slopes[1])

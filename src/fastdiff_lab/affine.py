@@ -23,7 +23,6 @@ __all__ = [
     "AffineState",
     "calibrate_cb",
     "make_affine_state",
-    "affine_step",
     "affine_density",
     "affine_pde_residual",
 ]
@@ -76,14 +75,6 @@ def _rk4(state: AffineState, s: float, dtau: float,
     k3 = _sigma_rate(state, s + 0.5 * dtau * k2, params)
     k4 = _sigma_rate(state, s + dtau * k3, params)
     return s + dtau / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def affine_step(state: AffineState, dtau: float,
-                params: ModelParams) -> AffineState:
-    """Advance sigma by one classical RK4 step of the scalar flow."""
-    if dtau <= 0:
-        raise ValueError(f"dtau must be positive, got {dtau}")
-    return replace(state, sigma=_rk4(state, state.sigma, dtau, params))
 
 
 def _advance(state: AffineState, tau_elapsed: float,

@@ -27,7 +27,6 @@ from .closedform import (
     eigenvalue,
     eigenfunction_psi,
     eigenfunction_v,
-    essential_threshold,
     eta_for_target_rate,
     delayed_barenblatt_v,
     lambda_second_order,
@@ -39,7 +38,6 @@ __all__ = [
     "RateFit",
     "CoefficientRecord",
     "TimeShiftResult",
-    "WeightedRateRow",
     "AnalysisError",
     "EmptyWindowError",
     "fit_rate",
@@ -47,8 +45,6 @@ __all__ = [
     "extract_coefficient",
     "mod_time_shift",
     "expansion_residual",
-    "verify_superquadratic",
-    "weighted_rate_report",
     "near_degenerate_pairs",
 ]
 
@@ -331,56 +327,20 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
 # Expansion residual
 # ---------------------------------------------------------------------------
 
-def verify_superquadratic(trace, Lambda: float, lam: float,
-                          params: ModelParams) -> bool:
-    """Check the amplification hypothesis on the data.
-
-    Requires sup_t e^{-lam t} of the doubly-weighted norm
-    ||(cosh s)^{-2 eta(Lambda)} w(t)|| to stay bounded: the fitted slope of
-    that norm must not exceed lam (within 5% of |lam|).
-    """
-    eta2 = 2.0 * eta_for_target_rate(Lambda, params)
-    times = np.array([t for t, _ in trace.snapshots])
-    norms = np.array([
-        weighted_sup(GridFunction(trace.grid, 0, w), eta2)
-        for _, w in trace.snapshots
-    ])
-    fit = fit_rate(times, norms / norms.max())
-    return fit.slope <= lam + 0.05 * abs(lam)
-
-
 def expansion_residual(trace, Lambda: float,
                        coefficients: list[CoefficientRecord],
                        params: ModelParams,
-                       policy: WindowPolicy | None = None,
-                       lam: float | None = None) -> RateFit:
+                       policy: WindowPolicy | None = None) -> RateFit:
     """Decay fit of the weighted residual after subtracting fitted modes.
 
     R(t) = w(t) - sum_records c_{lk} e^{lambda_{lk} t} v_{lk}, measured in
     the (cosh s)^{-eta(Lambda)} weighted sup norm; the expansion claim under
-    test is slope <= Lambda.  Admissible window: 2 lambda_01 < Lambda <= lambda_01,
-    or the superquadratic extension Lambda > lam + lambda_01 once the
-    amplification hypothesis at rate lam is verified on the data.
+    test is slope <= Lambda.  Admissible window: 2 lambda_01 < Lambda <= lambda_01.
     """
     lam01 = -2.0 * params.p
-    if not (Lambda <= lam01):
-        raise ValueError(f"Lambda={Lambda} above lambda_01={lam01}")
-    if Lambda <= 2.0 * lam01:
-        if lam is None:
-            raise ValueError(
-                f"Lambda={Lambda} <= 2 lambda_01: needs the superquadratic "
-                "pathway (pass lam and satisfy the amplification hypothesis)"
-            )
-        if not (Lambda > lam + lam01):
-            raise ValueError(
-                f"Lambda={Lambda} outside the superquadratic window "
-                f"]lam+lambda_01, lambda_01] = ]{lam + lam01}, {lam01}]"
-            )
-        if not verify_superquadratic(trace, Lambda, lam, params):
-            raise ValueError(
-                "amplification hypothesis not verified on the data at rate "
-                f"lam={lam}"
-            )
+    if not (2.0 * lam01 < Lambda <= lam01):
+        raise AnalysisError(f"Lambda={Lambda} outside ]2 lambda_01, lambda_01] "
+                            f"= ]{2.0 * lam01}, {lam01}]")
     eta = eta_for_target_rate(Lambda, params)
     s = trace.grid.nodes
     basis = {
@@ -401,7 +361,7 @@ def expansion_residual(trace, Lambda: float,
 
 
 # ---------------------------------------------------------------------------
-# Weighted-rate table
+# Eigenvalue crossings
 # ---------------------------------------------------------------------------
 
 def near_degenerate_pairs(params: ModelParams, fit_resolution: float = 0.1,
@@ -422,35 +382,3 @@ def near_degenerate_pairs(params: ModelParams, fit_resolution: float = 0.1,
             if abs(la - lb) < fit_resolution:
                 pairs.append(((ma.ell, ma.k), (mb.ell, mb.k), abs(la - lb)))
     return pairs
-
-
-@dataclass(frozen=True)
-class WeightedRateRow:
-    eta: float
-    slope: float
-    r_squared: float
-    predicted: float
-    slope_over_lambda01: float
-
-
-def weighted_rate_report(trace, eta_list, params: ModelParams,
-                         policy: WindowPolicy | None = None) -> list[WeightedRateRow]:
-    """Fitted slope per weight eta against the predicted essential threshold.
-
-    Uses the per-eta weighted sup norms recorded in the trace; together with
-    gamma = slope/lambda_01 this renders the rate/weight comparison data.
-    """
-    rows = []
-    lam01 = -2.0 * params.p
-    for eta in eta_list:
-        norms = np.asarray(trace.weighted_norm(eta), dtype=float)
-        scale = norms.max()
-        fit = fit_rate(np.asarray(trace.times), norms / scale, policy)
-        rows.append(WeightedRateRow(
-            eta=eta,
-            slope=fit.slope,
-            r_squared=fit.r_squared,
-            predicted=essential_threshold(0, eta, params),
-            slope_over_lambda01=fit.slope / lam01,
-        ))
-    return rows

@@ -52,6 +52,23 @@ def _require_unit_b(cfg: ExperimentConfig):
         )
 
 
+def _require_lambda_window(cfg: ExperimentConfig, params):
+    """expand measures Lambda in the weight eta(Lambda), which exists from
+    the l=0 continuum -(p/2+1)^2 on; the expansion residual needs
+    2 lambda_01 < Lambda <= lambda_01."""
+    Lambda = cfg.analysis.lambda_target
+    lam01 = -2.0 * params.p
+    lo = max(2.0 * lam01, params.lambda_cont)
+    if Lambda is not None and not (lo <= Lambda <= lam01 and Lambda > 2.0 * lam01):
+        bracket = "]" if lo == 2.0 * lam01 else "["
+        raise ConfigError(
+            f"analysis.lambda_target: {Lambda} outside {bracket}{lo!r}, "
+            f"{lam01!r}] for p={params.p!r}, the window "
+            f"max(2 lambda_01, -(p/2+1)^2) <= Lambda <= lambda_01 with "
+            f"Lambda > 2 lambda_01"
+        )
+
+
 def _policy(cfg: ExperimentConfig):
     a = cfg.analysis
     return asymptotics.WindowPolicy(value_lo=a.fit_value_lo,
@@ -209,6 +226,7 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     """Coefficient extraction, time-shift modding, expansion residual."""
     _require_unit_b(cfg)
     params = _params(cfg)
+    _require_lambda_window(cfg, params)
     grid = _grid(cfg)
     state0 = _initial_state(cfg, params, grid)
     trace = evolve.run(

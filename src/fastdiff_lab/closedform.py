@@ -1,9 +1,9 @@
 """Closed-form layer of the fast-diffusion laboratory.
 
 Everything in this module is exact (up to floating point): model parameters
-and regime landmarks, the Barenblatt family in original and self-similar
-variables, the discrete spectrum of the linearized flow, the terminating
-hypergeometric eigenfunction polynomials, essential-spectrum thresholds in
+and regime landmarks, the stationary Barenblatt profile, the discrete
+spectrum of the linearized flow, the terminating hypergeometric
+eigenfunction polynomials, essential-spectrum thresholds in
 weighted spaces, the rate/weight trade-off tables, and the time-shifted
 Barenblatt quotient used as an exact nonlinear solution.
 
@@ -31,21 +31,16 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "ModeIndex",
-    "SpectralDatum",
     "RateBranch",
     "SecondOrderRates",
     "BranchBoundaryError",
     "derive_params",
     "landmarks",
     "barenblatt_u",
-    "barenblatt_rho",
-    "to_selfsimilar",
-    "from_selfsimilar",
     "eigenvalue",
     "essential_threshold",
     "is_admissible",
     "admissible_modes",
-    "spectral_data",
     "eigenfunction_psi",
     "eigenfunction_v",
     "potential_profile",
@@ -144,63 +139,14 @@ class ModeIndex:
         return self.ell + 2 * self.k
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
-    """A labelled spectral value: eigenvalue or continuum threshold."""
-
-    kind: str  # "eigenvalue" | "continuum-threshold"
-    lam: float
-    eta: float
-    mode: ModeIndex | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("eigenvalue", "continuum-threshold"):
-            raise ValueError(f"unknown spectral datum kind {self.kind!r}")
-        if (self.kind == "eigenvalue") != (self.mode is not None):
-            raise ValueError("mode must be present iff kind == 'eigenvalue'")
-
-
 # ---------------------------------------------------------------------------
-# Barenblatt profiles and the self-similar change of variables
+# Barenblatt profile
 # ---------------------------------------------------------------------------
 
 def barenblatt_u(x_norm, params: ModelParams):
     """Stationary rescaled profile u_B(x) = (B + |x|^2)^(-1/(1-m))."""
     x = np.asarray(x_norm, dtype=float)
     return (params.B + x * x) ** (-params.a)
-
-
-def barenblatt_rho(tau: float, y_norm, params: ModelParams):
-    """Source-type solution rho_B(tau, y) of the original flow.
-
-    rho_B(tau, y) = (2 p tau + 1)^(-n beta) u_B((2 p tau + 1)^(-beta) y);
-    requires 1 + 2 p tau > 0.
-    """
-    scale = 1.0 + 2.0 * params.p * tau
-    if scale <= 0.0:
-        raise ValueError(f"tau={tau} at or below the domain boundary -1/(2p)")
-    y = np.asarray(y_norm, dtype=float)
-    return scale ** (-params.n * params.beta) * barenblatt_u(
-        scale ** (-params.beta) * y, params
-    )
-
-
-def to_selfsimilar(tau: float, y, params: ModelParams):
-    """Map original variables (tau, y) to self-similar (t, x)."""
-    scale = 1.0 + 2.0 * params.p * tau
-    if scale <= 0.0:
-        raise ValueError(f"tau={tau} at or below the domain boundary -1/(2p)")
-    t = math.log(scale) / (2.0 * params.p)
-    x = scale ** (-params.beta) * np.asarray(y, dtype=float)
-    return t, x
-
-
-def from_selfsimilar(t: float, x, params: ModelParams):
-    """Inverse of :func:`to_selfsimilar`."""
-    scale = math.exp(2.0 * params.p * t)
-    tau = (scale - 1.0) / (2.0 * params.p)
-    y = scale ** params.beta * np.asarray(x, dtype=float)
-    return tau, y
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +223,6 @@ def _psi_coefficients(mode: ModeIndex, params: ModelParams) -> list[float]:
         term /= (c + j) * (j + 1)
         coeffs.append(term)
     return [float(cj) for cj in coeffs]
-
-
-def spectral_data(eta: float, params: ModelParams,
-                  ell_max: int = 4) -> list[SpectralDatum]:
-    """Labelled spectral values at weight eta: eigenvalues plus thresholds."""
-    out = [SpectralDatum("eigenvalue", lam, eta, mode)
-           for mode, lam in admissible_modes(eta, params)]
-    for ell in range(ell_max + 1):
-        if params.n == 1 and ell > 1:
-            break
-        out.append(SpectralDatum("continuum-threshold",
-                                 essential_threshold(ell, eta, params), eta))
-    return out
 
 
 def eigenfunction_psi(mode: ModeIndex, r, params: ModelParams,

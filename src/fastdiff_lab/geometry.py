@@ -25,19 +25,13 @@ from .closedform import ModelParams
 __all__ = [
     "RadialGrid",
     "GridFunction",
-    "NormSpec",
     "make_grid",
     "refine",
     "step_count",
-    "s_of_r",
-    "r_of_s",
     "volume_weight",
     "sphere_area",
-    "integrate_cigar",
     "inner_product_uBm",
     "weighted_sup",
-    "holder_seminorm",
-    "norm",
     "cell_masses",
     "tail_estimate",
 ]
@@ -139,33 +133,6 @@ class GridFunction:
         return GridFunction(self.grid, self.ell, values)
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Which norm to evaluate: weighted sup/Hölder or the two L² variants."""
-
-    kind: str  # weighted-sup | weighted-holder | L2-cigar | L2-uBm
-    eta: float = 0.0
-    alpha: float | None = None
-
-    def __post_init__(self):
-        kinds = ("weighted-sup", "weighted-holder", "L2-cigar", "L2-uBm")
-        if self.kind not in kinds:
-            raise ValueError(f"norm kind {self.kind!r} not one of {kinds}")
-        if self.kind == "weighted-holder":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValueError(f"Hölder exponent must be in ]0,1[, got {self.alpha}")
-
-
-def s_of_r(r):
-    """Geodesic radius s = arsinh r (B = 1)."""
-    return np.arcsinh(r)
-
-
-def r_of_s(s):
-    """Euclidean radius r = sinh s (B = 1)."""
-    return np.sinh(s)
-
-
 def volume_weight(s, n: int):
     """Radial density tanh^{n-1}(s) of the cigar volume element."""
     s = np.asarray(s, dtype=float)
@@ -186,12 +153,6 @@ def _check_compatible(f: GridFunction, g: GridFunction):
         raise ValueError(f"harmonic index mismatch: {f.ell} != {g.ell}")
 
 
-def integrate_cigar(f: GridFunction, n: int) -> float:
-    """Trapezoidal integral of f against the cigar volume weight tanh^{n-1}s ds."""
-    s = f.grid.nodes
-    return float(np.trapezoid(f.values * volume_weight(s, n), s))
-
-
 def inner_product_uBm(f: GridFunction, g: GridFunction,
                       params: ModelParams) -> float:
     """<f, g> in L^2_{u_B^m}: integral f g u_B^m r^{n-1} dr (B = 1).
@@ -209,53 +170,6 @@ def inner_product_uBm(f: GridFunction, g: GridFunction,
 def weighted_sup(f: GridFunction, eta: float) -> float:
     """sup_i |(cosh s_i)^{-eta} f_i|."""
     return float(np.max(np.abs(_node_power(f.grid, "cosh", -eta) * f.values)))
-
-
-_HOLDER_BLOCK = 1 << 19  # node pairs per block of holder_seminorm
-
-
-def holder_seminorm(f: GridFunction, spec: NormSpec) -> float:
-    """Global Hölder seminorm of g = (cosh s)^{-eta} f over node pairs.
-
-    On radial profiles the cigar geodesic distance between nodes is exactly
-    |s_i - s_j|, so no chart/partition constant enters.
-    """
-    if spec.kind != "weighted-holder":
-        raise ValueError(f"holder_seminorm needs a weighted-holder spec, got {spec.kind}")
-    s = f.grid.nodes
-    g = np.cosh(s) ** (-spec.eta) * f.values
-    # rows in blocks of about _HOLDER_BLOCK pairs keep memory O(block N);
-    # the maximum is exact, so the result equals the dense pairwise formula
-    rows = max(1, _HOLDER_BLOCK // s.size)
-
-    def block_max(a):
-        diff = np.abs(g[a:a + rows, None] - g[None, :])
-        dist = np.abs(s[a:a + rows, None] - s[None, :])
-        mask = dist > 0
-        return np.max(diff[mask] / dist[mask] ** spec.alpha)
-
-    return float(np.max([block_max(a) for a in range(0, s.size, rows)]))
-
-
-def norm(f: GridFunction, spec: NormSpec,
-         params: ModelParams | None = None) -> float:
-    """Evaluate the norm selected by ``spec``.
-
-    weighted-holder returns max(weighted sup, seminorm), the full Hölder
-    norm; the two L2 kinds need ``params``.
-    """
-    if spec.kind == "weighted-sup":
-        return weighted_sup(f, spec.eta)
-    if spec.kind == "weighted-holder":
-        return max(weighted_sup(f, spec.eta), holder_seminorm(f, spec))
-    if spec.kind == "L2-cigar":
-        if params is None:
-            raise ValueError("L2-cigar norm needs model parameters (params)")
-        sq = GridFunction(f.grid, 0, f.values**2)
-        return math.sqrt(max(integrate_cigar(sq, params.n), 0.0))
-    if params is None:
-        raise ValueError("L2-uBm norm needs model parameters")
-    return math.sqrt(max(inner_product_uBm(f, f, params), 0.0))
 
 
 @lru_cache(maxsize=64)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastdiff_lab import asymptotics as asy
+from fastdiff_lab import cli
 from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
+from fastdiff_lab.config import config_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -240,40 +242,35 @@ def test_expansion_residual_wrong_coefficient_degrades(bump_trace_07):
 def test_expansion_residual_window_validation(bump_trace_07):
     params, trace = bump_trace_07
     lam01 = -2.0 * params.p
-    with pytest.raises(ValueError, match="above lambda_01"):
-        asy.expansion_residual(trace, lam01 + 1.0, [], params)
-    with pytest.raises(ValueError, match="superquadratic"):
-        asy.expansion_residual(trace, 2 * lam01 - 1.0, [], params)
-    with pytest.raises(ValueError, match="window"):
-        asy.expansion_residual(trace, 2 * lam01 - 1.0, [], params,
-                               lam=-0.5)
-
-
-def test_superquadratic_hypothesis_check(bump_trace_07):
-    params, trace = bump_trace_07
-    # with lam = lambda_01 the doubly-weighted norm decays at least as fast
-    ok = asy.verify_superquadratic(trace, cf.second_order_rates(params).Lambda,
-                                   -2.0 * params.p, params)
-    assert isinstance(ok, bool)
+    for Lambda in (lam01 + 1.0, 2 * lam01, 2 * lam01 - 1.0):
+        with pytest.raises(asy.AnalysisError,
+                           match=r"outside \]2 lambda_01, lambda_01\]"):
+            asy.expansion_residual(trace, Lambda, [], params)
 
 
 # ---------------------------------------------------------------------------
-# weighted_rate_report
+# weighted rates: the rate table of evolve
 # ---------------------------------------------------------------------------
 
 def test_weighted_rate_report(params33):
-    grid = geo.make_grid(12.0, 600)
-    st = evolve.bump_data(grid, 0.05, seed=7, params=params33)
+    # the per-eta rate table of `evolve`, which fits every recorded norm
+    # through the same asymptotics window
     etas = (0.1, 0.3, params33.eta_cr)
-    tr = evolve.run(st, 2e-3, 3.0,
-                    evolve.RecordOptions(etas=etas, record_every=5))
-    rows = asy.weighted_rate_report(tr, (0.0,) + etas, params33)
-    assert rows[0].predicted == pytest.approx(-2 * params33.p)
-    assert rows[0].slope == pytest.approx(-2 * params33.p, rel=0.05)
+    cfg = config_from_dict({
+        "model": {"n": 3, "m": 2.0 / 3.0},
+        "grid": {"s_max": 12.0, "count": 600},
+        "time": {"dt": 2e-3, "t_final": 3.0, "record_every": 5},
+        "initial_data": {"kind": "bump", "amplitude": 0.05, "seed": 7},
+        "analysis": {"etas": etas},
+    }).validate()
+    rows = cli.cmd_evolve(cfg).table("rates").rows
+    assert [r[1] for r in rows] == [0.0, *etas]
+    slopes = [r[2] for r in rows]
+    assert slopes[0] == pytest.approx(-2 * params33.p, rel=0.05)
     # thresholds deepen monotonically as eta increases toward eta_cr (the
     # threshold is quadratic in eta - eta_cr), and the measured slopes track
-    slopes = [r.slope for r in rows]
-    preds = [r.predicted for r in rows]
+    preds = [cf.essential_threshold(0, r[1], params33) for r in rows]
+    assert preds[0] == pytest.approx(-2 * params33.p)
     assert preds == sorted(preds, reverse=True)
     for a, b in zip(slopes, slopes[1:]):
         assert b <= a + 0.15 * abs(a)

@@ -178,6 +178,37 @@ def test_b_other_than_one_is_a_config_error():
             cmd(cfg)
 
 
+@pytest.mark.parametrize("m, s_max, Lambda", [
+    (2.0 / 3.0, 12.0, -100.0), (2.0 / 3.0, 12.0, 0.0),
+    (2.0 / 3.0, 12.0, -13.0), (2.0 / 3.0, 12.0, -5.0),
+    (0.9, 6.0, -80.0),  # below 2 lambda_01 = -68, above -(p/2+1)^2
+])
+def test_lambda_target_outside_the_window_is_a_config_error(m, s_max, Lambda):
+    cfg = apply_overrides(ExperimentConfig(), model={"m": m},
+                          grid={"s_max": s_max},
+                          analysis={"lambda_target": Lambda}).validate()
+    with pytest.raises(ConfigError, match="analysis.lambda_target.*window"):
+        cli.cmd_expand(cfg)
+
+
+def test_lambda_window_edges():
+    p09 = cli._params(apply_overrides(ExperimentConfig(), model={"m": 0.9}))
+    p23 = cli._params(ExperimentConfig())
+    lam01 = -2.0 * p09.p
+    cases = [(p09, lam01, True), (p09, 2 * lam01 + 1e-9, True),
+             (p09, 2 * lam01, False), (p09, lam01 + 1e-9, False),
+             # at m = 2/3 the l=0 continuum -(p/2+1)^2 binds the lower edge
+             (p23, p23.lambda_cont, True), (p23, p23.lambda_cont - 1e-9, False)]
+    for params, Lambda, ok in cases:
+        cfg = apply_overrides(ExperimentConfig(), model={"m": params.m},
+                              analysis={"lambda_target": Lambda})
+        if ok:
+            cli._require_lambda_window(cfg, params)
+        else:
+            with pytest.raises(ConfigError, match="window"):
+                cli._require_lambda_window(cfg, params)
+
+
 def test_short_expand_widens_its_residual_fit():
     # 13 snapshots leave no sample in the default value window of the
     # expansion residual; the fit widens instead of failing
@@ -220,31 +251,6 @@ def test_cmd_sweep_parallel_matches_serial():
     serial = cli.cmd_sweep(config_from_dict({**base, "jobs": 1}).validate())
     parallel = cli.cmd_sweep(config_from_dict({**base, "jobs": 2}).validate())
     assert serial.table("gamma_delta").rows == parallel.table("gamma_delta").rows
-
-
-def test_spectral_data_and_norm_dispatch():
-    import numpy as np
-    from fastdiff_lab import closedform as cf
-    from fastdiff_lab import geometry as geo
-    params = cf.derive_params(3, 2.0 / 3.0)
-    data = cf.spectral_data(params.eta_cr, params, ell_max=2)
-    kinds = {d.kind for d in data}
-    assert kinds == {"eigenvalue", "continuum-threshold"}
-    eig = [d for d in data if d.kind == "eigenvalue"]
-    assert all(d.mode is not None for d in eig)
-    thr = [d for d in data if d.kind == "continuum-threshold"]
-    assert all(d.mode is None for d in thr)
-    with pytest.raises(ValueError, match="iff"):
-        cf.SpectralDatum("eigenvalue", -1.0, 0.0, None)
-
-    grid = geo.make_grid(6.0, 60)
-    f = geo.GridFunction(grid, 0, np.exp(-grid.nodes))
-    assert geo.norm(f, geo.NormSpec("weighted-sup", eta=0.0)) == pytest.approx(1.0)
-    l2 = geo.norm(f, geo.NormSpec("L2-uBm"), params)
-    assert l2 == pytest.approx(
-        np.sqrt(geo.inner_product_uBm(f, f, params)))
-    hn = geo.norm(f, geo.NormSpec("weighted-holder", eta=0.0, alpha=0.5))
-    assert hn >= geo.norm(f, geo.NormSpec("weighted-sup", eta=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,13 @@ def test_expand_too_short_to_fit_is_a_named_failure(tmp_path):
     proc = run_cli(["--n", "1", "--m", "0.5", "--points", "300",
                     "--tfinal", "0.02", "expand"], tmp_path)
     assert_one_named_line(proc, 3, "analysis failure:")
+
+
+def test_lambda_target_outside_the_window_exits_with_a_config_error(tmp_path):
+    proc = run_cli(["--tfinal", "1", "--points", "600", "--lambda-target",
+                    "-13", "expand"], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "analysis.lambda_target" in line and "window" in line
 
 
 def test_b_other_than_one_exits_with_a_config_error(tmp_path):

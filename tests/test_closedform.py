@@ -80,7 +80,7 @@ def test_params_invariants(n, frac):
 
 
 # ---------------------------------------------------------------------------
-# Barenblatt profiles and transforms
+# Barenblatt profile
 # ---------------------------------------------------------------------------
 
 def test_barenblatt_u(params33):
@@ -92,42 +92,6 @@ def test_barenblatt_u(params33):
     u = cf.barenblatt_u(r, params33)
     slope = np.log(u[1] / u[0]) / np.log(2.0)
     assert slope == pytest.approx(-(params33.n + params33.p), abs=1e-5)
-
-
-def test_barenblatt_rho(params33):
-    y = np.linspace(0.0, 5.0, 7)
-    assert cf.barenblatt_rho(0.0, y, params33) == pytest.approx(
-        cf.barenblatt_u(y, params33))
-    nb = params33.n * params33.beta
-    assert cf.barenblatt_rho(0.7, 0.0, params33) == pytest.approx(
-        (1 + 2 * params33.p * 0.7) ** (-nb) * params33.B ** (-params33.a))
-    with pytest.raises(ValueError, match="domain"):
-        cf.barenblatt_rho(-1.0, 0.0, params33)
-
-
-def test_barenblatt_rho_mass_conserved(params33):
-    # independent quadrature oracle: the mass integral is tau-independent
-    def mass(tau):
-        val, _ = scipy.integrate.quad(
-            lambda r: cf.barenblatt_rho(tau, r, params33) * r**2, 0, np.inf)
-        return val
-    m0, m1 = mass(0.0), mass(0.7)
-    assert abs(m1 - m0) / m0 < 1e-8
-
-
-def test_selfsimilar_round_trip(params33):
-    t, x = cf.to_selfsimilar(0.0, np.array([1.0, 2.0]), params33)
-    assert t == 0.0
-    assert x == pytest.approx([1.0, 2.0])
-    for tau in (0.1, 1.0, 100.0):
-        y = np.array([0.3, -2.0, 5.0])
-        t, x = cf.to_selfsimilar(tau, y, params33)
-        tau2, y2 = cf.from_selfsimilar(t, x, params33)
-        assert tau2 == pytest.approx(tau, rel=1e-12)
-        assert y2 == pytest.approx(y, rel=1e-12)
-    # invert the log: t = 1, p = 3
-    tau, _ = cf.from_selfsimilar(1.0, 0.0, params33)
-    assert tau == pytest.approx((math.e**6 - 1) / 6.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

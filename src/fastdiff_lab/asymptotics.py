@@ -16,7 +16,7 @@ slope verifies the rate/weight trade-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,8 +120,16 @@ def fit_rate(times, values, policy: WindowPolicy | None = None) -> RateFit:
 
 
 def fit_rate_or_widen(times, values, policy: WindowPolicy | None = None) -> RateFit:
-    """fit_rate over the policy window; if that window is empty, refit over
-    every positive sample (values normalized to max 1) from two samples on."""
+    """fit_rate of values / max(values) over the policy window, widened to
+    every positive sample from two samples on if that window is empty; an
+    all-zero series (a stationary trace) fits to slope 0 over the full span."""
+    scale = values.max()
+    if scale == 0.0:
+        return RateFit(slope=0.0, intercept=0.0, r_squared=1.0,
+                       window=(float(times[0]), float(times[-1])),
+                       n_samples=int(values.size),
+                       policy=policy or WindowPolicy())
+    values = values / scale
     try:
         return fit_rate(times, values, policy)
     except EmptyWindowError:
@@ -141,7 +149,6 @@ class CoefficientRecord:
     estimates: np.ndarray  # rows (t, c(t))
     limit: float
     converged: bool
-    tolerance: float
     tail_fraction: float  # quadrature-truncation bound relative to the pairing
     flagged: bool = False  # tail bound exceeded 1% of the value
 
@@ -162,16 +169,15 @@ def _pairing_weights(grid, mode: ModeIndex, params: ModelParams):
     return num_w, den
 
 
-def extract_coefficient(trace, mode: ModeIndex, params: ModelParams,
-                        tolerance: float = 0.05,
-                        tail_window: float = 0.25) -> CoefficientRecord:
+def extract_coefficient(trace, mode: ModeIndex,
+                        params: ModelParams) -> CoefficientRecord:
     """Coefficient record c_{lk}(t) from a trace with snapshots.
 
     The pairing integrand decays like r^{l+2k-p-1}, so l + 2k < p is
     required; the truncation tail bound is recorded and the record is
     flagged when it exceeds 1% of the pairing.  ``limit`` is the average
-    over the trailing ``tail_window`` fraction of snapshots, converged iff
-    the relative oscillation there is within ``tolerance``.
+    over the trailing quarter of the snapshots, converged iff the relative
+    oscillation there is within 5%.
     """
     if mode.degree >= params.p:
         raise ValueError(
@@ -202,15 +208,14 @@ def extract_coefficient(trace, mode: ModeIndex, params: ModelParams,
         tail_fracs.append(tail / abs(pairing) if pairing != 0.0 else math.inf)
         ests[j] = (t, math.exp(-lam * t) * pairing / den)
 
-    k_tail = max(2, int(math.ceil(len(snaps) * tail_window)))
+    k_tail = max(2, int(math.ceil(len(snaps) * 0.25)))
     tail_vals = ests[-k_tail:, 1]
     limit = float(tail_vals.mean())
     osc = float(tail_vals.max() - tail_vals.min())
-    converged = bool(osc <= tolerance * max(abs(limit), 1e-300))
+    converged = bool(osc <= 0.05 * max(abs(limit), 1e-300))
     tail_frac = float(np.median(tail_fracs))
     return CoefficientRecord(mode=mode, estimates=ests, limit=limit,
-                             converged=converged, tolerance=tolerance,
-                             tail_fraction=tail_frac,
+                             converged=converged, tail_fraction=tail_frac,
                              flagged=bool(tail_frac > 0.01))
 
 
@@ -224,8 +229,7 @@ class TimeShiftResult:
     shifted_rate: RateFit
     Lambda: float
     eta: float
-    c0: float        # lambda_01 coefficient before the shift
-    c_slope: float   # d c / d tau0 (linear dependence)
+    c0: float  # lambda_01 coefficient before the shift
 
 
 def _shifted_snapshots(trace, tau0: float, params: ModelParams):
@@ -244,17 +248,8 @@ def _shifted_snapshots(trace, tau0: float, params: ModelParams):
     return out
 
 
-class _SnapshotTrace:
-    """Minimal trace view over precomputed snapshots."""
-
-    def __init__(self, grid, snapshots):
-        self.grid = grid
-        self.snapshots = snapshots
-
-
 def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
-                   policy: WindowPolicy | None = None,
-                   secant_iterations: int = 2) -> TimeShiftResult:
+                   policy: WindowPolicy | None = None) -> TimeShiftResult:
     """Find tau0 cancelling the lambda_01 coefficient, then re-fit the rate.
 
     The coefficient of rho(tau)/rho_B(tau - tau0) - 1 depends linearly on
@@ -281,10 +276,10 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
         base_snaps = [sw for sw, keep in zip(trace.snapshots, alive) if keep]
     else:
         base_snaps = list(trace.snapshots)
-    base = _SnapshotTrace(trace.grid, base_snaps)
+    base = replace(trace, snapshots=base_snaps)
 
     def c_of(tau0: float) -> float:
-        view = _SnapshotTrace(trace.grid, _shifted_snapshots(base, tau0, params))
+        view = replace(base, snapshots=_shifted_snapshots(base, tau0, params))
         return extract_coefficient(view, mode01, params).limit
 
     # iterates must stay inside the shifted-Barenblatt domain 1 + 2p tau0 > 0
@@ -304,7 +299,7 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
         )
     tau0 = clamp(-c0 / slope)
     a, fa, b, fb = 0.0, c0, tau0, c_of(tau0)
-    for _ in range(secant_iterations):
+    for _ in range(2):
         if fb == fa:
             break
         c = clamp(b - fb * (b - a) / (fb - fa))
@@ -318,9 +313,9 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     ])
     # the shift may remove (almost) everything: then fit whatever positive
     # range is left rather than failing the whole record
-    fit = fit_rate_or_widen(times, norms / norms.max(), policy)
+    fit = fit_rate_or_widen(times, norms, policy)
     return TimeShiftResult(tau0=float(tau0), shifted_rate=fit, Lambda=Lambda,
-                           eta=eta, c0=c0, c_slope=slope)
+                           eta=eta, c0=c0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +350,25 @@ def expansion_residual(trace, Lambda: float,
             resid -= rec.limit * math.exp(lam_lk * t) * basis[rec.mode]
         times.append(t)
         norms.append(weighted_sup(GridFunction(trace.grid, 0, resid), eta))
-    times = np.array(times)
-    norms = np.array(norms)
-    return fit_rate_or_widen(times, norms / norms.max(), policy)
+    return fit_rate_or_widen(np.array(times), np.array(norms), policy)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue crossings
 # ---------------------------------------------------------------------------
 
-def near_degenerate_pairs(params: ModelParams, fit_resolution: float = 0.1,
-                          eta: float | None = None):
-    """Admissible eigenvalue pairs closer than the fit resolution.
+def near_degenerate_pairs(params: ModelParams):
+    """Admissible eigenvalue pairs at eta_cr closer than 0.1.
 
     Rational m produces eigenvalue crossings; spacings below what a decay
-    fit can resolve are reported so rate errors can be widened rather than
-    fitting secular polynomials.
+    fit can resolve (0.1) are reported so rate errors can be widened rather
+    than fitting secular polynomials.
     """
-    if eta is None:
-        eta = params.eta_cr
-    modes = admissible_modes(eta, params)
+    modes = admissible_modes(params.eta_cr, params)
     pairs = []
     for i in range(len(modes)):
         for j in range(i + 1, len(modes)):
             (ma, la), (mb, lb) = modes[i], modes[j]
-            if abs(la - lb) < fit_resolution:
+            if abs(la - lb) < 0.1:
                 pairs.append(((ma.ell, ma.k), (mb.ell, mb.k), abs(la - lb)))
     return pairs

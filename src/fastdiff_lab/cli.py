@@ -57,16 +57,23 @@ def _require_lambda_window(cfg: ExperimentConfig, params):
     the l=0 continuum -(p/2+1)^2 on; the expansion residual needs
     2 lambda_01 < Lambda <= lambda_01."""
     Lambda = cfg.analysis.lambda_target
+    if Lambda is None:
+        return
     lam01 = -2.0 * params.p
+    try:  # the continuum side, with its rounding tolerance
+        closedform.eta_for_target_rate(Lambda, params)
+        if 2.0 * lam01 < Lambda <= lam01:
+            return
+    except ValueError:
+        pass
     lo = max(2.0 * lam01, params.lambda_cont)
-    if Lambda is not None and not (lo <= Lambda <= lam01 and Lambda > 2.0 * lam01):
-        bracket = "]" if lo == 2.0 * lam01 else "["
-        raise ConfigError(
-            f"analysis.lambda_target: {Lambda} outside {bracket}{lo!r}, "
-            f"{lam01!r}] for p={params.p!r}, the window "
-            f"max(2 lambda_01, -(p/2+1)^2) <= Lambda <= lambda_01 with "
-            f"Lambda > 2 lambda_01"
-        )
+    bracket = "]" if lo == 2.0 * lam01 else "["
+    raise ConfigError(
+        f"analysis.lambda_target: {Lambda} outside {bracket}{lo!r}, "
+        f"{lam01!r}] for p={params.p!r}, the window "
+        f"max(2 lambda_01, -(p/2+1)^2) <= Lambda <= lambda_01 with "
+        f"Lambda > 2 lambda_01"
+    )
 
 
 def _policy(cfg: ExperimentConfig):
@@ -79,7 +86,7 @@ def _policy(cfg: ExperimentConfig):
 def _initial_state(cfg: ExperimentConfig, params, grid):
     i = cfg.initial_data
     if i.kind == "eigenmode":
-        return evolve.eigenmode_data(grid, ModeIndex(i.ell, i.k), i.amplitude, params)
+        return evolve.eigenmode_data(grid, ModeIndex(0, i.k), i.amplitude, params)
     if i.kind == "bump":
         return evolve.bump_data(grid, i.amplitude, i.seed, params,
                                 project_mass=i.project_mass, centers=i.centers)
@@ -190,36 +197,23 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
 
     policy = _policy(cfg)
     rate_rows = []
-    sup_slope = _fit_norm_series(trace.times, trace.sup, policy, rate_rows,
-                                 "sup", 0.0)
-    for eta in etas:
-        _fit_norm_series(trace.times, trace.weighted_norm(eta), policy,
-                         rate_rows, f"sup_eta_{eta:g}", eta)
+    series = [("sup", 0.0, trace.sup)] + [
+        (f"sup_eta_{eta:g}", eta, trace.weighted[eta]) for eta in etas]
+    for name, eta, values in series:
+        fit = asymptotics.fit_rate_or_widen(trace.times, values, policy)
+        rate_rows.append([name, eta, fit.slope, fit.r_squared,
+                          fit.window[0], fit.window[1]])
     bundle.add_table("rates", ["norm", "eta", "slope", "r_squared",
                                "t_lo", "t_hi"], rate_rows)
     drift = float(np.max(np.abs(trace.mass_defect - trace.mass_defect[0])))
     bundle.summary = {
         "lambda_01": -2.0 * params.p,
-        "sup_slope": sup_slope,
+        "sup_slope": rate_rows[0][2],
         "mass_drift": drift,
         "mass_drift_per_time": drift / max(trace.times[-1] - trace.times[0], 1e-300),
         "backward_euler_steps": trace.backward_euler_steps,
     }
     return bundle
-
-
-def _fit_norm_series(times, values, policy, rate_rows, name, eta) -> float:
-    """Append a rate row; stationary traces fit to slope 0, short traces
-    widen the window before giving up."""
-    values = np.asarray(values, dtype=float)
-    scale = values.max()
-    if scale == 0.0:
-        rate_rows.append([name, eta, 0.0, 1.0, float(times[0]), float(times[-1])])
-        return 0.0
-    fit = asymptotics.fit_rate_or_widen(times, values / scale, policy)
-    rate_rows.append([name, eta, fit.slope, fit.r_squared,
-                      fit.window[0], fit.window[1]])
-    return fit.slope
 
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
@@ -400,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weight exponent (repeatable)")
     parser.add_argument("--lambda-target", type=float, dest="lambda_target",
                         help="target rate for weighted analysis")
-    parser.add_argument("--ell", type=int, help="initial-data angular index")
     parser.add_argument("--k", type=int, help="initial-data radial index")
     parser.add_argument("--amplitude", type=float, help="initial amplitude")
     parser.add_argument("--seed", type=int, help="bump seed")
@@ -426,7 +419,7 @@ def resolve_config(args) -> ExperimentConfig:
         model={"n": args.n, "m": args.m, "B": args.b_param},
         grid={"s_max": args.smax, "count": args.points},
         time={"dt": args.dt, "t_final": args.tfinal},
-        initial_data={"kind": args.kind, "ell": args.ell, "k": args.k,
+        initial_data={"kind": args.kind, "k": args.k,
                       "amplitude": args.amplitude, "seed": args.seed},
         analysis={"etas": tuple(args.eta) if args.eta else None,
                   "lambda_target": args.lambda_target,
@@ -443,6 +436,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if cfg.analysis.lambda_target is not None and args.command != "expand":
+            raise ConfigError(
+                f"analysis.lambda_target: only expand measures a target "
+                f"rate; {args.command} would ignore it"
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

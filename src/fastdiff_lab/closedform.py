@@ -22,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -123,11 +123,10 @@ def landmarks(params: ModelParams) -> dict[str, float]:
 
 @dataclass(frozen=True, order=True)
 class ModeIndex:
-    """Angular/radial quantum numbers (l, k); mu only labels degeneracy."""
+    """Angular/radial quantum numbers (l, k)."""
 
     ell: int
     k: int
-    mu: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.ell < 0 or self.k < 0:
@@ -181,8 +180,8 @@ def is_admissible(mode: ModeIndex, eta: float, params: ModelParams) -> bool:
     return mode.k < _k_bound(mode.ell, eta, params)
 
 
-def admissible_modes(eta: float, params: ModelParams,
-                     ell_max: int | None = None) -> list[tuple[ModeIndex, float]]:
+def admissible_modes(eta: float,
+                     params: ModelParams) -> list[tuple[ModeIndex, float]]:
     """All admissible (mode, eigenvalue) pairs at weight eta, descending lambda.
 
     Ties (eigenvalue crossings) are ordered by (l, k).
@@ -191,8 +190,6 @@ def admissible_modes(eta: float, params: ModelParams,
     ell = 0
     while _k_bound(ell, eta, params) > 0:
         if params.n == 1 and ell > 1:
-            break
-        if ell_max is not None and ell > ell_max:
             break
         k = 0
         while k < _k_bound(ell, eta, params):
@@ -271,8 +268,14 @@ def potential_profile(eta: float, params: ModelParams) -> dict[str, float]:
 
 
 def eta_for_target_rate(Lambda: float, params: ModelParams) -> float:
-    """Weight eta <= eta_cr whose l = 0 essential threshold equals Lambda."""
+    """Weight eta <= eta_cr whose l = 0 essential threshold equals Lambda.
+
+    Lambda within 4 ulps below the onset -(p/2+1)^2 is the onset itself
+    (eta = eta_cr): p carries the rounding of 2/(1-m), e.g. -6.25 at m = 2/3.
+    """
     lam0 = params.lambda_cont
+    if lam0 - 4.0 * math.ulp(lam0) <= Lambda < lam0:
+        return params.eta_cr
     if not (lam0 <= Lambda < 0.0):
         raise ValueError(
             f"target rate {Lambda} outside [{lam0}, 0[ for p={params.p}"
@@ -294,12 +297,7 @@ class RateBranch(str, Enum):
 
 
 class BranchBoundaryError(ValueError):
-    """Raised at m = m_2 exactly; carries the one-sided limits."""
-
-    def __init__(self, msg, left, right):
-        super().__init__(msg)
-        self.left = left
-        self.right = right
+    """Raised at m = m_2 exactly; the message states the one-sided limits."""
 
 
 @dataclass(frozen=True)
@@ -341,15 +339,13 @@ def second_order_rates(params: ModelParams) -> SecondOrderRates:
     gamma = Lambda/lambda_01 and delta = eta(Lambda)/(n+p), where
     eta(Lambda) = eta_cr - sqrt(Lambda + (p/2+1)^2); the branch records which
     spectral object saturates Lambda.  m = m_2 exactly (p = 2) is rejected as
-    the branch boundary; both one-sided limits ride on the exception.
+    the branch boundary; the message states both one-sided limits.
     """
     p = params.p
     if p == 2.0:
-        gamma = 1.0
         raise BranchBoundaryError(
             "m = m_2 exactly: branch boundary; one-sided limits "
-            f"(gamma, delta) = ({gamma}, 0.0) on both sides",
-            left=(gamma, 0.0), right=(gamma, 0.0),
+            "(gamma, delta) = (1.0, 0.0) on both sides"
         )
     Lambda, branch = lambda_second_order(params)
     eta = eta_for_target_rate(Lambda, params)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 
-from .closedform import derive_params
+from .closedform import admissible_modes, derive_params
 from .geometry import step_count
 
 __all__ = [
@@ -57,8 +57,7 @@ class TimeConfig:
 class InitialDataConfig:
     kind: str = "bump"  # eigenmode | bump | delayed-barenblatt
     amplitude: float = 0.05
-    ell: int = 0
-    k: int = 1
+    k: int = 1  # eigenmode data: the radial mode v_{0k}
     seed: int = 7
     tau0: float = 0.1
     bplus: float = 1.0
@@ -104,7 +103,7 @@ class ExperimentConfig:
             )
         mc = self.model
         try:
-            derive_params(mc.n, mc.m, mc.B)
+            params = derive_params(mc.n, mc.m, mc.B)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         g = self.grid
@@ -126,8 +125,15 @@ class ExperimentConfig:
         i = self.initial_data
         if i.kind not in ("eigenmode", "bump", "delayed-barenblatt"):
             raise ConfigError(f"initial_data.kind: unknown kind {i.kind!r}")
-        if i.kind == "eigenmode" and i.ell != 0:
-            raise ConfigError("initial_data.ell: nonlinear runs are radial (l=0)")
+        if i.kind == "eigenmode":
+            ks = [md.k for md, _ in admissible_modes(params.eta_cr, params)
+                  if md.ell == 0]
+            if i.k not in ks:
+                raise ConfigError(
+                    f"initial_data.k: eigenmode data needs an l=0 mode "
+                    f"admissible at eta_cr, 0 <= k <= {max(ks)} for "
+                    f"p={params.p:.6g}, got {i.k}"
+                )
         if i.bplus <= 0:
             raise ConfigError(f"initial_data.bplus: must be positive, got {i.bplus}")
         if not (0 < abs(i.amplitude) < 1) and i.kind != "delayed-barenblatt":

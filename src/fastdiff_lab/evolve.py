@@ -32,7 +32,6 @@ geometry).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,14 +62,12 @@ __all__ = [
     "NewtonError",
     "EvolutionState",
     "EvolutionTrace",
-    "MassMoments",
     "Envelope",
     "RecordOptions",
     "nonlinear_rhs",
     "step_nonlinear",
     "step_bdf2",
     "run",
-    "mass_and_moments",
     "energy",
     "comparison_envelope",
     "eigenmode_data",
@@ -299,30 +296,11 @@ def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MassMoments:
-    mass_defect: float
-    second_moment: float
-    second_moment_converged: bool
-
-
-def mass_and_moments(w: GridFunction, params: ModelParams) -> MassMoments:
-    """Mass defect int w u_B dx and (for p > 2) second moment int w u_B |x|^2 dx.
-
-    The mass uses the finite-volume cell weights, the same functional the
-    flux form conserves; the second moment only converges when the
-    Barenblatt has second moments, i.e. p > 2.
-    """
-    area = sphere_area(params.n)
+def _mass_defect(w: GridFunction, params: ModelParams) -> float:
+    """Mass defect int w u_B dx, with the finite-volume cell weights: the
+    same functional the flux form conserves."""
     masses = cell_masses(w.grid, params)
-    mass_defect = area * float(np.dot(w.values[:masses.size], masses))
-    if params.p > 2.0:
-        grid = w.grid
-        integrand = w.values * _node_power(grid, "sinh", params.n + 1) \
-            * _node_power(grid, "cosh", 1.0 - params.n - params.p)
-        second = area * float(np.trapezoid(integrand, grid.nodes))
-        return MassMoments(mass_defect, second, True)
-    return MassMoments(mass_defect, math.nan, False)
+    return sphere_area(params.n) * float(np.dot(w.values[:masses.size], masses))
 
 
 def energy(w: GridFunction, params: ModelParams) -> float:
@@ -378,7 +356,6 @@ class RecordOptions:
 @dataclass
 class EvolutionTrace:
     grid: RadialGrid
-    params: ModelParams
     times: np.ndarray
     sup: np.ndarray
     weighted: dict[float, np.ndarray]
@@ -389,14 +366,6 @@ class EvolutionTrace:
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     # steps taken by backward Euler: the start plus any redone BDF2 step
     backward_euler_steps: int = 0
-
-    def weighted_norm(self, eta: float) -> np.ndarray:
-        if eta == 0.0 and eta not in self.weighted:
-            return self.sup
-        for key, arr in self.weighted.items():
-            if abs(key - eta) < 1e-12:
-                return arr
-        raise KeyError(f"weight eta={eta} was not recorded")
 
 
 def run(state0: EvolutionState, dt: float, t_final: float,
@@ -417,7 +386,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         sups.append(weighted_sup(state.w, 0.0))
         for eta in record.etas:
             weighted[eta].append(weighted_sup(state.w, eta))
-        masses.append(mass_and_moments(state.w, params).mass_defect)
+        masses.append(_mass_defect(state.w, params))
         energies.append(energy(state.w, params))
         v = 1.0 + state.w.values
         mins.append(float(v.min()))
@@ -443,7 +412,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             observe(state, j)
 
     return EvolutionTrace(
-        grid=state0.w.grid, params=params,
+        grid=state0.w.grid,
         times=np.array(times), sup=np.array(sups),
         weighted={eta: np.array(vals) for eta, vals in weighted.items()},
         mass_defect=np.array(masses), energy=np.array(energies),

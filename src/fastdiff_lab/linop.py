@@ -84,20 +84,14 @@ class TridiagonalOperator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    bc0: str  # "neumann-ghost" | "dirichlet"
-    bcN: str = "dirichlet"
 
     @property
     def first_node(self) -> int:
-        return 0 if self.bc0 == "neumann-ghost" else 1
+        return 0 if self.ell == 0 else 1
 
     @property
     def n_unknowns(self) -> int:
         return self.diag.size
-
-    def far_field_constant(self) -> float:
-        """c_inf(eta), the limit of the zeroth-order coefficient."""
-        return potential_profile(self.eta, self.params)["c_inf"]
 
     def symmetrizer_log_weights(self) -> np.ndarray:
         """log w_i of the exact diagonal similarity to a symmetric matrix.
@@ -237,7 +231,6 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
         sup = np.concatenate([[sup0], sup_i])
         phi = cosh_pow
         i0 = 0
-        bc0 = "neumann-ghost"
     else:
         # unknowns 1..N-1; eliminate the ghost g_0 = (4 g_1 - g_2)/3 (even
         # extension, O(h^4)), then map rows to f-space
@@ -249,7 +242,6 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
         sub[0] = 0.0
         phi = np.sinh(si) ** ell * cosh_pow[1:]
         i0 = 1
-        bc0 = "dirichlet"
 
     _check_similarity(phi, i0, ell, eta, grid, params)
     sub[1:] *= phi[1:] / phi[:-1]
@@ -277,7 +269,7 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
 
     sup[-1] = 0.0
     return TridiagonalOperator(grid=grid, ell=ell, eta=eta, params=params,
-                               sub=sub, diag=diag, sup=sup, bc0=bc0)
+                               sub=sub, diag=diag, sup=sup)
 
 
 def _matvec(op: TridiagonalOperator, x: np.ndarray) -> np.ndarray:
@@ -318,16 +310,6 @@ class SpectrumReport:
     eta: float
     threshold: float
     entries: list[SpectrumEntry]
-    h: float
-    s_max: float
-
-    @property
-    def discrete(self) -> list[tuple[float, ModeIndex | None]]:
-        return [(e.value, e.mode) for e in self.entries]
-
-    @property
-    def matched(self) -> list[SpectrumEntry]:
-        return [e for e in self.entries if e.mode is not None]
 
 
 def top_eigenvalues(op: TridiagonalOperator, count: int,
@@ -375,7 +357,7 @@ def top_eigenvalues(op: TridiagonalOperator, count: int,
                 continue
         entries.append(SpectrumEntry(v, None, None, None, v <= thr))
     return SpectrumReport(ell=op.ell, eta=op.eta, threshold=thr,
-                          entries=entries, h=op.grid.h, s_max=op.grid.s_max)
+                          entries=entries)
 
 
 def conjugated_eigenfunction(mode: ModeIndex, eta: float, grid: RadialGrid,

@@ -318,10 +318,9 @@ def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
     state = affine.make_affine_state(np.diag([0.25, -0.25]), 1.0, params)
     h = 0.003125  # cheap enough that fast mode keeps the full resolution
     dfd = h / 2.0
-    r1 = affine.affine_pde_residual(state, params, tau_elapsed=0.2,
-                                    h=h, dtau_fd=dfd)
-    r2 = affine.affine_pde_residual(state, params, tau_elapsed=0.2,
-                                    h=h / 2.0, dtau_fd=dfd / 2.0)
+    r1 = affine.affine_pde_residual(state, params, h=h, dtau_fd=dfd)
+    r2 = affine.affine_pde_residual(state, params, h=h / 2.0,
+                                    dtau_fd=dfd / 2.0)
     ratio = r1 / r2
     results = [
         CheckResult("10-affine", f"scaled residual h={h}", r1, "<= 1e-4",

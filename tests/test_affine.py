@@ -133,18 +133,18 @@ def test_affine_density_batch_shapes(params_n2):
 
 def test_pde_residual_small_and_second_order(params_n2):
     st = affine.make_affine_state(np.diag([0.25, -0.25]), 1.0, params_n2)
-    r1 = affine.affine_pde_residual(st, params_n2, tau_elapsed=0.2,
-                                    h=0.003125, dtau_fd=0.0015625)
-    r2 = affine.affine_pde_residual(st, params_n2, tau_elapsed=0.2,
-                                    h=0.0015625, dtau_fd=0.00078125)
+    r1 = affine.affine_pde_residual(st, params_n2, h=0.003125,
+                                    dtau_fd=0.0015625)
+    r2 = affine.affine_pde_residual(st, params_n2, h=0.0015625,
+                                    dtau_fd=0.00078125)
     assert r1 <= 1e-4
     assert r1 / r2 == pytest.approx(4.0, abs=1.5)
 
 
 def test_pde_residual_isotropic(params_n2):
     st = affine.make_affine_state(np.zeros((2, 2)), 1.0, params_n2)
-    r = affine.affine_pde_residual(st, params_n2, tau_elapsed=0.2,
-                                   h=0.003125, dtau_fd=0.0015625)
+    r = affine.affine_pde_residual(st, params_n2, h=0.003125,
+                                   dtau_fd=0.0015625)
     assert r <= 1e-4  # reduces to the rescaling of u_B: residual ~ FD error
 
 

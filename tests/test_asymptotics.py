@@ -1,5 +1,6 @@
 """Rate fitting, coefficient extraction, time-shift modding, residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,13 @@ def test_fit_rate_or_widen():
     # a window that holds enough samples is fitted as given
     wide = asy.WindowPolicy(value_lo=1e-3, value_hi=1.0, min_samples=2)
     assert asy.fit_rate_or_widen(t, vals, wide) == asy.fit_rate(t, vals, wide)
+    # the series is normalized to max 1 before the window applies
+    scaled = asy.fit_rate_or_widen(t, 1e6 * vals, wide)
+    assert scaled.slope == pytest.approx(-2.0, abs=1e-12)
+    assert scaled.n_samples == 5
+    # a stationary (all-zero) series fits to slope 0 over the full span
+    flat = asy.fit_rate_or_widen(t, np.zeros_like(t), policy)
+    assert (flat.slope, flat.r_squared, flat.window) == (0.0, 1.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +191,8 @@ def test_mod_time_shift_recovers_exact_shift(delayed_trace):
 def test_mod_time_shift_idempotent(delayed_trace):
     params, tau_star, trace = delayed_trace
     res = asy.mod_time_shift(trace, params)
-    shifted = asy._SnapshotTrace(
-        trace.grid, asy._shifted_snapshots(trace, res.tau0, params))
+    shifted = dataclasses.replace(
+        trace, snapshots=asy._shifted_snapshots(trace, res.tau0, params))
     res2 = asy.mod_time_shift(shifted, params)
     assert abs(res2.tau0) <= 0.02 * abs(res.tau0)
 

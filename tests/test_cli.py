@@ -102,7 +102,7 @@ def fast_cfg(**kw):
         "grid": {"s_max": 10.0, "count": 250},
         "time": {"dt": 5e-3, "t_final": 0.5, "record_every": 5,
                  "snapshot_every": 5},
-        "initial_data": {"kind": "eigenmode", "ell": 0, "k": 1,
+        "initial_data": {"kind": "eigenmode", "k": 1,
                          "amplitude": 0.05, "seed": 3},
     }
     base.update(kw)
@@ -198,7 +198,10 @@ def test_lambda_window_edges():
     cases = [(p09, lam01, True), (p09, 2 * lam01 + 1e-9, True),
              (p09, 2 * lam01, False), (p09, lam01 + 1e-9, False),
              # at m = 2/3 the l=0 continuum -(p/2+1)^2 binds the lower edge
-             (p23, p23.lambda_cont, True), (p23, p23.lambda_cont - 1e-9, False)]
+             (p23, p23.lambda_cont, True), (p23, p23.lambda_cont - 1e-9, False),
+             # p rounds to 2.999999999999999: -6.25 is 2 ulps below the
+             # computed onset and still names the edge
+             (p23, -6.25, True)]
     for params, Lambda, ok in cases:
         cfg = apply_overrides(ExperimentConfig(), model={"m": params.m},
                               analysis={"lambda_target": Lambda})
@@ -322,6 +325,23 @@ def test_lambda_target_outside_the_window_exits_with_a_config_error(tmp_path):
                     "-13", "expand"], tmp_path)
     line = assert_one_named_line(proc, 2, "config error:")
     assert "analysis.lambda_target" in line and "window" in line
+
+
+@pytest.mark.parametrize("command", [
+    ["--sweep-m", "0.7", "sweep"], ["--points", "300", "evolve"]])
+def test_lambda_target_outside_expand_exits_with_a_config_error(tmp_path,
+                                                                 command):
+    proc = run_cli(["--lambda-target", "-100", *command], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "analysis.lambda_target" in line and "expand" in line
+
+
+@pytest.mark.parametrize("k", ["5", "-1"])
+def test_inadmissible_eigenmode_k_exits_with_a_config_error(tmp_path, k):
+    proc = run_cli(["--kind", "eigenmode", "--k", k, "--points", "300",
+                    "--tfinal", "0.5", "evolve"], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "initial_data.k" in line and "0 <= k <= 1" in line
 
 
 def test_b_other_than_one_exits_with_a_config_error(tmp_path):

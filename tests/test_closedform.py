@@ -318,9 +318,10 @@ def test_second_order_rates_n1_split():
 
 
 def test_second_order_rates_m2_rejected():
-    with pytest.raises(cf.BranchBoundaryError) as exc:
+    # the one-sided limits coincide, and the message states them
+    with pytest.raises(cf.BranchBoundaryError,
+                       match=r"\(gamma, delta\) = \(1\.0, 0\.0\) on both sides"):
         cf.second_order_rates(cf.derive_params(3, 0.6))
-    assert exc.value.left == exc.value.right  # one-sided limits coincide
 
 
 def test_second_order_cross_check_delta_formulas():

@@ -118,29 +118,20 @@ def test_run_delayed_barenblatt_extrema_limits(grid12, params33):
     assert np.all(np.diff(mins) >= -1e-12)
 
 
-def test_mass_and_moments(grid12, params33):
+def test_mass_defect(grid12, params33):
     zero = geo.GridFunction(grid12, 0, np.zeros(grid12.count + 1))
-    mm = evolve.mass_and_moments(zero, params33)
-    assert mm.mass_defect == 0.0 and mm.second_moment == 0.0
+    assert evolve._mass_defect(zero, params33) == 0.0
 
     s = grid12.nodes
     eps = 1e-3
     w00 = geo.GridFunction(
         grid12, 0, eps * cf.eigenfunction_v(ModeIndex(0, 0), s, params33))
-    mm0 = evolve.mass_and_moments(w00, params33)
-    assert mm0.mass_defect != 0.0
-    assert abs(mm0.mass_defect) > 1e-3 * eps
+    assert abs(evolve._mass_defect(w00, params33)) > 1e-3 * eps
 
     # the dilation mode is mass-neutral (quadrature level)
     w01 = eps * cf.eigenfunction_v(ModeIndex(0, 1), s, params33)
-    mm1 = evolve.mass_and_moments(geo.GridFunction(grid12, 0, w01), params33)
-    assert abs(mm1.mass_defect) <= 1e-8
-
-    # p <= 2: second moment flagged non-convergent
-    p_small = cf.derive_params(3, 0.55)
-    mm2 = evolve.mass_and_moments(zero, p_small)
-    assert not mm2.second_moment_converged
-    assert np.isnan(mm2.second_moment)
+    w01 = geo.GridFunction(grid12, 0, w01)
+    assert abs(evolve._mass_defect(w01, params33)) <= 1e-8
 
 
 def test_energy(grid12, params33):
@@ -272,8 +263,7 @@ def test_builders(grid12, params33):
     with pytest.raises(ValueError, match="radial"):
         evolve.eigenmode_data(grid12, ModeIndex(1, 0), 0.03, params33)
     stb = evolve.bump_data(grid12, 0.05, seed=9, params=params33)
-    mm = evolve.mass_and_moments(stb.w, params33)
-    assert abs(mm.mass_defect) <= 1e-14
+    assert abs(evolve._mass_defect(stb.w, params33)) <= 1e-14
     stb2 = evolve.bump_data(grid12, 0.05, seed=9, params=params33)
     assert np.array_equal(stb.w.values, stb2.w.values)  # seeded determinism
     std = evolve.delayed_barenblatt_data(grid12, 0.1, 1.0, params33)
@@ -301,14 +291,10 @@ def test_run_refuses_a_partial_last_step(grid_coarse, params33):
 
 
 def test_observation_weights_are_the_pointwise_formulas(grid12, params33):
-    # mass_and_moments and energy read cached weights; the bits are those
-    # of the expressions they replaced
+    # energy reads cached weights; the bits are those of the expressions
+    # they replaced
     state = evolve.bump_data(grid12, 0.05, seed=5, params=params33)
     w, s = state.w, grid12.nodes
-    mm = evolve.mass_and_moments(w, params33)
-    integrand = w.values * np.sinh(s) ** (params33.n + 1) \
-        * np.cosh(s) ** (1.0 - params33.n - params33.p)
-    assert mm.second_moment == geo.sphere_area(3) * float(np.trapezoid(integrand, s))
     for params in (params33, cf.derive_params(1, 0.5)):
         m = params.m
         H = ((1.0 + w.values) ** (m + 1.0) - 1.0 - (m + 1.0) * w.values) \

@@ -208,8 +208,7 @@ def extract_coefficient(trace, mode: ModeIndex,
         tail_fracs.append(tail / abs(pairing) if pairing != 0.0 else math.inf)
         ests[j] = (t, math.exp(-lam * t) * pairing / den)
 
-    k_tail = max(2, int(math.ceil(len(snaps) * 0.25)))
-    tail_vals = ests[-k_tail:, 1]
+    tail_vals = ests[-_tail_count(len(snaps)):, 1]
     limit = float(tail_vals.mean())
     osc = float(tail_vals.max() - tail_vals.min())
     converged = bool(osc <= 0.05 * max(abs(limit), 1e-300))
@@ -217,6 +216,11 @@ def extract_coefficient(trace, mode: ModeIndex,
     return CoefficientRecord(mode=mode, estimates=ests, limit=limit,
                              converged=converged, tail_fraction=tail_frac,
                              flagged=bool(tail_frac > 0.01))
+
+
+def _tail_count(n_snapshots: int) -> int:
+    """Length of the trailing window ``extract_coefficient`` averages."""
+    return max(2, int(math.ceil(n_snapshots * 0.25)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +252,31 @@ def _shifted_snapshots(trace, tau0: float, params: ModelParams):
     return out
 
 
+def _shifted_c01(trace, params: ModelParams):
+    """tau0 -> the lambda_01 coefficient limit of the trace shifted by tau0.
+
+    That is ``extract_coefficient`` of the shifted snapshots, ``.limit``,
+    which reads only the trailing ``_tail_count`` estimates: only those
+    snapshots are shifted and paired, against weights computed once.
+    """
+    mode01 = ModeIndex(0, 1)
+    tail = replace(trace, snapshots=trace.snapshots[
+        -_tail_count(len(trace.snapshots)):])
+    lam = eigenvalue(mode01, params)
+    num_w, den = _pairing_weights(trace.grid, mode01, params)
+
+    def c_of(tau0: float) -> float:
+        # rows (t, c(t)) as extract_coefficient stores them, so the mean
+        # reduces the same strided column
+        ests = np.empty((len(tail.snapshots), 2))
+        for j, (t, w) in enumerate(_shifted_snapshots(tail, tau0, params)):
+            pairing = float(np.dot(num_w, w[:num_w.size]))
+            ests[j] = (t, math.exp(-lam * t) * pairing / den)
+        return float(ests[:, 1].mean())
+
+    return c_of
+
+
 def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
                    policy: WindowPolicy | None = None) -> TimeShiftResult:
     """Find tau0 cancelling the lambda_01 coefficient, then re-fit the rate.
@@ -270,17 +299,13 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
 
     # evaluate the coefficient only where the signal is alive: amplified
     # late-time noise would otherwise swamp the tail average at large p
-    sups = np.array([np.max(np.abs(w)) for _, w in trace.snapshots])
+    sups = np.array([np.abs(w).max() for _, w in trace.snapshots])
     alive = sups >= 1e-6 * sups.max()
     if np.count_nonzero(alive) >= 8:
         base_snaps = [sw for sw, keep in zip(trace.snapshots, alive) if keep]
     else:
         base_snaps = list(trace.snapshots)
-    base = replace(trace, snapshots=base_snaps)
-
-    def c_of(tau0: float) -> float:
-        view = replace(base, snapshots=_shifted_snapshots(base, tau0, params))
-        return extract_coefficient(view, mode01, params).limit
+    c_of = _shifted_c01(replace(trace, snapshots=base_snaps), params)
 
     # iterates must stay inside the shifted-Barenblatt domain 1 + 2p tau0 > 0
     tau_min = -(1.0 - 1e-9) / (2.0 * params.p)

@@ -53,7 +53,7 @@ from .geometry import (
     step_count,
     weighted_sup,
 )
-from .tridiag import _solve_tridiag
+from .tridiag import _packed_system, _solve_packed
 
 __all__ = [
     "MARGIN_FLOOR",
@@ -105,6 +105,8 @@ class EvolutionState:
     t: float
     w: GridFunction
     params: ModelParams
+    # Newton iterations of the step that produced this state
+    newton_iterations: int = 0
 
     def __post_init__(self):
         if self.w.ell != 0:
@@ -143,15 +145,27 @@ class _Workspace:
                 f"flux prefactor r^(n-1)/(m h cosh s) is not finite for n={n}, "
                 f"m={m!r} on the grid s_max={grid.s_max:g}, count={N}"
             )
-        for arr in (self.U, self.dU, self.C, self.minv):
+        self.Um = self.U * m
+        self.half_dU = 0.5 * self.dU
+        for arr in (self.U, self.dU, self.C, self.minv, self.Um, self.half_dU):
             arr.flags.writeable = False
         self.m = m
         self.N = N
 
     def flux(self, v: np.ndarray) -> np.ndarray:
-        G = self.U * v**self.m
-        vbar = 1.0 + 0.5 * (v[:-1] + v[1:] - 2.0)
-        return self.C * ((G[1:] - G[:-1]) - self.dU * vbar)
+        """Phi = C [(G_{i+1} - G_i) - dU vbar], G = U v^m and
+        vbar = 1 + (v_i + v_{i+1} - 2)/2, formed in place on three arrays."""
+        G = v ** self.m
+        G *= self.U
+        vbar = v[:-1] + v[1:]
+        vbar -= 2.0
+        vbar *= 0.5
+        vbar += 1.0
+        vbar *= self.dU
+        phi = G[1:] - G[:-1]
+        phi -= vbar
+        phi *= self.C
+        return phi
 
     def rhs(self, w_full: np.ndarray) -> np.ndarray:
         """d_t w at the unknown nodes 0..N-1 (node N held at w = 0)."""
@@ -163,21 +177,35 @@ class _Workspace:
         out /= self.masses
         return out
 
-    def jacobian_bands(self, w_full: np.ndarray):
-        """Tridiagonal bands of d rhs / d w over the unknowns."""
+    def newton_system(self, w_full: np.ndarray, dt: float,
+                      F: np.ndarray) -> np.ndarray:
+        """The Newton system (I - dt J) delta = -F, J = d rhs / d w over the
+        unknowns, built straight into the buffer ``tridiag._solve_packed``
+        solves.
+
+        J's bands are lower = -dphi_left minv, diag and upper = dphi_right
+        minv; each band of I - dt J rounds as 1 - dt*diag, -dt*lower and
+        -dt*upper would, since the sign flips are exact.
+        """
         v = 1.0 + w_full
-        dG = self.U * self.m * v ** (self.m - 1.0)
+        dG = self.Um * v ** (self.m - 1.0)
         # flux at face i+1/2 depends on w_i, w_{i+1}
-        dphi_left = self.C * (-dG[:-1] - 0.5 * self.dU)
-        dphi_right = self.C * (dG[1:] - 0.5 * self.dU)
+        dphi_left = self.C * (-dG[:-1] - self.half_dU)
+        dphi_right = self.C * (dG[1:] - self.half_dU)
         minv = self.minv
         N = self.N
-        diag = np.empty(N)
+        system, (lower, diag, upper, b) = _packed_system(N)
         diag[0] = dphi_left[0] * minv[0]
-        diag[1:] = (dphi_left[1:N] - dphi_right[:N - 1]) * minv[1:]
-        lower = -dphi_left[:N - 1] * minv[1:]          # d rhs_i / d w_{i-1}
-        upper = dphi_right[:N - 1] * minv[:N - 1]      # d rhs_i / d w_{i+1}
-        return lower, diag, upper
+        np.subtract(dphi_left[1:N], dphi_right[:N - 1], out=diag[1:])
+        diag[1:] *= minv[1:]
+        diag *= -dt
+        diag += 1.0
+        np.multiply(dphi_left[:N - 1], minv[1:], out=lower)   # row i, w_{i-1}
+        lower *= dt
+        np.multiply(dphi_right[:N - 1], minv[:N - 1], out=upper)  # row i, w_{i+1}
+        upper *= -dt
+        np.negative(F, out=b)
+        return system
 
 
 @lru_cache(maxsize=64)
@@ -205,34 +233,35 @@ def nonlinear_rhs(w: GridFunction, params: ModelParams) -> GridFunction:
 
 
 def _newton_be(ws: _Workspace, w0: np.ndarray, dt: float,
-               w_boundary: float) -> np.ndarray:
-    """Solve W = w0 + dt rhs(W) by damped Newton; returns the full-node array.
+               w_boundary: float) -> tuple[np.ndarray, int]:
+    """Solve W = w0 + dt rhs(W) by damped Newton; returns the full-node array
+    and the number of Newton iterations it took.
 
     The value at the truncation node s_max is held at w_boundary (zero for
     production runs; manufactured-solution runs prescribe the exact value).
     """
+    N = ws.N
     W = w0.copy()
-    W[ws.N] = w_boundary
+    W[N] = w_boundary
 
     def residual(wfull):
         """F(W) and the rhs(W) it was built from."""
         r = ws.rhs(wfull)
-        return wfull[:ws.N] - w0[:ws.N] - dt * r, r
+        return wfull[:N] - w0[:N] - dt * r, r
 
     F, R = residual(W)
-    norm = np.max(np.abs(F))
-    for _ in range(NEWTON_MAXITER):
+    norm = np.abs(F).max()
+    for iterations in range(NEWTON_MAXITER):
         if norm <= NEWTON_TOL:
             break
-        lower, diag, upper = ws.jacobian_bands(W)
-        delta = _solve_tridiag(-dt * lower, 1.0 - dt * diag, -dt * upper, -F)
+        delta = _solve_packed(ws.newton_system(W, dt, F))
         lam = 1.0
         for _damp in range(12):
             trial = W.copy()
-            trial[:ws.N] += lam * delta
-            if 1.0 + trial[:ws.N].min() > MARGIN_FLOOR:
+            trial[:N] += lam * delta
+            if 1.0 + trial[:N].min() > MARGIN_FLOOR:
                 Ft, Rt = residual(trial)
-                nt = np.max(np.abs(Ft))
+                nt = np.abs(Ft).max()
                 if nt < norm or nt <= NEWTON_TOL:
                     W, F, R, norm = trial, Ft, Rt, nt
                     break
@@ -245,9 +274,10 @@ def _newton_be(ws: _Workspace, w0: np.ndarray, dt: float,
     # one fixed-point sweep; makes the discrete mass telescope exactly and
     # perturbs the iterate only by O(dt |F|).  W is the iterate R was
     # evaluated at, so rhs(W) is not recomputed.
-    W[:ws.N] = w0[:ws.N] + dt * R
+    R *= dt
+    np.add(w0[:N], R, out=W[:N])
     _check_positivity(W, MARGIN_FLOOR)
-    return W
+    return W, iterations
 
 
 def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
@@ -264,14 +294,16 @@ def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
     t_new = state.t + dt
     bval = 0.0 if boundary is None else float(boundary(t_new))
     try:
-        W = _newton_be(ws, state.w.values, dt, bval)
+        W, iterations = _newton_be(ws, state.w.values, dt, bval)
     except EvolveError:
         if _depth >= MAX_DT_HALVINGS:
             raise
         half = step_nonlinear(state, dt / 2.0, boundary, _depth + 1)
-        return step_nonlinear(half, dt / 2.0, boundary, _depth + 1)
+        full = step_nonlinear(half, dt / 2.0, boundary, _depth + 1)
+        full.newton_iterations += half.newton_iterations
+        return full
     return EvolutionState(t=t_new, w=state.w.with_values(W),
-                          params=state.params)
+                          params=state.params, newton_iterations=iterations)
 
 
 def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
@@ -287,9 +319,9 @@ def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
     t_new = state.t + dt
     bval = 0.0 if boundary is None else float(boundary(t_new))
     base = (4.0 * state.w.values - prev.w.values) / 3.0
-    W = _newton_be(ws, base, 2.0 * dt / 3.0, bval)
+    W, iterations = _newton_be(ws, base, 2.0 * dt / 3.0, bval)
     return EvolutionState(t=t_new, w=state.w.with_values(W),
-                          params=state.params)
+                          params=state.params, newton_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +398,11 @@ class EvolutionTrace:
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     # steps taken by backward Euler: the start plus any redone BDF2 step
     backward_euler_steps: int = 0
+    # Newton iterations of the accepted solves, in total and in the costliest
+    # step, and the steps whose base point already met NEWTON_TOL
+    newton_iterations: int = 0
+    max_newton_iterations: int = 0
+    zero_newton_steps: int = 0
 
 
 def run(state0: EvolutionState, dt: float, t_final: float,
@@ -396,6 +433,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             snapshots.append((state.t, state.w.values.copy()))
 
     state, prev, be_steps = state0, None, 0
+    iterations = []
     observe(state, 0)
     for j in range(1, steps + 1):
         new = None
@@ -408,6 +446,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             new = step_nonlinear(state, dt, boundary)
             be_steps += 1
         prev, state = state, new
+        iterations.append(state.newton_iterations)
         if j % record.record_every == 0 or j == steps:
             observe(state, j)
 
@@ -418,6 +457,9 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         mass_defect=np.array(masses), energy=np.array(energies),
         min_v=np.array(mins), max_v=np.array(maxs), snapshots=snapshots,
         backward_euler_steps=be_steps,
+        newton_iterations=sum(iterations),
+        max_newton_iterations=max(iterations, default=0),
+        zero_newton_steps=iterations.count(0),
     )
 
 

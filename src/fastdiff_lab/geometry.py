@@ -121,7 +121,7 @@ class GridFunction:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.count + 1} nodes)"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("grid function contains non-finite values")
         if self.ell >= 1 and self.values[0] != 0.0:
             raise ValueError(
@@ -169,7 +169,7 @@ def inner_product_uBm(f: GridFunction, g: GridFunction,
 
 def weighted_sup(f: GridFunction, eta: float) -> float:
     """sup_i |(cosh s_i)^{-eta} f_i|."""
-    return float(np.max(np.abs(_node_power(f.grid, "cosh", -eta) * f.values)))
+    return float(np.abs(_node_power(f.grid, "cosh", -eta) * f.values).max())
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,10 @@ directly gives bitwise-identical solutions without that wrapper cost
 (LAPACK Users' Guide, 3rd ed., ?gtsv), while raising the errors
 ``solve_banded`` raises.
 
+A Newton iteration builds its matrix and right side afresh each time: it
+fills the four views of one buffer (``_packed_system``), which
+``_solve_packed`` checks for finiteness in one pass and solves in place.
+
 A matrix that is solved against many right sides (a Crank-Nicolson run
 with a fixed step) is factored once with ``dgttrf`` and solved per side
 with ``dgttrs``.  Both routines pivot and eliminate exactly as ``dgtsv``
@@ -26,6 +30,16 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
+def _gtsv(dl, d, du, b) -> np.ndarray:
+    """``dgtsv`` in place on finite inputs, with solve_banded's errors."""
+    _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
 def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with bands (dl, d, du) for right side b.
@@ -36,12 +50,29 @@ def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     ValueError on non-finite input and LinAlgError on a singular system.
     """
     _check_finite(dl, d, du, b)
-    _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    return _gtsv(dl, d, du, b)
+
+
+def _packed_system(N: int) -> tuple[np.ndarray, tuple]:
+    """An uninitialised tridiagonal system of N unknowns in one (4N-2)-long
+    buffer, and its four views (dl, d, du, b) in ``_solve_tridiag``'s
+    order, for the caller to fill and hand to ``_solve_packed``."""
+    system = np.empty(4 * N - 2)
+    return system, _packed_views(system)
+
+
+def _packed_views(system: np.ndarray) -> tuple:
+    N = (system.size + 2) // 4
+    return (system[:N - 1], system[N - 1:2 * N - 1],
+            system[2 * N - 1:3 * N - 2], system[3 * N - 2:])
+
+
+def _solve_packed(system: np.ndarray) -> np.ndarray:
+    """``_solve_tridiag`` of a system from ``_packed_system``, checked for
+    finiteness in one pass over the whole buffer; the solution is a view
+    into it."""
+    _check_finite(system)
+    return _gtsv(*_packed_views(system))
 
 
 def _factor_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:

@@ -205,6 +205,22 @@ def test_mod_time_shift_uses_branch_lambda(delayed_trace):
     assert res.eta == pytest.approx(so.eta)
 
 
+@pytest.mark.parametrize("count", [None, 1, 2, 5, 9])
+def test_shifted_c01_equals_extract_coefficient_limit_bitwise(bump_trace_07,
+                                                              count):
+    # the secant's tail-only coefficient against extract_coefficient on the
+    # fully shifted trace, down to a single snapshot
+    params, trace = bump_trace_07
+    if count is not None:
+        trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    c_of = asy._shifted_c01(trace, params)
+    for tau0 in (0.0, 1e-3, -0.02, 0.3):
+        view = dataclasses.replace(
+            trace, snapshots=asy._shifted_snapshots(trace, tau0, params))
+        want = asy.extract_coefficient(view, ModeIndex(0, 1), params).limit
+        assert c_of(tau0) == want
+
+
 # ---------------------------------------------------------------------------
 # expansion residual
 # ---------------------------------------------------------------------------

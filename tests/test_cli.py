@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fastdiff_lab
-from fastdiff_lab import cli
+from fastdiff_lab import cli, evolve
 from fastdiff_lab.config import (
     ConfigError,
     ExperimentConfig,
@@ -167,6 +167,43 @@ def test_default_expand_reports_one_backward_euler_step():
     bundle = cli.cmd_expand(ExperimentConfig().validate())
     assert bundle.summary["backward_euler_steps"] == 1
     assert cli.cmd_evolve(fast_cfg()).summary["backward_euler_steps"] == 1
+
+
+@pytest.mark.parametrize("command", [cli.cmd_evolve, cli.cmd_expand])
+def test_summary_records_newton_iterations(command):
+    cfg = fast_cfg()
+    s = command(cfg).summary
+    steps = round(cfg.time.t_final / cfg.time.dt)
+    assert 0 <= s["zero_newton_steps"] <= steps
+    assert 1 <= s["max_newton_iterations"] <= evolve.NEWTON_MAXITER
+    assert s["max_newton_iterations"] <= s["newton_iterations"] \
+        <= steps * s["max_newton_iterations"]
+
+
+def _selftest_results(seconds):
+    from fastdiff_lab.selftest import CheckResult
+    return [CheckResult("1-eigenvalues", "n=3 m=0.6667 mode=(0,1)", 1e-4,
+                        "<= 0.01", True),
+            CheckResult("1-eigenvalues", "n=3 m=0.6667 runtime_s", seconds,
+                        "< 10", True),
+            CheckResult("3-leading-rate", "n=1 m=0.5 runtime_s", 2 * seconds,
+                        "< 120", True)]
+
+
+def test_selftest_csv_leaves_wall_clock_seconds_to_the_summary(monkeypatch):
+    from fastdiff_lab import selftest
+    bundles = []
+    for seconds in (0.25, 7.5):
+        monkeypatch.setattr(selftest, "run_selftest",
+                            lambda fast, s=seconds: _selftest_results(s))
+        bundle, ok = cli.cmd_selftest(ExperimentConfig().validate())
+        assert ok
+        bundles.append(bundle)
+    first, second = (b.table("checks").to_csv() for b in bundles)
+    assert first == second
+    assert first.splitlines()[2] == "1-eigenvalues,n=3 m=0.6667 runtime_s,,< 10,true"
+    assert bundles[1].summary["runtime_s"] == {
+        "1-eigenvalues n=3 m=0.6667": 7.5, "3-leading-rate n=1 m=0.5": 15.0}
 
 
 def test_b_other_than_one_is_a_config_error():

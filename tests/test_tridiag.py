@@ -8,7 +8,13 @@ from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
-from fastdiff_lab.tridiag import _factor_tridiag, _solve_factored, _solve_tridiag
+from fastdiff_lab.tridiag import (
+    _factor_tridiag,
+    _packed_system,
+    _solve_factored,
+    _solve_packed,
+    _solve_tridiag,
+)
 
 from conftest import gaussian_profile
 
@@ -26,6 +32,14 @@ def random_system(N, seed):
     return dl, d, du, b
 
 
+def packed(dl, d, du, b):
+    """The system in the one buffer ``_solve_packed`` solves."""
+    system, views = _packed_system(d.size)
+    for view, a in zip(views, (dl, d, du, b)):
+        view[:] = a
+    return system
+
+
 def banded(dl, d, du):
     ab = np.zeros((3, d.size))
     ab[0, 1:] = du
@@ -41,6 +55,7 @@ def test_matches_solve_banded_bitwise(N, seed):
     expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     got = _solve_tridiag(dl.copy(), d.copy(), du.copy(), b.copy())
     assert np.array_equal(got, expected)
+    assert np.array_equal(_solve_packed(packed(dl, d, du, b)), expected)
 
 
 @pytest.mark.parametrize("which", range(4))
@@ -52,6 +67,8 @@ def test_non_finite_input_raises_like_solve_banded(which, bad):
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _solve_packed(packed(dl, d, du, b))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         _solve_tridiag(dl, d, du, b)
 
 
@@ -61,6 +78,8 @@ def test_singular_system_raises_like_solve_banded():
     d[7] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _solve_packed(packed(dl, d, du, b))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         _solve_tridiag(dl, d, du, b)
 
@@ -143,6 +162,29 @@ def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33):
         state = evolve.step_nonlinear(state, dt)
         w_oracle = _newton_be_solve_banded(ws, w_oracle, dt, 0.0)
         assert np.array_equal(state.w.values, w_oracle)
+
+
+def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33):
+    # evolve.run: one BE step starts the history, then BDF2 steps solve
+    # W = base + (2/3) dt R(W), base = (4/3) w_n - (1/3) w_{n-1}, rounded
+    # as (4 w_n - w_{n-1}) / 3
+    grid = geo.make_grid(12.0, 600)
+    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+    ws = evolve._workspace(grid, params33)
+    dt, steps = 4e-3, 20
+    trace = evolve.run(state, dt, steps * dt,
+                       evolve.RecordOptions(snapshot_every=1))
+    assert trace.backward_euler_steps == 1
+    prev = state.w.values.copy()
+    w = _newton_be_solve_banded(ws, prev, dt, 0.0)
+    oracle = [prev, w]
+    for _ in range(steps - 1):
+        base = (4.0 * w - prev) / 3.0
+        prev, w = w, _newton_be_solve_banded(ws, base, 2.0 * dt / 3.0, 0.0)
+        oracle.append(w)
+    assert len(trace.snapshots) == len(oracle)
+    for (_, got), want in zip(trace.snapshots, oracle):
+        assert np.array_equal(got, want)
 
 
 def test_step_linear_bitwise_equal_to_solve_banded(grid12, params33):

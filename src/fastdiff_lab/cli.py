@@ -8,14 +8,12 @@ Exit codes: 0 success, 2 config validation, 3 solver or analysis failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 import traceback
 
 import numpy as np
 
-from . import asymptotics, closedform, evolve, geometry, linop
+from . import _pool, asymptotics, closedform, evolve, geometry, linop
 from .asymptotics import AnalysisError
 from .closedform import ModeIndex, derive_params
 from .config import (
@@ -146,11 +144,24 @@ def cmd_spectrum(cfg: ExperimentConfig) -> ReportBundle:
         disc_rows,
     )
     matched = [r for r in disc_rows if r[6] != ""]
+    found = {(r[0], r[3], r[4]) for r in matched}
+    solved = {(r[0], r[1]) for r in disc_rows}
+    # a closed-form mode no eigenvalue matched, with its gap to the
+    # continuum: its eigenfunction decays like exp(-sqrt(gap) s), so a
+    # decay length near s_max or beyond leaves it unresolved
+    unmatched = []
+    for eta, ell, k, lam in closed_rows:
+        if (eta, ell) in solved and (eta, ell, k) not in found:
+            gap = float(lam - closedform.essential_threshold(ell, eta, params))
+            unmatched.append({"eta": eta, "ell": ell, "k": k, "lambda": lam,
+                              "gap": gap,
+                              "decay_length": gap ** -0.5 if gap > 0 else None})
     bundle.summary = {
         "p": params.p,
         "eta_cr": params.eta_cr,
         "matched_count": len(matched),
         "max_match_error": max((abs(r[6]) for r in matched), default=None),
+        "unmatched": unmatched,
     }
     return bundle
 
@@ -331,18 +342,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
     ms = cfg.analysis.sweep_m
     if not ms:
         raise ConfigError("analysis.sweep_m: sweep requires a list of m values")
-    jobs = cfg.jobs or os.cpu_count() or 1
     tasks = [(i, cfg.to_dict(), mm) for i, mm in enumerate(ms)]
-    results = {}
-    if jobs == 1 or len(tasks) == 1:
-        for task in tasks:
-            results[task[0]] = _run_sweep_item(task)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_run_sweep_item, t): t[0] for t in tasks}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    rows = [results[i] for i in range(len(ms))]  # input order, not completion
+    rows = _pool.map_ordered(_run_sweep_item, tasks, cfg.jobs)
     bundle = ReportBundle("sweep", cfg.to_dict())
     bundle.add_table("gamma_delta",
                      ["index", "m", "p", "gamma_measured", "gamma_closed",

@@ -95,6 +95,9 @@ class PositivityError(EvolveError):
         self.node = node
         self.value = value
 
+    def __reduce__(self):  # pickle rebuilds from (node, value), not the message
+        return type(self), (self.node, self.value)
+
 
 class NewtonError(EvolveError):
     pass

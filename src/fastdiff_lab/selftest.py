@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import affine, asymptotics, closedform, evolve, geometry, linop
+from . import _pool, affine, asymptotics, closedform, evolve, geometry, linop
 from .asymptotics import WindowPolicy
 from .closedform import ModeIndex, derive_params
 
@@ -88,101 +88,141 @@ def criterion_2_residuals(fast: bool = False) -> list[CheckResult]:
     return results
 
 
-@lru_cache(maxsize=4)
-def _rate_trace(n, m, fast, seed=7):
-    """The mass-projected bump run of criteria 3, 7 and 11.
+RATE_CASES = ((3, 2.0 / 3.0), (1, 0.5))
 
-    Computed once per (n, m, fast, seed) and shared between the three, so
-    its arrays are read-only.
-    """
+
+def _rate_trace(case):
+    """One mass-projected bump run of criteria 3, 7 and 11 (a pool worker):
+    its parameters, comparison envelope, trace and compute seconds."""
+    n, m, fast = case
+    t0 = time.perf_counter()
     params = derive_params(n, m)
     grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    state0 = evolve.bump_data(grid, 0.05, seed=seed, params=params)
+    state0 = evolve.bump_data(grid, 0.05, seed=7, params=params)
     dt = 2e-3 if fast else 1e-3
     trace = evolve.run(state0, dt, 3.0,
                        evolve.RecordOptions(record_every=5))
-    for arr in (state0.w.values, trace.times, trace.sup, trace.mass_defect,
-                trace.energy, trace.min_v, trace.max_v,
-                *trace.weighted.values()):
-        arr.flags.writeable = False
-    return params, state0, trace
+    env = evolve.comparison_envelope(state0, params)
+    return params, env, trace, time.perf_counter() - t0
+
+
+@lru_cache(maxsize=2)
+def _rate_traces(fast):
+    """The runs of ``_rate_trace`` for RATE_CASES, keyed by (n, m).
+
+    Computed once per resolution, in parallel, and shared between
+    criteria 3, 7 and 11, so their arrays are read-only.
+    """
+    runs = _pool.map_ordered(_rate_trace, [(n, m, fast) for n, m in RATE_CASES])
+    for _, _, trace, _ in runs:
+        for arr in (trace.times, trace.sup, trace.mass_defect, trace.energy,
+                    trace.min_v, trace.max_v, *trace.weighted.values()):
+            arr.flags.writeable = False
+    return dict(zip(RATE_CASES, runs))
 
 
 def criterion_3_leading_rate(fast: bool = False) -> list[CheckResult]:
     """Mass-projected nonlinear runs decay at lambda_01 = -2p within 5%."""
     results = []
-    for (n, m) in ((3, 2.0 / 3.0), (1, 0.5)):
-        t0 = time.time()
-        params, _, trace = _rate_trace(n, m, fast)
+    for (n, m), (params, _, trace, seconds) in _rate_traces(fast).items():
         fit = asymptotics.fit_rate(trace.times, trace.sup / trace.sup.max())
         rel = abs(fit.slope / (-2.0 * params.p) - 1.0)
         results.append(CheckResult(
             "3-leading-rate", f"n={n} m={m:.4g} slope={fit.slope:.4f}",
             rel, "<= 0.05", rel <= 0.05))
-        elapsed = time.time() - t0
         results.append(CheckResult(
-            "3-leading-rate", f"n={n} m={m:.4g} runtime_s", elapsed,
-            "< 120", elapsed < 120.0))
+            "3-leading-rate", f"n={n} m={m:.4g} runtime_s", seconds,
+            "< 120", seconds < 120.0))
     return results
+
+
+def _semigroup_modes(eta, params):
+    """The l=0 modes above the continuum that criterion 4 projects off."""
+    return [md for md, lam in closedform.admissible_modes(eta, params)
+            if md.ell == 0 and lam > closedform.essential_threshold(0, eta, params)]
+
+
+def _semigroup_slope(item):
+    """Fitted slope of one criterion-4 Crank-Nicolson decay (a pool worker):
+    the bump with the modes above the continuum projected off or, given
+    ``mode``, that normalized eigenfunction."""
+    fast, eta, mode = item
+    params = derive_params(3, 2.0 / 3.0)
+    grid = geometry.make_grid(12.0, 600 if fast else 1200)
+    s = grid.nodes
+    dt = 4e-3 if fast else 2e-3
+    op = linop.assemble(0, eta, grid, params)
+    if mode is None:
+        f0 = geometry.GridFunction(grid, 0,
+                                   np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
+        return linop.semigroup_decay(
+            op, f0, _semigroup_modes(eta, params), 5.0, dt, params,
+            policy=WindowPolicy(value_lo=1e-9, value_hi=1e-4)).slope
+    wv = np.cosh(s) ** (-eta) * closedform.eigenfunction_v(mode, s, params)
+    fe = geometry.GridFunction(grid, 0, wv / np.max(np.abs(wv)))
+    return linop.semigroup_decay(op, fe, [], 2.0, dt, params,
+                                 policy=WindowPolicy(1e-5, 0.5)).slope
 
 
 def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
     """Projected linear decay attains c_inf(eta); eigen-components are slower."""
     results = []
     params = derive_params(3, 2.0 / 3.0)
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    s = grid.nodes
-    dt = 4e-3 if fast else 2e-3
-    policy = WindowPolicy(value_lo=1e-9, value_hi=1e-4)
-    for eta in (0.0, params.eta_cr / 2.0, params.eta_cr):
-        op = linop.assemble(0, eta, grid, params)
+    etas = (0.0, params.eta_cr / 2.0, params.eta_cr)
+    # a retained eigen-component must decay strictly slower
+    slow = {eta: [md for md in _semigroup_modes(eta, params)
+                  if closedform.eigenvalue(md, params) < 0][-1:]
+            for eta in etas}
+    # the bump runs (to t = 5) first, then the eigenfunction runs (to t = 2)
+    items = [(fast, eta, None) for eta in etas] + [
+        (fast, eta, md) for eta in etas for md in slow[eta]]
+    slopes = dict(zip(items, _pool.map_ordered(_semigroup_slope, items)))
+    for eta in etas:
         cinf = closedform.potential_profile(eta, params)["c_inf"]
-        modes = [md for md, lam in closedform.admissible_modes(eta, params)
-                 if md.ell == 0 and lam > closedform.essential_threshold(0, eta, params)]
-        f0 = geometry.GridFunction(grid, 0,
-                                   np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
-        fit = linop.semigroup_decay(op, f0, modes, 5.0, dt, params, policy=policy)
+        slope = slopes[fast, eta, None]
         hi = cinf + 0.05 * abs(cinf)
         lo = cinf - 0.10 * abs(cinf)
         results.append(CheckResult(
-            "4-semigroup", f"eta={eta:.3g} slope={fit.slope:.4f} (c_inf={cinf:.4f})",
-            fit.slope, f"[{lo:.4f}, {hi:.4f}]", lo <= fit.slope <= hi))
-        # a retained eigen-component must decay strictly slower
-        slow = [md for md in modes if closedform.eigenvalue(md, params) < 0]
-        if slow:
-            md = slow[-1]
-            wv = np.cosh(s) ** (-eta) * closedform.eigenfunction_v(md, s, params)
-            fe = geometry.GridFunction(grid, 0, wv / np.max(np.abs(wv)))
-            fit_e = linop.semigroup_decay(op, fe, [], 2.0, dt, params,
-                                          policy=WindowPolicy(1e-5, 0.5))
+            "4-semigroup", f"eta={eta:.3g} slope={slope:.4f} (c_inf={cinf:.4f})",
+            slope, f"[{lo:.4f}, {hi:.4f}]", lo <= slope <= hi))
+        for md in slow[eta]:
+            slope_e = slopes[fast, eta, md]
             results.append(CheckResult(
                 "4-semigroup",
-                f"eta={eta:.3g} eigen ({md.ell},{md.k}) slope={fit_e.slope:.4f}",
-                fit_e.slope - fit.slope, "> 0 (strictly slower)",
-                fit_e.slope > fit.slope + 0.02))
+                f"eta={eta:.3g} eigen ({md.ell},{md.k}) slope={slope_e:.4f}",
+                slope_e - slope, "> 0 (strictly slower)",
+                slope_e > slope + 0.02))
     return results
+
+
+def _second_order_gamma(case):
+    """gamma from the time-shift-modded weighted slope of one criterion-5
+    run (a pool worker)."""
+    m, dt, t_final, policy, count = case
+    params = derive_params(3, m)
+    grid = geometry.make_grid(12.0, count)
+    state0 = evolve.bump_data(grid, 0.05, seed=11, params=params,
+                              centers=(3.0, 7.0))
+    trace = evolve.run(state0, dt, t_final,
+                       evolve.RecordOptions(record_every=4, snapshot_every=4))
+    shift = asymptotics.mod_time_shift(trace, params, policy=policy)
+    return shift.shifted_rate.slope / (-2.0 * params.p)
 
 
 def criterion_5_second_order(fast: bool = False) -> list[CheckResult]:
     """gamma from the time-shift-modded weighted slope within 10%."""
     results = []
     cases = [
-        (0.7, 5e-4, 3.2, WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8)),
-        (0.9, 1e-4, 0.7, WindowPolicy()),
+        (0.7, 5e-4, 3.2, WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8),
+         1200),
+        (0.9, 1e-4, 0.7, WindowPolicy(), 1200),
     ]
     if fast:
         cases = [(0.7, 1e-3, 3.0,
-                  WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8))]
-    for (m, dt, t_final, policy) in cases:
-        params = derive_params(3, m)
-        grid = geometry.make_grid(12.0, 600 if fast else 1200)
-        state0 = evolve.bump_data(grid, 0.05, seed=11, params=params,
-                                  centers=(3.0, 7.0))
-        trace = evolve.run(state0, dt, t_final,
-                           evolve.RecordOptions(record_every=4, snapshot_every=4))
-        shift = asymptotics.mod_time_shift(trace, params, policy=policy)
-        gamma = shift.shifted_rate.slope / (-2.0 * params.p)
-        want = closedform.second_order_rates(params).gamma
+                  WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8), 600)]
+    for case, gamma in zip(cases, _pool.map_ordered(_second_order_gamma, cases)):
+        m = case[0]
+        want = closedform.second_order_rates(derive_params(3, m)).gamma
         rel = abs(gamma - want) / want
         results.append(CheckResult(
             "5-second-order", f"m={m} gamma={gamma:.4f} vs {want:.4f}",
@@ -190,33 +230,54 @@ def criterion_5_second_order(fast: bool = False) -> list[CheckResult]:
     return results
 
 
-def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
-    """Convergence orders vs the delayed Barenblatt: BE dt ~ 1.0, BDF2 dt ~
-    2.0, h ~ 2.0."""
+def _manufactured_error(item):
+    """Max error at t = 1 against the delayed Barenblatt of one criterion-6
+    run (a pool worker): ``kind`` "be" loops backward-Euler steps, "bdf2"
+    runs evolve.run."""
+    kind, count, dt = item
     params = derive_params(3, 2.0 / 3.0)
     tau0, bplus = 0.15, 1.0
+    grid = geometry.make_grid(12.0, count)
 
     def boundary(t):
         E = np.exp(2 * params.p * t)
         theta = (E / (E + 2 * params.p * tau0)) ** params.beta
         return theta ** (-params.p) - 1.0
 
-    def exact(grid, t):
+    def exact(t):
         return closedform.delayed_barenblatt_v(t, grid.nodes, tau0, bplus,
                                                params) - 1.0
 
-    def state0(grid):
-        return evolve.EvolutionState(
-            0.0, geometry.GridFunction(grid, 0, exact(grid, 0.0)), params)
-
-    def run_error(grid, dt):
-        """Max error at t = 1 of evolve.run (BDF2)."""
-        steps = int(round(1.0 / dt))
-        trace = evolve.run(state0(grid), dt, 1.0,
+    st = evolve.EvolutionState(0.0, geometry.GridFunction(grid, 0, exact(0.0)),
+                               params)
+    steps = int(round(1.0 / dt))
+    if kind == "be":
+        for _ in range(steps):
+            st = evolve.step_nonlinear(st, dt, boundary=boundary)
+        w = st.w.values
+    else:
+        trace = evolve.run(st, dt, 1.0,
                            evolve.RecordOptions(record_every=steps,
                                                 snapshot_every=steps),
                            boundary=boundary)
-        return float(np.max(np.abs(trace.snapshots[-1][1] - exact(grid, 1.0))))
+        w = trace.snapshots[-1][1]
+    return float(np.max(np.abs(w - exact(1.0))))
+
+
+def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
+    """Convergence orders vs the delayed Barenblatt: BE dt ~ 1.0, BDF2 dt ~
+    2.0, h ~ 2.0."""
+    count = 600 if fast else 1200
+    be_dts = (2e-2, 1e-2) if fast else (2e-2, 1e-2, 5e-3)
+    # the time error of the finer step stays >= 4x the spatial floor of the
+    # grid (about 8.6e-5 at h = 0.02, 2.2e-5 at h = 0.01)
+    bdf2_dts = (5e-2, 2.5e-2) if fast else (4e-2, 2e-2)
+    counts = (150, 300) if fast else (150, 300, 600)
+    # costliest runs first, so that the workers finish close together
+    items = ([("bdf2", c, 2.5e-3) for c in counts[::-1]]
+             + [("be", count, dt) for dt in be_dts[::-1]]
+             + [("bdf2", count, dt) for dt in bdf2_dts[::-1]])
+    errs = dict(zip(items, _pool.map_ordered(_manufactured_error, items)))
 
     def order_rows(label, steps, errs, want, tol):
         rows = []
@@ -227,40 +288,23 @@ def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
                 order, f"{want} +- {tol}", abs(order - want) <= tol))
         return rows
 
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    errs = []
-    dts = (2e-2, 1e-2) if fast else (2e-2, 1e-2, 5e-3)
-    for dt in dts:
-        st = state0(grid)
-        for _ in range(int(round(1.0 / dt))):
-            st = evolve.step_nonlinear(st, dt, boundary=boundary)
-        errs.append(float(np.max(np.abs(st.w.values - exact(grid, 1.0)))))
-    results = order_rows("dt-order", dts, errs, 1.0, 0.2)
-
-    # the time error of the finer step stays >= 4x the spatial floor of the
-    # grid (about 8.6e-5 at h = 0.02, 2.2e-5 at h = 0.01)
-    dts = (5e-2, 2.5e-2) if fast else (4e-2, 2e-2)
-    results += order_rows("BDF2 dt-order", dts,
-                          [run_error(grid, dt) for dt in dts], 2.0, 0.3)
-
-    counts = (150, 300) if fast else (150, 300, 600)
-    herrs = [run_error(geometry.make_grid(12.0, count), 2.5e-3)
-             for count in counts]
-    results += order_rows("h-order", [12 / c for c in counts], herrs, 2.0, 0.3)
-    return results
+    return (order_rows("dt-order", be_dts,
+                       [errs["be", count, dt] for dt in be_dts], 1.0, 0.2)
+            + order_rows("BDF2 dt-order", bdf2_dts,
+                         [errs["bdf2", count, dt] for dt in bdf2_dts], 2.0, 0.3)
+            + order_rows("h-order", [12 / c for c in counts],
+                         [errs["bdf2", c, 2.5e-3] for c in counts], 2.0, 0.3))
 
 
 def criterion_7_conservation(fast: bool = False) -> list[CheckResult]:
     """Mass drift <= 1e-6 per unit time; extrema inside the envelope."""
     results = []
-    for (n, m) in ((3, 2.0 / 3.0), (1, 0.5)):
-        params, state0, trace = _rate_trace(n, m, fast)
+    for (n, m), (_, env, trace, _) in _rate_traces(fast).items():
         drift = float(np.max(np.abs(trace.mass_defect - trace.mass_defect[0])))
         per_t = drift / (trace.times[-1] - trace.times[0])
         results.append(CheckResult(
             "7-conservation", f"n={n} m={m:.4g} mass drift/time",
             per_t, "<= 1e-6", per_t <= 1e-6))
-        env = evolve.comparison_envelope(state0, params)
         inside = bool(trace.min_v.min() >= env.lower - 1e-12
                       and trace.max_v.max() <= env.upper + 1e-12)
         results.append(CheckResult(
@@ -270,29 +314,42 @@ def criterion_7_conservation(fast: bool = False) -> list[CheckResult]:
     return results
 
 
-def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
-    """Eigenmode amplitude recovered within 5%; k = 0 series flat to 1e-6."""
+COEFFICIENT_EPS = 0.02  # criterion 8's eigenmode amplitude
+
+
+def _coefficient_run(item):
+    """One criterion-8 run (a pool worker): the recovered (0,1) amplitude
+    limit of an eigenmode run, or the relative oscillation of the k = 0
+    series of a bump run."""
+    kind, count = item
     params = derive_params(3, 2.0 / 3.0)
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    eps = 0.02
-    state0 = evolve.eigenmode_data(grid, ModeIndex(0, 1), eps, params)
-    trace = evolve.run(state0, 1e-3, 0.6,
-                       evolve.RecordOptions(record_every=5, snapshot_every=5))
-    rec = asymptotics.extract_coefficient(trace, ModeIndex(0, 1), params)
-    rel = abs(rec.limit - eps) / eps
-    results = [CheckResult("8-coefficients",
-                           f"amplitude recovery limit={rec.limit:.5f}",
-                           rel, "<= 0.05", rel <= 0.05)]
+    grid = geometry.make_grid(12.0, count)
+    if kind == "amplitude":
+        state0 = evolve.eigenmode_data(grid, ModeIndex(0, 1), COEFFICIENT_EPS,
+                                       params)
+        trace = evolve.run(state0, 1e-3, 0.6,
+                           evolve.RecordOptions(record_every=5, snapshot_every=5))
+        return asymptotics.extract_coefficient(trace, ModeIndex(0, 1),
+                                               params).limit
     state1 = evolve.bump_data(grid, 0.05, seed=3, params=params,
                               project_mass=False)
     trace1 = evolve.run(state1, 1e-3, 1.0,
                         evolve.RecordOptions(record_every=10, snapshot_every=10))
-    rec0 = asymptotics.extract_coefficient(trace1, ModeIndex(0, 0), params)
-    c = rec0.estimates[:, 1]
-    flat = float((c.max() - c.min()) / abs(c.mean()))
-    results.append(CheckResult("8-coefficients", "k=0 series oscillation",
-                               flat, "<= 1e-6", flat <= 1e-6))
-    return results
+    c = asymptotics.extract_coefficient(trace1, ModeIndex(0, 0),
+                                        params).estimates[:, 1]
+    return float((c.max() - c.min()) / abs(c.mean()))
+
+
+def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
+    """Eigenmode amplitude recovered within 5%; k = 0 series flat to 1e-6."""
+    count = 600 if fast else 1200
+    limit, flat = _pool.map_ordered(
+        _coefficient_run, [("amplitude", count), ("k0", count)])
+    rel = abs(limit - COEFFICIENT_EPS) / COEFFICIENT_EPS
+    return [CheckResult("8-coefficients", f"amplitude recovery limit={limit:.5f}",
+                        rel, "<= 0.05", rel <= 0.05),
+            CheckResult("8-coefficients", "k=0 series oscillation",
+                        flat, "<= 1e-6", flat <= 1e-6)]
 
 
 def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
@@ -334,7 +391,7 @@ def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
 def criterion_11_energy(fast: bool = False) -> list[CheckResult]:
     """E(t) of a mass-projected small run decays at 2 lambda_01 within 10%."""
     results = []
-    params, _, trace = _rate_trace(3, 2.0 / 3.0, fast)
+    params, _, trace, _ = _rate_traces(fast)[3, 2.0 / 3.0]
     fit = asymptotics.fit_rate(trace.times, trace.energy / trace.energy.max(),
                                WindowPolicy(value_lo=1e-12, value_hi=1e-2))
     target = 2.0 * (-2.0 * params.p)

@@ -121,6 +121,25 @@ def test_cmd_spectrum():
     assert bundle.summary["max_match_error"] <= 1e-2
 
 
+def test_spectrum_names_the_modes_it_leaves_unmatched():
+    # p = 2.03: lambda_01 and lambda_20 sit 2.3e-4 above their continua at
+    # eta_cr, so their eigenfunctions decay over s ~ 66, far past s_max = 12
+    cfg = apply_overrides(ExperimentConfig(), model={"m": 0.6024},
+                          grid={"count": 600}).validate()
+    summary = cli.cmd_spectrum(cfg).summary
+    assert summary["matched_count"] == 4
+    unmatched = summary["unmatched"]
+    assert [(u["ell"], u["k"]) for u in unmatched] == [(0, 1), (2, 0)]
+    params = cli._params(cfg)
+    for u, lam in zip(unmatched, (-4.0604, -10.060)):
+        assert u["eta"] == params.eta_cr
+        assert u["lambda"] == pytest.approx(lam, abs=1e-3)
+        assert u["gap"] == pytest.approx(2.277e-4, rel=1e-3)
+        assert u["decay_length"] == pytest.approx(u["gap"] ** -0.5)
+        assert u["decay_length"] > cfg.grid.s_max
+    assert cli.cmd_spectrum(fast_cfg()).summary["unmatched"] == []
+
+
 def test_cmd_modes():
     bundle = cli.cmd_modes(fast_cfg())
     names = {r[0] for r in bundle.table("landmarks").rows}
@@ -291,6 +310,8 @@ def test_cmd_sweep_parallel_matches_serial():
     serial = cli.cmd_sweep(config_from_dict({**base, "jobs": 1}).validate())
     parallel = cli.cmd_sweep(config_from_dict({**base, "jobs": 2}).validate())
     assert serial.table("gamma_delta").rows == parallel.table("gamma_delta").rows
+    assert serial.table("gamma_delta").to_csv() == \
+        parallel.table("gamma_delta").to_csv()
 
 
 # ---------------------------------------------------------------------------

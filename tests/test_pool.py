@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ def test_pooled_worker_positivity_error_reaches_the_caller():
 
 def _index_after_wait(item):
     """A pool worker: sleeps so that later items finish first."""
-    import time
     index, wait = item
     time.sleep(wait)
     return index, os.getpid()

@@ -1,4 +1,5 @@
-"""One ordered process map for independent solves (selftest criteria, sweep).
+"""One ordered process map for independent solves: the selftest criteria's
+schedule (one call per resolution) and sweep.
 
 Workers are forked, so they inherit the imported numpy and scipy instead of
 importing them again (a spawned or forkserver worker pays about 0.5 s for
@@ -6,7 +7,10 @@ that).  A fork copies only the calling thread; the package starts no
 threads of its own, and the pool forks all its workers before it starts its
 manager thread.  The pool is created inside ``map_ordered`` and closed
 before it returns, so no worker outlives a call and importing this module
-starts nothing.
+starts nothing.  Each call pays for creating and closing its pool (about
+16 ms for two workers), so a caller with many solves hands them over in
+one call; the selftest schedule returns each solve's exception as a value,
+so that the criterion owning that solve raises it.
 """
 
 from __future__ import annotations

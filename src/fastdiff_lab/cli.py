@@ -235,7 +235,8 @@ def _newton_work(trace) -> dict:
     return {"backward_euler_steps": trace.backward_euler_steps,
             "newton_iterations": trace.newton_iterations,
             "max_newton_iterations": trace.max_newton_iterations,
-            "zero_newton_steps": trace.zero_newton_steps}
+            "zero_newton_steps": trace.zero_newton_steps,
+            "dt_halvings": trace.dt_halvings}
 
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:

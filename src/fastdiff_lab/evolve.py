@@ -16,8 +16,9 @@ holds to the boundary-flux level rather than to quadrature error.
 
 The building block is a backward-Euler (BE) step solved by a damped
 tridiagonal Newton iteration, ``step_nonlinear``: first order in time,
-unconditionally stable, and on Newton failure it halves dt.  ``run`` steps
-with ``step_bdf2``, the second-order backward differentiation formula (BDF2)
+unconditionally stable, and on Newton failure it halves dt (counted in
+``dt_halvings``).  ``run`` steps with ``step_bdf2``, the second-order
+backward differentiation formula (BDF2)
 
     W = (4/3) w_n - (1/3) w_{n-1} + (2/3) dt R(W),
 
@@ -108,8 +109,10 @@ class EvolutionState:
     t: float
     w: GridFunction
     params: ModelParams
-    # Newton iterations of the step that produced this state
+    # Newton iterations of the step that produced this state, and the times
+    # it halved dt after a failed Newton solve
     newton_iterations: int = 0
+    dt_halvings: int = 0
 
     def __post_init__(self):
         if self.w.ell != 0:
@@ -304,6 +307,7 @@ def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
         half = step_nonlinear(state, dt / 2.0, boundary, _depth + 1)
         full = step_nonlinear(half, dt / 2.0, boundary, _depth + 1)
         full.newton_iterations += half.newton_iterations
+        full.dt_halvings += half.dt_halvings + 1
         return full
     return EvolutionState(t=t_new, w=state.w.with_values(W),
                           params=state.params, newton_iterations=iterations)
@@ -406,6 +410,8 @@ class EvolutionTrace:
     newton_iterations: int = 0
     max_newton_iterations: int = 0
     zero_newton_steps: int = 0
+    # times a backward-Euler step halved dt after a failed Newton solve
+    dt_halvings: int = 0
 
 
 def run(state0: EvolutionState, dt: float, t_final: float,
@@ -435,7 +441,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
                 step_index % record.snapshot_every == 0:
             snapshots.append((state.t, state.w.values.copy()))
 
-    state, prev, be_steps = state0, None, 0
+    state, prev, be_steps, halvings = state0, None, 0, 0
     iterations = []
     observe(state, 0)
     for j in range(1, steps + 1):
@@ -448,6 +454,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         if new is None:
             new = step_nonlinear(state, dt, boundary)
             be_steps += 1
+            halvings += new.dt_halvings
         prev, state = state, new
         iterations.append(state.newton_iterations)
         if j % record.record_every == 0 or j == steps:
@@ -463,6 +470,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         newton_iterations=sum(iterations),
         max_newton_iterations=max(iterations, default=0),
         zero_newton_steps=iterations.count(0),
+        dt_halvings=halvings,
     )
 
 

@@ -312,6 +312,23 @@ class SpectrumReport:
     entries: list[SpectrumEntry]
 
 
+def _drift_hint(op: TridiagonalOperator) -> str:
+    """The grid count that keeps the g-frame rows' signs, when the grid is
+    too coarse for it: the drift (2l-p-2) tanh(s)/(2h) stays below the
+    1/h^2 diffusion once h < 2/|2l-p-2| (2/(p+2) at l = 0)."""
+    c_pow = abs(2.0 * op.ell - op.params.p - 2.0)
+    grid = op.grid
+    if grid.h * c_pow < 2.0:
+        return ""
+    count = int(grid.s_max * c_pow / 2.0) + 1
+    while grid.s_max / count * c_pow >= 2.0:  # rounding at the edge
+        count += 1
+    return (f" for l={op.ell}, eta={op.eta:.6g}, p={op.params.p:.6g}: "
+            f"the drift needs h < 2/|2l-p-2| = {2.0 / c_pow:.6g}, not "
+            f"h={grid.h:g}; the smallest count with that on "
+            f"s_max={grid.s_max:g} is {count}")
+
+
 def top_eigenvalues(op: TridiagonalOperator, count: int,
                     match_tol: float = 0.1) -> SpectrumReport:
     """Largest `count` discrete eigenvalues, matched against closed form.
@@ -331,7 +348,7 @@ def top_eigenvalues(op: TridiagonalOperator, count: int,
     if np.any(offdiag2 <= 0.0):
         raise EigensolveError(
             "off-diagonal products not positive; symmetrization failed "
-            f"(min product {offdiag2.min()})"
+            f"(min product {offdiag2.min()}){_drift_hint(op)}"
         )
     try:
         vals = scipy.linalg.eigh_tridiagonal(

@@ -3,7 +3,9 @@
 CSV dialect: comma-separated, '.' decimal, 17-significant-digit floats,
 header row, newline-terminated rows.  Identical configs (including seeds)
 produce byte-identical CSV bodies; wall time and versions live only in the
-summary's provenance block.
+summary's provenance block, which also names the platform, the git commit
+of the package's checkout (null outside one) and a sha256 of the resolved
+config.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ class ReportBundle:
                 "command": self.command,
                 "summary": self.summary,
                 "provenance": {
-                    "config": self.config,
-                    "code_version": _code_version(),
+                    **_provenance(self.config),
                     "wall_time_s": time.time() - self.started,
                 },
             }
@@ -86,6 +87,50 @@ class ReportBundle:
         return written
 
 
-def _code_version() -> str:
+def _provenance(config: dict) -> dict:
+    """The environment and the config a summary came from."""
+    import hashlib
+    import platform
+
+    import numpy
+    import scipy
+
     from . import __version__
-    return __version__
+    canonical = json.dumps(config, sort_keys=True, default=_fmt)
+    return {
+        "config": config,
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "code_version": __version__,
+        "git_sha": _git_sha(_CHECKOUT),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+    }
+
+
+# the checkout the package runs from, when it runs from src/ of one
+_CHECKOUT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def _git_sha(root: str) -> str | None:
+    """The commit HEAD names in ``root``/.git, read from its files (no git
+    process is started); None when there is none or it cannot be read."""
+    git = os.path.join(root, ".git")
+    try:
+        with open(os.path.join(git, "HEAD")) as fh:
+            head = fh.read().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD holds the commit itself
+        ref = head[len("ref: "):]
+        if os.path.isfile(os.path.join(git, ref)):
+            with open(os.path.join(git, ref)) as fh:
+                return fh.read().strip()
+        with open(os.path.join(git, "packed-refs")) as fh:
+            for line in fh:
+                if line.rstrip().endswith(" " + ref):
+                    return line.split()[0]
+    except OSError:  # no checkout, a .git file (worktree), unborn branch
+        pass
+    return None

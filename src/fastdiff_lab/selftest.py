@@ -4,11 +4,17 @@ Each runner checks one quantitative claim at desk scale and returns
 CheckResult rows.  The full resolutions (fast=False) are the ones the
 acceptance tests pin; fast=True trades grid and horizon for speed in the
 CLI `selftest` subcommand while keeping every comparison structure intact.
+
+The independent solves of criteria 3, 4, 5, 6, 8 and 9 form one schedule
+per resolution (``_schedule``), run longest first through one
+``_pool.map_ordered`` call by the first criterion that needs it and cached
+(``_solves``); each criterion then judges the results it owns.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,25 +112,10 @@ def _rate_trace(case):
     return params, env, trace, time.perf_counter() - t0
 
 
-@lru_cache(maxsize=2)
-def _rate_traces(fast):
-    """The runs of ``_rate_trace`` for RATE_CASES, keyed by (n, m).
-
-    Computed once per resolution, in parallel, and shared between
-    criteria 3, 7 and 11, so their arrays are read-only.
-    """
-    runs = _pool.map_ordered(_rate_trace, [(n, m, fast) for n, m in RATE_CASES])
-    for _, _, trace, _ in runs:
-        for arr in (trace.times, trace.sup, trace.mass_defect, trace.energy,
-                    trace.min_v, trace.max_v, *trace.weighted.values()):
-            arr.flags.writeable = False
-    return dict(zip(RATE_CASES, runs))
-
-
 def criterion_3_leading_rate(fast: bool = False) -> list[CheckResult]:
     """Mass-projected nonlinear runs decay at lambda_01 = -2p within 5%."""
     results = []
-    for (n, m), (params, _, trace, seconds) in _rate_traces(fast).items():
+    for (n, m, _), (params, _, trace, seconds) in _owned(3, fast).items():
         fit = asymptotics.fit_rate(trace.times, trace.sup / trace.sup.max())
         rel = abs(fit.slope / (-2.0 * params.p) - 1.0)
         results.append(CheckResult(
@@ -140,6 +131,22 @@ def _semigroup_modes(eta, params):
     """The l=0 modes above the continuum that criterion 4 projects off."""
     return [md for md, lam in closedform.admissible_modes(eta, params)
             if md.ell == 0 and lam > closedform.essential_threshold(0, eta, params)]
+
+
+def _slow_modes(params):
+    """Criterion 4's weights, each with the retained eigen-component that
+    must decay strictly slower than the projected bump."""
+    return {eta: [md for md in _semigroup_modes(eta, params)
+                  if closedform.eigenvalue(md, params) < 0][-1:]
+            for eta in (0.0, params.eta_cr / 2.0, params.eta_cr)}
+
+
+def _semigroup_items(fast):
+    """Criterion 4's runs: the bump runs (to t = 5) first, then the
+    eigenfunction runs (to t = 2)."""
+    slow = _slow_modes(derive_params(3, 2.0 / 3.0))
+    return [(fast, eta, None) for eta in slow] + [
+        (fast, eta, md) for eta, mds in slow.items() for md in mds]
 
 
 def _semigroup_slope(item):
@@ -168,16 +175,8 @@ def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
     """Projected linear decay attains c_inf(eta); eigen-components are slower."""
     results = []
     params = derive_params(3, 2.0 / 3.0)
-    etas = (0.0, params.eta_cr / 2.0, params.eta_cr)
-    # a retained eigen-component must decay strictly slower
-    slow = {eta: [md for md in _semigroup_modes(eta, params)
-                  if closedform.eigenvalue(md, params) < 0][-1:]
-            for eta in etas}
-    # the bump runs (to t = 5) first, then the eigenfunction runs (to t = 2)
-    items = [(fast, eta, None) for eta in etas] + [
-        (fast, eta, md) for eta in etas for md in slow[eta]]
-    slopes = dict(zip(items, _pool.map_ordered(_semigroup_slope, items)))
-    for eta in etas:
+    slopes = _owned(4, fast)
+    for eta, slow in _slow_modes(params).items():
         cinf = closedform.potential_profile(eta, params)["c_inf"]
         slope = slopes[fast, eta, None]
         hi = cinf + 0.05 * abs(cinf)
@@ -185,7 +184,7 @@ def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
         results.append(CheckResult(
             "4-semigroup", f"eta={eta:.3g} slope={slope:.4f} (c_inf={cinf:.4f})",
             slope, f"[{lo:.4f}, {hi:.4f}]", lo <= slope <= hi))
-        for md in slow[eta]:
+        for md in slow:
             slope_e = slopes[fast, eta, md]
             results.append(CheckResult(
                 "4-semigroup",
@@ -209,18 +208,22 @@ def _second_order_gamma(case):
     return shift.shifted_rate.slope / (-2.0 * params.p)
 
 
-def criterion_5_second_order(fast: bool = False) -> list[CheckResult]:
-    """gamma from the time-shift-modded weighted slope within 10%."""
-    results = []
-    cases = [
+def _second_order_cases(fast):
+    """Criterion 5's runs: (m, dt, t_final, fit window, grid count)."""
+    if fast:
+        return [(0.7, 1e-3, 3.0,
+                 WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8), 600)]
+    return [
         (0.7, 5e-4, 3.2, WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8),
          1200),
         (0.9, 1e-4, 0.7, WindowPolicy(), 1200),
     ]
-    if fast:
-        cases = [(0.7, 1e-3, 3.0,
-                  WindowPolicy(value_lo=1e-9, value_hi=1e-4, t_hi=2.8), 600)]
-    for case, gamma in zip(cases, _pool.map_ordered(_second_order_gamma, cases)):
+
+
+def criterion_5_second_order(fast: bool = False) -> list[CheckResult]:
+    """gamma from the time-shift-modded weighted slope within 10%."""
+    results = []
+    for case, gamma in _owned(5, fast).items():
         m = case[0]
         want = closedform.second_order_rates(derive_params(3, m)).gamma
         rel = abs(gamma - want) / want
@@ -264,20 +267,31 @@ def _manufactured_error(item):
     return float(np.max(np.abs(w - exact(1.0))))
 
 
-def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
-    """Convergence orders vs the delayed Barenblatt: BE dt ~ 1.0, BDF2 dt ~
-    2.0, h ~ 2.0."""
+def _manufactured_steps(fast):
+    """Criterion 6's grid count, backward-Euler and BDF2 steps, and the
+    grid counts of its h-order runs."""
     count = 600 if fast else 1200
     be_dts = (2e-2, 1e-2) if fast else (2e-2, 1e-2, 5e-3)
     # the time error of the finer step stays >= 4x the spatial floor of the
     # grid (about 8.6e-5 at h = 0.02, 2.2e-5 at h = 0.01)
     bdf2_dts = (5e-2, 2.5e-2) if fast else (4e-2, 2e-2)
     counts = (150, 300) if fast else (150, 300, 600)
-    # costliest runs first, so that the workers finish close together
-    items = ([("bdf2", c, 2.5e-3) for c in counts[::-1]]
-             + [("be", count, dt) for dt in be_dts[::-1]]
-             + [("bdf2", count, dt) for dt in bdf2_dts[::-1]])
-    errs = dict(zip(items, _pool.map_ordered(_manufactured_error, items)))
+    return count, be_dts, bdf2_dts, counts
+
+
+def _manufactured_items(fast):
+    """Criterion 6's runs, costliest first."""
+    count, be_dts, bdf2_dts, counts = _manufactured_steps(fast)
+    return ([("bdf2", c, 2.5e-3) for c in counts[::-1]]
+            + [("be", count, dt) for dt in be_dts[::-1]]
+            + [("bdf2", count, dt) for dt in bdf2_dts[::-1]])
+
+
+def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
+    """Convergence orders vs the delayed Barenblatt: BE dt ~ 1.0, BDF2 dt ~
+    2.0, h ~ 2.0."""
+    count, be_dts, bdf2_dts, counts = _manufactured_steps(fast)
+    errs = _owned(6, fast)
 
     def order_rows(label, steps, errs, want, tol):
         rows = []
@@ -299,7 +313,7 @@ def criterion_6_manufactured(fast: bool = False) -> list[CheckResult]:
 def criterion_7_conservation(fast: bool = False) -> list[CheckResult]:
     """Mass drift <= 1e-6 per unit time; extrema inside the envelope."""
     results = []
-    for (n, m), (_, env, trace, _) in _rate_traces(fast).items():
+    for (n, m, _), (_, env, trace, _) in _owned(3, fast).items():
         drift = float(np.max(np.abs(trace.mass_defect - trace.mass_defect[0])))
         per_t = drift / (trace.times[-1] - trace.times[0])
         results.append(CheckResult(
@@ -342,9 +356,7 @@ def _coefficient_run(item):
 
 def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
     """Eigenmode amplitude recovered within 5%; k = 0 series flat to 1e-6."""
-    count = 600 if fast else 1200
-    limit, flat = _pool.map_ordered(
-        _coefficient_run, [("amplitude", count), ("k0", count)])
+    limit, flat = _owned(8, fast).values()
     rel = abs(limit - COEFFICIENT_EPS) / COEFFICIENT_EPS
     return [CheckResult("8-coefficients", f"amplitude recovery limit={limit:.5f}",
                         rel, "<= 0.05", rel <= 0.05),
@@ -352,8 +364,9 @@ def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
                         flat, "<= 1e-6", flat <= 1e-6)]
 
 
-def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
-    """m < m_2: critically weighted linear decay reaches -(p/2+1)^2."""
+def _subcritical_slope(fast):
+    """Fitted slope of criterion 9's critically weighted Crank-Nicolson
+    decay at (3, 0.55) (a pool worker)."""
     params = derive_params(3, 0.55)
     grid = geometry.make_grid(12.0, 600 if fast else 1200)
     s = grid.nodes
@@ -362,11 +375,17 @@ def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
              if md.ell == 0]
     f0 = geometry.GridFunction(
         grid, 0, np.cosh(s) ** (-params.eta_cr) * np.exp(-(s - 1.5) ** 2))
-    fit = linop.semigroup_decay(op, f0, modes, 8.0, 4e-3, params)
+    return linop.semigroup_decay(op, f0, modes, 8.0, 4e-3, params).slope
+
+
+def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
+    """m < m_2: critically weighted linear decay reaches -(p/2+1)^2."""
+    params = derive_params(3, 0.55)
+    (slope,) = _owned(9, fast).values()
     bound = -0.97 * (params.p / 2.0 + 1.0) ** 2
     return [CheckResult("9-subcritical",
-                        f"(3,0.55) eta_cr slope={fit.slope:.4f}",
-                        fit.slope, f"<= {bound:.4f}", fit.slope <= bound)]
+                        f"(3,0.55) eta_cr slope={slope:.4f}",
+                        slope, f"<= {bound:.4f}", slope <= bound)]
 
 
 def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
@@ -391,7 +410,7 @@ def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
 def criterion_11_energy(fast: bool = False) -> list[CheckResult]:
     """E(t) of a mass-projected small run decays at 2 lambda_01 within 10%."""
     results = []
-    params, _, trace, _ = _rate_traces(fast)[3, 2.0 / 3.0]
+    params, _, trace, _ = _owned(3, fast)[3, 2.0 / 3.0, fast]
     fit = asymptotics.fit_rate(trace.times, trace.energy / trace.energy.max(),
                                WindowPolicy(value_lo=1e-12, value_hi=1e-2))
     target = 2.0 * (-2.0 * params.p)
@@ -399,6 +418,78 @@ def criterion_11_energy(fast: bool = False) -> list[CheckResult]:
     results.append(CheckResult("11-energy",
                                f"E-slope {fit.slope:.3f} vs {target}",
                                rel, "<= 0.10", rel <= 0.10))
+    return results
+
+
+def _schedule(fast):
+    """Every independent solve of criteria 3, 4, 5, 6, 8 and 9 at one
+    resolution, as (owner, worker, item).
+
+    Longest first, so that the workers finish close together: criterion
+    5's runs, criterion 3's traces, then criteria 8, 6, 4 and 9.
+    """
+    count = 600 if fast else 1200
+    return ([(5, _second_order_gamma, case) for case in _second_order_cases(fast)]
+            + [(3, _rate_trace, (n, m, fast)) for n, m in RATE_CASES]
+            + [(8, _coefficient_run, (kind, count)) for kind in ("amplitude", "k0")]
+            + [(6, _manufactured_error, item) for item in _manufactured_items(fast)]
+            + [(4, _semigroup_slope, item) for item in _semigroup_items(fast)]
+            + [(9, _subcritical_slope, fast)])
+
+
+@dataclass(frozen=True)
+class _Failed:
+    """A scheduled solve's exception, with the text of the traceback it
+    had where it was raised (a pickled exception loses its traceback)."""
+    exc: Exception
+    traceback_text: str
+
+
+class _SolveTraceback(Exception):
+    """The cause of a re-raised solve error: the worker's traceback."""
+
+
+def _call(job):
+    """Run one scheduled solve (a pool worker): ``fn(item)``, or the
+    exception it raised, returned as a value so that the criterion that
+    owns the item raises it."""
+    fn, item = job
+    try:
+        return fn(item)
+    except Exception as exc:
+        return _Failed(exc, traceback.format_exc())
+
+
+@lru_cache(maxsize=2)
+def _solves(fast):
+    """The results of ``_schedule(fast)``, keyed by owner, then by item.
+
+    Computed once per resolution, by the first criterion that asks, in one
+    ``map_ordered`` call that returns before that criterion does.  They are
+    shared, so criterion 3's trace arrays (which criteria 7 and 11 read
+    too) are read-only.  A solve that raised holds its ``_Failed``.
+    """
+    schedule = _schedule(fast)
+    results = _pool.map_ordered(_call, [(fn, item) for _, fn, item in schedule])
+    solves = {}
+    for (owner, _, item), result in zip(schedule, results):
+        solves.setdefault(owner, {})[item] = result
+    for run in solves[3].values():
+        if not isinstance(run, _Failed):
+            trace = run[2]
+            for arr in (trace.times, trace.sup, trace.mass_defect, trace.energy,
+                        trace.min_v, trace.max_v, *trace.weighted.values()):
+                arr.flags.writeable = False
+    return solves
+
+
+def _owned(owner, fast):
+    """The results of criterion ``owner``'s solves, keyed by item, in
+    schedule order; the first solve of its that raised raises here."""
+    results = _solves(fast)[owner]
+    for result in results.values():
+        if isinstance(result, _Failed):
+            raise result.exc from _SolveTraceback(result.traceback_text)
     return results
 
 

@@ -1,16 +1,20 @@
 """CLI: commands, config precedence, determinism, exit codes."""
 
 import glob
+import hashlib
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 import fastdiff_lab
-from fastdiff_lab import cli, evolve
+from fastdiff_lab import cli, evolve, reporting
 from fastdiff_lab.config import (
     ConfigError,
     ExperimentConfig,
@@ -197,6 +201,7 @@ def test_summary_records_newton_iterations(command):
     assert 1 <= s["max_newton_iterations"] <= evolve.NEWTON_MAXITER
     assert s["max_newton_iterations"] <= s["newton_iterations"] \
         <= steps * s["max_newton_iterations"]
+    assert s["dt_halvings"] == 0
 
 
 def _selftest_results(seconds):
@@ -363,6 +368,18 @@ def assert_one_named_line(proc, code, prefix):
     return lines[0]
 
 
+def test_coarse_grid_at_large_p_names_the_count_it_needs(tmp_path):
+    # p = 147.4: at h = 0.02 the g-frame drift outweighs the diffusion;
+    # h < 2/(p+2) on s_max 4 takes 299 points
+    args = ["--n", "3", "--m", "0.9867", "--smax", "4", "spectrum"]
+    proc = run_cli(["--points", "200", *args], tmp_path)
+    line = assert_one_named_line(proc, 3, "solver failure:")
+    assert "off-diagonal products not positive" in line
+    assert "h < 2/|2l-p-2| = 0.013389" in line
+    assert line.endswith("the smallest count with that on s_max=4 is 299")
+    assert run_cli(["--points", "299", *args], tmp_path).returncode == 0
+
+
 def test_expand_without_lambda01_is_a_named_failure(tmp_path):
     # p = 1/3 <= 2: there is no lambda_01 mode to mod out
     proc = run_cli(["--n", "3", "--m", "0.4", "--points", "300",
@@ -445,6 +462,48 @@ def test_csv_determinism(tmp_path):
     rates1 = (out1 / "evolve_rates.csv").read_bytes()
     rates2 = (out2 / "evolve_rates.csv").read_bytes()
     assert rates1 == rates2
+
+
+def test_summary_records_provenance_and_repeats_csv_bytes(tmp_path,
+                                                          monkeypatch):
+    args = ["--points", "200", "--smax", "8", "--dt", "5e-3",
+            "--tfinal", "0.3", "--kind", "bump", "--seed", "9", "evolve"]
+    runs = []
+    for name in ("a", "b"):  # one config: the output directory is the default
+        monkeypatch.setenv("FASTDIFF_LAB_OUT", str(tmp_path / name))
+        assert cli.main(args) == 0
+        out = tmp_path / name
+        runs.append(({p.name: p.read_bytes() for p in out.glob("*.csv")},
+                     json.loads((out / "evolve_summary.json").read_text())))
+    (csv_a, summary_a), (csv_b, summary_b) = runs
+    assert sorted(csv_a) == ["evolve_rates.csv", "evolve_trace.csv"]
+    assert csv_a == csv_b
+    prov = summary_a["provenance"]
+    assert prov["python"] == platform.python_version()
+    assert (prov["numpy"], prov["scipy"]) == (np.__version__, scipy.__version__)
+    assert prov["platform"] == platform.platform()
+    assert prov["git_sha"] is None or re.fullmatch("[0-9a-f]{40}", prov["git_sha"])
+    canonical = json.dumps(prov["config"], sort_keys=True).encode()
+    assert prov["config_sha256"] == hashlib.sha256(canonical).hexdigest()
+    assert prov["config_sha256"] == summary_b["provenance"]["config_sha256"]
+    assert summary_a["summary"]["dt_halvings"] == 0
+    other = reporting._provenance({**prov["config"], "jobs": 2})
+    assert other["config_sha256"] != prov["config_sha256"]
+
+
+def test_git_sha_reads_loose_and_packed_refs(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    assert reporting._git_sha(str(tmp_path)) is None  # no .git
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert reporting._git_sha(str(tmp_path)) is None  # no commit yet
+    (git / "packed-refs").write_text(f"# pack-refs\n{sha} refs/heads/main\n")
+    assert reporting._git_sha(str(tmp_path)) == sha
+    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")
+    assert reporting._git_sha(str(tmp_path)) == sha[::-1]
+    (git / "HEAD").write_text(sha + "\n")  # detached
+    assert reporting._git_sha(str(tmp_path)) == sha
 
 
 def test_selftest_command(tmp_path):

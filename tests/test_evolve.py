@@ -228,6 +228,25 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
     assert np.allclose(np.diff(tr.times), 1e-2)
     # one first-order step moves the end state by O(dt^2) only
     assert np.max(np.abs(tr.snapshots[-1][1] - want)) <= 1e-4
+    assert tr.dt_halvings == 0
+
+
+def test_a_halved_step_counts_its_halvings(grid_coarse, params33):
+    st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,
+                           project_mass=False)
+    assert evolve.step_nonlinear(st0, 10.0).dt_halvings == 0
+    # Newton fails at dt = 20 and succeeds on both halves
+    st = evolve.step_nonlinear(st0, 20.0)
+    assert st.dt_halvings == 1
+    half = evolve.step_nonlinear(st0, 10.0)
+    full = evolve.step_nonlinear(half, 10.0)
+    assert np.array_equal(st.w.values, full.w.values)
+    assert st.newton_iterations == \
+        half.newton_iterations + full.newton_iterations
+    # a halved half-step adds its own halvings
+    assert evolve.step_nonlinear(st0, 50.0).dt_halvings > 1
+    tr = evolve.run(st0, 20.0, 20.0)
+    assert (tr.backward_euler_steps, tr.dt_halvings) == (1, 1)
 
 
 def test_nonlinear_slope_converges_to_linear(params33):

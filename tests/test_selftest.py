@@ -1,10 +1,14 @@
-"""Criterion runners: the rate traces criteria 3, 7 and 11 share, and the
-pooled solves, which must give the inline values bit for bit."""
+"""Criterion runners: the one schedule of independent solves they share,
+which runs each solve once, must give the inline values bit for bit, and
+leaves a solve's error to the criterion that owns it."""
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from fastdiff_lab import _pool, selftest
+from fastdiff_lab import _pool, evolve, selftest
 
 
 def _values(results):
@@ -13,29 +17,30 @@ def _values(results):
 
 
 def test_rate_trace_cache_is_bounded():
-    assert selftest._rate_traces.cache_info().maxsize == 2
+    assert selftest._solves.cache_info().maxsize == 2
 
 
 def test_rate_trace_arrays_are_read_only():
-    runs = selftest._rate_traces(True)
-    assert list(runs) == list(selftest.RATE_CASES)
+    solves = selftest._solves(True)
+    runs = solves[3]
+    assert list(runs) == [(n, m, True) for n, m in selftest.RATE_CASES]
     for _, _, trace, _ in runs.values():
         arrays = [trace.times, trace.sup, trace.mass_defect, trace.energy,
                   trace.min_v, trace.max_v, *trace.weighted.values()]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
-    assert selftest._rate_traces(True) is runs
+    assert selftest._solves(True) is solves
 
 
 @pytest.mark.parametrize("criterion", [selftest.criterion_7_conservation,
                                        selftest.criterion_11_energy])
 def test_cold_and_warm_cache_give_identical_values(criterion):
-    selftest._rate_traces.cache_clear()
+    selftest._solves.cache_clear()
     cold = _values(criterion(fast=True))
-    hits = selftest._rate_traces.cache_info().hits
+    hits = selftest._solves.cache_info().hits
     warm = _values(criterion(fast=True))
-    assert selftest._rate_traces.cache_info().hits > hits
+    assert selftest._solves.cache_info().hits > hits
     assert warm == cold
     assert all(isinstance(v[2], float) and np.isfinite(v[2]) for v in cold)
 
@@ -46,27 +51,77 @@ def test_criteria_3_7_11_run_each_trace_once(monkeypatch):
     rate_trace = selftest._rate_trace
     monkeypatch.setattr(selftest, "_rate_trace",
                         lambda case: runs.append(case) or rate_trace(case))
-    selftest._rate_traces.cache_clear()
+    selftest._solves.cache_clear()
     for criterion in (selftest.criterion_3_leading_rate,
                       selftest.criterion_7_conservation,
                       selftest.criterion_11_energy):
         criterion(fast=True)
     assert runs == [(n, m, True) for n, m in selftest.RATE_CASES]
-    info = selftest._rate_traces.cache_info()
+    info = selftest._solves.cache_info()
     assert info.misses == 1 and info.currsize == 1
-    selftest._rate_traces.cache_clear()  # drop the traces of the wrapper
+    selftest._solves.cache_clear()  # drop the traces of the wrapper
+
+
+def test_every_solve_runs_once_in_one_map_ordered_call(monkeypatch):
+    monkeypatch.setattr(_pool, "usable_cores", lambda: 1)  # count inline
+    maps, jobs = [], []
+    map_ordered, call = _pool.map_ordered, selftest._call
+    monkeypatch.setattr(_pool, "map_ordered",
+                        lambda fn, items: maps.append(fn) or map_ordered(fn, items))
+    monkeypatch.setattr(selftest, "_call",
+                        lambda job: jobs.append(job) or call(job))
+    selftest._solves.cache_clear()
+    for criterion in selftest.ALL_CRITERIA:
+        criterion(fast=True)
+    schedule = selftest._schedule(True)
+    assert len(maps) == 1
+    assert jobs == [(fn, item) for _, fn, item in schedule]
+    assert len({(fn.__name__, repr(item)) for fn, item in jobs}) == len(jobs)
+    # longest first: criterion 5's runs, criterion 3's, then 8, 6, 4 and 9
+    owners = [owner for owner, _, _ in schedule]
+    assert sorted(set(owners), key=owners.index) == [5, 3, 8, 6, 4, 9]
+    assert owners == sorted(owners, key=[5, 3, 8, 6, 4, 9].index)
+    info = selftest._solves.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+    selftest._solves.cache_clear()  # drop the results of the wrapper
+
+
+def _planted_gamma(case):
+    """Criterion 5's worker with a positivity loss planted in it."""
+    raise evolve.PositivityError(7, -0.25)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_solve_error_is_raised_by_the_criterion_that_owns_it(monkeypatch,
+                                                               cores):
+    monkeypatch.setattr(_pool, "usable_cores", lambda: cores)
+    monkeypatch.setattr(selftest, "_second_order_gamma", _planted_gamma)
+    selftest._solves.cache_clear()
+    threads = threading.active_count()
+    try:
+        rows = selftest.criterion_3_leading_rate(fast=True)
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        with pytest.raises(evolve.PositivityError) as info:
+            selftest.criterion_5_second_order(fast=True)
+        assert (info.value.node, info.value.value) == (7, -0.25)
+        assert "in _planted_gamma" in str(info.value.__cause__)
+        assert selftest.criterion_8_coefficients(fast=True)
+    finally:
+        selftest._solves.cache_clear()  # drop the planted error
+    assert [r.passed for r in rows] == [True] * 4
 
 
 def _run_with_cores(monkeypatch, cores):
     monkeypatch.setattr(_pool, "usable_cores", lambda: cores)
-    selftest._rate_traces.cache_clear()
+    selftest._solves.cache_clear()
     return [_values(criterion(fast=True)) for criterion in selftest.ALL_CRITERIA]
 
 
 def test_pooled_criteria_equal_inline_bitwise(monkeypatch):
     inline = _run_with_cores(monkeypatch, 1)
     pooled = _run_with_cores(monkeypatch, 2)
-    selftest._rate_traces.cache_clear()
+    selftest._solves.cache_clear()
     for criterion, a, b in zip(selftest.ALL_CRITERIA, inline, pooled):
         assert [tuple(map(repr, row)) for row in a] == \
             [tuple(map(repr, row)) for row in b], criterion.__name__
@@ -75,6 +130,6 @@ def test_pooled_criteria_equal_inline_bitwise(monkeypatch):
 def test_runtime_rows_report_each_traces_compute_seconds():
     rows = [r for r in selftest.criterion_3_leading_rate(fast=True)
             if r.detail.endswith("runtime_s")]
-    seconds = [run[3] for run in selftest._rate_traces(True).values()]
+    seconds = [run[3] for run in selftest._solves(True)[3].values()]
     assert [r.value for r in rows] == seconds
     assert all(0.0 < s < 120.0 for s in seconds)

@@ -236,7 +236,10 @@ def _newton_work(trace) -> dict:
             "newton_iterations": trace.newton_iterations,
             "max_newton_iterations": trace.max_newton_iterations,
             "zero_newton_steps": trace.zero_newton_steps,
-            "dt_halvings": trace.dt_halvings}
+            "dt_halvings": trace.dt_halvings,
+            "max_final_residual": trace.max_final_residual,
+            "min_damping": trace.min_damping,
+            "min_margin": trace.min_margin}
 
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:

@@ -15,10 +15,10 @@ precision), and the discrete mass sum(w_i M_i) telescopes, so conservation
 holds to the boundary-flux level rather than to quadrature error.
 
 The building block is a backward-Euler (BE) step solved by a damped
-tridiagonal Newton iteration, ``step_nonlinear``: first order in time,
-unconditionally stable, and on Newton failure it halves dt (counted in
-``dt_halvings``).  ``run`` steps with ``step_bdf2``, the second-order
-backward differentiation formula (BDF2)
+tridiagonal Newton iteration: first order in time, unconditionally
+stable, and on Newton failure it halves dt (counted in ``dt_halvings``).
+``run`` steps with the second-order backward differentiation formula
+(BDF2)
 
     W = (4/3) w_n - (1/3) w_{n-1} + (2/3) dt R(W),
 
@@ -29,14 +29,32 @@ apart, so BDF2 resumes on the next step).  Every accepted step ends with
 one fixed-point sweep W = base + dt' R(W), which keeps the discrete mass
 exact without affecting the order.  B is normalized to 1 here (see
 geometry).
+
+One Newton kernel, ``_Newton``, holds the only flux, rhs and Jacobian code
+and solves every step: those of ``run``, ``step_nonlinear``, ``step_bdf2``
+and, for its rhs, ``nonlinear_rhs``.  It works in place on scratch
+allocated once per run (the iterate W and the damping trial, which swap on
+acceptance; v = 1 + W, shared by the residual and the Jacobian; F; R; the
+BDF2 base; the packed (4N-2) Newton system), so a step makes no
+temporaries beyond the mask of the finiteness check, and its arithmetic,
+operation for operation, is that of the allocating form it replaced.  The kernel owns the checks: each Newton system must be
+finite and solvable, each damping trial must keep 1+w above
+``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within ``NEWTON_MAXITER``
+iterations, and each accepted state must be finite and above
+``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
+Overflow while a system is built is expected at huge dt and is left to the
+finiteness check.  ``run`` keeps its states as arrays and never re-checks
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .closedform import (
     ModelParams,
@@ -54,7 +72,7 @@ from .geometry import (
     step_count,
     weighted_sup,
 )
-from .tridiag import _packed_system, _solve_packed
+from .tridiag import _packed_views, _solve_packed
 
 __all__ = [
     "MARGIN_FLOOR",
@@ -158,61 +176,6 @@ class _Workspace:
         self.m = m
         self.N = N
 
-    def flux(self, v: np.ndarray) -> np.ndarray:
-        """Phi = C [(G_{i+1} - G_i) - dU vbar], G = U v^m and
-        vbar = 1 + (v_i + v_{i+1} - 2)/2, formed in place on three arrays."""
-        G = v ** self.m
-        G *= self.U
-        vbar = v[:-1] + v[1:]
-        vbar -= 2.0
-        vbar *= 0.5
-        vbar += 1.0
-        vbar *= self.dU
-        phi = G[1:] - G[:-1]
-        phi -= vbar
-        phi *= self.C
-        return phi
-
-    def rhs(self, w_full: np.ndarray) -> np.ndarray:
-        """d_t w at the unknown nodes 0..N-1 (node N held at w = 0)."""
-        v = 1.0 + w_full
-        phi = self.flux(v)
-        out = np.empty(self.N)
-        out[0] = phi[0]
-        np.subtract(phi[1:], phi[:-1], out=out[1:])
-        out /= self.masses
-        return out
-
-    def newton_system(self, w_full: np.ndarray, dt: float,
-                      F: np.ndarray) -> np.ndarray:
-        """The Newton system (I - dt J) delta = -F, J = d rhs / d w over the
-        unknowns, built straight into the buffer ``tridiag._solve_packed``
-        solves.
-
-        J's bands are lower = -dphi_left minv, diag and upper = dphi_right
-        minv; each band of I - dt J rounds as 1 - dt*diag, -dt*lower and
-        -dt*upper would, since the sign flips are exact.
-        """
-        v = 1.0 + w_full
-        dG = self.Um * v ** (self.m - 1.0)
-        # flux at face i+1/2 depends on w_i, w_{i+1}
-        dphi_left = self.C * (-dG[:-1] - self.half_dU)
-        dphi_right = self.C * (dG[1:] - self.half_dU)
-        minv = self.minv
-        N = self.N
-        system, (lower, diag, upper, b) = _packed_system(N)
-        diag[0] = dphi_left[0] * minv[0]
-        np.subtract(dphi_left[1:N], dphi_right[:N - 1], out=diag[1:])
-        diag[1:] *= minv[1:]
-        diag *= -dt
-        diag += 1.0
-        np.multiply(dphi_left[:N - 1], minv[1:], out=lower)   # row i, w_{i-1}
-        lower *= dt
-        np.multiply(dphi_right[:N - 1], minv[:N - 1], out=upper)  # row i, w_{i+1}
-        upper *= -dt
-        np.negative(F, out=b)
-        return system
-
 
 @lru_cache(maxsize=64)
 def _build_workspace(grid: RadialGrid, n: int, m: float) -> _Workspace:
@@ -223,71 +186,212 @@ def _workspace(grid: RadialGrid, params: ModelParams) -> _Workspace:
     return _build_workspace(grid, params.n, params.m)
 
 
-def _check_positivity(w_values: np.ndarray, floor: float = 0.0):
+def _check_positivity(w_values: np.ndarray, floor: float = 0.0) -> float:
+    """1 + min w, raising PositivityError unless it lies above ``floor``."""
     vmin = 1.0 + w_values.min()
     if vmin <= floor:
         raise PositivityError(int(np.argmin(w_values)), float(vmin))
+    return float(vmin)
+
+
+def _boundary_value(boundary, t: float) -> float:
+    return 0.0 if boundary is None else float(boundary(t))
+
+
+class _Newton:
+    """The Newton kernel (see module doc) and its scratch.
+
+    One instance serves a whole run: every array is allocated here, and W
+    and trial swap on acceptance.  v = 1 + W, F and R = dt rhs(W) need one
+    buffer each: the last residual the iteration evaluates is always that
+    of the accepted iterate.  ``solve`` leaves its result in ``W``; a
+    caller that keeps it hands the kernel another buffer of N+1 nodes.
+    ``max_final_residual``, ``min_damping`` and ``min_margin`` gather the
+    worst final |F|, the smallest accepted damping factor and the smallest
+    1+w over the accepted solves.
+    """
+
+    def __init__(self, ws: _Workspace):
+        N = ws.N
+        self.ws = ws
+        self.W, self.trial, self.v, self.G, self.dG, self.base = (
+            np.empty(N + 1) for _ in range(6))
+        self.F, self.R, self.face, self.phi, self.scratch = (
+            np.empty(N) for _ in range(5))
+        self.system = np.empty(4 * N - 2)
+        self.bands = _packed_views(self.system)
+        # the shifted views of the fixed buffers, made once
+        self.G_lo, self.G_hi = self.G[:-1], self.G[1:]
+        self.dG_lo, self.dG_hi = self.dG[:-1], self.dG[1:]
+        self.phi_lo, self.phi_hi = self.phi[:-1], self.phi[1:]
+        self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
+        self.minv_lo, self.minv_hi = ws.minv[:-1], ws.minv[1:]
+        self.max_final_residual = 0.0
+        self.min_damping = 1.0
+        self.min_margin = math.inf
+
+    def rhs(self, w_full: np.ndarray, out: np.ndarray):
+        """out = d_t w at the unknown nodes 0..N-1, and v = 1 + w_full.
+
+        The flux at the faces is Phi = C [(G_{i+1} - G_i) - dU vbar] with
+        G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2.
+        """
+        ws, v, G, vbar, phi = self.ws, self.v, self.G, self.face, self.phi
+        np.add(w_full, 1.0, out=v)
+        np.power(v, ws.m, out=G)
+        G *= ws.U
+        np.add(v[:-1], v[1:], out=vbar)
+        vbar -= 2.0
+        vbar *= 0.5
+        vbar += 1.0
+        vbar *= ws.dU
+        np.subtract(self.G_hi, self.G_lo, out=phi)
+        phi -= vbar
+        phi *= ws.C
+        out[0] = phi[0]
+        np.subtract(self.phi_hi, self.phi_lo, out=out[1:])
+        out /= ws.masses
+
+    def _residual(self, w_full, w0, dt) -> float:
+        """F = W - w0 - dt rhs(W) over the unknowns, R = dt rhs(W) and
+        v = 1 + W; returns max |F|."""
+        N, F, R = self.ws.N, self.F, self.R
+        self.rhs(w_full, R)
+        R *= dt
+        np.subtract(w_full[:N], w0[:N], out=F)
+        F -= R
+        return np.abs(F, out=self.scratch).max()
+
+    def _newton_step(self, dt: float) -> np.ndarray:
+        """Solve (I - dt J) delta = -F at the iterate with v = 1 + W,
+        J = d rhs / d w over the unknowns; delta is a view into ``system``.
+
+        J's bands are lower = -dphi_left minv, diag and upper = dphi_right
+        minv; each band of I - dt J rounds as 1 - dt*diag, -dt*lower and
+        -dt*upper would, since the sign flips are exact.
+        """
+        ws = self.ws
+        minv, minv_lo, minv_hi = ws.minv, self.minv_lo, self.minv_hi
+        dG = self.dG
+        # d Phi / d w_i (left) and d Phi / d w_{i+1} (right) at face i+1/2,
+        # in the flux scratch
+        left, left_lo, left_hi = self.face, self.face_lo, self.face_hi
+        right, right_lo = self.phi, self.phi_lo
+        lower, diag, upper, b = self.bands
+        diag_hi = diag[1:]
+        np.power(self.v, ws.m - 1.0, out=dG)
+        dG *= ws.Um
+        np.negative(self.dG_lo, out=left)
+        left -= ws.half_dU
+        left *= ws.C
+        np.subtract(self.dG_hi, ws.half_dU, out=right)
+        right *= ws.C
+        diag[0] = left[0] * minv[0]
+        np.subtract(left_hi, right_lo, out=diag_hi)
+        diag_hi *= minv_hi
+        diag *= -dt
+        diag += 1.0
+        np.multiply(left_lo, minv_hi, out=lower)   # row i, w_{i-1}
+        lower *= dt
+        np.multiply(right_lo, minv_lo, out=upper)  # row i, w_{i+1}
+        upper *= -dt
+        np.negative(self.F, out=b)
+        try:
+            return _solve_packed(self.system)
+        except (ValueError, LinAlgError) as exc:
+            raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
+
+    def solve(self, w0: np.ndarray, dt: float, w_boundary: float) -> int:
+        """Solve W = w0 + dt rhs(W) by damped Newton into ``W``, with the
+        value at the truncation node s_max held at w_boundary; returns the
+        number of Newton iterations.  Overflow is left to the checks: a
+        non-finite system or accepted iterate raises NewtonError.
+        """
+        N = self.ws.N
+        W, trial, scratch = self.W, self.trial, self.scratch
+        lam_min = 1.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            W[:N] = w0[:N]
+            W[N] = trial[N] = w_boundary
+            norm = self._residual(W, w0, dt)
+            for iterations in range(NEWTON_MAXITER):
+                if norm <= NEWTON_TOL:
+                    break
+                delta = self._newton_step(dt)
+                lam = 1.0
+                for _damp in range(12):
+                    if lam == 1.0:
+                        np.add(W[:N], delta, out=trial[:N])
+                    else:
+                        np.multiply(delta, lam, out=scratch)
+                        np.add(W[:N], scratch, out=trial[:N])
+                    if 1.0 + trial[:N].min() > MARGIN_FLOOR:
+                        nt = self._residual(trial, w0, dt)
+                        if nt < norm or nt <= NEWTON_TOL:
+                            W, trial = trial, W
+                            norm = nt
+                            lam_min = min(lam_min, lam)
+                            break
+                    lam *= 0.5
+                else:
+                    raise NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
+            else:
+                raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
+                                  f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
+            # one fixed-point sweep; makes the discrete mass telescope exactly
+            # and perturbs the iterate only by O(dt |F|).  R = dt rhs(W) is
+            # already evaluated at the accepted W.
+            np.add(w0[:N], self.R, out=W[:N])
+        self.W, self.trial = W, trial
+        vmin = _check_positivity(W, MARGIN_FLOOR)
+        if not (math.isfinite(vmin) and math.isfinite(W.max())):
+            raise NewtonError("Newton step produced a non-finite state")
+        self.max_final_residual = max(self.max_final_residual, float(norm))
+        self.min_damping = min(self.min_damping, lam_min)
+        self.min_margin = min(self.min_margin, vmin)
+        return iterations
+
+    def bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt23: float,
+             w_boundary: float) -> int:
+        """One BDF2 step into ``W``: the solve with base (4 w_n - w_{n-1})/3
+        and step dt23 = 2 dt/3; returns its Newton iterations."""
+        base = self.base
+        np.multiply(w_n, 4.0, out=base)
+        base -= w_prev
+        base /= 3.0
+        return self.solve(base, dt23, w_boundary)
+
+    def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
+                       depth: int = 0) -> tuple[float, int, int]:
+        """One BE step from (t, w) into ``W``; on Newton failure it halves dt,
+        up to MAX_DT_HALVINGS deep.  Returns the new time, the Newton
+        iterations and the dt halvings."""
+        _check_positivity(w, MARGIN_FLOOR)
+        t_new = t + dt
+        bval = _boundary_value(boundary, t_new)
+        try:
+            return t_new, self.solve(w, dt, bval), 0
+        except EvolveError:
+            if depth >= MAX_DT_HALVINGS:
+                raise
+        t_half, first, halved_first = self.backward_euler(
+            w, t, dt / 2.0, boundary, depth + 1)
+        t_new, second, halved_second = self.backward_euler(
+            self.W.copy(), t_half, dt / 2.0, boundary, depth + 1)
+        return t_new, first + second, halved_first + halved_second + 1
 
 
 def nonlinear_rhs(w: GridFunction, params: ModelParams) -> GridFunction:
     """Right side of the radial rescaled flow, flux form (see module doc)."""
     _check_positivity(w.values)
-    ws = _workspace(w.grid, params)
+    kernel = _Newton(_workspace(w.grid, params))
     out = np.zeros_like(w.values)
-    out[:ws.N] = ws.rhs(w.values)
+    kernel.rhs(w.values, out[:kernel.ws.N])
     return w.with_values(out)
 
 
-def _newton_be(ws: _Workspace, w0: np.ndarray, dt: float,
-               w_boundary: float) -> tuple[np.ndarray, int]:
-    """Solve W = w0 + dt rhs(W) by damped Newton; returns the full-node array
-    and the number of Newton iterations it took.
-
-    The value at the truncation node s_max is held at w_boundary (zero for
-    production runs; manufactured-solution runs prescribe the exact value).
-    """
-    N = ws.N
-    W = w0.copy()
-    W[N] = w_boundary
-
-    def residual(wfull):
-        """F(W) and the rhs(W) it was built from."""
-        r = ws.rhs(wfull)
-        return wfull[:N] - w0[:N] - dt * r, r
-
-    F, R = residual(W)
-    norm = np.abs(F).max()
-    for iterations in range(NEWTON_MAXITER):
-        if norm <= NEWTON_TOL:
-            break
-        delta = _solve_packed(ws.newton_system(W, dt, F))
-        lam = 1.0
-        for _damp in range(12):
-            trial = W.copy()
-            trial[:N] += lam * delta
-            if 1.0 + trial[:N].min() > MARGIN_FLOOR:
-                Ft, Rt = residual(trial)
-                nt = np.abs(Ft).max()
-                if nt < norm or nt <= NEWTON_TOL:
-                    W, F, R, norm = trial, Ft, Rt, nt
-                    break
-            lam *= 0.5
-        else:
-            raise NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
-    else:
-        raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
-                          f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
-    # one fixed-point sweep; makes the discrete mass telescope exactly and
-    # perturbs the iterate only by O(dt |F|).  W is the iterate R was
-    # evaluated at, so rhs(W) is not recomputed.
-    R *= dt
-    np.add(w0[:N], R, out=W[:N])
-    _check_positivity(W, MARGIN_FLOOR)
-    return W, iterations
-
-
-def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
-                   _depth: int = 0) -> EvolutionState:
+def step_nonlinear(state: EvolutionState, dt: float,
+                   boundary=None) -> EvolutionState:
     """One backward-Euler step; on Newton divergence halves dt and retries.
 
     ``boundary`` maps t to the Dirichlet value at s_max (default zero, the
@@ -295,22 +399,12 @@ def step_nonlinear(state: EvolutionState, dt: float, boundary=None,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_positivity(state.w.values, MARGIN_FLOOR)
-    ws = _workspace(state.w.grid, state.params)
-    t_new = state.t + dt
-    bval = 0.0 if boundary is None else float(boundary(t_new))
-    try:
-        W, iterations = _newton_be(ws, state.w.values, dt, bval)
-    except EvolveError:
-        if _depth >= MAX_DT_HALVINGS:
-            raise
-        half = step_nonlinear(state, dt / 2.0, boundary, _depth + 1)
-        full = step_nonlinear(half, dt / 2.0, boundary, _depth + 1)
-        full.newton_iterations += half.newton_iterations
-        full.dt_halvings += half.dt_halvings + 1
-        return full
-    return EvolutionState(t=t_new, w=state.w.with_values(W),
-                          params=state.params, newton_iterations=iterations)
+    kernel = _Newton(_workspace(state.w.grid, state.params))
+    t_new, iterations, halvings = kernel.backward_euler(
+        state.w.values, state.t, dt, boundary)
+    return EvolutionState(t=t_new, w=state.w.with_values(kernel.W),
+                          params=state.params, newton_iterations=iterations,
+                          dt_halvings=halvings)
 
 
 def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
@@ -318,16 +412,15 @@ def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
     """One BDF2 step from the history (prev, state), which lie dt apart.
 
     No dt halving: on Newton failure it raises, and ``run`` redoes the step
-    with ``step_nonlinear``.
+    by backward Euler.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ws = _workspace(state.w.grid, state.params)
+    kernel = _Newton(_workspace(state.w.grid, state.params))
     t_new = state.t + dt
-    bval = 0.0 if boundary is None else float(boundary(t_new))
-    base = (4.0 * state.w.values - prev.w.values) / 3.0
-    W, iterations = _newton_be(ws, base, 2.0 * dt / 3.0, bval)
-    return EvolutionState(t=t_new, w=state.w.with_values(W),
+    iterations = kernel.bdf2(prev.w.values, state.w.values, 2.0 * dt / 3.0,
+                             _boundary_value(boundary, t_new))
+    return EvolutionState(t=t_new, w=state.w.with_values(kernel.W),
                           params=state.params, newton_iterations=iterations)
 
 
@@ -350,12 +443,17 @@ def energy(w: GridFunction, params: ModelParams) -> float:
     decay slope doubles the field's.
     """
     _check_positivity(w.values)
+    return _energy(w.grid, 1.0 + w.values, w.values, params)
+
+
+def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
+            params: ModelParams) -> float:
+    """``energy`` of w, given v = 1 + w."""
     m = params.m
-    H = ((1.0 + w.values) ** (m + 1.0) - 1.0 - (m + 1.0) * w.values) \
-        / (m * (m + 1.0))
+    H = (v ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
     # tanh(s)**(n-1) is the cigar volume weight (all ones for n = 1)
-    vol = _node_power(w.grid, "tanh", params.n - 1)
-    return sphere_area(params.n) * float(np.trapezoid(H * vol, w.grid.nodes))
+    vol = _node_power(grid, "tanh", params.n - 1)
+    return sphere_area(params.n) * float(np.trapezoid(H * vol, grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -412,6 +510,12 @@ class EvolutionTrace:
     zero_newton_steps: int = 0
     # times a backward-Euler step halved dt after a failed Newton solve
     dt_halvings: int = 0
+    # over the accepted Newton solves: the largest final |F|, the smallest
+    # damping factor of an accepted update (1 when none was damped) and the
+    # smallest 1+w of a new state (inf when no step was taken)
+    max_final_residual: float = 0.0
+    min_damping: float = 1.0
+    min_margin: float = math.inf
 
 
 def run(state0: EvolutionState, dt: float, t_final: float,
@@ -419,6 +523,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         boundary=None) -> EvolutionTrace:
     """Iterate BDF2 steps (see module doc), recording diagnostics."""
     params = state0.params
+    grid = state0.w.grid
     steps = step_count(state0.t, t_final, dt)
     if steps < 0:
         raise ValueError("t_final lies before the initial time")
@@ -427,41 +532,49 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     weighted: dict[float, list] = {eta: [] for eta in record.etas}
     snapshots: list[tuple[float, np.ndarray]] = []
 
-    def observe(state: EvolutionState, step_index: int):
-        times.append(state.t)
-        sups.append(weighted_sup(state.w, 0.0))
+    def observe(t: float, w: np.ndarray, step_index: int):
+        f = state0.w.with_values(w)
+        times.append(t)
+        sups.append(weighted_sup(f, 0.0))
         for eta in record.etas:
-            weighted[eta].append(weighted_sup(state.w, eta))
-        masses.append(_mass_defect(state.w, params))
-        energies.append(energy(state.w, params))
-        v = 1.0 + state.w.values
+            weighted[eta].append(weighted_sup(f, eta))
+        masses.append(_mass_defect(f, params))
+        v = 1.0 + w
+        energies.append(_energy(grid, v, w, params))
         mins.append(float(v.min()))
         maxs.append(float(v.max()))
         if record.snapshot_every is not None and \
                 step_index % record.snapshot_every == 0:
-            snapshots.append((state.t, state.w.values.copy()))
+            snapshots.append((t, w.copy()))
 
-    state, prev, be_steps, halvings = state0, None, 0, 0
-    iterations = []
-    observe(state, 0)
+    # the kernel writes each new state into kernel.W, which then joins the
+    # history (prev, cur) and hands the kernel the buffer prev leaves
+    kernel = _Newton(_workspace(grid, params))
+    t, prev, cur = state0.t, None, state0.w.values.copy()
+    dt23 = 2.0 * dt / 3.0
+    be_steps, halvings, iterations = 0, 0, []
+    observe(t, cur, 0)
     for j in range(1, steps + 1):
-        new = None
+        t_new, its = t + dt, None
         if prev is not None:
             try:
-                new = step_bdf2(prev, state, dt, boundary)
+                its = kernel.bdf2(prev, cur, dt23,
+                                  _boundary_value(boundary, t_new))
             except EvolveError:
                 pass
-        if new is None:
-            new = step_nonlinear(state, dt, boundary)
+        if its is None:
+            t_new, its, halved = kernel.backward_euler(cur, t, dt, boundary)
             be_steps += 1
-            halvings += new.dt_halvings
-        prev, state = state, new
-        iterations.append(state.newton_iterations)
+            halvings += halved
+        t = t_new
+        spare = np.empty_like(cur) if prev is None else prev
+        prev, cur, kernel.W = cur, kernel.W, spare
+        iterations.append(its)
         if j % record.record_every == 0 or j == steps:
-            observe(state, j)
+            observe(t, cur, j)
 
     return EvolutionTrace(
-        grid=state0.w.grid,
+        grid=grid,
         times=np.array(times), sup=np.array(sups),
         weighted={eta: np.array(vals) for eta, vals in weighted.items()},
         mass_defect=np.array(masses), energy=np.array(energies),
@@ -471,6 +584,9 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         max_newton_iterations=max(iterations, default=0),
         zero_newton_steps=iterations.count(0),
         dt_halvings=halvings,
+        max_final_residual=kernel.max_final_residual,
+        min_damping=kernel.min_damping,
+        min_margin=kernel.min_margin,
     )
 
 

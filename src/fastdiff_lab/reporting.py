@@ -105,8 +105,30 @@ def _provenance(config: dict) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        "platform": _platform_name(),
     }
+
+
+def _platform_name() -> str:
+    """``platform.platform()`` without resolving the processor, whose lookup
+    starts a ``uname -p`` process.  On Linux that field prints the machine
+    or "unknown", both of which platform() leaves out, so the string is
+    the same; elsewhere this is platform() itself."""
+    import platform
+
+    uname = platform.uname()
+    if uname.system != "Linux":
+        return platform.platform()
+    parts = (uname.system, uname.release, uname.machine, "with",
+             "".join(platform.libc_ver()))
+    # platform()'s clean-up of the joined fields
+    name = "-".join(x.strip() for x in parts if x).replace(" ", "_")
+    for ch in '/\\:;"()':
+        name = name.replace(ch, "-")
+    name = name.replace("unknown", "")
+    while "--" in name:
+        name = name.replace("--", "-")
+    return name.rstrip("-")
 
 
 # the checkout the package runs from, when it runs from src/ of one

@@ -8,7 +8,7 @@ directly gives bitwise-identical solutions without that wrapper cost
 ``solve_banded`` raises.
 
 A Newton iteration builds its matrix and right side afresh each time: it
-fills the four views of one buffer (``_packed_system``), which
+fills the four views (``_packed_views``) of one buffer, which
 ``_solve_packed`` checks for finiteness in one pass and solves in place.
 
 A matrix that is solved against many right sides (a Crank-Nicolson run
@@ -53,22 +53,16 @@ def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     return _gtsv(dl, d, du, b)
 
 
-def _packed_system(N: int) -> tuple[np.ndarray, tuple]:
-    """An uninitialised tridiagonal system of N unknowns in one (4N-2)-long
-    buffer, and its four views (dl, d, du, b) in ``_solve_tridiag``'s
-    order, for the caller to fill and hand to ``_solve_packed``."""
-    system = np.empty(4 * N - 2)
-    return system, _packed_views(system)
-
-
 def _packed_views(system: np.ndarray) -> tuple:
+    """The four views (dl, d, du, b), in ``_solve_tridiag``'s order, of a
+    tridiagonal system of N unknowns packed in one (4N-2)-long buffer."""
     N = (system.size + 2) // 4
     return (system[:N - 1], system[N - 1:2 * N - 1],
             system[2 * N - 1:3 * N - 2], system[3 * N - 2:])
 
 
 def _solve_packed(system: np.ndarray) -> np.ndarray:
-    """``_solve_tridiag`` of a system from ``_packed_system``, checked for
+    """``_solve_tridiag`` of a packed system (``_packed_views``), checked for
     finiteness in one pass over the whole buffer; the solution is a view
     into it."""
     _check_finite(system)

@@ -202,6 +202,10 @@ def test_summary_records_newton_iterations(command):
     assert s["max_newton_iterations"] <= s["newton_iterations"] \
         <= steps * s["max_newton_iterations"]
     assert s["dt_halvings"] == 0
+    # each accepted solve ends at or below the tolerance, undamped here
+    assert 0.0 <= s["max_final_residual"] <= evolve.NEWTON_TOL
+    assert s["min_damping"] == 1.0
+    assert evolve.MARGIN_FLOOR < s["min_margin"] <= 1.0
 
 
 def _selftest_results(seconds):
@@ -380,6 +384,14 @@ def test_coarse_grid_at_large_p_names_the_count_it_needs(tmp_path):
     assert run_cli(["--points", "299", *args], tmp_path).returncode == 0
 
 
+def test_non_finite_newton_system_is_a_named_solver_failure(tmp_path):
+    # dt = 1e306 overflows the Newton system; every halved step fails too
+    proc = run_cli(["--points", "150", "--dt", "1e306", "--tfinal", "1e306",
+                    "evolve"], tmp_path)
+    assert_one_named_line(proc, 3, "solver failure:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_expand_without_lambda01_is_a_named_failure(tmp_path):
     # p = 1/3 <= 2: there is no lambda_01 mode to mod out
     proc = run_cli(["--n", "3", "--m", "0.4", "--points", "300",
@@ -489,6 +501,26 @@ def test_summary_records_provenance_and_repeats_csv_bytes(tmp_path,
     assert summary_a["summary"]["dt_halvings"] == 0
     other = reporting._provenance({**prov["config"], "jobs": 2})
     assert other["config_sha256"] != prov["config_sha256"]
+
+
+def test_writing_a_summary_starts_no_process(tmp_path, monkeypatch):
+    # a fresh uname, as in a new process: platform.platform() would resolve
+    # its processor field through `uname -p`
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    started = []
+
+    def no_process(*args, **kwargs):
+        started.append(args)
+        raise OSError("no process may start")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    reporting.ReportBundle("evolve", {"jobs": 1}).write(str(tmp_path))
+    assert started == []
+    name = reporting._platform_name()
+    monkeypatch.undo()
+    if sys.platform.startswith("linux"):
+        assert name == platform.platform()
 
 
 def test_git_sha_reads_loose_and_packed_refs(tmp_path):

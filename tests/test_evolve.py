@@ -211,15 +211,15 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
         grid_coarse, params33, monkeypatch):
     st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
     want = final_values(st0, 1e-2, 0.2)
-    bdf2, calls = evolve.step_bdf2, []
+    bdf2, calls = evolve._Newton.bdf2, []
 
-    def fail_third(*args, **kwargs):
-        calls.append(args[1].t)
+    def fail_third(kernel, *args):
+        calls.append(args)
         if len(calls) == 3:
             raise evolve.NewtonError("forced")
-        return bdf2(*args, **kwargs)
+        return bdf2(kernel, *args)
 
-    monkeypatch.setattr(evolve, "step_bdf2", fail_third)
+    monkeypatch.setattr(evolve._Newton, "bdf2", fail_third)
     tr = evolve.run(st0, 1e-2, 0.2, evolve.RecordOptions(snapshot_every=1))
     assert tr.backward_euler_steps == 2
     # every step after the start tries BDF2 (19 of 20), including the one
@@ -247,6 +247,56 @@ def test_a_halved_step_counts_its_halvings(grid_coarse, params33):
     assert evolve.step_nonlinear(st0, 50.0).dt_halvings > 1
     tr = evolve.run(st0, 20.0, 20.0)
     assert (tr.backward_euler_steps, tr.dt_halvings) == (1, 1)
+
+
+def test_a_non_finite_newton_system_is_a_named_error(grid_coarse, params33,
+                                                    monkeypatch):
+    st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,
+                           project_mass=False)
+    kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
+    with pytest.raises(evolve.NewtonError, match="Newton system at dt=1e"
+                       r"\+306: array must not contain infs or NaNs"):
+        kernel.solve(st0.w.values, 1e306, 0.0)
+    steps, solve = [], evolve._Newton.solve
+
+    def spy(kernel, w0, dt, w_boundary):
+        steps.append(dt)
+        return solve(kernel, w0, dt, w_boundary)
+
+    monkeypatch.setattr(evolve._Newton, "solve", spy)
+    with pytest.raises(evolve.NewtonError):
+        evolve.step_nonlinear(st0, 1e306)
+    # the first half of each halved step fails, down to the last halving
+    assert steps == [1e306 / 2 ** k
+                     for k in range(evolve.MAX_DT_HALVINGS + 1)]
+
+
+def test_a_singular_newton_system_is_a_named_error(grid_coarse, params33,
+                                                   monkeypatch):
+    def singular(system):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(evolve, "_solve_packed", singular)
+    st0 = evolve.bump_data(grid_coarse, 0.05, seed=1, params=params33)
+    kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
+    with pytest.raises(evolve.NewtonError, match="singular matrix"):
+        kernel.solve(st0.w.values, 1e-2, 0.0)
+
+
+def test_trace_records_residual_damping_and_margin(grid_coarse, params33):
+    # the damped start of the tridiag oracle: v drops to 0.1, and the first
+    # step halves its Newton updates
+    st0 = evolve.bump_data(grid_coarse, 0.9, seed=1, params=params33,
+                           project_mass=False)
+    st0 = evolve.EvolutionState(0.0, st0.w.with_values(-st0.w.values), params33)
+    tr = evolve.run(st0, 1.0, 3.0)
+    assert 0.0 <= tr.max_final_residual <= evolve.NEWTON_TOL
+    assert tr.min_damping < 1.0
+    assert tr.min_damping == 0.5 ** round(-np.log2(tr.min_damping))
+    assert evolve.MARGIN_FLOOR < tr.min_margin <= tr.min_v[1:].min()
+    calm = evolve.run(zero_state(grid_coarse, params33), 1e-2, 0.1)
+    assert (calm.max_final_residual, calm.min_damping, calm.min_margin) == \
+        (0.0, 1.0, 1.0)
 
 
 def test_nonlinear_slope_converges_to_linear(params33):

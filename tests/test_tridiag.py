@@ -10,7 +10,6 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
 from fastdiff_lab.tridiag import (
     _factor_tridiag,
-    _packed_system,
     _solve_factored,
     _solve_packed,
     _solve_tridiag,
@@ -34,10 +33,7 @@ def random_system(N, seed):
 
 def packed(dl, d, du, b):
     """The system in the one buffer ``_solve_packed`` solves."""
-    system, views = _packed_system(d.size)
-    for view, a in zip(views, (dl, d, du, b)):
-        view[:] = a
-    return system
+    return np.concatenate((dl, d, du, b))
 
 
 def banded(dl, d, du):
@@ -112,9 +108,10 @@ def _jacobian_bands(ws, w_full):
     return lower, diag, upper
 
 
-def _newton_be_solve_banded(ws, w0, dt, w_boundary):
+def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     """The Newton step as it stood on scipy.linalg.solve_banded (oracle):
-    three rhs evaluations per step, the closing sweep included."""
+    three rhs evaluations per step, the closing sweep included.  ``trials``
+    collects (damping factor, accepted) for every trial that met the margin."""
     W = w0.copy()
     W[ws.N] = w_boundary
 
@@ -139,6 +136,8 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary):
             if 1.0 + trial[:ws.N].min() > evolve.MARGIN_FLOOR:
                 Ft = residual(trial)
                 nt = np.max(np.abs(Ft))
+                if trials is not None:
+                    trials.append((lam, nt < norm or nt <= evolve.NEWTON_TOL))
                 if nt < norm or nt <= evolve.NEWTON_TOL:
                     W, F, norm = trial, Ft, nt
                     break
@@ -183,6 +182,62 @@ def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33):
         prev, w = w, _newton_be_solve_banded(ws, base, 2.0 * dt / 3.0, 0.0)
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle)
+    for (_, got), want in zip(trace.snapshots, oracle):
+        assert np.array_equal(got, want)
+
+
+def test_damped_step_bitwise_equal_to_solve_banded_newton(params33):
+    # v drops to 0.1: full Newton updates overshoot, and the kernel reuses
+    # its trial, residual and rhs buffers across rejected trials
+    grid = geo.make_grid(12.0, 150)
+    bump = evolve.bump_data(grid, 0.9, seed=1, params=params33,
+                            project_mass=False)
+    state = evolve.EvolutionState(0.0, bump.w.with_values(-bump.w.values),
+                                  params33)
+    ws = evolve._workspace(grid, params33)
+    trials = []
+    want = _newton_be_solve_banded(ws, state.w.values, 1.0, 0.0, trials)
+    got = evolve.step_nonlinear(state, 1.0)
+    assert (got.newton_iterations, got.dt_halvings) == (5, 0)
+    assert any(not accepted for _, accepted in trials)
+    assert np.array_equal(got.w.values, want)
+
+
+def _barenblatt_boundary(params, tau0):
+    """The exact far-field value of the delayed Barenblatt solution."""
+    def boundary(t):
+        E = np.exp(2 * params.p * t)
+        theta = (E / (E + 2 * params.p * tau0)) ** params.beta
+        return theta ** (-params.p) - 1.0
+    return boundary
+
+
+def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33):
+    # a nonzero value held at s_max, through step_nonlinear and run
+    grid = geo.make_grid(12.0, 300)
+    state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params33)
+    boundary = _barenblatt_boundary(params33, 0.15)
+    ws = evolve._workspace(grid, params33)
+    dt, steps = 1e-2, 20
+    state, w = state0, state0.w.values.copy()
+    for _ in range(steps):
+        w = _newton_be_solve_banded(ws, w, dt, boundary(state.t + dt))
+        state = evolve.step_nonlinear(state, dt, boundary)
+        assert w[-1] == boundary(state.t) != 0.0
+        assert np.array_equal(state.w.values, w)
+
+    trace = evolve.run(state0, dt, steps * dt,
+                       evolve.RecordOptions(snapshot_every=1), boundary)
+    assert trace.backward_euler_steps == 1
+    prev = state0.w.values.copy()
+    w = _newton_be_solve_banded(ws, prev, dt, boundary(dt))
+    oracle = [prev, w]
+    for t in trace.times[2:]:
+        base = (4.0 * w - prev) / 3.0
+        prev, w = w, _newton_be_solve_banded(ws, base, 2.0 * dt / 3.0,
+                                             boundary(t))
+        oracle.append(w)
+    assert len(trace.snapshots) == len(oracle) == steps + 1
     for (_, got), want in zip(trace.snapshots, oracle):
         assert np.array_equal(got, want)
 

@@ -36,15 +36,16 @@ and, for its rhs, ``nonlinear_rhs``.  It works in place on scratch
 allocated once per run (the iterate W and the damping trial, which swap on
 acceptance; v = 1 + W, shared by the residual and the Jacobian; F; R; the
 BDF2 base; the packed (4N-2) Newton system), so a step makes no
-temporaries beyond the mask of the finiteness check, and its arithmetic,
-operation for operation, is that of the allocating form it replaced.  The kernel owns the checks: each Newton system must be
-finite and solvable, each damping trial must keep 1+w above
-``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within ``NEWTON_MAXITER``
-iterations, and each accepted state must be finite and above
-``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
-Overflow while a system is built is expected at huge dt and is left to the
-finiteness check.  ``run`` keeps its states as arrays and never re-checks
-them.
+temporaries beyond the mask of the finiteness check.  Reusing a buffer
+never changes an operation or its order, so the results are bitwise those
+of the same arithmetic on fresh arrays (``tests/test_tridiag.py``).  The
+kernel owns the checks: each Newton system must be finite and solvable,
+each damping trial must keep 1+w above ``MARGIN_FLOOR``, |F| must reach
+``NEWTON_TOL`` within ``NEWTON_MAXITER`` iterations, and each accepted
+state must be finite and above ``MARGIN_FLOOR``; a failure is a
+``NewtonError`` or ``PositivityError``.  Overflow while a system is built
+is expected at huge dt and is left to the finiteness check.  ``run`` keeps
+its states as arrays and never re-checks them.
 """
 
 from __future__ import annotations

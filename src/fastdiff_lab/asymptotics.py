@@ -9,8 +9,9 @@ coefficient functional
 
 whose normalization recovers the amplitude of eigenmode initial data, the
 time-shift modding that cancels the lambda_01 coefficient against the
-delayed-Barenblatt family, and the weighted expansion residual whose decay
-slope verifies the rate/weight trade-off.
+delayed-Barenblatt family and reads the second-order rate gamma from what
+is left, and the weighted expansion residual whose decay slope verifies the
+rate/weight trade-off.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import numpy as np
 from .closedform import (
     ModelParams,
     ModeIndex,
-    admissible_modes,
     eigenvalue,
     eigenfunction_psi,
     eigenfunction_v,
     eta_for_target_rate,
     delayed_barenblatt_v,
     lambda_second_order,
+    second_order_candidates,
 )
 from .geometry import GridFunction, cell_masses, tail_estimate, weighted_sup
 
@@ -45,7 +46,6 @@ __all__ = [
     "extract_coefficient",
     "mod_time_shift",
     "expansion_residual",
-    "near_degenerate_pairs",
 ]
 
 
@@ -229,11 +229,16 @@ def _tail_count(n_snapshots: int) -> int:
 
 @dataclass
 class TimeShiftResult:
+    """The second-order measurement: the time shift, the rate left after it
+    and gamma = rate / lambda_01, with the verdict of ``_near_degenerate``."""
+
     tau0: float
     shifted_rate: RateFit
     Lambda: float
     eta: float
     c0: float  # lambda_01 coefficient before the shift
+    gamma: float
+    near_degenerate: bool
 
 
 def _shifted_snapshots(trace, tau0: float, params: ModelParams):
@@ -340,7 +345,18 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     # range is left rather than failing the whole record
     fit = fit_rate_or_widen(times, norms, policy)
     return TimeShiftResult(tau0=float(tau0), shifted_rate=fit, Lambda=Lambda,
-                           eta=eta, c0=c0)
+                           eta=eta, c0=c0, gamma=fit.slope / (-2.0 * params.p),
+                           near_degenerate=_near_degenerate(Lambda, params))
+
+
+def _near_degenerate(Lambda: float, params: ModelParams) -> bool:
+    """Whether a competitor of the target rate Lambda lies closer than the
+    fit can resolve (0.25): lambda_01 or another second-order candidate.
+    Near such a branch point the measured gamma is untrustworthy."""
+    competitors = [-2.0 * params.p] + [
+        lam for lam, _ in second_order_candidates(params)]
+    gaps = [abs(Lambda - c) for c in competitors if abs(Lambda - c) > 1e-12]
+    return bool(min(gaps, default=np.inf) < 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +393,3 @@ def expansion_residual(trace, Lambda: float,
         norms.append(weighted_sup(GridFunction(trace.grid, 0, resid), eta))
     return fit_rate_or_widen(np.array(times), np.array(norms), policy)
 
-
-# ---------------------------------------------------------------------------
-# Eigenvalue crossings
-# ---------------------------------------------------------------------------
-
-def near_degenerate_pairs(params: ModelParams):
-    """Admissible eigenvalue pairs at eta_cr closer than 0.1.
-
-    Rational m produces eigenvalue crossings; spacings below what a decay
-    fit can resolve (0.1) are reported so rate errors can be widened rather
-    than fitting secular polynomials.
-    """
-    modes = admissible_modes(params.eta_cr, params)
-    pairs = []
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            (ma, la), (mb, lb) = modes[i], modes[j]
-            if abs(la - lb) < 0.1:
-                pairs.append(((ma.ell, ma.k), (mb.ell, mb.k), abs(la - lb)))
-    return pairs

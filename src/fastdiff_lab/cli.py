@@ -94,6 +94,17 @@ def _initial_state(cfg: ExperimentConfig, params, grid):
     return evolve.delayed_barenblatt_data(grid, i.tau0, i.bplus, params)
 
 
+def _run(cfg: ExperimentConfig, params, etas=()):
+    """The nonlinear run of cfg from its initial data, recording the
+    weighted sup norms of ``etas``."""
+    state0 = _initial_state(cfg, params, _grid(cfg))
+    return evolve.run(
+        state0, cfg.time.dt, cfg.time.t_final,
+        evolve.RecordOptions(etas=etas, record_every=cfg.time.record_every,
+                             snapshot_every=cfg.time.snapshot_every),
+    )
+
+
 def _etas(cfg: ExperimentConfig, params) -> list[float]:
     if cfg.analysis.etas:
         return list(cfg.analysis.etas)
@@ -189,14 +200,8 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     """Nonlinear radial run: trace CSV plus fitted decay rates."""
     _require_unit_b(cfg)
     params = _params(cfg)
-    grid = _grid(cfg)
-    state0 = _initial_state(cfg, params, grid)
     etas = tuple(e for e in _etas(cfg, params) if e != 0.0)
-    trace = evolve.run(
-        state0, cfg.time.dt, cfg.time.t_final,
-        evolve.RecordOptions(etas=etas, record_every=cfg.time.record_every,
-                             snapshot_every=cfg.time.snapshot_every),
-    )
+    trace = _run(cfg, params, etas)
     bundle = ReportBundle("evolve", cfg.to_dict())
     header = ["t", "sup_norm"] + [f"sup_eta_{eta:g}" for eta in etas] + \
         ["mass_defect", "energy", "min_v", "max_v"]
@@ -247,59 +252,41 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     _require_unit_b(cfg)
     params = _params(cfg)
     _require_lambda_window(cfg, params)
-    grid = _grid(cfg)
-    state0 = _initial_state(cfg, params, grid)
-    trace = evolve.run(
-        state0, cfg.time.dt, cfg.time.t_final,
-        evolve.RecordOptions(record_every=cfg.time.record_every,
-                             snapshot_every=cfg.time.snapshot_every),
-    )
-    bundle = ReportBundle("expand", cfg.to_dict())
+    trace = _run(cfg, params)
     policy = _policy(cfg)
+    # refuses p <= 2, where there is no lambda_01 mode, before any pairing
+    shift = asymptotics.mod_time_shift(
+        trace, params, Lambda=cfg.analysis.lambda_target, policy=policy)
+    records = [asymptotics.extract_coefficient(trace, mode, params)
+               for mode in (ModeIndex(0, 0), ModeIndex(0, 1))]
+    resid_fit = asymptotics.expansion_residual(
+        trace, shift.Lambda, [records[1]], params, policy=policy)
 
-    coeff_rows = []
-    records = []
-    for mode in (ModeIndex(0, 0), ModeIndex(0, 1)):
-        if mode.degree >= params.p:
-            continue
-        rec = asymptotics.extract_coefficient(trace, mode, params)
-        records.append(rec)
-        coeff_rows.append([mode.ell, mode.k, rec.limit, rec.converged,
-                           rec.tail_fraction, rec.flagged])
+    bundle = ReportBundle("expand", cfg.to_dict())
     bundle.add_table("coefficients",
                      ["ell", "k", "limit", "converged", "tail_fraction",
-                      "flagged"], coeff_rows)
-
-    Lambda = cfg.analysis.lambda_target
-    shift = asymptotics.mod_time_shift(trace, params, Lambda=Lambda,
-                                       policy=policy)
+                      "flagged"],
+                     [[rec.mode.ell, rec.mode.k, rec.limit, rec.converged,
+                       rec.tail_fraction, rec.flagged] for rec in records])
     bundle.add_table("time_shift",
                      ["tau0", "Lambda", "eta", "slope", "r_squared",
                       "gamma_measured", "c01_before"],
                      [[shift.tau0, shift.Lambda, shift.eta,
                        shift.shifted_rate.slope, shift.shifted_rate.r_squared,
-                       shift.shifted_rate.slope / (-2.0 * params.p), shift.c0]])
-
-    resid_fit = None
-    rec01 = next((r for r in records if r.mode == ModeIndex(0, 1)), None)
-    if rec01 is not None:
-        resid_fit = asymptotics.expansion_residual(
-            trace, shift.Lambda, [rec01], params, policy=policy)
-        bundle.add_table("expansion_residual",
-                         ["Lambda", "eta", "slope", "r_squared"],
-                         [[shift.Lambda, shift.eta, resid_fit.slope,
-                           resid_fit.r_squared]])
+                       shift.gamma, shift.c0]])
+    bundle.add_table("expansion_residual",
+                     ["Lambda", "eta", "slope", "r_squared"],
+                     [[shift.Lambda, shift.eta, resid_fit.slope,
+                       resid_fit.r_squared]])
     so = closedform.second_order_rates(params)
     bundle.summary = {
         "tau0": shift.tau0,
-        "gamma_measured": shift.shifted_rate.slope / (-2.0 * params.p),
+        "gamma_measured": shift.gamma,
         "gamma_closed_form": so.gamma,
         "delta_closed_form": so.delta,
         "branch": so.branch.value,
-        "residual_slope": resid_fit.slope if resid_fit else None,
-        # near-degenerate eigenvalue spacings widen the trustworthy error
-        # bars on fitted rates (resonant rational m)
-        "near_degenerate_pairs": asymptotics.near_degenerate_pairs(params),
+        "residual_slope": resid_fit.slope,
+        "near_degenerate": shift.near_degenerate,
         **_newton_work(trace),
     }
     return bundle
@@ -319,25 +306,11 @@ def _sweep_item(args):
     cfg = apply_overrides(cfg, time={"dt": cfg.time.dt * scale,
                                      "t_final": cfg.time.t_final * scale})
     so = closedform.second_order_rates(params)
-    grid = _grid(cfg)
-    state0 = _initial_state(cfg, params, grid)
-    trace = evolve.run(
-        state0, cfg.time.dt, cfg.time.t_final,
-        evolve.RecordOptions(record_every=cfg.time.record_every,
-                             snapshot_every=cfg.time.snapshot_every),
-    )
-    shift = asymptotics.mod_time_shift(trace, params, policy=_policy(cfg))
-    gamma_meas = shift.shifted_rate.slope / (-2.0 * params.p)
-    # flag branch points: competitors of the target rate closer than the
-    # fit can resolve make gamma_measured untrustworthy
-    competitors = [-2.0 * params.p] + [
-        lam for lam, _ in closedform.second_order_candidates(params)]
-    gaps = [abs(shift.Lambda - c) for c in competitors
-            if abs(shift.Lambda - c) > 1e-12]
-    degenerate = bool(min(gaps, default=np.inf) < 0.25)
-    return [index, mm, params.p, gamma_meas, so.gamma, so.delta,
+    shift = asymptotics.mod_time_shift(_run(cfg, params), params,
+                                       policy=_policy(cfg))
+    return [index, mm, params.p, shift.gamma, so.gamma, so.delta,
             so.branch.value, shift.tau0, shift.shifted_rate.r_squared,
-            degenerate, ""]
+            shift.near_degenerate, ""]
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:

@@ -31,12 +31,12 @@ exact without affecting the order.  B is normalized to 1 here (see
 geometry).
 
 One Newton kernel, ``_Newton``, holds the only flux, rhs and Jacobian code
-and solves every step: those of ``run``, ``step_nonlinear``, ``step_bdf2``
-and, for its rhs, ``nonlinear_rhs``.  It works in place on scratch
-allocated once per run (the iterate W and the damping trial, which swap on
-acceptance; v = 1 + W, shared by the residual and the Jacobian; F; R; the
-BDF2 base; the packed (4N-2) Newton system), so a step makes no
-temporaries beyond the mask of the finiteness check.  Reusing a buffer
+and solves every step: those of ``run`` and ``step_nonlinear`` and, for
+its rhs, ``nonlinear_rhs``.  It works in place on scratch allocated once
+per run (the iterate W and the damping trial, which swap on acceptance;
+v = 1 + W, shared by the residual and the Jacobian; F; R; the BDF2 base;
+the packed (4N-2) Newton system), so a step makes no temporaries beyond
+the mask of the finiteness check.  Reusing a buffer
 never changes an operation or its order, so the results are bitwise those
 of the same arithmetic on fresh arrays (``tests/test_tridiag.py``).  The
 kernel owns the checks: each Newton system must be finite and solvable,
@@ -86,7 +86,6 @@ __all__ = [
     "RecordOptions",
     "nonlinear_rhs",
     "step_nonlinear",
-    "step_bdf2",
     "run",
     "energy",
     "comparison_envelope",
@@ -406,23 +405,6 @@ def step_nonlinear(state: EvolutionState, dt: float,
     return EvolutionState(t=t_new, w=state.w.with_values(kernel.W),
                           params=state.params, newton_iterations=iterations,
                           dt_halvings=halvings)
-
-
-def step_bdf2(prev: EvolutionState, state: EvolutionState, dt: float,
-              boundary=None) -> EvolutionState:
-    """One BDF2 step from the history (prev, state), which lie dt apart.
-
-    No dt halving: on Newton failure it raises, and ``run`` redoes the step
-    by backward Euler.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _Newton(_workspace(state.w.grid, state.params))
-    t_new = state.t + dt
-    iterations = kernel.bdf2(prev.w.values, state.w.values, 2.0 * dt / 3.0,
-                             _boundary_value(boundary, t_new))
-    return EvolutionState(t=t_new, w=state.w.with_values(kernel.W),
-                          params=state.params, newton_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,7 @@ def _second_order_gamma(case):
                               centers=(3.0, 7.0))
     trace = evolve.run(state0, dt, t_final,
                        evolve.RecordOptions(record_every=4, snapshot_every=4))
-    shift = asymptotics.mod_time_shift(trace, params, policy=policy)
-    return shift.shifted_rate.slope / (-2.0 * params.p)
+    return asymptotics.mod_time_shift(trace, params, policy=policy).gamma
 
 
 def _second_order_cases(fast):

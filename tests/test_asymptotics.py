@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
-from fastdiff_lab.config import config_from_dict
+from fastdiff_lab.config import config_from_dict, load_config
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,21 @@ def test_mod_time_shift_uses_branch_lambda(delayed_trace):
     so = cf.second_order_rates(params)
     assert res.Lambda == pytest.approx(so.Lambda)
     assert res.eta == pytest.approx(so.eta)
+    assert res.gamma == res.shifted_rate.slope / (-2.0 * params.p)
+    assert res.near_degenerate == asy._near_degenerate(res.Lambda, params)
+
+
+def test_near_degenerate_flags_the_sweeps_branch_points():
+    # at m = 0.62 and 0.78 a competitor lies 0.017 and 0.002 from Lambda
+    cfg = load_config(str(pathlib.Path(__file__).parents[1] / "configs"
+                          / "sweep_gamma_delta.json"))
+    flagged = []
+    for m in cfg.analysis.sweep_m:
+        params = cf.derive_params(cfg.model.n, m)
+        Lambda, _ = cf.lambda_second_order(params)
+        if asy._near_degenerate(Lambda, params):
+            flagged.append(m)
+    assert flagged == [0.62, 0.78]
 
 
 @pytest.mark.parametrize("count", [None, 1, 2, 5, 9])

@@ -306,21 +306,36 @@ def test_cmd_sweep_partial_failure():
     assert bundle.summary["failures"] == 1
 
 
+SHORT_SWEEP = {
+    "model": {"n": 3, "m": 0.7},
+    "grid": {"s_max": 10.0, "count": 250},
+    "time": {"dt": 4e-3, "t_final": 1.0, "record_every": 4,
+             "snapshot_every": 4},
+    "initial_data": {"kind": "bump", "amplitude": 0.05, "seed": 11,
+                     "centers": (3.0, 6.0)},
+    "analysis": {"sweep_m": (0.7, 0.75)},
+}
+
+
 def test_cmd_sweep_parallel_matches_serial():
-    base = {
-        "model": {"n": 3, "m": 0.7},
-        "grid": {"s_max": 10.0, "count": 250},
-        "time": {"dt": 4e-3, "t_final": 1.0, "record_every": 4,
-                 "snapshot_every": 4},
-        "initial_data": {"kind": "bump", "amplitude": 0.05, "seed": 11,
-                         "centers": (3.0, 6.0)},
-        "analysis": {"sweep_m": (0.7, 0.75)},
-    }
-    serial = cli.cmd_sweep(config_from_dict({**base, "jobs": 1}).validate())
-    parallel = cli.cmd_sweep(config_from_dict({**base, "jobs": 2}).validate())
+    serial = cli.cmd_sweep(
+        config_from_dict({**SHORT_SWEEP, "jobs": 1}).validate())
+    parallel = cli.cmd_sweep(
+        config_from_dict({**SHORT_SWEEP, "jobs": 2}).validate())
     assert serial.table("gamma_delta").rows == parallel.table("gamma_delta").rows
     assert serial.table("gamma_delta").to_csv() == \
         parallel.table("gamma_delta").to_csv()
+
+
+@pytest.mark.parametrize("m", [0.7, 0.78])
+def test_expand_and_sweep_read_one_second_order_record(m):
+    # a sweep row at the config's own m runs expand's run unscaled
+    cfg = config_from_dict({**SHORT_SWEEP, "model": {"n": 3, "m": m},
+                            "analysis": {"sweep_m": (m,)}}).validate()
+    summary = cli.cmd_expand(cfg).summary
+    (row,) = cli.cmd_sweep(cfg).table("gamma_delta").rows
+    assert summary["gamma_measured"] == row[3]
+    assert summary["near_degenerate"] == row[9] == (m == 0.78)
 
 
 # ---------------------------------------------------------------------------

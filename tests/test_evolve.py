@@ -68,9 +68,6 @@ def test_step_fixed_point_exact(grid12, params33):
 def test_step_rejects_bad_dt(grid12, params33):
     with pytest.raises(ValueError, match="dt"):
         evolve.step_nonlinear(zero_state(grid12, params33), -0.1)
-    st = zero_state(grid12, params33)
-    with pytest.raises(ValueError, match="dt"):
-        evolve.step_bdf2(st, st, 0.0)
 
 
 def test_state_positivity_guard(grid12, params33):

@@ -1,8 +1,10 @@
-"""Every ``__all__`` in the package names only what its module defines, and
-every name a module imports is used there or re-exported."""
+"""Every ``__all__`` in the package names only what its module defines,
+every name a module imports is used there or re-exported, and every exported
+function has a consumer in the program or the benchmark."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -46,3 +48,56 @@ def test_every_import_is_used(name):
     path = pathlib.Path(importlib.import_module(name).__file__)
     unused = _unused_imports(path)
     assert not unused, f"{name} imports unused {unused}"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# exported functions whose only callers are tests, which check the program
+# against them
+TEST_ORACLES = {
+    "fastdiff_lab.linop.step_linear":
+        "one Crank-Nicolson step, against which projection is checked to commute",
+    "fastdiff_lab.closedform.delayed_barenblatt_time_derivative":
+        "exact time derivative that nonlinear_rhs is checked against",
+    "fastdiff_lab.closedform.barenblatt_u":
+        "the profile u_B that the isotropic affine density is checked against",
+    "fastdiff_lab.evolve.nonlinear_rhs":
+        "public face of the Newton kernel's rhs, checked against the oracle",
+}
+
+
+def _references(path: pathlib.Path) -> set[str]:
+    """Names a file reads as a ``Name`` or ``Attribute``, except inside the
+    ``def`` of the same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def test_every_exported_function_has_a_consumer():
+    referenced = set()
+    for tree in ("src", "bench"):
+        for path in sorted(ROOT.glob(f"{tree}/**/*.py")):
+            referenced |= _references(path)
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            qualified = f"{name}.{export}"
+            if inspect.isfunction(getattr(module, export)) and \
+                    export not in referenced and qualified not in TEST_ORACLES:
+                unused.append(qualified)
+    assert not unused, f"exported functions without a consumer: {unused}"
+    consumed = [o for o in TEST_ORACLES if o.rsplit(".", 1)[1] in referenced]
+    assert not consumed, f"listed oracles that have a consumer: {consumed}"

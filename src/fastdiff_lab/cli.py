@@ -293,9 +293,7 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
 
 
 def _sweep_item(args):
-    index, cfg_dict, mm = args
-    from .config import config_from_dict
-    cfg = config_from_dict(cfg_dict)
+    index, cfg, mm = args
     base_p = _params(cfg).p
     cfg = apply_overrides(cfg, model={"m": mm})
     cfg.validate()
@@ -319,7 +317,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
     ms = cfg.analysis.sweep_m
     if not ms:
         raise ConfigError("analysis.sweep_m: sweep requires a list of m values")
-    tasks = [(i, cfg.to_dict(), mm) for i, mm in enumerate(ms)]
+    tasks = [(i, cfg, mm) for i, mm in enumerate(ms)]
     rows = _pool.map_ordered(_run_sweep_item, tasks, cfg.jobs)
     bundle = ReportBundle("sweep", cfg.to_dict())
     bundle.add_table("gamma_delta",

@@ -61,7 +61,6 @@ from .closedform import (
     ModelParams,
     ModeIndex,
     delayed_barenblatt_v,
-    derive_params,
     eigenfunction_v,
 )
 from .geometry import (
@@ -87,7 +86,6 @@ __all__ = [
     "nonlinear_rhs",
     "step_nonlinear",
     "run",
-    "energy",
     "comparison_envelope",
     "eigenmode_data",
     "bump_data",
@@ -135,9 +133,7 @@ class EvolutionState:
     def __post_init__(self):
         if self.w.ell != 0:
             raise ValueError("nonlinear evolution is radial: w must ride on l=0")
-        vmin = 1.0 + self.w.values.min()
-        if vmin <= 0.0:
-            raise PositivityError(int(np.argmin(self.w.values)), vmin)
+        _check_positivity(self.w.values)
 
 
 class _Workspace:
@@ -178,12 +174,8 @@ class _Workspace:
 
 
 @lru_cache(maxsize=64)
-def _build_workspace(grid: RadialGrid, n: int, m: float) -> _Workspace:
-    return _Workspace(grid, derive_params(n, m))
-
-
 def _workspace(grid: RadialGrid, params: ModelParams) -> _Workspace:
-    return _build_workspace(grid, params.n, params.m)
+    return _Workspace(grid, params)
 
 
 def _check_positivity(w_values: np.ndarray, floor: float = 0.0) -> float:
@@ -418,20 +410,15 @@ def _mass_defect(w: GridFunction, params: ModelParams) -> float:
     return sphere_area(params.n) * float(np.dot(w.values[:masses.size], masses))
 
 
-def energy(w: GridFunction, params: ModelParams) -> float:
-    """E = int H(w) dmu over the cigar, H = [(1+w)^{m+1} - 1 - (m+1)w]/(m(m+1)).
+def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
+            params: ModelParams) -> float:
+    """E = int H(w) dmu over the cigar, H = [(1+w)^{m+1} - 1 - (m+1)w]/(m(m+1)),
+    given v = 1 + w > 0.
 
     H is the antiderivative of h(w) = ((1+w)^m - 1)/m with H(0) = H'(0) = 0
     and H(w) = w^2/2 + O(w^3); E is the small-amplitude L^2 proxy whose
     decay slope doubles the field's.
     """
-    _check_positivity(w.values)
-    return _energy(w.grid, 1.0 + w.values, w.values, params)
-
-
-def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
-            params: ModelParams) -> float:
-    """``energy`` of w, given v = 1 + w."""
     m = params.m
     H = (v ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
     # tanh(s)**(n-1) is the cigar volume weight (all ones for n = 1)
@@ -453,11 +440,8 @@ def comparison_envelope(state0: EvolutionState, params: ModelParams) -> Envelope
     time shift, and B_+- then absorbs the remaining factor, so each barrier's
     relative density stays on the correct side of c^+-1 for all times.
     """
-    v = 1.0 + state0.w.values
-    vmin = float(v.min())
-    if vmin <= 0.0:
-        raise PositivityError(int(np.argmin(v)), vmin)
-    c = max(float(v.max()), 1.0 / vmin)
+    vmin = _check_positivity(state0.w.values)
+    c = max(1.0 + float(state0.w.values.max()), 1.0 / vmin)
     C = c ** (1.0 + params.n / params.p)
     return Envelope(lower=1.0 / C, upper=C)
 

@@ -46,7 +46,7 @@ from .closedform import (
     potential_profile,
 )
 from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
-from .tridiag import _factor_tridiag, _solve_factored, _solve_tridiag
+from .tridiag import _factor_tridiag, _solve_factored
 
 __all__ = [
     "TridiagonalOperator",
@@ -329,6 +329,34 @@ def _drift_hint(op: TridiagonalOperator) -> str:
             f"s_max={grid.s_max:g} is {count}")
 
 
+def _top_eigh(op: TridiagonalOperator, count: int,
+              eigvals_only: bool = True):
+    """The top `count` eigenpairs (ascending) of the symmetric tridiagonal
+    matrix similar to op, off-diagonal sqrt(sup_i sub_{i+1}); with
+    ``eigvals_only`` the eigenvalues alone.
+
+    A nonpositive off-diagonal product (a grid too coarse for the drift)
+    and a LAPACK failure are EigensolveErrors.
+    """
+    m = op.n_unknowns
+    offdiag2 = op.sup[:-1] * op.sub[1:]
+    if np.any(offdiag2 <= 0.0):
+        raise EigensolveError(
+            "off-diagonal products not positive; symmetrization failed "
+            f"(min product {offdiag2.min()}){_drift_hint(op)}"
+        )
+    try:
+        return scipy.linalg.eigh_tridiagonal(
+            op.diag, np.sqrt(offdiag2), eigvals_only=eigvals_only,
+            select="i", select_range=(m - count, m - 1),
+        )
+    except Exception as exc:  # LAPACK failure: report diagnostics
+        raise EigensolveError(
+            f"tridiagonal eigensolve failed for l={op.ell}, eta={op.eta}, "
+            f"N={m}: {exc}"
+        ) from exc
+
+
 def top_eigenvalues(op: TridiagonalOperator, count: int,
                     match_tol: float = 0.1) -> SpectrumReport:
     """Largest `count` discrete eigenvalues, matched against closed form.
@@ -342,24 +370,7 @@ def top_eigenvalues(op: TridiagonalOperator, count: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    m = op.n_unknowns
-    count = min(count, m)
-    offdiag2 = op.sup[:-1] * op.sub[1:]
-    if np.any(offdiag2 <= 0.0):
-        raise EigensolveError(
-            "off-diagonal products not positive; symmetrization failed "
-            f"(min product {offdiag2.min()}){_drift_hint(op)}"
-        )
-    try:
-        vals = scipy.linalg.eigh_tridiagonal(
-            op.diag, np.sqrt(offdiag2), eigvals_only=True,
-            select="i", select_range=(m - count, m - 1),
-        )
-    except Exception as exc:  # LAPACK failure: report diagnostics
-        raise EigensolveError(
-            f"tridiagonal eigensolve failed for l={op.ell}, eta={op.eta}, "
-            f"N={m}: {exc}"
-        ) from exc
+    vals = _top_eigh(op, min(count, op.n_unknowns))
 
     thr = essential_threshold(op.ell, op.eta, op.params)
     candidates = [(md, lam) for md, lam in admissible_modes(op.eta, op.params)
@@ -426,6 +437,30 @@ def project(f: GridFunction, modes: list[ModeIndex],
     return q_part, p_part
 
 
+def _crank_nicolson(op: TridiagonalOperator, dt: float):
+    """The Crank-Nicolson step x -> (I - (dt/2) L)^-1 (I + (dt/2) L) x on
+    op's unknowns, with I - (dt/2) L factored once for every step taken.
+
+    Factoring raises ValueError on non-finite bands and LinAlgError on a
+    singular matrix; the step raises ValueError on a non-finite right side
+    or result.
+    """
+    lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
+                         -0.5 * dt * op.sup[:-1])
+    half_dt = 0.5 * dt
+
+    def step(x: np.ndarray) -> np.ndarray:
+        y = _matvec(op, x)  # the right side x + (dt/2) L x, formed in place
+        y *= half_dt
+        y += x
+        x = _solve_factored(lu, y)
+        if not np.isfinite(x).all():
+            raise ValueError("grid function contains non-finite values")
+        return x
+
+    return step
+
+
 def step_linear(op: TridiagonalOperator, f: GridFunction,
                 dt: float) -> GridFunction:
     """One Crank-Nicolson step of d_t w = L_{l,eta} w (Dirichlet at s_max)."""
@@ -434,12 +469,8 @@ def step_linear(op: TridiagonalOperator, f: GridFunction,
     if f.grid != op.grid or f.ell != op.ell:
         raise ValueError("operator/function mismatch")
     i0 = op.first_node
-    x = f.values[i0:op.grid.count]
-    rhs = x + 0.5 * dt * _matvec(op, x)
-    y = _solve_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
-                       -0.5 * dt * op.sup[:-1], rhs)
     out = np.zeros_like(f.values)
-    out[i0:op.grid.count] = y
+    out[i0:op.grid.count] = _crank_nicolson(op, dt)(f.values[i0:op.grid.count])
     return f.with_values(out)
 
 
@@ -454,14 +485,11 @@ def _deflate_discrete(op: TridiagonalOperator, values: np.ndarray,
     """
     if count < 1:
         return values
-    m = op.n_unknowns
+    # the eigensolve checks the off-diagonal signs the log weights need
+    vals, vecs = _top_eigh(op, count, eigvals_only=False)
     logw = op.symmetrizer_log_weights()
     logw -= logw.max()
     d_scale = np.exp(0.5 * logw)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        op.diag, np.sqrt(op.sup[:-1] * op.sub[1:]),
-        select="i", select_range=(m - count, m - 1),
-    )
     i0 = op.first_node
     x = values[i0:op.grid.count].copy()
     xs = d_scale * x  # symmetric-frame coordinates
@@ -480,10 +508,12 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     f0 is a conjugated profile (the weight eta lives in the operator); the
     projection is performed on (cosh s)^eta f0 in the u_B^m pairing, with a
     discrete deflation of the same number of top eigenvectors to clear the
-    O(h^2) projection residue.  The complement is normalized to unit sup
-    norm and evolved with Crank-Nicolson.  Returns the RateFit of
-    log sup|w(t)|; the semigroup estimate asserts slope <= c_inf(eta) for
-    the complement.
+    O(h^2) projection residue; on a grid too coarse for the drift the
+    deflation's eigensolve is an EigensolveError naming the count needed.
+    The complement is normalized to unit sup norm and evolved by
+    ``step_linear``'s Crank-Nicolson step, factored once for the run.
+    Returns the RateFit of log sup|w(t)|; the semigroup estimate asserts
+    slope <= c_inf(eta) for the complement.
     """
     from .asymptotics import fit_rate
 
@@ -509,25 +539,16 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     if scale == 0.0:
         raise ValueError("projection removed the whole initial profile")
 
-    # step_linear's Crank-Nicolson step on the unknowns alone, with the
-    # constant matrix factored once; the node(s) held at zero do not change
-    # the sup norm
-    lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
-                         -0.5 * dt * op.sup[:-1])
+    # the node(s) held at zero do not change the sup norm
+    step = _crank_nicolson(op, dt)
     w = f0.with_values(w_vals / scale)
     x = w.values[op.first_node:op.grid.count]
     times = np.empty(steps + 1)
     sups = np.empty(steps + 1)
     times[0] = 0.0
     sups[0] = 1.0
-    half_dt = 0.5 * dt
     for j in range(steps):
-        y = _matvec(op, x)  # the right side x + (dt/2) A x, formed in place
-        y *= half_dt
-        y += x
-        x = _solve_factored(lu, y)
-        if not np.isfinite(x).all():
-            raise ValueError("grid function contains non-finite values")
+        x = step(x)
         times[j + 1] = (j + 1) * dt
         sups[j + 1] = np.abs(x).max()
     return fit_rate(times, sups, policy)

@@ -2,19 +2,20 @@
 
 ``scipy.linalg.solve_banded((1, 1), ...)`` packs nothing new for a
 tridiagonal system: it validates, slices the three bands back out of the
-``(3, N)`` array and calls the same ``dgtsv``.  Calling the routine
+``(3, N)`` array and calls the same ``dgtsv``.  Calling the routines
 directly gives bitwise-identical solutions without that wrapper cost
 (LAPACK Users' Guide, 3rd ed., ?gtsv), while raising the errors
-``solve_banded`` raises.
+``solve_banded`` raises.  There are two paths.
 
 A Newton iteration builds its matrix and right side afresh each time: it
 fills the four views (``_packed_views``) of one buffer, which
-``_solve_packed`` checks for finiteness in one pass and solves in place.
+``_solve_packed`` checks for finiteness in one pass and solves in place
+with ``dgtsv``.
 
-A matrix that is solved against many right sides (a Crank-Nicolson run
-with a fixed step) is factored once with ``dgttrf`` and solved per side
-with ``dgttrs``.  Both routines pivot and eliminate exactly as ``dgtsv``
-does, so the solutions are bitwise those of ``_solve_tridiag``.
+A Crank-Nicolson step solves one fixed matrix: it is factored once with
+``dgttrf`` and solved per right side with ``dgttrs``.  Both routines pivot
+and eliminate exactly as ``dgtsv`` does, so the solutions are bitwise
+those of ``solve_banded``.
 """
 
 from __future__ import annotations
@@ -30,43 +31,27 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _gtsv(dl, d, du, b) -> np.ndarray:
-    """``dgtsv`` in place on finite inputs, with solve_banded's errors."""
-    _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
-
-
-def _solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                   b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with bands (dl, d, du) for right side b.
-
-    ``d`` has N entries, ``dl`` (sub-diagonal, rows 1..N-1) and ``du``
-    (super-diagonal, rows 0..N-2) have N-1.  The inputs are scratch: LAPACK
-    factors in place, so callers pass freshly built arrays.  Raises
-    ValueError on non-finite input and LinAlgError on a singular system.
-    """
-    _check_finite(dl, d, du, b)
-    return _gtsv(dl, d, du, b)
-
-
 def _packed_views(system: np.ndarray) -> tuple:
-    """The four views (dl, d, du, b), in ``_solve_tridiag``'s order, of a
-    tridiagonal system of N unknowns packed in one (4N-2)-long buffer."""
+    """The four views (dl, d, du, b) of a tridiagonal system of N unknowns
+    packed in one (4N-2)-long buffer: sub-diagonal (rows 1..N-1), diagonal,
+    super-diagonal (rows 0..N-2) and right side."""
     N = (system.size + 2) // 4
     return (system[:N - 1], system[N - 1:2 * N - 1],
             system[2 * N - 1:3 * N - 2], system[3 * N - 2:])
 
 
 def _solve_packed(system: np.ndarray) -> np.ndarray:
-    """``_solve_tridiag`` of a packed system (``_packed_views``), checked for
+    """Solve a packed system (``_packed_views``) in place, checked for
     finiteness in one pass over the whole buffer; the solution is a view
-    into it."""
+    into it.  Raises ValueError on non-finite input and LinAlgError on a
+    singular system."""
     _check_finite(system)
-    return _gtsv(*_packed_views(system))
+    _, _, _, x, info = dgtsv(*_packed_views(system), True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def _factor_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:

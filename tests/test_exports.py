@@ -66,38 +66,95 @@ TEST_ORACLES = {
 }
 
 
+def _bindings(tree: ast.AST, module: str, package: str) -> dict[str, str]:
+    """Dotted name of every name a module binds by import or by a top-level
+    ``def``: ``from . import evolve`` binds ``evolve`` to
+    ``fastdiff_lab.evolve``, ``from .evolve import energy`` binds ``energy``
+    to ``fastdiff_lab.evolve.energy``, and ``def run`` in ``evolve`` binds
+    ``run`` to ``fastdiff_lab.evolve.run``."""
+    bound = {node.name: f"{module}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    bound[a.asname] = a.name
+                else:
+                    top = a.name.split(".")[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ([] if not node.level
+                    else parts[:len(parts) - node.level + 1])
+            if node.module:
+                base.append(node.module)
+            for a in node.names:
+                bound[a.asname or a.name] = ".".join(base + [a.name])
+    return bound
+
+
+def _dotted(node: ast.AST, bound: dict[str, str]) -> str | None:
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, bound)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
 def _references(path: pathlib.Path) -> set[str]:
-    """Names a file reads as a ``Name`` or ``Attribute``, except inside the
-    ``def`` of the same name."""
+    """Dotted names of the package's objects a file reads: a ``Name`` bound
+    by a from-import or a top-level ``def``, or an ``Attribute`` qualified by
+    an imported module (``evolve.energy``), except inside the ``def`` of the
+    same name.  An attribute of some other object (``trace.energy``) is not
+    a reference."""
+    tree = ast.parse(path.read_text())
+    package = path.parent.name
+    module = package if path.stem == "__init__" else f"{package}.{path.stem}"
+    bound = _bindings(tree, module, package)
     found = set()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {node.name}
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name is not None and name not in enclosing:
-            found.add(name)
+        if isinstance(node, (ast.Name, ast.Attribute)) and \
+                isinstance(node.ctx, ast.Load):
+            dotted = _dotted(node, bound)
+            if dotted and dotted.rsplit(".", 1)[-1] not in enclosing:
+                found.add(dotted)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, frozenset())
     return found
+
+
+def _resolve(dotted: str):
+    """The package object a dotted name reads, or None."""
+    module, _, attr = dotted.rpartition(".")
+    if not module.startswith("fastdiff_lab"):
+        return None
+    try:
+        return getattr(importlib.import_module(module), attr, None)
+    except ImportError:
+        return None
 
 
 def test_every_exported_function_has_a_consumer():
     referenced = set()
     for tree in ("src", "bench"):
         for path in sorted(ROOT.glob(f"{tree}/**/*.py")):
-            referenced |= _references(path)
+            referenced |= {id(obj) for obj in map(_resolve, _references(path))
+                           if inspect.isfunction(obj)}
     unused = []
     for name in MODULES:
         module = importlib.import_module(name)
         for export in getattr(module, "__all__", ()):
             qualified = f"{name}.{export}"
-            if inspect.isfunction(getattr(module, export)) and \
-                    export not in referenced and qualified not in TEST_ORACLES:
+            fn = getattr(module, export)
+            if inspect.isfunction(fn) and id(fn) not in referenced and \
+                    qualified not in TEST_ORACLES:
                 unused.append(qualified)
     assert not unused, f"exported functions without a consumer: {unused}"
-    consumed = [o for o in TEST_ORACLES if o.rsplit(".", 1)[1] in referenced]
+    consumed = [o for o in TEST_ORACLES if id(_resolve(o)) in referenced]
     assert not consumed, f"listed oracles that have a consumer: {consumed}"

@@ -1,5 +1,7 @@
 """Operator assembly, spectra, residuals, projections, linear stepping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,20 @@ def test_semigroup_decay_refuses_a_partial_last_step(grid12, params33):
     f0 = gaussian_profile(grid12)
     with pytest.raises(ValueError, match="nearest reachable time is 0.99"):
         linop.semigroup_decay(op, f0, [], 1.0, 3e-2, params33)
+
+
+def test_deflation_on_a_sign_losing_grid_is_a_named_error():
+    # p ~ 150: h = 0.02 is too coarse for the drift, so the off-diagonal
+    # products change sign; the deflation refuses before taking their log
+    params = cf.derive_params(3, 0.9867)
+    grid = geo.make_grid(4.0, 200)
+    op = linop.assemble(0, 0.0, grid, params)
+    f0 = gaussian_profile(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(linop.EigensolveError, match="smallest count"):
+            linop.semigroup_decay(op, f0, [ModeIndex(0, 0)], 1.0, 1e-2,
+                                  params)
 
 
 def test_assemble_underflow_is_a_named_error(params33):

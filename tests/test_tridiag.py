@@ -8,12 +8,7 @@ from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
-from fastdiff_lab.tridiag import (
-    _factor_tridiag,
-    _solve_factored,
-    _solve_packed,
-    _solve_tridiag,
-)
+from fastdiff_lab.tridiag import _factor_tridiag, _solve_factored, _solve_packed
 
 from conftest import gaussian_profile
 
@@ -49,8 +44,6 @@ def banded(dl, d, du):
 def test_matches_solve_banded_bitwise(N, seed):
     dl, d, du, b = random_system(N, seed)
     expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
-    got = _solve_tridiag(dl.copy(), d.copy(), du.copy(), b.copy())
-    assert np.array_equal(got, expected)
     assert np.array_equal(_solve_packed(packed(dl, d, du, b)), expected)
 
 
@@ -64,8 +57,6 @@ def test_non_finite_input_raises_like_solve_banded(which, bad):
         scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         _solve_packed(packed(dl, d, du, b))
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        _solve_tridiag(dl, d, du, b)
 
 
 def test_singular_system_raises_like_solve_banded():
@@ -76,8 +67,6 @@ def test_singular_system_raises_like_solve_banded():
         scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         _solve_packed(packed(dl, d, du, b))
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _solve_tridiag(dl, d, du, b)
 
 
 def _rhs_np_diff(ws, w_full):
@@ -269,7 +258,7 @@ def test_factored_solve_matches_gtsv_bitwise(N, seed):
     lu = _factor_tridiag(dl, d, du)
     for k in range(3):
         rhs = b * (k + 1.0) - k
-        expected = _solve_tridiag(dl.copy(), d.copy(), du.copy(), rhs.copy())
+        expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), rhs)
         assert np.array_equal(_solve_factored(lu, rhs), expected)
 
 
@@ -288,7 +277,7 @@ def test_factored_solve_non_finite_input_raises_like_gtsv(which, bad):
     arrays[which][5] = bad
     dl, d, du, b = arrays
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        _solve_tridiag(dl.copy(), d.copy(), du.copy(), b.copy())
+        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         # bands are checked when factoring, the right side when solving
         _solve_factored(_factor_tridiag(dl, d, du), b)
@@ -299,7 +288,7 @@ def test_factored_singular_system_raises_like_gtsv():
     dl, d, du, b = np.zeros(N - 1), np.ones(N), np.zeros(N - 1), np.ones(N)
     d[7] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _solve_tridiag(dl.copy(), d.copy(), du.copy(), b.copy())
+        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         _factor_tridiag(dl, d, du)
 

@@ -32,7 +32,7 @@ from .closedform import (
     lambda_second_order,
     second_order_candidates,
 )
-from .geometry import GridFunction, cell_masses, tail_estimate, weighted_sup
+from .geometry import _ROWS, _weighted_sups, cell_masses, tail_estimate
 
 __all__ = [
     "WindowPolicy",
@@ -241,20 +241,41 @@ class TimeShiftResult:
     near_degenerate: bool
 
 
-def _shifted_snapshots(trace, tau0: float, params: ModelParams):
-    """Snapshots of rho(tau)/rho_B(tau + tau0) - 1 from w = rho/rho_B - 1.
+def _row_blocks(snapshots, grid):
+    """(times, rows) for consecutive blocks of at most ``_ROWS`` snapshots,
+    the rows stacked in one reused (``_ROWS``, N+1) buffer that the caller
+    may overwrite; a block is valid until the next one is made."""
+    buf = np.empty((_ROWS, grid.count + 1))
+    for start in range(0, len(snapshots), _ROWS):
+        chunk = snapshots[start:start + _ROWS]
+        rows = buf[:len(chunk)]
+        np.stack([w for _, w in chunk], out=rows)
+        yield [t for t, _ in chunk], rows
+
+
+def _shifted_blocks(snapshots, grid, tau0: float, params: ModelParams):
+    """``_row_blocks`` of the snapshots of rho(tau)/rho_B(tau + tau0) - 1
+    from w = rho/rho_B - 1, each row bitwise (1 + w) / q - 1 with q the
+    delayed Barenblatt at its time.
 
     Same shift convention as closedform.delayed_barenblatt_v, so modding a
     trace that started from the time-shifted Barenblatt with shift tau*
     recovers tau0 = tau* (statements written against rho_B(tau - tau0) carry
     the opposite sign).
     """
-    s = trace.grid.nodes
-    out = []
-    for t, w in trace.snapshots:
-        q = delayed_barenblatt_v(t, s, tau0, params.B, params)
-        out.append((t, (1.0 + w) / q - 1.0))
-    return out
+    for times, rows in _row_blocks(snapshots, grid):
+        rows += 1.0
+        rows /= delayed_barenblatt_v(times, grid.nodes, tau0, params.B, params)
+        rows -= 1.0
+        yield times, rows
+
+
+def _shifted_snapshots(trace, tau0: float, params: ModelParams):
+    """The snapshots of ``_shifted_blocks`` as a list of (t, w)."""
+    return [(t, w.copy())
+            for times, rows in _shifted_blocks(trace.snapshots, trace.grid,
+                                               tau0, params)
+            for t, w in zip(times, rows)]
 
 
 def _shifted_c01(trace, params: ModelParams):
@@ -265,18 +286,20 @@ def _shifted_c01(trace, params: ModelParams):
     snapshots are shifted and paired, against weights computed once.
     """
     mode01 = ModeIndex(0, 1)
-    tail = replace(trace, snapshots=trace.snapshots[
-        -_tail_count(len(trace.snapshots)):])
+    tail = trace.snapshots[-_tail_count(len(trace.snapshots)):]
     lam = eigenvalue(mode01, params)
     num_w, den = _pairing_weights(trace.grid, mode01, params)
 
     def c_of(tau0: float) -> float:
         # rows (t, c(t)) as extract_coefficient stores them, so the mean
         # reduces the same strided column
-        ests = np.empty((len(tail.snapshots), 2))
-        for j, (t, w) in enumerate(_shifted_snapshots(tail, tau0, params)):
-            pairing = float(np.dot(num_w, w[:num_w.size]))
-            ests[j] = (t, math.exp(-lam * t) * pairing / den)
+        ests = np.empty((len(tail), 2))
+        j = 0
+        for times, rows in _shifted_blocks(tail, trace.grid, tau0, params):
+            for t, w in zip(times, rows):
+                pairing = float(np.dot(num_w, w[:num_w.size]))
+                ests[j] = (t, math.exp(-lam * t) * pairing / den)
+                j += 1
         return float(ests[:, 1].mean())
 
     return c_of
@@ -304,7 +327,10 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
 
     # evaluate the coefficient only where the signal is alive: amplified
     # late-time noise would otherwise swamp the tail average at large p
-    sups = np.array([np.abs(w).max() for _, w in trace.snapshots])
+    sups = []
+    for _, rows in _row_blocks(trace.snapshots, trace.grid):
+        sups.extend(np.maximum.reduce(np.abs(rows, out=rows), axis=1))
+    sups = np.array(sups)
     alive = sups >= 1e-6 * sups.max()
     if np.count_nonzero(alive) >= 8:
         base_snaps = [sw for sw, keep in zip(trace.snapshots, alive) if keep]
@@ -336,11 +362,9 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
         a, fa, b, fb = b, fb, c, c_of(c)
     tau0 = b
 
-    shifted = _shifted_snapshots(trace, tau0, params)
-    times = np.array([t for t, _ in shifted])
-    norms = np.array([
-        weighted_sup(GridFunction(trace.grid, 0, w), eta) for _, w in shifted
-    ])
+    times, norms = _weighted_norms(
+        _shifted_blocks(trace.snapshots, trace.grid, tau0, params),
+        trace.grid, eta, len(trace.snapshots))
     # the shift may remove (almost) everything: then fit whatever positive
     # range is left rather than failing the whole record
     fit = fit_rate_or_widen(times, norms, policy)
@@ -379,17 +403,33 @@ def expansion_residual(trace, Lambda: float,
                             f"= ]{2.0 * lam01}, {lam01}]")
     eta = eta_for_target_rate(Lambda, params)
     s = trace.grid.nodes
-    basis = {
-        rec.mode: eigenfunction_v(rec.mode, s, params)
-        for rec in coefficients
-    }
-    times, norms = [], []
-    for t, w in trace.snapshots:
-        resid = w.copy()
-        for rec in coefficients:
-            lam_lk = eigenvalue(rec.mode, params)
-            resid -= rec.limit * math.exp(lam_lk * t) * basis[rec.mode]
-        times.append(t)
-        norms.append(weighted_sup(GridFunction(trace.grid, 0, resid), eta))
-    return fit_rate_or_widen(np.array(times), np.array(norms), policy)
+    modes = [(rec.limit, eigenvalue(rec.mode, params),
+              eigenfunction_v(rec.mode, s, params)) for rec in coefficients]
+
+    def residual_blocks():
+        # each row bitwise w - sum of limit * exp(lambda t) * v_lk, with
+        # the products formed per time as the scalar loop forms them
+        term = np.empty((_ROWS, s.size))
+        for times, rows in _row_blocks(trace.snapshots, trace.grid):
+            for limit, lam_lk, basis in modes:
+                scale = np.array([limit * math.exp(lam_lk * t) for t in times])
+                rows -= np.multiply(scale[:, None], basis, out=term[:len(times)])
+            yield times, rows
+
+    times, norms = _weighted_norms(residual_blocks(), trace.grid, eta,
+                                   len(trace.snapshots))
+    return fit_rate_or_widen(times, norms, policy)
+
+
+def _weighted_norms(blocks, grid, eta: float, count: int):
+    """Times and ``weighted_sup`` of every row of (times, rows) blocks,
+    whose rows are overwritten."""
+    times, norms = np.empty(count), np.empty(count)
+    start = 0
+    for block_times, rows in blocks:
+        stop = start + len(block_times)
+        times[start:stop] = block_times
+        _weighted_sups(grid, rows, eta, rows, norms[start:stop])
+        start = stop
+    return times, norms
 

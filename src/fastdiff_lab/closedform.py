@@ -373,7 +373,7 @@ def _delayed_theta(t: float, tau0: float, params: ModelParams) -> float:
     return (E / Ep) ** params.beta
 
 
-def delayed_barenblatt_v(t: float, s, tau0: float, Bplus: float,
+def delayed_barenblatt_v(t, s, tau0: float, Bplus: float,
                          params: ModelParams):
     """Relative density of the time-shifted Barenblatt rho_{B+}(tau + tau0).
 
@@ -384,15 +384,23 @@ def delayed_barenblatt_v(t: float, s, tau0: float, Bplus: float,
 
     v == 1 for tau0 = 0, B+ = B; v -> u_{B+}/u_B uniformly at rate e^{-2pt};
     v -> theta^{-p} as s -> infinity at fixed t.
+
+    ``t`` is one time or a sequence of times; a sequence gives one row per
+    time, each bitwise the value at that time alone (theta and theta^n
+    are formed per time as floats, sinh^2 s once per call).
     """
     if Bplus <= 0.0:
         raise ValueError(f"Bplus must be positive, got {Bplus}")
-    theta = _delayed_theta(t, tau0, params)
+    scalar = np.ndim(t) == 0
+    thetas = [_delayed_theta(ti, tau0, params) for ti in ([t] if scalar else t)]
+    shape = () if scalar else (len(thetas), 1)
+    B = params.B
+    theta_n = np.reshape([th ** params.n for th in thetas], shape)
+    theta2_B = np.reshape([th * th * B for th in thetas], shape)
     ss = np.asarray(s, dtype=float)
     sh2 = np.sinh(ss) ** 2
-    B = params.B
-    ratio = B * (1.0 + sh2) / (Bplus + theta * theta * B * sh2)
-    return theta ** params.n * ratio ** params.a
+    ratio = B * (1.0 + sh2) / (Bplus + theta2_B * sh2)
+    return theta_n * ratio ** params.a
 
 
 def delayed_barenblatt_time_derivative(t: float, s, tau0: float, Bplus: float,

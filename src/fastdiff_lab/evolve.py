@@ -35,17 +35,27 @@ and solves every step: those of ``run`` and ``step_nonlinear`` and, for
 its rhs, ``nonlinear_rhs``.  It works in place on scratch allocated once
 per run (the iterate W and the damping trial, which swap on acceptance;
 v = 1 + W, shared by the residual and the Jacobian; F; R; the BDF2 base;
-the packed (4N-2) Newton system), so a step makes no temporaries beyond
-the mask of the finiteness check.  Reusing a buffer
-never changes an operation or its order, so the results are bitwise those
-of the same arithmetic on fresh arrays (``tests/test_tridiag.py``).  The
-kernel owns the checks: each Newton system must be finite and solvable,
+the packed (4N-2) Newton system and its band views), so a step makes no
+array temporaries: the finiteness check of each Newton system is a dot
+product with zeros, not a mask.  The first residual of a solve, taken at
+W = w0, is formed as 0 - dt rhs(w0), which is what W - w0 - dt rhs(W)
+rounds to there.  Reusing a buffer never changes an operation or its
+order, so the results are bitwise those of the same arithmetic on fresh
+arrays (``tests/test_tridiag.py``).  The kernel owns the checks: each Newton system must be finite and solvable,
 each damping trial must keep 1+w above ``MARGIN_FLOOR``, |F| must reach
 ``NEWTON_TOL`` within ``NEWTON_MAXITER`` iterations, and each accepted
 state must be finite and above ``MARGIN_FLOOR``; a failure is a
 ``NewtonError`` or ``PositivityError``.  Overflow while a system is built
 is expected at huge dt and is left to the finiteness check.  ``run`` keeps
 its states as arrays and never re-checks them.
+
+``run`` pays its diagnostics per block of recorded states, not per state
+(``_Records``): it copies each recorded state into one fixed block of
+``geometry._ROWS`` rows and takes its mass defect (one dot product per
+state, since a block matrix product would sum in another order); each full
+block gets its sup and weighted sups, min and max of v and energy in a few
+array calls, every value bitwise the one-state formula's.  The memory a
+run holds does not grow with its step count.
 """
 
 from __future__ import annotations
@@ -64,13 +74,14 @@ from .closedform import (
     eigenfunction_v,
 )
 from .geometry import (
+    _ROWS,
     GridFunction,
     RadialGrid,
     _node_power,
+    _weighted_sups,
     cell_masses,
     sphere_area,
     step_count,
-    weighted_sup,
 )
 from .tridiag import _packed_views, _solve_packed
 
@@ -180,7 +191,7 @@ def _workspace(grid: RadialGrid, params: ModelParams) -> _Workspace:
 
 def _check_positivity(w_values: np.ndarray, floor: float = 0.0) -> float:
     """1 + min w, raising PositivityError unless it lies above ``floor``."""
-    vmin = 1.0 + w_values.min()
+    vmin = 1.0 + np.minimum.reduce(w_values)
     if vmin <= floor:
         raise PositivityError(int(np.argmin(w_values)), float(vmin))
     return float(vmin)
@@ -212,7 +223,9 @@ class _Newton:
             np.empty(N) for _ in range(5))
         self.system = np.empty(4 * N - 2)
         self.bands = _packed_views(self.system)
+        self.packed = (self.system, self.bands)
         # the shifted views of the fixed buffers, made once
+        self.v_lo, self.v_hi = self.v[:-1], self.v[1:]
         self.G_lo, self.G_hi = self.G[:-1], self.G[1:]
         self.dG_lo, self.dG_hi = self.dG[:-1], self.dG[1:]
         self.phi_lo, self.phi_hi = self.phi[:-1], self.phi[1:]
@@ -232,7 +245,7 @@ class _Newton:
         np.add(w_full, 1.0, out=v)
         np.power(v, ws.m, out=G)
         G *= ws.U
-        np.add(v[:-1], v[1:], out=vbar)
+        np.add(self.v_lo, self.v_hi, out=vbar)
         vbar -= 2.0
         vbar *= 0.5
         vbar += 1.0
@@ -244,15 +257,16 @@ class _Newton:
         np.subtract(self.phi_hi, self.phi_lo, out=out[1:])
         out /= ws.masses
 
-    def _residual(self, w_full, w0, dt) -> float:
-        """F = W - w0 - dt rhs(W) over the unknowns, R = dt rhs(W) and
-        v = 1 + W; returns max |F|."""
-        N, F, R = self.ws.N, self.F, self.R
+    def _residual(self, w_full, w_unknowns, w0_unknowns, dt) -> float:
+        """F = W - w0 - dt rhs(W) over the unknowns (``w_unknowns`` and
+        ``w0_unknowns`` are W[:N] and w0[:N]), R = dt rhs(W) and v = 1 + W;
+        returns max |F|."""
+        F, R = self.F, self.R
         self.rhs(w_full, R)
         R *= dt
-        np.subtract(w_full[:N], w0[:N], out=F)
+        np.subtract(w_unknowns, w0_unknowns, out=F)
         F -= R
-        return np.abs(F, out=self.scratch).max()
+        return np.maximum.reduce(np.abs(F, out=self.scratch))
 
     def _newton_step(self, dt: float) -> np.ndarray:
         """Solve (I - dt J) delta = -F at the iterate with v = 1 + W,
@@ -289,7 +303,7 @@ class _Newton:
         upper *= -dt
         np.negative(self.F, out=b)
         try:
-            return _solve_packed(self.system)
+            return _solve_packed(self.packed)
         except (ValueError, LinAlgError) as exc:
             raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
 
@@ -299,49 +313,67 @@ class _Newton:
         number of Newton iterations.  Overflow is left to the checks: a
         non-finite system or accepted iterate raises NewtonError.
         """
-        N = self.ws.N
-        W, trial, scratch = self.W, self.trial, self.scratch
-        lam_min = 1.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            W[:N] = w0[:N]
-            W[N] = trial[N] = w_boundary
-            norm = self._residual(W, w0, dt)
-            for iterations in range(NEWTON_MAXITER):
-                if norm <= NEWTON_TOL:
-                    break
-                delta = self._newton_step(dt)
-                lam = 1.0
-                for _damp in range(12):
-                    if lam == 1.0:
-                        np.add(W[:N], delta, out=trial[:N])
-                    else:
-                        np.multiply(delta, lam, out=scratch)
-                        np.add(W[:N], scratch, out=trial[:N])
-                    if 1.0 + trial[:N].min() > MARGIN_FLOOR:
-                        nt = self._residual(trial, w0, dt)
-                        if nt < norm or nt <= NEWTON_TOL:
-                            W, trial = trial, W
-                            norm = nt
-                            lam_min = min(lam_min, lam)
-                            break
-                    lam *= 0.5
-                else:
-                    raise NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
-            else:
-                raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
-                                  f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
-            # one fixed-point sweep; makes the discrete mass telescope exactly
-            # and perturbs the iterate only by O(dt |F|).  R = dt rhs(W) is
-            # already evaluated at the accepted W.
-            np.add(w0[:N], self.R, out=W[:N])
-        self.W, self.trial = W, trial
+        norm, lam_min, iterations = self._iterate(w0, dt, w_boundary)
+        W = self.W
         vmin = _check_positivity(W, MARGIN_FLOOR)
-        if not (math.isfinite(vmin) and math.isfinite(W.max())):
+        if not (math.isfinite(vmin) and math.isfinite(np.maximum.reduce(W))):
             raise NewtonError("Newton step produced a non-finite state")
         self.max_final_residual = max(self.max_final_residual, float(norm))
         self.min_damping = min(self.min_damping, lam_min)
         self.min_margin = min(self.min_margin, vmin)
         return iterations
+
+    # the decorator form enters the error state without building a context
+    # manager per call; it covers the iteration and nothing after it
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def _iterate(self, w0: np.ndarray, dt: float, w_boundary: float):
+        """The damped Newton iteration and the closing sweep of ``solve``;
+        returns the final |F|, the smallest accepted damping factor and the
+        number of iterations."""
+        N = self.ws.N
+        W, trial, scratch, F, R = self.W, self.trial, self.scratch, self.F, self.R
+        # W[:N] and trial[:N], sliced once per solve and swapped with W
+        W_in, trial_in, w0_in = W[:N], trial[:N], w0[:N]
+        lam_min = 1.0
+        W_in[:] = w0_in
+        W[N] = trial[N] = w_boundary
+        # the first residual is taken at W == w0, where W - w0 is +0 at
+        # every finite node, so F = 0 - R
+        self.rhs(W, R)
+        R *= dt
+        np.subtract(0.0, R, out=F)
+        norm = np.maximum.reduce(np.abs(F, out=scratch))
+        for iterations in range(NEWTON_MAXITER):
+            if norm <= NEWTON_TOL:
+                break
+            delta = self._newton_step(dt)
+            lam = 1.0
+            for _damp in range(12):
+                if lam == 1.0:
+                    np.add(W_in, delta, out=trial_in)
+                else:
+                    np.multiply(delta, lam, out=scratch)
+                    np.add(W_in, scratch, out=trial_in)
+                if 1.0 + np.minimum.reduce(trial_in) > MARGIN_FLOOR:
+                    nt = self._residual(trial, trial_in, w0_in, dt)
+                    if nt < norm or nt <= NEWTON_TOL:
+                        W, trial = trial, W
+                        W_in, trial_in = trial_in, W_in
+                        norm = nt
+                        lam_min = min(lam_min, lam)
+                        break
+                lam *= 0.5
+            else:
+                raise NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
+        else:
+            raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
+                              f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
+        # one fixed-point sweep; makes the discrete mass telescope exactly
+        # and perturbs the iterate only by O(dt |F|).  R = dt rhs(W) is
+        # already evaluated at the accepted W.
+        np.add(w0_in, R, out=W_in)
+        self.W, self.trial = W, trial
+        return norm, lam_min, iterations
 
     def bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt23: float,
              w_boundary: float) -> int:
@@ -405,27 +437,44 @@ def step_nonlinear(state: EvolutionState, dt: float,
 
 def _mass_defect(w: GridFunction, params: ModelParams) -> float:
     """Mass defect int w u_B dx, with the finite-volume cell weights: the
-    same functional the flux form conserves."""
+    same functional the flux form conserves (``run`` records it per state
+    with the same dot product)."""
     masses = cell_masses(w.grid, params)
     return sphere_area(params.n) * float(np.dot(w.values[:masses.size], masses))
 
 
+@lru_cache(maxsize=64)
+def _node_spacing(grid: RadialGrid) -> np.ndarray:
+    """``np.diff(grid.nodes)``, shared and so read-only."""
+    d = np.diff(grid.nodes)
+    d.flags.writeable = False
+    return d
+
+
 def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
-            params: ModelParams) -> float:
+            params: ModelParams):
     """E = int H(w) dmu over the cigar, H = [(1+w)^{m+1} - 1 - (m+1)w]/(m(m+1)),
-    given v = 1 + w > 0.
+    given v = 1 + w > 0, which it overwrites: a float for one state, or an
+    array of one E per row for a block of states.
 
     H is the antiderivative of h(w) = ((1+w)^m - 1)/m with H(0) = H'(0) = 0
     and H(w) = w^2/2 + O(w^3); E is the small-amplitude L^2 proxy whose
-    decay slope doubles the field's.
+    decay slope doubles the field's.  The quadrature is ``np.trapezoid``'s
+    own arithmetic, (d * (y[1:] + y[:-1]) / 2).sum(), along each row.
     """
     m = params.m
-    H = (v ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
+    H = np.power(v, m + 1.0, out=v)
+    H -= 1.0
+    mw = np.multiply(w, m + 1.0)
+    H -= mw
+    H /= m * (m + 1.0)
     # tanh(s)**(n-1) is the cigar volume weight (all ones for n = 1)
-    vol = _node_power(grid, "tanh", params.n - 1)
-    return sphere_area(params.n) * float(np.trapezoid(H * vol, grid.nodes))
-
-
+    H *= _node_power(grid, "tanh", params.n - 1)
+    y = np.add(H[..., 1:], H[..., :-1], out=mw[..., 1:])
+    y *= _node_spacing(grid)
+    y /= 2.0
+    E = sphere_area(params.n) * np.add.reduce(y, axis=-1)
+    return float(E) if E.ndim == 0 else E
 @dataclass(frozen=True)
 class Envelope:
     lower: float
@@ -485,6 +534,56 @@ class EvolutionTrace:
     min_margin: float = math.inf
 
 
+class _Records:
+    """The diagnostics of a run's recorded states, ``_ROWS`` states at a
+    time.
+
+    ``add`` copies a state into one fixed (``_ROWS``, N+1) block and takes
+    its mass defect (one dot product per state, as ``_mass_defect``); each
+    full block, and the last one, gets its sup and weighted sups, min and
+    max of v and energy in a few array calls.  Every value is bitwise the
+    pointwise formula's: ``weighted_sup``, ``_mass_defect``, min and max of
+    1 + w, and ``_energy`` of one state.
+    """
+
+    def __init__(self, grid: RadialGrid, params: ModelParams,
+                 etas: tuple[float, ...], count: int):
+        self.grid, self.params = grid, params
+        self.masses = cell_masses(grid, params)
+        self.area = sphere_area(params.n)
+        self.block, self.work = (np.empty((_ROWS, grid.count + 1))
+                                 for _ in range(2))
+        self.times, self.sup, self.mass_defect, self.energy, self.min_v, \
+            self.max_v = (np.empty(count) for _ in range(6))
+        self.weighted = {eta: np.empty(count) for eta in etas}
+        self.norms = [(0.0, self.sup), *self.weighted.items()]
+        self.start = 0  # record index of the block's first row
+        self.rows = 0   # states in the block
+
+    def add(self, t: float, w: np.ndarray):
+        k = self.start + self.rows
+        self.times[k] = t
+        self.mass_defect[k] = np.dot(w[:self.masses.size], self.masses)
+        self.block[self.rows] = w
+        self.rows += 1
+        if self.rows == _ROWS:
+            self.flush()
+
+    def flush(self):
+        if not self.rows:
+            return
+        start, stop = self.start, self.start + self.rows
+        rows, work = self.block[:self.rows], self.work[:self.rows]
+        for eta, out in self.norms:
+            _weighted_sups(self.grid, rows, eta, work, out[start:stop])
+        self.mass_defect[start:stop] *= self.area
+        v = np.add(rows, 1.0, out=work)
+        np.minimum.reduce(v, axis=1, out=self.min_v[start:stop])
+        np.maximum.reduce(v, axis=1, out=self.max_v[start:stop])
+        self.energy[start:stop] = _energy(self.grid, v, rows, self.params)
+        self.start, self.rows = stop, 0
+
+
 def run(state0: EvolutionState, dt: float, t_final: float,
         record: RecordOptions = RecordOptions(),
         boundary=None) -> EvolutionTrace:
@@ -495,21 +594,14 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     if steps < 0:
         raise ValueError("t_final lies before the initial time")
 
-    times, sups, masses, energies, mins, maxs = [], [], [], [], [], []
-    weighted: dict[float, list] = {eta: [] for eta in record.etas}
+    # the start, every record_every-th step and the last step
+    every = record.record_every
+    records = _Records(grid, params, record.etas,
+                       1 + steps // every + (steps % every != 0))
     snapshots: list[tuple[float, np.ndarray]] = []
 
     def observe(t: float, w: np.ndarray, step_index: int):
-        f = state0.w.with_values(w)
-        times.append(t)
-        sups.append(weighted_sup(f, 0.0))
-        for eta in record.etas:
-            weighted[eta].append(weighted_sup(f, eta))
-        masses.append(_mass_defect(f, params))
-        v = 1.0 + w
-        energies.append(_energy(grid, v, w, params))
-        mins.append(float(v.min()))
-        maxs.append(float(v.max()))
+        records.add(t, w)
         if record.snapshot_every is not None and \
                 step_index % record.snapshot_every == 0:
             snapshots.append((t, w.copy()))
@@ -519,7 +611,8 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
     dt23 = 2.0 * dt / 3.0
-    be_steps, halvings, iterations = 0, 0, []
+    be_steps, halvings = 0, 0
+    iterations, max_iterations, zero_steps = 0, 0, 0
     observe(t, cur, 0)
     for j in range(1, steps + 1):
         t_new, its = t + dt, None
@@ -536,20 +629,22 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         t = t_new
         spare = np.empty_like(cur) if prev is None else prev
         prev, cur, kernel.W = cur, kernel.W, spare
-        iterations.append(its)
-        if j % record.record_every == 0 or j == steps:
+        iterations += its
+        max_iterations = max(max_iterations, its)
+        zero_steps += its == 0
+        if j % every == 0 or j == steps:
             observe(t, cur, j)
+    records.flush()
 
     return EvolutionTrace(
-        grid=grid,
-        times=np.array(times), sup=np.array(sups),
-        weighted={eta: np.array(vals) for eta, vals in weighted.items()},
-        mass_defect=np.array(masses), energy=np.array(energies),
-        min_v=np.array(mins), max_v=np.array(maxs), snapshots=snapshots,
+        grid=grid, times=records.times, sup=records.sup,
+        weighted=records.weighted, mass_defect=records.mass_defect,
+        energy=records.energy, min_v=records.min_v, max_v=records.max_v,
+        snapshots=snapshots,
         backward_euler_steps=be_steps,
-        newton_iterations=sum(iterations),
-        max_newton_iterations=max(iterations, default=0),
-        zero_newton_steps=iterations.count(0),
+        newton_iterations=iterations,
+        max_newton_iterations=max_iterations,
+        zero_newton_steps=zero_steps,
         dt_halvings=halvings,
         max_final_residual=kernel.max_final_residual,
         min_damping=kernel.min_damping,

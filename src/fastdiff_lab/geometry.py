@@ -172,6 +172,21 @@ def weighted_sup(f: GridFunction, eta: float) -> float:
     return float(np.abs(_node_power(f.grid, "cosh", -eta) * f.values).max())
 
 
+# rows per block of node values in the block passes over runs and snapshots
+_ROWS = 16
+
+
+def _weighted_sups(grid: RadialGrid, rows: np.ndarray, eta: float,
+                   work: np.ndarray, out: np.ndarray) -> None:
+    """``weighted_sup`` of each row of a (k, count+1) block, into ``out``
+    (k values); ``work`` is scratch of the block's shape and may be
+    ``rows`` itself.  Each value is bitwise ``weighted_sup``'s: the
+    products are the same and the maximum is exact."""
+    np.multiply(rows, _node_power(grid, "cosh", -eta), out=work)
+    np.abs(work, out=work)
+    np.maximum.reduce(work, axis=1, out=out)
+
+
 @lru_cache(maxsize=64)
 def _cell_masses_cached(s_max: float, count: int, n: int, p: float) -> np.ndarray:
     """Cell integrals of mu(s) = sinh^{n-1}(s) cosh^{1-n-p}(s) = u_B r^{n-1} dr/ds."""

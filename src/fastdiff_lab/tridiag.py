@@ -10,24 +10,41 @@ directly gives bitwise-identical solutions without that wrapper cost
 A Newton iteration builds its matrix and right side afresh each time: it
 fills the four views (``_packed_views``) of one buffer, which
 ``_solve_packed`` checks for finiteness in one pass and solves in place
-with ``dgtsv``.
+with ``dgtsv``; a caller that solves the same buffer again hands over the
+views it keeps with it.
 
 A Crank-Nicolson step solves one fixed matrix: it is factored once with
 ``dgttrf`` and solved per right side with ``dgttrs``.  Both routines pivot
 and eliminate exactly as ``dgtsv`` does, so the solutions are bitwise
 those of ``solve_banded``.
+
+Every path checks its inputs for finiteness without forming a mask:
+inf * 0 and nan * 0 are nan, so the dot product of an array with zeros is
+finite exactly when every entry is.  ``np.vdot`` forms it without the
+floating-point warning ``np.dot`` gives for inf * 0.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 
+@lru_cache(maxsize=16)
+def _zeros(size: int) -> np.ndarray:
+    """A shared, read-only vector of ``size`` zeros."""
+    zeros = np.zeros(size)
+    zeros.flags.writeable = False
+    return zeros
+
+
 def _check_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not math.isfinite(np.vdot(a, _zeros(a.size))):
             raise ValueError("array must not contain infs or NaNs")
 
 
@@ -40,13 +57,18 @@ def _packed_views(system: np.ndarray) -> tuple:
             system[2 * N - 1:3 * N - 2], system[3 * N - 2:])
 
 
-def _solve_packed(system: np.ndarray) -> np.ndarray:
+def _solve_packed(system) -> np.ndarray:
     """Solve a packed system (``_packed_views``) in place, checked for
     finiteness in one pass over the whole buffer; the solution is a view
-    into it.  Raises ValueError on non-finite input and LinAlgError on a
+    into it.  ``system`` is the buffer or the pair (buffer, its four
+    views).  Raises ValueError on non-finite input and LinAlgError on a
     singular system."""
+    if isinstance(system, tuple):
+        system, bands = system
+    else:
+        bands = _packed_views(system)
     _check_finite(system)
-    _, _, _, x, info = dgtsv(*_packed_views(system), True, True, True, True)
+    _, _, _, x, info = dgtsv(*bands, True, True, True, True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

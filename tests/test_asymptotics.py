@@ -314,3 +314,77 @@ def test_weighted_rate_report(params33):
     assert preds == sorted(preds, reverse=True)
     for a, b in zip(slopes, slopes[1:]):
         assert b <= a + 0.15 * abs(a)
+
+
+# ---------------------------------------------------------------------------
+# Row-block passes against the pointwise formulas
+# ---------------------------------------------------------------------------
+
+ROWS = geo._ROWS
+
+
+def _pointwise_shifted(trace, tau0, params):
+    s = trace.grid.nodes
+    return [(t, (1.0 + w) / cf.delayed_barenblatt_v(t, s, tau0, params.B,
+                                                    params) - 1.0)
+            for t, w in trace.snapshots]
+
+
+def _pointwise_norms(grid, snapshots, eta):
+    return (np.array([t for t, _ in snapshots]),
+            np.array([geo.weighted_sup(geo.GridFunction(grid, 0, w), eta)
+                      for _, w in snapshots]))
+
+
+@pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, None])
+def test_shifted_snapshots_are_the_pointwise_formula(bump_trace_07, count):
+    params, trace = bump_trace_07
+    trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    for tau0 in (0.0, 0.05, -0.02):
+        got = asy._shifted_snapshots(trace, tau0, params)
+        want = _pointwise_shifted(trace, tau0, params)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("count", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+def test_mod_time_shift_passes_are_the_pointwise_formulas(bump_trace_07, count):
+    # the trailing states are scaled far below the alive threshold, so the
+    # alive scan drops them from the secant but not from the final norms
+    params, trace = bump_trace_07
+    snaps = list(trace.snapshots[:count])
+    dead = ROWS // 2
+    snaps[-dead:] = [(t, 1e-9 * w) for t, w in snaps[-dead:]]
+    trace = dataclasses.replace(trace, snapshots=snaps)
+    res = asy.mod_time_shift(trace, params)
+
+    sups = np.array([np.abs(w).max() for _, w in snaps])
+    alive = sups >= 1e-6 * sups.max()
+    assert np.count_nonzero(~alive) == dead
+    base = [sw for sw, keep in zip(snaps, alive) if keep] \
+        if np.count_nonzero(alive) >= 8 else snaps
+    c_of = asy._shifted_c01(dataclasses.replace(trace, snapshots=base), params)
+    assert res.c0 == c_of(0.0)
+    times, norms = _pointwise_norms(
+        trace.grid, _pointwise_shifted(trace, res.tau0, params), res.eta)
+    assert res.shifted_rate == asy.fit_rate_or_widen(times, norms)
+
+
+@pytest.mark.parametrize("count", [2, ROWS, ROWS + 1, None])
+def test_expansion_residual_is_the_pointwise_formula(bump_trace_07, count):
+    params, trace = bump_trace_07
+    trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    recs = [asy.extract_coefficient(trace, md, params)
+            for md in (ModeIndex(0, 0), ModeIndex(0, 1))]
+    Lambda = cf.second_order_rates(params).Lambda
+    eta = cf.eta_for_target_rate(Lambda, params)
+    s = trace.grid.nodes
+    resid = []
+    for t, w in trace.snapshots:
+        r = w.copy()
+        for rec in recs:
+            r -= rec.limit * math.exp(cf.eigenvalue(rec.mode, params) * t) \
+                * cf.eigenfunction_v(rec.mode, s, params)
+        resid.append((t, r))
+    want = asy.fit_rate_or_widen(*_pointwise_norms(trace.grid, resid, eta))
+    assert asy.expansion_residual(trace, Lambda, recs, params) == want

@@ -379,3 +379,26 @@ def test_delayed_barenblatt_time_derivative(params33):
           - cf.delayed_barenblatt_v(t - dt, s, tau0, bplus, params33)) / (2 * dt)
     an = cf.delayed_barenblatt_time_derivative(t, s, tau0, bplus, params33)
     assert an == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+def _delayed_barenblatt_pointwise(t, s, tau0, bplus, params):
+    """The delayed Barenblatt at one time, as the formula reads (oracle)."""
+    E = math.exp(2.0 * params.p * t)
+    theta = (E / (E + 2.0 * params.p * tau0)) ** params.beta
+    sh2 = np.sinh(s) ** 2
+    ratio = params.B * (1.0 + sh2) / (bplus + theta * theta * params.B * sh2)
+    return theta ** params.n * ratio ** params.a
+
+
+@pytest.mark.parametrize("count", [1, 2, 17])
+def test_delayed_barenblatt_of_times_is_one_row_per_time(params33, count):
+    s = np.linspace(0.0, 12.0, 601)
+    times = list(np.linspace(0.0, 2.5, count))
+    for tau0, bplus in ((0.15, 1.0), (-0.05, 0.7)):
+        rows = cf.delayed_barenblatt_v(times, s, tau0, bplus, params33)
+        assert rows.shape == (count, s.size)
+        for t, row in zip(times, rows):
+            want = _delayed_barenblatt_pointwise(t, s, tau0, bplus, params33)
+            assert np.array_equal(row, want)
+            assert np.array_equal(
+                cf.delayed_barenblatt_v(t, s, tau0, bplus, params33), want)

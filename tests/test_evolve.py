@@ -379,3 +379,112 @@ def test_tiny_m_is_a_named_solver_failure(grid_coarse):
     w = geo.GridFunction(grid_coarse, 0, np.zeros(grid_coarse.count + 1))
     with pytest.raises(evolve.EvolveError, match="flux prefactor"):
         evolve.nonlinear_rhs(w, params)
+
+
+# ---------------------------------------------------------------------------
+# Block-recorded diagnostics against the pointwise formulas
+# ---------------------------------------------------------------------------
+
+ROWS = geo._ROWS
+BLOCK_ETAS = (0.25, 0.5, 1.0)
+
+
+def _block_boundary(t):
+    return 1e-3 * t
+
+
+@pytest.fixture(scope="module")
+def every_step_run(params33):
+    """States at every step of the run the block tests record sparsely."""
+    grid = geo.make_grid(12.0, 300)
+    st0 = evolve.bump_data(grid, 0.05, seed=7, params=params33)
+    steps = 3 * 150 + 1
+    trace = evolve.run(st0, 1e-2, steps * 1e-2,
+                       evolve.RecordOptions(snapshot_every=1),
+                       boundary=_block_boundary)
+    return st0, trace.snapshots
+
+
+def _pointwise(grid, t, w, params):
+    """One record by the pointwise formulas."""
+    f = geo.GridFunction(grid, 0, w)
+    s, m, v = grid.nodes, params.m, 1.0 + w
+    H = (v ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
+    energy = geo.sphere_area(params.n) * float(
+        np.trapezoid(H * geo.volume_weight(s, params.n), s))
+    return ([t, geo.weighted_sup(f, 0.0)]
+            + [geo.weighted_sup(f, eta) for eta in BLOCK_ETAS]
+            + [evolve._mass_defect(f, params), energy,
+               float(v.min()), float(v.max())])
+
+
+@pytest.mark.parametrize("records", [1, ROWS - 1, ROWS, ROWS + 1, 151])
+@pytest.mark.parametrize("every, snapshot_every, off_grid",
+                         [(2, 3, False), (3, 2, True), (1, None, False)])
+def test_block_records_are_the_pointwise_formulas(
+        every_step_run, params33, records, every, snapshot_every, off_grid):
+    # record counts at the block edges; an off-grid run's last step is
+    # recorded although it is no multiple of record_every
+    st0, states = every_step_run
+    grid = st0.w.grid
+    steps = every * (records - 1)
+    if off_grid and records > 1:
+        steps -= every - 1
+    tr = evolve.run(st0, 1e-2, steps * 1e-2,
+                    evolve.RecordOptions(etas=BLOCK_ETAS, record_every=every,
+                                         snapshot_every=snapshot_every),
+                    boundary=_block_boundary)
+    recorded = [j for j in range(steps + 1) if j % every == 0 or j == steps]
+    assert len(recorded) == records == tr.times.size
+    got = np.column_stack([tr.times, tr.sup,
+                           *(tr.weighted[eta] for eta in BLOCK_ETAS),
+                           tr.mass_defect, tr.energy, tr.min_v, tr.max_v])
+    want = np.array([_pointwise(grid, *states[j], params33) for j in recorded])
+    assert np.array_equal(got, want)
+    snaps = [] if snapshot_every is None else [
+        j for j in recorded if j % snapshot_every == 0]
+    assert [t for t, _ in tr.snapshots] == [states[j][0] for j in snaps]
+    for (_, w), j in zip(tr.snapshots, snaps):
+        assert np.array_equal(w, states[j][1])
+
+
+def test_block_energy_is_the_one_state_energy(grid12, params33):
+    # rows of a block, down to a single row, against _energy of each state
+    rng = np.random.default_rng(3)
+    block = 0.05 * rng.standard_normal((ROWS + 1, grid12.count + 1))
+    for params in (params33, cf.derive_params(1, 0.5)):
+        for k in (1, ROWS, ROWS + 1):
+            got = evolve._energy(grid12, 1.0 + block[:k], block[:k], params)
+            assert np.array_equal(got, [
+                evolve._energy(grid12, 1.0 + w, w, params) for w in block[:k]])
+
+
+def test_run_peak_memory_does_not_grow_with_steps(params33):
+    # the same 31 records from 300 and from 3000 steps: nothing per step
+    # is kept
+    import tracemalloc
+
+    grid = geo.make_grid(12.0, 600)
+    st0 = evolve.bump_data(grid, 0.05, seed=7, params=params33)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            evolve.run(st0, 1e-3, steps * 1e-3,
+                       evolve.RecordOptions(record_every=steps // 30))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(30)  # fills the per-grid caches
+    short, long = peak(300), peak(3000)
+    assert long <= short + 1024, (short, long)
+
+
+def test_node_spacing_is_shared_read_only_and_bounded(grid12):
+    d = evolve._node_spacing(grid12)
+    assert d is evolve._node_spacing(grid12)
+    assert np.array_equal(d, np.diff(grid12.nodes))
+    with pytest.raises(ValueError, match="read-only"):
+        d[0] = 1.0
+    assert evolve._node_spacing.cache_info().maxsize == 64

@@ -158,3 +158,122 @@ def test_every_exported_function_has_a_consumer():
     assert not unused, f"exported functions without a consumer: {unused}"
     consumed = [o for o in TEST_ORACLES if id(_resolve(o)) in referenced]
     assert not consumed, f"listed oracles that have a consumer: {consumed}"
+
+
+# ---------------------------------------------------------------------------
+# Cache lint: every cache in the program has a bound
+# ---------------------------------------------------------------------------
+
+_DICT_FACTORIES = {"dict", "collections.defaultdict", "collections.OrderedDict"}
+
+
+def _finite_maxsize(call: ast.AST) -> bool:
+    """Whether an ``lru_cache(...)`` call names an explicit integer maxsize."""
+    if not isinstance(call, ast.Call):
+        return False
+    sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and \
+        type(sizes[0].value) is int and sizes[0].value >= 0
+
+
+def _unbounded_caches(source: str, name: str = "<source>") -> list[str]:
+    """``functools.cache``, an ``lru_cache`` without an explicit finite
+    integer maxsize, and a module-level dict that a function writes to
+    (an unbounded cache), in one module's source."""
+    tree = ast.parse(source)
+    bound = _bindings(tree, "module", "package")
+    bound.setdefault("dict", "dict")
+    found = []
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Name, ast.Attribute)) or \
+                not isinstance(node.ctx, ast.Load):
+            continue
+        dotted = _dotted(node, bound)
+        if dotted == "functools.cache":
+            found.append(f"{name}:{node.lineno}: functools.cache")
+        elif dotted == "functools.lru_cache" and id(node) not in calls:
+            found.append(f"{name}:{node.lineno}: lru_cache without maxsize")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                _dotted(node.func, bound) == "functools.lru_cache" and \
+                not _finite_maxsize(node):
+            found.append(f"{name}:{node.lineno}: lru_cache without a finite "
+                         f"integer maxsize")
+    dicts, defaults = set(), set()  # a defaultdict grows on every read
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) and stmt.value else []
+        value = getattr(stmt, "value", None)
+        if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call)
+                and _dotted(value.func, bound) in _DICT_FACTORIES):
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            dicts |= names
+            if isinstance(value, ast.Call) and \
+                    _dotted(value.func, bound) == "collections.defaultdict":
+                defaults |= names
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            written = None
+            if isinstance(node, ast.Subscript) and (
+                    isinstance(node.ctx, ast.Store)
+                    or getattr(node.value, "id", None) in defaults):
+                written = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("setdefault", "update", "__setitem__"):
+                written = node.func.value
+            if isinstance(written, ast.Name) and written.id in dicts:
+                found.append(f"{name}:{node.lineno}: module-level dict cache "
+                             f"{written.id}")
+    return found
+
+
+def test_every_cache_is_bounded():
+    found = []
+    for path in sorted(ROOT.glob("src/**/*.py")):
+        found += _unbounded_caches(path.read_text(), str(path.relative_to(ROOT)))
+    assert not found, "unbounded caches:\n" + "\n".join(found)
+
+
+def test_cache_lint_finds_unbounded_caches():
+    bad = '''
+import functools
+from functools import cache, lru_cache as lru
+import collections
+
+_SEEN = {}
+_BY_KEY: dict = dict()
+_TABLE = collections.defaultdict(list)
+LIMITS = {"a": 1}
+
+@functools.cache
+def a(x): return x
+
+@lru
+def b(x): return x
+
+@lru(maxsize=None)
+def c(x): return x
+
+@functools.lru_cache()
+def d(x): return x
+
+@lru(64)
+def ok(x): return LIMITS[x]
+
+def e(x):
+    _SEEN[x] = x
+    _BY_KEY.setdefault(x, x)
+    _TABLE[x].append(x)
+    return cache(x)
+'''
+    found = [line.split(": ", 1)[1] for line in _unbounded_caches(bad)]
+    assert found == [
+        "functools.cache", "lru_cache without maxsize", "functools.cache",
+        "lru_cache without a finite integer maxsize",
+        "lru_cache without a finite integer maxsize",
+        "module-level dict cache _SEEN", "module-level dict cache _BY_KEY",
+        "module-level dict cache _TABLE"]

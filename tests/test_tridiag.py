@@ -376,3 +376,29 @@ def test_semigroup_decay_blow_up_raises_at_the_step_linear_step(monkeypatch,
         linop.semigroup_decay(op, f0, [], 1e3, dt, params33)
     assert len(calls) == oracle_steps < 1e4
     assert str(got.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_packed_pair_checks_and_solves_like_the_buffer(which, bad):
+    # the Newton kernel hands over (buffer, views); the finiteness check
+    # forms no mask and raises no floating-point warning
+    from fastdiff_lab.tridiag import _packed_views
+    system = packed(*random_system(32, 4))
+    want = _solve_packed(system.copy())
+    pair = system.copy()
+    assert np.array_equal(_solve_packed((pair, _packed_views(pair))), want)
+    arrays = list(random_system(32, 4))
+    arrays[which][7] = bad
+    pair = packed(*arrays)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _solve_packed((pair, _packed_views(pair)))
+
+
+def test_finiteness_zeros_are_shared_read_only_and_bounded():
+    from fastdiff_lab.tridiag import _zeros
+    z = _zeros(40)
+    assert z is _zeros(40) and not z.any()
+    with pytest.raises(ValueError, match="read-only"):
+        z[0] = 1.0
+    assert _zeros.cache_info().maxsize == 16

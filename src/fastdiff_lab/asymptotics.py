@@ -327,10 +327,8 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
 
     # evaluate the coefficient only where the signal is alive: amplified
     # late-time noise would otherwise swamp the tail average at large p
-    sups = []
-    for _, rows in _row_blocks(trace.snapshots, trace.grid):
-        sups.extend(np.maximum.reduce(np.abs(rows, out=rows), axis=1))
-    sups = np.array(sups)
+    _, sups = _weighted_norms(_row_blocks(trace.snapshots, trace.grid),
+                              trace.grid, 0.0, len(trace.snapshots))
     alive = sups >= 1e-6 * sups.max()
     if np.count_nonzero(alive) >= 8:
         base_snaps = [sw for sw, keep in zip(trace.snapshots, alive) if keep]

@@ -41,11 +41,12 @@ product with zeros, not a mask.  The first residual of a solve, taken at
 W = w0, is formed as 0 - dt rhs(w0), which is what W - w0 - dt rhs(W)
 rounds to there.  Reusing a buffer never changes an operation or its
 order, so the results are bitwise those of the same arithmetic on fresh
-arrays (``tests/test_tridiag.py``).  The kernel owns the checks: each Newton system must be finite and solvable,
-each damping trial must keep 1+w above ``MARGIN_FLOOR``, |F| must reach
-``NEWTON_TOL`` within ``NEWTON_MAXITER`` iterations, and each accepted
-state must be finite and above ``MARGIN_FLOOR``; a failure is a
-``NewtonError`` or ``PositivityError``.  Overflow while a system is built
+arrays (``tests/test_tridiag.py``).  The kernel owns the checks: each
+Newton system must be finite and solvable, each damping trial must keep
+1+w above ``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within
+``NEWTON_MAXITER`` iterations, and each accepted state must be finite and
+above ``MARGIN_FLOOR``; a failure is a ``NewtonError`` or
+``PositivityError``.  Overflow while a system is built
 is expected at huge dt and is left to the finiteness check.  ``run`` keeps
 its states as arrays and never re-checks them.
 
@@ -475,6 +476,8 @@ def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
     y /= 2.0
     E = sphere_area(params.n) * np.add.reduce(y, axis=-1)
     return float(E) if E.ndim == 0 else E
+
+
 @dataclass(frozen=True)
 class Envelope:
     lower: float

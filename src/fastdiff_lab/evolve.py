@@ -83,6 +83,7 @@ from .geometry import (
     cell_masses,
     sphere_area,
     step_count,
+    weighted_sup,
 )
 from .tridiag import _packed_views, _solve_packed
 
@@ -687,7 +688,7 @@ def bump_data(grid: RadialGrid, amplitude: float, seed: int,
         width = rng.uniform(0.3, 1.0)
         height = rng.uniform(0.3, 1.0)
         vals += height * np.exp(-((s - center) / width) ** 2)
-    vals *= amplitude / np.max(np.abs(vals))
+    vals *= amplitude / weighted_sup(GridFunction(grid, 0, vals), 0.0)
     if project_mass:
         masses = cell_masses(grid, params)
         v00 = eigenfunction_v(ModeIndex(0, 0), s, params)

@@ -16,20 +16,24 @@ Hilbert-space frame, where the potential well cancels and g is an even,
 smooth function (a polynomial in sinh^2 s on eigenfunctions).  Near the
 origin the rows are assembled there - finite-volume for the radial part
 with exact cell integrals of tanh^{n_eff-1}(s), n_eff = n + 2l, central
-differences for the smooth drift - and mapped back through the diagonal
-similarity; for l >= 1 the Neumann ghost value g_0 is eliminated through
-the O(h^4) even-extension closure g_0 = (4 g_1 - g_2)/3.  Away from the
-origin the conjugated operator itself is centrally differenced (see
-``assemble``).  The result matches the domain conditions f'(0) = 0 for
-l = 0 and f(0) = 0 for l >= 1, keeps all off-diagonal entries positive (so
-an exact diagonal symmetrizer exists and the discrete spectrum is real),
-and is uniformly second order.  The far boundary is homogeneous Dirichlet
-at s_max: bound eigenfunctions decay exponentially, and quasi-continuum
-artifacts of the truncation are flagged, not matched.
+differences for the smooth drift, or the drift inside the flux where those
+would lose sign - and mapped back through the diagonal similarity, its
+neighbour ratios formed in log space; for l >= 1 the Neumann ghost value
+g_0 is eliminated through the O(h^4) even-extension closure
+g_0 = (4 g_1 - g_2)/3.  Away from the origin the conjugated operator itself
+is centrally differenced (see ``assemble``).  The result matches the domain
+conditions f'(0) = 0 for l = 0 and f(0) = 0 for l >= 1, keeps all
+off-diagonal entries positive on every grid (so an exact diagonal
+symmetrizer exists and the discrete spectrum is real), and is second order
+where h resolves the drift; the one refusal is a grid too coarse for the
+bands to be floats.  The far boundary is homogeneous Dirichlet at s_max:
+bound eigenfunctions decay exponentially, and quasi-continuum artifacts of
+the truncation are flagged, not matched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,7 @@ from .closedform import (
     potential_profile,
 )
 from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
-from .tridiag import _factor_tridiag, _solve_factored
+from .tridiag import _factor_tridiag, _solve_factored, _zeros
 
 __all__ = [
     "TridiagonalOperator",
@@ -103,73 +107,64 @@ class TridiagonalOperator:
         return np.concatenate([[0.0], np.cumsum(ratios)])
 
 
+def _log_cosh(s: np.ndarray) -> np.ndarray:
+    """log cosh(s) for s >= 0, finite where cosh(s) overflows (s > 710)."""
+    return s + np.log1p(np.exp(-2.0 * s)) - np.log(2.0)
+
+
 def _log_flux_weight(s: np.ndarray, n_eff: int, c_pow: float) -> np.ndarray:
     """log of W(s) = tanh^{n_eff-1}(s) cosh^{c_pow}(s); s > 0 required."""
-    return (n_eff - 1) * np.log(np.tanh(s)) + c_pow * np.log(np.cosh(s))
+    return (n_eff - 1) * np.log(np.tanh(s)) + c_pow * _log_cosh(s)
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
 
-def _cell_weight_ratios(grid: RadialGrid, n_eff: int, c_pow: float):
-    """Cell integrals of W relative to W at a per-cell reference value.
+def _face_fluxes(grid: RadialGrid, n_eff: int, c_pow: float):
+    """Finite-volume rows of (1/W) d_s (W d_s) for the weight W of
+    ``_log_flux_weight``.
 
-    Returns (Ibar, log_ref) with Ibar_i = integral_{cell i} W ds / W(ref_i),
-    ref_i = s_i for i >= 1 and h/2 for the half cell [0, h/2] at the origin.
-    The power-law factor s^{n_eff-1} is integrated exactly through the
-    substitution v = s^{n_eff}, which keeps the finite-volume rows exact on
+    Returns (origin, lo, hi): row i >= 1 is lo_i (g_{i-1} - g_i) +
+    hi_i (g_{i+1} - g_i) with lo_i, hi_i = W(s_i -+ h/2) / (h int_cell W),
+    and origin is the same for the half cell [0, h/2] with face h/2.  Each
+    cell integral is taken relative to W at a reference point (s_i, or h/2
+    at the origin); the power-law factor s^{n_eff-1} is integrated exactly
+    through the substitution v = s^{n_eff}, which keeps the rows exact on
     even quadratics all the way into the origin.
     """
     h = grid.h
     N = grid.count
     q = n_eff - 1  # W(s) = s^q E(s) with E smooth and even
     q1 = float(n_eff)
-    lo = np.maximum(grid.nodes[:N] - h / 2.0, 0.0)
-    hi = grid.nodes[:N] + h / 2.0
-    va = lo ** q1
-    vb = hi ** q1
+    va = np.maximum(grid.nodes[:N] - h / 2.0, 0.0) ** q1
+    vb = (grid.nodes[:N] + h / 2.0) ** q1
     mid = 0.5 * (va + vb)
     half = 0.5 * (vb - va)
     v = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     sv = v ** (1.0 / q1)
-    ref = np.concatenate([[h / 2.0], grid.nodes[1:N]])
-    log_ref = _log_flux_weight(ref, n_eff, c_pow)
+    si = grid.nodes[1:N]
+    log_ref = _log_flux_weight(np.concatenate([[h / 2.0], si]), n_eff, c_pow)
 
     def log_E(s):
-        return c_pow * np.log(np.cosh(s)) + q * np.log(np.tanh(s) / s)
+        return c_pow * _log_cosh(s) + q * np.log(np.tanh(s) / s)
 
     # int s^q E ds = (1/q1) int E(v^(1/q1)) dv, assembled in log space so the
     # huge s^q and cosh^c_pow factors never appear alone
     exponent = np.log(half)[:, None] + log_E(sv) - log_ref[:, None]
-    Ibar = (np.exp(exponent) * _GAUSS_W[None, :]).sum(axis=1) / q1
-    return Ibar, log_ref
-
-
-def _check_similarity(phi: np.ndarray, first_node: int, ell: int,
-                      eta: float, grid: RadialGrid, params: ModelParams):
-    """Raise EigensolveError unless the similarity weight phi is a finite
-    normal float at every unknown node (``phi[k]`` is node first_node + k).
-
-    Where cosh(s)^-(eta+2) underflows (large p or eta), the ratios
-    phi_{i+1}/phi_i are 0/0 or have lost their digits; ratios of normal
-    floats at neighbouring nodes are finite and positive.  The message
-    names the largest s_max that works at the same spacing.
-    """
-    bad = np.flatnonzero(~(np.isfinite(phi) & (phi >= np.finfo(float).tiny)))
-    if bad.size:
-        h = grid.h
-        raise EigensolveError(
-            f"similarity weight cosh(s)^-(eta+2) leaves the normal float "
-            f"range for n={params.n}, m={params.m} (p={params.p:.6g}), "
-            f"l={ell}, eta={eta:.6g} on the grid s_max={grid.s_max:g}, "
-            f"count={grid.count}; the largest s_max with a representable "
-            f"weight at spacing h={h:g} is {(first_node + bad[0]) * h:.6g}"
-        )
+    scale = h * ((np.exp(exponent) * _GAUSS_W[None, :]).sum(axis=1) / q1)
+    lo = np.exp(_log_flux_weight(si - h / 2.0, n_eff, c_pow) - log_ref[1:])
+    hi = np.exp(_log_flux_weight(si + h / 2.0, n_eff, c_pow) - log_ref[1:])
+    return 1.0 / scale[0], lo / scale[1:], hi / scale[1:]
 
 
 # blend window between the desingularized origin frame and the direct
 # conjugated-frame stencil (the origin terms are mild beyond s ~ 1)
 _FRAME_BLEND = (0.4, 1.2)
+
+# h max(|2l-p-2|, |eta+2|) at which the bands leave the normal float range:
+# a flux row's upper off-diagonal scales like exp(-h |2l-p-2|) and the
+# similarity ratios like exp(+-h (eta+2)); exp overflows at 709
+_MAX_RATE = 500.0
 
 
 def assemble(ell: int, eta: float, grid: RadialGrid,
@@ -177,9 +172,9 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
     """Discretize L_{l,eta} on the grid (second order, hybrid rows).
 
     Near the origin (s < 1) the rows are built for the similarity transform
-    g of f defined by f = sinh^l(s) cosh^{-(eta+2)}(s) g: in the g frame the
-    operator is the self-adjoint Hilbert-space generator (the eta = -2
-    conjugation), whose sech^2 well cancels exactly, leaving
+    g of f defined by f = phi g, phi = sinh^l(s) cosh^{-(eta+2)}(s): in the
+    g frame the operator is the self-adjoint Hilbert-space generator (the
+    eta = -2 conjugation), whose sech^2 well cancels exactly, leaving
 
         L_g = d_ss + [2(n_eff-1)/sinh 2s + (2l-p-2) tanh s] d_s - l(p+n),
 
@@ -187,13 +182,19 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
     sinh^2 s, so the l, k=0 modes are exact discrete eigenvectors.  The
     singular 1/s drift lives in a finite-volume stencil with weight
     tanh^{n_eff-1}(s) and exact cell integrals (pointwise division loses
-    consistency at the first nodes), the smooth tanh-drift is centrally
-    differenced, and the rows are mapped back through the diagonal
-    similarity.  For s >= 1 the conjugated operator itself is centrally
-    differenced: its drift is mild there and the truncation is governed by
-    lambda - c(s), which stays small across the potential well.  Every row
-    is a second-order-consistent stencil for L_{l,eta}, all off-diagonal
-    entries are positive, and an exact diagonal symmetrizer exists.
+    consistency at the first nodes), and the smooth tanh-drift is centrally
+    differenced, except in rows where that would make an off-diagonal
+    nonpositive (h |2l-p-2| large): there the same finite-volume row with
+    weight tanh^{n_eff-1}(s) cosh^{2l-p-2}(s) carries the drift inside the
+    flux, positive for every h.  The rows are mapped back to f through
+    phi_{i+1}/phi_i = exp(diff(log phi)): phi underflows at large p or eta,
+    its neighbour ratios do not.  For s >= 1 the conjugated operator itself
+    is centrally differenced where that keeps sign: its drift is mild there
+    and the truncation is governed by lambda - c(s), which stays small
+    across the potential well.  All off-diagonal entries are positive, so an
+    exact diagonal symmetrizer exists.  The one refusal, an EigensolveError,
+    is h max(|2l-p-2|, |eta+2|) >= ``_MAX_RATE``, where the bands leave the
+    float range.
     """
     n = params.n
     if ell < 0:
@@ -208,53 +209,67 @@ def assemble(ell: int, eta: float, grid: RadialGrid,
     h = grid.h
     s = grid.nodes
     N = grid.count
+    rate = h * max(abs(c_pow), abs(eta + 2.0))
+    if rate >= _MAX_RATE:
+        raise EigensolveError(
+            f"the bands of L_(l,eta) leave the float range for n={n}, "
+            f"m={params.m} (p={params.p:.6g}), l={ell}, eta={eta:.6g} at "
+            f"h={h:g}: h*max(|2l-p-2|, |eta+2|) = {rate:.6g} reaches "
+            f"{_MAX_RATE:g}"
+        )
 
     # --- g-frame rows: finite-volume radial part + central smooth drift ---
-    Ibar, log_ref = _cell_weight_ratios(grid, n_eff, 0.0)
-    si = s[1:N]
-    logW_lo = _log_flux_weight(si - h / 2.0, n_eff, 0.0)
-    logW_hi = _log_flux_weight(si + h / 2.0, n_eff, 0.0)
-    flux_lo = np.exp(logW_lo - log_ref[1:]) / (h * Ibar[1:])
-    flux_hi = np.exp(logW_hi - log_ref[1:]) / (h * Ibar[1:])
-    drift = c_pow * np.tanh(si) / (2.0 * h)
+    sup0, flux_lo, flux_hi = _face_fluxes(grid, n_eff, 0.0)
+    drift = c_pow * np.tanh(s[1:N]) / (2.0 * h)
     sub_i = flux_lo - drift
     sup_i = flux_hi + drift
     diag_i = -(flux_lo + flux_hi) + const0
+    lost = (sub_i <= 0.0) | (sup_i <= 0.0)
+    if lost.any():  # in-flux drift rows where the central drift loses sign
+        _, lo_c, hi_c = _face_fluxes(grid, n_eff, c_pow)
+        sub_i[lost] = lo_c[lost]
+        sup_i[lost] = hi_c[lost]
+        diag_i[lost] = -(lo_c[lost] + hi_c[lost]) + const0
 
-    cosh_pow = np.cosh(s[:N]) ** (-(eta + 2.0))
     if ell == 0:
         # unknowns 0..N-1; the origin half-cell [0, h/2] reproduces the
         # L'Hopital row 2 n_eff (g_1 - g_0)/h^2 exactly for power-law W
-        sup0 = 1.0 / (h * Ibar[0])  # log W(h/2) == log_ref[0]
         sub = np.concatenate([[0.0], sub_i])
         diag = np.concatenate([[-sup0 + const0], diag_i])
         sup = np.concatenate([[sup0], sup_i])
-        phi = cosh_pow
         i0 = 0
     else:
         # unknowns 1..N-1; eliminate the ghost g_0 = (4 g_1 - g_2)/3 (even
-        # extension, O(h^4)), then map rows to f-space
-        sub = sub_i.copy()
-        diag = diag_i.copy()
-        sup = sup_i.copy()
-        diag[0] += sub[0] * 4.0 / 3.0
-        sup[0] -= sub[0] / 3.0
+        # extension, O(h^4)), or g_0 = g_1 where a grid too coarse for the
+        # drift would turn sup[0] nonpositive
+        sub, diag, sup = sub_i, diag_i, sup_i
+        if sup[0] > sub[0] / 3.0:
+            diag[0] += sub[0] * 4.0 / 3.0
+            sup[0] -= sub[0] / 3.0
+        else:
+            diag[0] += sub[0]
         sub[0] = 0.0
-        phi = np.sinh(si) ** ell * cosh_pow[1:]
         i0 = 1
 
-    _check_similarity(phi, i0, ell, eta, grid, params)
-    sub[1:] *= phi[1:] / phi[:-1]
-    sup[:-1] *= phi[:-1] / phi[1:]
+    s_un = s[i0:N]
+    log_cosh = _log_cosh(s_un)
+    log_phi = -(eta + 2.0) * log_cosh
+    if ell:  # log sinh = log cosh + log tanh, finite where sinh overflows
+        log_phi += ell * (log_cosh + np.log(np.tanh(s_un)))
+    ratio = np.exp(np.diff(log_phi))  # phi_{i+1}/phi_i
+    sub[1:] *= ratio
+    sup[:-1] /= ratio
 
     # --- conjugated-frame central rows away from the origin, blended in ---
     prof = potential_profile(eta, params)
-    s_un = s[i0:N]
     mask = s_un >= _FRAME_BLEND[0]
     sf = s_un[mask]
-    a_f = 2.0 * (n - 1) / np.sinh(2.0 * sf) + prof["b_inf"] * np.tanh(sf)
-    c_f = prof["c_inf"] + prof["depth"] / np.cosh(sf) ** 2 \
-        - ell * (ell + n - 2) / np.tanh(sf) ** 2
+    # beyond s ~ 355 sinh(2s) and cosh(s)^2 overflow to inf, and the terms
+    # they divide take their limit 0
+    with np.errstate(over="ignore"):
+        a_f = 2.0 * (n - 1) / np.sinh(2.0 * sf) + prof["b_inf"] * np.tanh(sf)
+        c_f = prof["c_inf"] + prof["depth"] / np.cosh(sf) ** 2 \
+            - ell * (ell + n - 2) / np.tanh(sf) ** 2
     sub_f = 1.0 / h**2 - a_f / (2.0 * h)
     sup_f = 1.0 / h**2 + a_f / (2.0 * h)
     diag_f = -2.0 / h**2 + c_f
@@ -312,38 +327,21 @@ class SpectrumReport:
     entries: list[SpectrumEntry]
 
 
-def _drift_hint(op: TridiagonalOperator) -> str:
-    """The grid count that keeps the g-frame rows' signs, when the grid is
-    too coarse for it: the drift (2l-p-2) tanh(s)/(2h) stays below the
-    1/h^2 diffusion once h < 2/|2l-p-2| (2/(p+2) at l = 0)."""
-    c_pow = abs(2.0 * op.ell - op.params.p - 2.0)
-    grid = op.grid
-    if grid.h * c_pow < 2.0:
-        return ""
-    count = int(grid.s_max * c_pow / 2.0) + 1
-    while grid.s_max / count * c_pow >= 2.0:  # rounding at the edge
-        count += 1
-    return (f" for l={op.ell}, eta={op.eta:.6g}, p={op.params.p:.6g}: "
-            f"the drift needs h < 2/|2l-p-2| = {2.0 / c_pow:.6g}, not "
-            f"h={grid.h:g}; the smallest count with that on "
-            f"s_max={grid.s_max:g} is {count}")
-
-
 def _top_eigh(op: TridiagonalOperator, count: int,
               eigvals_only: bool = True):
     """The top `count` eigenpairs (ascending) of the symmetric tridiagonal
     matrix similar to op, off-diagonal sqrt(sup_i sub_{i+1}); with
     ``eigvals_only`` the eigenvalues alone.
 
-    A nonpositive off-diagonal product (a grid too coarse for the drift)
-    and a LAPACK failure are EigensolveErrors.
+    A nonpositive off-diagonal product (a guard: ``assemble`` builds them
+    positive) and a LAPACK failure are EigensolveErrors.
     """
     m = op.n_unknowns
     offdiag2 = op.sup[:-1] * op.sub[1:]
     if np.any(offdiag2 <= 0.0):
         raise EigensolveError(
             "off-diagonal products not positive; symmetrization failed "
-            f"(min product {offdiag2.min()}){_drift_hint(op)}"
+            f"(min product {offdiag2.min()})"
         )
     try:
         return scipy.linalg.eigh_tridiagonal(
@@ -454,7 +452,7 @@ def _crank_nicolson(op: TridiagonalOperator, dt: float):
         y *= half_dt
         y += x
         x = _solve_factored(lu, y)
-        if not np.isfinite(x).all():
+        if not math.isfinite(np.vdot(x, _zeros(x.size))):
             raise ValueError("grid function contains non-finite values")
         return x
 
@@ -508,8 +506,7 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     f0 is a conjugated profile (the weight eta lives in the operator); the
     projection is performed on (cosh s)^eta f0 in the u_B^m pairing, with a
     discrete deflation of the same number of top eigenvectors to clear the
-    O(h^2) projection residue; on a grid too coarse for the drift the
-    deflation's eigensolve is an EigensolveError naming the count needed.
+    O(h^2) projection residue.
     The complement is normalized to unit sup norm and evolved by
     ``step_linear``'s Crank-Nicolson step, factored once for the run.
     Returns the RateFit of log sup|w(t)|; the semigroup estimate asserts

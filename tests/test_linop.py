@@ -240,6 +240,17 @@ def test_step_linear_eigen_decay(grid12, params33):
     assert fit.slope == pytest.approx(-2 * params33.p, rel=0.02)
 
 
+def test_crank_nicolson_step_refuses_a_non_finite_result(grid12, params33):
+    # I - L has the pivot 2^-52: the right side 2e300 is finite, the
+    # solution overflows, and the step's own check names it
+    d = np.full(3, 1.0 - 2.0 ** -52)
+    op = linop.TridiagonalOperator(grid12, 0, 0.0, params33, np.zeros(3), d,
+                                   np.zeros(3))
+    step = linop._crank_nicolson(op, 2.0)
+    with pytest.raises(ValueError, match="grid function contains non-finite"):
+        step(np.full(3, 1e300))
+
+
 def test_step_linear_stability_bound(grid12, params33):
     # amplification on the spectral complement stays under e^{(c_inf+tol) dt}
     eta = params33.eta_cr
@@ -299,29 +310,70 @@ def test_semigroup_decay_refuses_a_partial_last_step(grid12, params33):
         linop.semigroup_decay(op, f0, [], 1.0, 3e-2, params33)
 
 
-def test_deflation_on_a_sign_losing_grid_is_a_named_error():
-    # p ~ 150: h = 0.02 is too coarse for the drift, so the off-diagonal
-    # products change sign; the deflation refuses before taking their log
+def test_deflation_on_a_coarse_grid_at_large_p_is_finite():
+    # p ~ 150: h = 0.02 is too coarse for the central g-frame drift, so
+    # those rows carry the drift inside the flux and keep their sign
     params = cf.derive_params(3, 0.9867)
     grid = geo.make_grid(4.0, 200)
     op = linop.assemble(0, 0.0, grid, params)
     f0 = gaussian_profile(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(linop.EigensolveError, match="smallest count"):
-            linop.semigroup_decay(op, f0, [ModeIndex(0, 0)], 1.0, 1e-2,
-                                  params)
+        out = linop._deflate_discrete(op, f0.values, 1)
+    assert np.isfinite(out).all()
 
 
-def test_assemble_underflow_is_a_named_error(params33):
-    params = cf.derive_params(3, 0.99)  # p = 197, eta_cr = 97.5
-    grid = geo.make_grid(12.0, 1200)
-    linop.assemble(0, 0.0, grid, params)  # cosh^-2 is representable
-    with pytest.raises(linop.EigensolveError,
-                       match=r"eta=97.5 .*largest s_max .* is 7.82"):
-        linop.assemble(0, params.eta_cr, grid, params)
-    with pytest.raises(linop.EigensolveError, match="largest s_max"):
-        linop.assemble(1, params.eta_cr, grid, params)
-    usable = geo.make_grid(7.82, 782)
-    op = linop.assemble(0, params.eta_cr, usable, params)
-    assert np.isfinite(op.diag).all() and (op.sup[:-1] * op.sub[1:] > 0).all()
+def test_assemble_at_large_p_matches_every_radial_mode():
+    # p = 197: cosh(s)^-(eta_cr+2) underflows beyond s = 7.8, its neighbour
+    # ratios do not; all 50 l = 0 modes lie above the threshold on s_max 8
+    params = cf.derive_params(3, 0.99)
+    grid = geo.make_grid(8.0, 1600)
+    radial = {md for md, _ in cf.admissible_modes(params.eta_cr, params)
+              if md.ell == 0}
+    assert len(radial) == 50
+    op = linop.assemble(0, params.eta_cr, grid, params)
+    rep = linop.top_eigenvalues(op, len(radial), match_tol=np.inf)
+    assert {e.mode for e in rep.entries} == radial
+    for e in rep.entries:
+        assert abs(e.error) <= 1e-2 * max(abs(e.closed_form), 1.0), e
+    op1 = linop.assemble(1, params.eta_cr, grid, params)
+    assert np.isfinite(op1.diag).all()
+    assert (op1.sup[:-1] * op1.sub[1:] > 0).all()
+
+
+def test_ghost_closure_keeps_sign_on_a_coarse_grid():
+    # p = 1e4, h = 0.02: |2l-p-2| h^2 = 4, so the O(h^4) closure
+    # g_0 = (4 g_1 - g_2)/3 would turn the first l = 1 row's sup negative
+    params = cf.derive_params(1, 1.0 - 2.0 / 10001.0)
+    grid = geo.make_grid(12.0, 600)
+    for eta in (0.0, params.eta_cr):
+        op = linop.assemble(1, eta, grid, params)
+        assert np.isfinite(op.diag).all()
+        assert (op.sup[:-1] * op.sub[1:] > 0).all()
+
+
+def test_assemble_on_a_grid_past_cosh_overflow(params33):
+    # cosh(s) overflows beyond s = 710 and cosh(s)^2 beyond 355; the bands
+    # use log cosh and the limit 0 of sech^2 s and 1/sinh 2s
+    grid = geo.make_grid(800.0, 8000)
+    for ell in (0, 1):
+        for eta in (0.0, params33.eta_cr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                op = linop.assemble(ell, eta, grid, params33)
+            for band in (op.sub, op.diag, op.sup):
+                assert np.isfinite(band).all()
+            assert (op.sup[:-1] * op.sub[1:] > 0).all()
+    top = linop.top_eigenvalues(op, 1).entries[0]
+    assert top.mode == ModeIndex(1, 0) and abs(top.error) <= 1e-2
+
+
+def test_unrepresentable_bands_are_the_one_named_refusal():
+    params = cf.derive_params(1, 0.99999)  # p = 2e5, h |2l-p-2| = 4000
+    grid = geo.make_grid(12.0, 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(linop.EigensolveError,
+                           match=r"p=199999\), l=0, eta=99998.5 at h=0.02: "
+                                 r"h\*max\(\|2l-p-2\|, \|eta\+2\|\) = 4000"):
+            linop.assemble(0, params.eta_cr, grid, params)

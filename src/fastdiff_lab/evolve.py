@@ -233,6 +233,13 @@ class _Newton:
         self.phi_lo, self.phi_hi = self.phi[:-1], self.phi[1:]
         self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
         self.minv_lo, self.minv_hi = ws.minv[:-1], ws.minv[1:]
+        # 0-d operands: a ufunc converts a Python float operand on every
+        # call, a 0-d float64 array it takes as it is; dt and -dt are
+        # filled in once per solve
+        self.one, self.two, self.half, self.zero, self.four, self.three = (
+            np.array(c) for c in (1.0, 2.0, 0.5, 0.0, 4.0, 3.0))
+        self.m, self.m1 = np.array(ws.m), np.array(ws.m - 1.0)
+        self.dt, self.neg_dt = np.empty(()), np.empty(())
         self.max_final_residual = 0.0
         self.min_damping = 1.0
         self.min_margin = math.inf
@@ -244,13 +251,13 @@ class _Newton:
         G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2.
         """
         ws, v, G, vbar, phi = self.ws, self.v, self.G, self.face, self.phi
-        np.add(w_full, 1.0, out=v)
-        np.power(v, ws.m, out=G)
+        np.add(w_full, self.one, out=v)
+        np.power(v, self.m, out=G)
         G *= ws.U
         np.add(self.v_lo, self.v_hi, out=vbar)
-        vbar -= 2.0
-        vbar *= 0.5
-        vbar += 1.0
+        vbar -= self.two
+        vbar *= self.half
+        vbar += self.one
         vbar *= ws.dU
         np.subtract(self.G_hi, self.G_lo, out=phi)
         phi -= vbar
@@ -259,20 +266,22 @@ class _Newton:
         np.subtract(self.phi_hi, self.phi_lo, out=out[1:])
         out /= ws.masses
 
-    def _residual(self, w_full, w_unknowns, w0_unknowns, dt) -> float:
+    def _residual(self, w_full, w_unknowns, w0_unknowns) -> float:
         """F = W - w0 - dt rhs(W) over the unknowns (``w_unknowns`` and
         ``w0_unknowns`` are W[:N] and w0[:N]), R = dt rhs(W) and v = 1 + W;
         returns max |F|."""
         F, R = self.F, self.R
         self.rhs(w_full, R)
-        R *= dt
+        R *= self.dt
         np.subtract(w_unknowns, w0_unknowns, out=F)
         F -= R
         return np.maximum.reduce(np.abs(F, out=self.scratch))
 
     def _newton_step(self, dt: float) -> np.ndarray:
         """Solve (I - dt J) delta = -F at the iterate with v = 1 + W,
-        J = d rhs / d w over the unknowns; delta is a view into ``system``.
+        J = d rhs / d w over the unknowns, with ``self.dt`` filled with dt
+        (``dt`` itself only names the step in an error); delta is a view
+        into ``system``.
 
         J's bands are lower = -dphi_left minv, diag and upper = dphi_right
         minv; each band of I - dt J rounds as 1 - dt*diag, -dt*lower and
@@ -287,7 +296,7 @@ class _Newton:
         right, right_lo = self.phi, self.phi_lo
         lower, diag, upper, b = self.bands
         diag_hi = diag[1:]
-        np.power(self.v, ws.m - 1.0, out=dG)
+        np.power(self.v, self.m1, out=dG)
         dG *= ws.Um
         np.negative(self.dG_lo, out=left)
         left -= ws.half_dU
@@ -297,12 +306,12 @@ class _Newton:
         diag[0] = left[0] * minv[0]
         np.subtract(left_hi, right_lo, out=diag_hi)
         diag_hi *= minv_hi
-        diag *= -dt
-        diag += 1.0
+        diag *= self.neg_dt
+        diag += self.one
         np.multiply(left_lo, minv_hi, out=lower)   # row i, w_{i-1}
-        lower *= dt
+        lower *= self.dt
         np.multiply(right_lo, minv_lo, out=upper)  # row i, w_{i+1}
-        upper *= -dt
+        upper *= self.neg_dt
         np.negative(self.F, out=b)
         try:
             return _solve_packed(self.packed)
@@ -337,13 +346,15 @@ class _Newton:
         # W[:N] and trial[:N], sliced once per solve and swapped with W
         W_in, trial_in, w0_in = W[:N], trial[:N], w0[:N]
         lam_min = 1.0
+        self.dt[()] = dt
+        self.neg_dt[()] = -dt
         W_in[:] = w0_in
         W[N] = trial[N] = w_boundary
         # the first residual is taken at W == w0, where W - w0 is +0 at
         # every finite node, so F = 0 - R
         self.rhs(W, R)
-        R *= dt
-        np.subtract(0.0, R, out=F)
+        R *= self.dt
+        np.subtract(self.zero, R, out=F)
         norm = np.maximum.reduce(np.abs(F, out=scratch))
         for iterations in range(NEWTON_MAXITER):
             if norm <= NEWTON_TOL:
@@ -357,7 +368,7 @@ class _Newton:
                     np.multiply(delta, lam, out=scratch)
                     np.add(W_in, scratch, out=trial_in)
                 if 1.0 + np.minimum.reduce(trial_in) > MARGIN_FLOOR:
-                    nt = self._residual(trial, trial_in, w0_in, dt)
+                    nt = self._residual(trial, trial_in, w0_in)
                     if nt < norm or nt <= NEWTON_TOL:
                         W, trial = trial, W
                         W_in, trial_in = trial_in, W_in
@@ -382,9 +393,9 @@ class _Newton:
         """One BDF2 step into ``W``: the solve with base (4 w_n - w_{n-1})/3
         and step dt23 = 2 dt/3; returns its Newton iterations."""
         base = self.base
-        np.multiply(w_n, 4.0, out=base)
+        np.multiply(w_n, self.four, out=base)
         base -= w_prev
-        base /= 3.0
+        base /= self.three
         return self.solve(base, dt23, w_boundary)
 
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,

@@ -50,7 +50,7 @@ from .closedform import (
     potential_profile,
 )
 from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
-from .tridiag import _factor_tridiag, _solve_factored, _zeros
+from .tridiag import _check_finite, _factor_tridiag, _solve_factored_unchecked
 
 __all__ = [
     "TridiagonalOperator",
@@ -439,22 +439,28 @@ def _crank_nicolson(op: TridiagonalOperator, dt: float):
     """The Crank-Nicolson step x -> (I - (dt/2) L)^-1 (I + (dt/2) L) x on
     op's unknowns, with I - (dt/2) L factored once for every step taken.
 
-    Factoring raises ValueError on non-finite bands and LinAlgError on a
-    singular matrix; the step raises ValueError on a non-finite right side
-    or result.
+    The step returns the new x and its sup norm max|x|, which is also its
+    finiteness check.  Factoring raises ValueError on non-finite bands and
+    LinAlgError on a singular matrix; the step raises ValueError on a
+    non-finite right side or result (a non-finite right side makes the
+    result non-finite, and then names itself).
     """
     lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
                          -0.5 * dt * op.sup[:-1])
     half_dt = 0.5 * dt
+    magnitudes = np.empty(op.diag.size)
 
-    def step(x: np.ndarray) -> np.ndarray:
+    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
         y = _matvec(op, x)  # the right side x + (dt/2) L x, formed in place
         y *= half_dt
         y += x
-        x = _solve_factored(lu, y)
-        if not math.isfinite(np.vdot(x, _zeros(x.size))):
+        x = _solve_factored_unchecked(lu, y)
+        # np.maximum propagates nan, so the sup is finite exactly when x is
+        sup = np.maximum.reduce(np.abs(x, out=magnitudes))
+        if not math.isfinite(sup):
+            _check_finite(y)
             raise ValueError("grid function contains non-finite values")
-        return x
+        return x, sup
 
     return step
 
@@ -468,7 +474,8 @@ def step_linear(op: TridiagonalOperator, f: GridFunction,
         raise ValueError("operator/function mismatch")
     i0 = op.first_node
     out = np.zeros_like(f.values)
-    out[i0:op.grid.count] = _crank_nicolson(op, dt)(f.values[i0:op.grid.count])
+    out[i0:op.grid.count], _ = _crank_nicolson(op, dt)(
+        f.values[i0:op.grid.count])
     return f.with_values(out)
 
 
@@ -545,7 +552,6 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     times[0] = 0.0
     sups[0] = 1.0
     for j in range(steps):
-        x = step(x)
+        x, sups[j + 1] = step(x)
         times[j + 1] = (j + 1) * dt
-        sups[j + 1] = np.abs(x).max()
     return fit_rate(times, sups, policy)

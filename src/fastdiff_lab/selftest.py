@@ -5,10 +5,14 @@ CheckResult rows.  The full resolutions (fast=False) are the ones the
 acceptance tests pin; fast=True trades grid and horizon for speed in the
 CLI `selftest` subcommand while keeping every comparison structure intact.
 
-The independent solves of criteria 3, 4, 5, 6, 8 and 9 form one schedule
-per resolution (``_schedule``), run longest first through one
-``_pool.map_ordered`` call by the first criterion that needs it and cached
-(``_solves``); each criterion then judges the results it owns.
+The independent solves of criteria 1-6, 8 and 9 form one schedule per
+resolution (``_schedule``), run longest first through one
+``_pool.map_ordered`` call by the first criterion that needs it (criterion
+1 in ``run_selftest``) and cached (``_solves``); each criterion then judges
+the results it owns, keyed in its own item order.  Criteria 7 and 11 judge
+criterion 3's traces.  Criterion 10 runs in the calling process: it is the
+only caller of ``affine``, which a profiler of the calling process would
+not see in a worker, and it costs about as much as one short solve.
 """
 
 from __future__ import annotations
@@ -39,49 +43,64 @@ class CheckResult:
 ACCEPTANCE_CASES = ((3, 2.0 / 3.0), (1, 0.5), (3, 0.8))
 
 
+def _eigenvalue_errors(case):
+    """Criterion 1's spectrum of one (n, m) case (a pool worker): each
+    admissible mode with its eigenvalue error and tolerance (5e-2 within 0.5
+    of the continuum threshold, else 1e-2), and the compute seconds."""
+    n, m, fast = case
+    t0 = time.perf_counter()
+    params = derive_params(n, m)
+    grid = geometry.make_grid(12.0, 600 if fast else 1200)
+    modes = sorted(md for md, _ in
+                   closedform.admissible_modes(params.eta_cr, params))
+    per_ell = {}
+    for md in modes:
+        per_ell.setdefault(md.ell, []).append(md)
+    errors = []
+    for ell, mds in per_ell.items():
+        op = linop.assemble(ell, params.eta_cr, grid, params)
+        rep = linop.top_eigenvalues(op, len(mds), match_tol=0.2)
+        matched = {e.mode: e for e in rep.entries if e.mode is not None}
+        for md in mds:
+            lam = closedform.eigenvalue(md, params)
+            tol = 5e-2 if abs(lam - rep.threshold) < 0.5 else 1e-2
+            err = abs(matched[md].error) if md in matched else float("inf")
+            errors.append((md, err, tol))
+    return errors, time.perf_counter() - t0
+
+
 def criterion_1_eigenvalues(fast: bool = False) -> list[CheckResult]:
     """Discrete spectrum matches closed form within 1e-2 (5e-2 near threshold)."""
     results = []
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    for (n, m) in ACCEPTANCE_CASES:
-        params = derive_params(n, m)
-        t0 = time.time()
-        modes = sorted(md for md, _ in
-                       closedform.admissible_modes(params.eta_cr, params))
-        per_ell = {}
-        for md in modes:
-            per_ell.setdefault(md.ell, []).append(md)
-        for ell, mds in per_ell.items():
-            op = linop.assemble(ell, params.eta_cr, grid, params)
-            rep = linop.top_eigenvalues(op, len(mds), match_tol=0.2)
-            matched = {e.mode: e for e in rep.entries if e.mode is not None}
-            for md in mds:
-                lam = closedform.eigenvalue(md, params)
-                near = abs(lam - rep.threshold) < 0.5
-                tol = 5e-2 if near else 1e-2
-                err = abs(matched[md].error) if md in matched else float("inf")
-                results.append(CheckResult(
-                    "1-eigenvalues", f"n={n} m={m:.4g} mode=({md.ell},{md.k})",
-                    err, f"<= {tol}", err <= tol))
-        elapsed = time.time() - t0
+    for (n, m, _), (errors, seconds) in _owned(1, fast).items():
+        for md, err, tol in errors:
+            results.append(CheckResult(
+                "1-eigenvalues", f"n={n} m={m:.4g} mode=({md.ell},{md.k})",
+                err, f"<= {tol}", err <= tol))
         results.append(CheckResult(
-            "1-eigenvalues", f"n={n} m={m:.4g} runtime_s", elapsed, "< 10",
-            elapsed < 10.0))
+            "1-eigenvalues", f"n={n} m={m:.4g} runtime_s", seconds, "< 10",
+            seconds < 10.0))
     return results
+
+
+def _eigen_residuals(case):
+    """Criterion 2's residuals of one (n, m) case (a pool worker): each
+    admissible mode with its eigen_residual at h = 0.01 and at h/2."""
+    n, m = case
+    params = derive_params(n, m)
+    grid = geometry.make_grid(12.0, 1200)
+    fine = geometry.refine(grid)
+    return [(md, linop.eigen_residual(md, params.eta_cr, grid, params),
+             linop.eigen_residual(md, params.eta_cr, fine, params))
+            for md in sorted(mode for mode, _ in
+                             closedform.admissible_modes(params.eta_cr, params))]
 
 
 def criterion_2_residuals(fast: bool = False) -> list[CheckResult]:
     """eigen_residual <= 1e-3 at h = 0.01, Richardson ratio 4 +- 20 percent."""
     results = []
-    cases = ACCEPTANCE_CASES[:1] if fast else ACCEPTANCE_CASES
-    grid = geometry.make_grid(12.0, 1200)
-    for (n, m) in cases:
-        params = derive_params(n, m)
-        for md in sorted(mode for mode, _ in
-                         closedform.admissible_modes(params.eta_cr, params)):
-            r1 = linop.eigen_residual(md, params.eta_cr, grid, params)
-            r2 = linop.eigen_residual(md, params.eta_cr, geometry.refine(grid),
-                                      params)
+    for (n, m), residuals in _owned(2, fast).items():
+        for md, r1, r2 in residuals:
             results.append(CheckResult(
                 "2-residuals", f"n={n} m={m:.4g} mode=({md.ell},{md.k})",
                 r1, "<= 1e-3", r1 <= 1e-3))
@@ -355,7 +374,9 @@ def _coefficient_run(item):
 
 def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
     """Eigenmode amplitude recovered within 5%; k = 0 series flat to 1e-6."""
-    limit, flat = _owned(8, fast).values()
+    runs = _owned(8, fast)
+    count = 600 if fast else 1200
+    limit, flat = runs["amplitude", count], runs["k0", count]
     rel = abs(limit - COEFFICIENT_EPS) / COEFFICIENT_EPS
     return [CheckResult("8-coefficients", f"amplitude recovery limit={limit:.5f}",
                         rel, "<= 0.05", rel <= 0.05),
@@ -420,20 +441,46 @@ def criterion_11_energy(fast: bool = False) -> list[CheckResult]:
     return results
 
 
-def _schedule(fast):
-    """Every independent solve of criteria 3, 4, 5, 6, 8 and 9 at one
-    resolution, as (owner, worker, item).
-
-    Longest first, so that the workers finish close together: criterion
-    5's runs, criterion 3's traces, then criteria 8, 6, 4 and 9.
-    """
+def _solve_items(fast):
+    """Each scheduled criterion's worker and its items at one resolution,
+    as {owner: (worker, items)}: the owners in schedule order, each owner's
+    items in its own order (costliest first for criteria 4, 6 and 8)."""
     count = 600 if fast else 1200
-    return ([(5, _second_order_gamma, case) for case in _second_order_cases(fast)]
-            + [(3, _rate_trace, (n, m, fast)) for n, m in RATE_CASES]
-            + [(8, _coefficient_run, (kind, count)) for kind in ("amplitude", "k0")]
-            + [(6, _manufactured_error, item) for item in _manufactured_items(fast)]
-            + [(4, _semigroup_slope, item) for item in _semigroup_items(fast)]
-            + [(9, _subcritical_slope, fast)])
+    return {
+        5: (_second_order_gamma, _second_order_cases(fast)),
+        3: (_rate_trace, [(n, m, fast) for n, m in RATE_CASES]),
+        8: (_coefficient_run, [("k0", count), ("amplitude", count)]),
+        9: (_subcritical_slope, [fast]),
+        4: (_semigroup_slope, _semigroup_items(fast)),
+        6: (_manufactured_error, _manufactured_items(fast)),
+        2: (_eigen_residuals,
+            list(ACCEPTANCE_CASES[:1] if fast else ACCEPTANCE_CASES)),
+        1: (_eigenvalue_errors, [(n, m, fast) for n, m in ACCEPTANCE_CASES]),
+    }
+
+
+def _schedule(fast):
+    """Every independent solve of criteria 1-6, 8 and 9 at one resolution,
+    as (owner, worker, item), in dispatch order.
+
+    Longest first, so that greedy list scheduling on two workers ends with
+    the short solves and the workers finish close together.  Serial ms per
+    solve at the fast resolution (medians of five fresh processes on a
+    2-core x86 machine): criterion 5 207; criterion 3 105 and 104;
+    criterion 8 75 (k0) and 46 (amplitude); criterion 9 37; criterion 4 24
+    (each bump decay) and 9 (each eigenfunction decay); criterion 6 34, 27,
+    16, 9, 6 and 3; criterion 2 5; criterion 1 2, 1 and 4.  The owners go
+    in the order of their costliest solve, except that criterion 6 goes
+    after criterion 4, so that its cheap last solves fill the end; each
+    owner's solves go in its own order (``_solve_items``).
+
+    Criterion 10 (11 ms) stays in the calling process: it is the only
+    caller of ``affine``, and a profiler or tracer of the calling process
+    does not see what the workers run.
+    """
+    return [(owner, fn, item)
+            for owner, (fn, items) in _solve_items(fast).items()
+            for item in items]
 
 
 @dataclass(frozen=True)
@@ -461,7 +508,8 @@ def _call(job):
 
 @lru_cache(maxsize=2)
 def _solves(fast):
-    """The results of ``_schedule(fast)``, keyed by owner, then by item.
+    """The results of ``_schedule(fast)``, keyed by owner, then by item in
+    the owner's own order (``_solve_items``).
 
     Computed once per resolution, by the first criterion that asks, in one
     ``map_ordered`` call that returns before that criterion does.  They are
@@ -470,9 +518,11 @@ def _solves(fast):
     """
     schedule = _schedule(fast)
     results = _pool.map_ordered(_call, [(fn, item) for _, fn, item in schedule])
-    solves = {}
-    for (owner, _, item), result in zip(schedule, results):
-        solves.setdefault(owner, {})[item] = result
+    by_solve = {(owner, item): result
+                for (owner, _, item), result in zip(schedule, results)}
+    # keyed in each owner's own item order, whatever the dispatch order
+    solves = {owner: {item: by_solve[owner, item] for item in items}
+              for owner, (_, items) in _solve_items(fast).items()}
     for run in solves[3].values():
         if not isinstance(run, _Failed):
             trace = run[2]
@@ -483,8 +533,8 @@ def _solves(fast):
 
 
 def _owned(owner, fast):
-    """The results of criterion ``owner``'s solves, keyed by item, in
-    schedule order; the first solve of its that raised raises here."""
+    """The results of criterion ``owner``'s solves, keyed by item, in the
+    owner's own item order; the first solve of its that raised raises here."""
     results = _solves(fast)[owner]
     for result in results.values():
         if isinstance(result, _Failed):

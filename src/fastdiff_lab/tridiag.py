@@ -16,9 +16,11 @@ views it keeps with it.
 A Crank-Nicolson step solves one fixed matrix: it is factored once with
 ``dgttrf`` and solved per right side with ``dgttrs``.  Both routines pivot
 and eliminate exactly as ``dgtsv`` does, so the solutions are bitwise
-those of ``solve_banded``.
+those of ``solve_banded``.  The step checks its solution, not its right
+side (``_solve_factored_unchecked``): a non-finite right side gives a
+non-finite solution.
 
-Every path checks its inputs for finiteness without forming a mask:
+Every input check is made without forming a mask:
 inf * 0 and nan * 0 are nan, so the dot product of an array with zeros is
 finite exactly when every entry is.  ``np.vdot`` forms it without the
 floating-point warning ``np.dot`` gives for inf * 0.
@@ -93,6 +95,12 @@ def _solve_factored(lu: tuple, b: np.ndarray) -> np.ndarray:
     """Solve the factored system for right side b (left untouched).
     Raises ValueError on a non-finite right side."""
     _check_finite(b)
+    return _solve_factored_unchecked(lu, b)
+
+
+def _solve_factored_unchecked(lu: tuple, b: np.ndarray) -> np.ndarray:
+    """``_solve_factored`` without the check of b, for a caller that checks
+    the solution: a non-finite entry of b makes the solution non-finite."""
     x, info = dgttrs(*lu, b)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")

@@ -251,6 +251,22 @@ def test_crank_nicolson_step_refuses_a_non_finite_result(grid12, params33):
         step(np.full(3, 1e300))
 
 
+def test_crank_nicolson_step_names_a_non_finite_right_side(grid12, params33):
+    op = linop.assemble(0, 0.0, grid12, params33)
+    step = linop._crank_nicolson(op, 1e-2)
+    x = np.exp(-(grid12.nodes[op.first_node:grid12.count] - 1.5) ** 2)
+    x[5] = np.nan
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        step(x)
+
+
+def test_crank_nicolson_step_returns_the_sup_norm(grid12, params33):
+    op = linop.assemble(0, 0.0, grid12, params33)
+    x = np.sin(grid12.nodes[op.first_node:grid12.count])
+    y, sup = linop._crank_nicolson(op, 1e-2)(x)
+    assert sup == np.abs(y).max()
+
+
 def test_step_linear_stability_bound(grid12, params33):
     # amplification on the spectral complement stays under e^{(c_inf+tol) dt}
     eta = params33.eta_cr

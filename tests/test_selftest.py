@@ -77,13 +77,39 @@ def test_every_solve_runs_once_in_one_map_ordered_call(monkeypatch):
     assert len(maps) == 1
     assert jobs == [(fn, item) for _, fn, item in schedule]
     assert len({(fn.__name__, repr(item)) for fn, item in jobs}) == len(jobs)
-    # longest first: criterion 5's runs, criterion 3's, then 8, 6, 4 and 9
-    owners = [owner for owner, _, _ in schedule]
-    assert sorted(set(owners), key=owners.index) == [5, 3, 8, 6, 4, 9]
-    assert owners == sorted(owners, key=[5, 3, 8, 6, 4, 9].index)
     info = selftest._solves.cache_info()
     assert info.misses == 1 and info.currsize == 1
     selftest._solves.cache_clear()  # drop the results of the wrapper
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_schedule_is_longest_first(fast):
+    schedule = selftest._schedule(fast)
+    owners = [owner for owner, _, _ in schedule]
+    order = [5, 3, 8, 9, 4, 6, 2, 1]
+    assert sorted(set(owners), key=owners.index) == order
+    assert owners == sorted(owners, key=order.index)
+    count = 600 if fast else 1200
+    assert [item for owner, _, item in schedule if owner == 8] == [
+        ("k0", count), ("amplitude", count)]
+
+
+def test_owned_keys_follow_each_owners_items_whatever_the_dispatch_order(
+        monkeypatch):
+    monkeypatch.setattr(_pool, "usable_cores", lambda: 1)
+    selftest._solves.cache_clear()
+    want = _values(selftest.criterion_8_coefficients(fast=True))
+    schedule = selftest._schedule
+    monkeypatch.setattr(selftest, "_schedule",
+                        lambda fast: schedule(fast)[::-1])
+    selftest._solves.cache_clear()
+    try:
+        solves = selftest._solves(True)
+        for owner, (_, items) in selftest._solve_items(True).items():
+            assert list(solves[owner]) == items
+        assert _values(selftest.criterion_8_coefficients(fast=True)) == want
+    finally:
+        selftest._solves.cache_clear()  # drop the reversed run
 
 
 def _planted_gamma(case):
@@ -112,6 +138,28 @@ def test_a_solve_error_is_raised_by_the_criterion_that_owns_it(monkeypatch,
     assert [r.passed for r in rows] == [True] * 4
 
 
+def _planted_eigenvalues(case):
+    """Criterion 1's worker with a failed eigensolve planted in it."""
+    raise np.linalg.LinAlgError(f"planted at {case}")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_criterion_1_solve_error_is_raised_by_criterion_1(monkeypatch,
+                                                            cores):
+    monkeypatch.setattr(_pool, "usable_cores", lambda: cores)
+    monkeypatch.setattr(selftest, "_eigenvalue_errors", _planted_eigenvalues)
+    selftest._solves.cache_clear()
+    try:
+        with pytest.raises(np.linalg.LinAlgError, match="planted at") as info:
+            selftest.criterion_1_eigenvalues(fast=True)
+        assert "in _planted_eigenvalues" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+        rows = selftest.criterion_2_residuals(fast=True)
+    finally:
+        selftest._solves.cache_clear()  # drop the planted error
+    assert rows and all(r.passed for r in rows)
+
+
 def _run_with_cores(monkeypatch, cores):
     monkeypatch.setattr(_pool, "usable_cores", lambda: cores)
     selftest._solves.cache_clear()
@@ -122,6 +170,8 @@ def test_pooled_criteria_equal_inline_bitwise(monkeypatch):
     inline = _run_with_cores(monkeypatch, 1)
     pooled = _run_with_cores(monkeypatch, 2)
     selftest._solves.cache_clear()
+    # criteria 1 and 2 are pooled solves too
+    assert {1, 2} <= {owner for owner, _, _ in selftest._schedule(True)}
     for criterion, a, b in zip(selftest.ALL_CRITERIA, inline, pooled):
         assert [tuple(map(repr, row)) for row in a] == \
             [tuple(map(repr, row)) for row in b], criterion.__name__

@@ -31,24 +31,46 @@ exact without affecting the order.  B is normalized to 1 here (see
 geometry).
 
 One Newton kernel, ``_Newton``, holds the only flux, rhs and Jacobian code
-and solves every step: those of ``run`` and ``step_nonlinear`` and, for
-its rhs, ``nonlinear_rhs``.  It works in place on scratch allocated once
-per run (the iterate W and the damping trial, which swap on acceptance;
-v = 1 + W, shared by the residual and the Jacobian; F; R; the BDF2 base;
-the packed (4N-2) Newton system and its band views), so a step makes no
-array temporaries: the finiteness check of each Newton system is a dot
-product with zeros, not a mask.  The first residual of a solve, taken at
-W = w0, is formed as 0 - dt rhs(w0), which is what W - w0 - dt rhs(W)
-rounds to there.  Reusing a buffer never changes an operation or its
-order, so the results are bitwise those of the same arithmetic on fresh
-arrays (``tests/test_tridiag.py``).  The kernel owns the checks: each
-Newton system must be finite and solvable, each damping trial must keep
-1+w above ``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within
-``NEWTON_MAXITER`` iterations, and each accepted state must be finite and
-above ``MARGIN_FLOOR``; a failure is a ``NewtonError`` or
-``PositivityError``.  Overflow while a system is built
-is expected at huge dt and is left to the finiteness check.  ``run`` keeps
-its states as arrays and never re-checks them.
+and solves every step, those of ``run`` and ``step_nonlinear``.  Its
+``solve`` is one flat method: the damped Newton iteration, the closing
+sweep and the state checks, calling only ``_Newton.rhs`` and
+``tridiag._solve_packed`` on buffers, views and coefficients bound once
+per kernel (the grid's in the cached ``_Workspace``), so a step makes no
+array temporaries.  The kernel owns the checks: each Newton system must be
+finite and solvable, each damping trial must keep 1+w above
+``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within ``NEWTON_MAXITER``
+iterations, and each accepted state must be finite and above
+``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
+Overflow while a system is built is expected at huge dt and is left to the
+finiteness check.  ``run`` keeps its states as arrays and never re-checks
+them.
+
+The results are bitwise those of the allocating kernel
+(``tests/test_tridiag.py``'s oracles): reusing a buffer never changes an
+operation or its order, and every other rewrite is an identity exact in
+IEEE arithmetic.
+
+* The first residual is taken at the base point itself, where W - w0 is +0
+  at every finite node, as F = 0 - dt rhs(w0).
+* Zero padding: a zero in front of the fluxes and of the shifted right
+  face derivatives gives d_t w_0 = (Phi_0 - 0)/M_0 and the first diagonal
+  entry left_0 - 0 in the same subtraction as the other rows (x - 0 = x).
+* Signs: a product's sign is the exclusive or of its factors', so
+  (-a) b = -(a b) bitwise, and sums commute, so (-a) - b = (-b) - a.  The
+  left face derivative C (-dG_i - dU_i/2) is formed as (-dU_i/2) - dG_i
+  with no negation pass, and the sub-diagonal's (left / M) dt as
+  (left (-1/M)) (-dt), so one product by -dt scales all three bands.
+* Face average: let s = v_i + v_{i+1} (rounded) with 1 <= s < 2^54.  Then
+  s - 2 is exact (Sterbenz's lemma for s <= 4; above, 2 is a multiple of
+  ulp(s) <= 2 and the difference is smaller than s), so is its half, and
+  adding 1 gives s/2, which is representable.  So ((s - 2)/2 + 1) dU, the
+  four passes of the flux form, equals s (dU/2) bitwise when dU/2 is exact,
+  which ``_Workspace`` checks once.  ``rhs`` takes that one pass when every
+  v of the evaluated state, the value at s_max included, lies in
+  [0.5, 2^53): for a damping trial the margin check's minimum and one
+  maximum tell, for a BDF2 base point the min and max of the two history
+  states bound (4 w_n - w_{n-1})/3 by the same operations, since rounding
+  is monotone.  Otherwise, and for a NaN, it takes the four.
 
 ``run`` pays its diagnostics per block of recorded states, not per state
 (``_Records``): it copies each recorded state into one fixed block of
@@ -85,7 +107,7 @@ from .geometry import (
     step_count,
     weighted_sup,
 )
-from .tridiag import _packed_views, _solve_packed
+from .tridiag import _solve_packed
 
 __all__ = [
     "MARGIN_FLOOR",
@@ -96,7 +118,6 @@ __all__ = [
     "EvolutionTrace",
     "Envelope",
     "RecordOptions",
-    "nonlinear_rhs",
     "step_nonlinear",
     "run",
     "comparison_envelope",
@@ -111,6 +132,20 @@ MARGIN_FLOOR = 1e-3
 NEWTON_TOL = 1e-11
 NEWTON_MAXITER = 20
 MAX_DT_HALVINGS = 8
+
+
+def _const(x: float) -> np.ndarray:
+    """A read-only 0-d float64 operand: a ufunc converts a Python float
+    operand on every call, a 0-d float64 array it takes as it is."""
+    a = np.array(x)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO, _HALF, _ONE, _TWO, _THREE, _FOUR = map(
+    _const, (0.0, 0.5, 1.0, 2.0, 3.0, 4.0))
+# below this, v_i + v_{i+1} - 2 is exact, and so the one-pass face average
+_TWO53 = 2.0 ** 53
 
 
 class EvolveError(RuntimeError):
@@ -178,10 +213,22 @@ class _Workspace:
                 f"flux prefactor r^(n-1)/(m h cosh s) is not finite for n={n}, "
                 f"m={m!r} on the grid s_max={grid.s_max:g}, count={N}"
             )
-        self.Um = self.U * m
+        # dG = m U v^(m-1) is needed at the unknowns 0..N-1 only
+        self.Um = self.U[:-1] * m
         self.half_dU = 0.5 * self.dU
-        for arr in (self.U, self.dU, self.C, self.minv, self.Um, self.half_dU):
+        # the one-pass face average needs half_dU exact (see _Newton)
+        self.halves_exact = bool(np.array_equal(2.0 * self.half_dU, self.dU))
+        self.neg_half_dU = -self.half_dU
+        # the Newton system's multipliers in _Newton's band layout: C over
+        # the right and left face derivatives, then 1/M over du, dl (with
+        # the sign of the left derivative), the slot and d
+        self.CC = np.concatenate((self.C[:-1], self.C))
+        self.minv3 = np.concatenate((self.minv[:-1], -self.minv[1:], [0.0],
+                                     self.minv))
+        for arr in (self.U, self.dU, self.C, self.minv, self.Um, self.half_dU,
+                    self.neg_half_dU, self.CC, self.minv3):
             arr.flags.writeable = False
+        self.m0, self.m1 = _const(m), _const(m - 1.0)
         self.m = m
         self.N = N
 
@@ -206,160 +253,145 @@ def _boundary_value(boundary, t: float) -> float:
 class _Newton:
     """The Newton kernel (see module doc) and its scratch.
 
-    One instance serves a whole run: every array is allocated here, and W
-    and trial swap on acceptance.  v = 1 + W, F and R = dt rhs(W) need one
-    buffer each: the last residual the iteration evaluates is always that
-    of the accepted iterate.  ``solve`` leaves its result in ``W``; a
-    caller that keeps it hands the kernel another buffer of N+1 nodes.
+    One instance serves a whole run.  Every buffer, view and coefficient is
+    bound here, once: ``rhs`` reads its operands from one tuple and
+    ``solve`` from another.  ``solve`` reads its base point in place and
+    leaves its result in ``W`` and the other iterate buffer in ``trial``; a
+    caller that keeps the result hands the kernel another buffer of N+1
+    nodes.  ``bounds`` holds min and max of the last result;
     ``max_final_residual``, ``min_damping`` and ``min_margin`` gather the
     worst final |F|, the smallest accepted damping factor and the smallest
     1+w over the accepted solves.
+
+    The Newton system lives in one buffer of 4N values laid out as
+    [0 | du | dl, slot | d | b].  The right face derivatives fill du and the
+    left ones dl and the slot, so one product takes both by [C | C]; the
+    zero and du, read shifted by one, give d = left - right in one
+    subtraction; one product by ``minv3`` = [1/M | -1/M | 0 | 1/M] and one
+    by -dt scale all three bands.  The slot ends as left_{N-1} * 0 * -dt,
+    finite exactly when d_{N-1} is, so the one finiteness check of
+    ``_solve_packed`` over the whole buffer fails exactly when the system is
+    not finite.
+
+    An iteration whose first damping trial is accepted makes 28 numpy
+    calls besides ``dgtsv`` and the finiteness check: 10 build the system
+    and -F; 3 make the trial and take its min and max (1 more when it is
+    damped, 1 fewer when its min rules out the one-pass form); and 15 take
+    its residual, 10 of them in ``rhs`` (3 more in the four-pass form).
+    Two of them are the powers v^m and v^(m-1) over the grid.
     """
 
     def __init__(self, ws: _Workspace):
         N = ws.N
         self.ws = ws
-        self.W, self.trial, self.v, self.G, self.dG, self.base = (
-            np.empty(N + 1) for _ in range(6))
-        self.F, self.R, self.face, self.phi, self.scratch = (
-            np.empty(N) for _ in range(5))
-        self.system = np.empty(4 * N - 2)
-        self.bands = _packed_views(self.system)
-        self.packed = (self.system, self.bands)
-        # the shifted views of the fixed buffers, made once
-        self.v_lo, self.v_hi = self.v[:-1], self.v[1:]
-        self.G_lo, self.G_hi = self.G[:-1], self.G[1:]
-        self.dG_lo, self.dG_hi = self.dG[:-1], self.dG[1:]
-        self.phi_lo, self.phi_hi = self.phi[:-1], self.phi[1:]
-        self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
-        self.minv_lo, self.minv_hi = ws.minv[:-1], ws.minv[1:]
-        # 0-d operands: a ufunc converts a Python float operand on every
-        # call, a 0-d float64 array it takes as it is; dt and -dt are
-        # filled in once per solve
-        self.one, self.two, self.half, self.zero, self.four, self.three = (
-            np.array(c) for c in (1.0, 2.0, 0.5, 0.0, 4.0, 3.0))
-        self.m, self.m1 = np.array(ws.m), np.array(ws.m - 1.0)
-        self.dt, self.neg_dt = np.empty(()), np.empty(())
+        self.W, self.trial, self.base = (np.empty(N + 1) for _ in range(3))
+        self.v, G = np.empty(N + 1), np.empty(N + 1)
+        phi = np.zeros(N + 1)  # phi[0] stays 0: d_t w_0 = (phi_0 - 0) / M_0
+        face, dG, F, R, scratch = (np.empty(N) for _ in range(5))
+        # the Newton system [0 | du | dl, slot | d | b] (see above)
+        system = np.zeros(4 * N)
+        right, left = system[1:N], system[N:2 * N]
+        d, b = system[2 * N:3 * N], system[3 * N:]
+        bands = (left[:-1], d, right, b)
+        v = self.v
+        self.rhs_operands = (
+            v[:N], v, v[:-1], v[1:], ws.m0, G, ws.U, G[:-1], G[1:], face,
+            ws.half_dU, ws.dU, phi[1:], phi[:-1], ws.C, ws.masses)
+        self.solve_operands = (
+            F, R, scratch, v[:N], ws.m1, dG, ws.Um, dG[1:], ws.half_dU[:-1],
+            ws.neg_half_dU, right, left, system[1:2 * N], ws.CC, system[:N],
+            d, system[1:3 * N], ws.minv3, b, (system, bands))
+        # dt and -dt as 0-d operands (see _ONE), filled when dt changes
+        self.dt, self.neg_dt, self.dt_value = np.empty(()), np.empty(()), None
+        self.bounds = (math.nan, math.nan)
         self.max_final_residual = 0.0
         self.min_damping = 1.0
         self.min_margin = math.inf
 
-    def rhs(self, w_full: np.ndarray, out: np.ndarray):
-        """out = d_t w at the unknown nodes 0..N-1, and v = 1 + w_full.
+    def rhs(self, w_in: np.ndarray, out: np.ndarray, one_pass: bool):
+        """out = d_t w at the unknowns 0..N-1 given w there, and v = 1 + w;
+        v at s_max is left as it is (``solve`` sets it once per solve).
 
         The flux at the faces is Phi = C [(G_{i+1} - G_i) - dU vbar] with
-        G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2.
+        G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2, formed as
+        (v_i + v_{i+1}) half_dU when ``one_pass`` (see module doc).
         """
-        ws, v, G, vbar, phi = self.ws, self.v, self.G, self.face, self.phi
-        np.add(w_full, self.one, out=v)
-        np.power(v, self.m, out=G)
-        G *= ws.U
-        np.add(self.v_lo, self.v_hi, out=vbar)
-        vbar -= self.two
-        vbar *= self.half
-        vbar += self.one
-        vbar *= ws.dU
-        np.subtract(self.G_hi, self.G_lo, out=phi)
-        phi -= vbar
-        phi *= ws.C
-        out[0] = phi[0]
-        np.subtract(self.phi_hi, self.phi_lo, out=out[1:])
-        out /= ws.masses
-
-    def _residual(self, w_full, w_unknowns, w0_unknowns) -> float:
-        """F = W - w0 - dt rhs(W) over the unknowns (``w_unknowns`` and
-        ``w0_unknowns`` are W[:N] and w0[:N]), R = dt rhs(W) and v = 1 + W;
-        returns max |F|."""
-        F, R = self.F, self.R
-        self.rhs(w_full, R)
-        R *= self.dt
-        np.subtract(w_unknowns, w0_unknowns, out=F)
-        F -= R
-        return np.maximum.reduce(np.abs(F, out=self.scratch))
-
-    def _newton_step(self, dt: float) -> np.ndarray:
-        """Solve (I - dt J) delta = -F at the iterate with v = 1 + W,
-        J = d rhs / d w over the unknowns, with ``self.dt`` filled with dt
-        (``dt`` itself only names the step in an error); delta is a view
-        into ``system``.
-
-        J's bands are lower = -dphi_left minv, diag and upper = dphi_right
-        minv; each band of I - dt J rounds as 1 - dt*diag, -dt*lower and
-        -dt*upper would, since the sign flips are exact.
-        """
-        ws = self.ws
-        minv, minv_lo, minv_hi = ws.minv, self.minv_lo, self.minv_hi
-        dG = self.dG
-        # d Phi / d w_i (left) and d Phi / d w_{i+1} (right) at face i+1/2,
-        # in the flux scratch
-        left, left_lo, left_hi = self.face, self.face_lo, self.face_hi
-        right, right_lo = self.phi, self.phi_lo
-        lower, diag, upper, b = self.bands
-        diag_hi = diag[1:]
-        np.power(self.v, self.m1, out=dG)
-        dG *= ws.Um
-        np.negative(self.dG_lo, out=left)
-        left -= ws.half_dU
-        left *= ws.C
-        np.subtract(self.dG_hi, ws.half_dU, out=right)
-        right *= ws.C
-        diag[0] = left[0] * minv[0]
-        np.subtract(left_hi, right_lo, out=diag_hi)
-        diag_hi *= minv_hi
-        diag *= self.neg_dt
-        diag += self.one
-        np.multiply(left_lo, minv_hi, out=lower)   # row i, w_{i-1}
-        lower *= self.dt
-        np.multiply(right_lo, minv_lo, out=upper)  # row i, w_{i+1}
-        upper *= self.neg_dt
-        np.negative(self.F, out=b)
-        try:
-            return _solve_packed(self.packed)
-        except (ValueError, LinAlgError) as exc:
-            raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
-
-    def solve(self, w0: np.ndarray, dt: float, w_boundary: float) -> int:
-        """Solve W = w0 + dt rhs(W) by damped Newton into ``W``, with the
-        value at the truncation node s_max held at w_boundary; returns the
-        number of Newton iterations.  Overflow is left to the checks: a
-        non-finite system or accepted iterate raises NewtonError.
-        """
-        norm, lam_min, iterations = self._iterate(w0, dt, w_boundary)
-        W = self.W
-        vmin = _check_positivity(W, MARGIN_FLOOR)
-        if not (math.isfinite(vmin) and math.isfinite(np.maximum.reduce(W))):
-            raise NewtonError("Newton step produced a non-finite state")
-        self.max_final_residual = max(self.max_final_residual, float(norm))
-        self.min_damping = min(self.min_damping, lam_min)
-        self.min_margin = min(self.min_margin, vmin)
-        return iterations
+        (v_in, v, v_lo, v_hi, m, G, U, G_lo, G_hi, face, half_dU, dU, phi,
+         phi_prev, C, masses) = self.rhs_operands
+        np.add(w_in, _ONE, out=v_in)
+        np.power(v, m, out=G)
+        G *= U
+        np.add(v_lo, v_hi, out=face)
+        if one_pass:
+            face *= half_dU
+        else:
+            face -= _TWO
+            face *= _HALF
+            face += _ONE
+            face *= dU
+        np.subtract(G_hi, G_lo, out=phi)
+        phi -= face
+        phi *= C
+        np.subtract(phi, phi_prev, out=out)
+        out /= masses
 
     # the decorator form enters the error state without building a context
-    # manager per call; it covers the iteration and nothing after it
+    # manager per call; it covers the iteration and the checks
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def _iterate(self, w0: np.ndarray, dt: float, w_boundary: float):
-        """The damped Newton iteration and the closing sweep of ``solve``;
-        returns the final |F|, the smallest accepted damping factor and the
-        number of iterations."""
-        N = self.ws.N
-        W, trial, scratch, F, R = self.W, self.trial, self.scratch, self.F, self.R
-        # W[:N] and trial[:N], sliced once per solve and swapped with W
-        W_in, trial_in, w0_in = W[:N], trial[:N], w0[:N]
+    def solve(self, w0: np.ndarray, dt: float, w_boundary: float,
+              bounds: tuple[float, float] | None = None) -> int:
+        """Solve W = w0 + dt rhs(W) by damped Newton into ``W``, with the
+        value at the truncation node s_max held at w_boundary; returns the
+        number of Newton iterations.  ``bounds``, if given, bound w0 below
+        and above (the base point then takes the one-pass face average when
+        they allow it).  Overflow is left to the checks: a non-finite
+        system or accepted iterate raises NewtonError.
+        """
+        (F, R, scratch, v_in, m1, dG, Um, dG_hi, half_dU_lo, neg_half_dU,
+         right, left, faces, CC, right_before, d, three_bands, minv3, b,
+         packed) = self.solve_operands
+        rhs, solve_packed, N = self.rhs, _solve_packed, self.ws.N
+        if dt != self.dt_value:
+            self.dt[()], self.neg_dt[()], self.dt_value = dt, -dt, dt
+        dt_, neg_dt = self.dt, self.neg_dt
+        v_N = 1.0 + w_boundary
+        self.v[N] = v_N
+        exact = self.ws.halves_exact and 0.5 <= v_N < _TWO53
+        w0_in = w0[:N]
+        # the iterate starts at the base point, read in place (W is None);
+        # the trials take turns in the kernel's two buffers, and ``spare``
+        # is the one the next trial takes once this one is accepted
+        W, W_in = None, w0_in
+        trial, spare = self.trial, self.W
+        trial_in, spare_in = trial[:N], spare[:N]
         lam_min = 1.0
-        self.dt[()] = dt
-        self.neg_dt[()] = -dt
-        W_in[:] = w0_in
-        W[N] = trial[N] = w_boundary
         # the first residual is taken at W == w0, where W - w0 is +0 at
         # every finite node, so F = 0 - R
-        self.rhs(W, R)
-        R *= self.dt
-        np.subtract(self.zero, R, out=F)
+        rhs(w0_in, R, exact and bounds is not None
+            and 1.0 + bounds[0] >= 0.5 and 1.0 + bounds[1] < _TWO53)
+        R *= dt_
+        np.subtract(_ZERO, R, out=F)
         norm = np.maximum.reduce(np.abs(F, out=scratch))
         for iterations in range(NEWTON_MAXITER):
             if norm <= NEWTON_TOL:
                 break
-            delta = self._newton_step(dt)
+            # (I - dt J) delta = -F with J = d rhs / d w at v = 1 + W: the
+            # left and right derivatives of Phi at face i+1/2 by w_i and
+            # w_{i+1} are C (-dG_i - half_dU_i) and C (dG_{i+1} - half_dU_i)
+            np.power(v_in, m1, out=dG)
+            dG *= Um
+            np.subtract(dG_hi, half_dU_lo, out=right)
+            np.subtract(neg_half_dU, dG, out=left)
+            faces *= CC
+            np.subtract(left, right_before, out=d)
+            three_bands *= minv3
+            three_bands *= neg_dt
+            d += _ONE
+            np.negative(F, out=b)
+            try:
+                delta = solve_packed(packed)
+            except (ValueError, LinAlgError) as exc:
+                raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
             lam = 1.0
             for _damp in range(12):
                 if lam == 1.0:
@@ -367,11 +399,17 @@ class _Newton:
                 else:
                     np.multiply(delta, lam, out=scratch)
                     np.add(W_in, scratch, out=trial_in)
-                if 1.0 + np.minimum.reduce(trial_in) > MARGIN_FLOOR:
-                    nt = self._residual(trial, trial_in, w0_in)
+                tmin = 1.0 + np.minimum.reduce(trial_in)
+                if tmin > MARGIN_FLOOR:
+                    rhs(trial_in, R, exact and tmin >= 0.5
+                        and 1.0 + np.maximum.reduce(trial_in) < _TWO53)
+                    R *= dt_
+                    np.subtract(trial_in, w0_in, out=F)
+                    F -= R
+                    nt = np.maximum.reduce(np.abs(F, out=scratch))
                     if nt < norm or nt <= NEWTON_TOL:
-                        W, trial = trial, W
-                        W_in, trial_in = trial_in, W_in
+                        W, trial, spare = trial, spare, trial
+                        W_in, trial_in, spare_in = trial_in, spare_in, trial_in
                         norm = nt
                         lam_min = min(lam_min, lam)
                         break
@@ -381,22 +419,41 @@ class _Newton:
         else:
             raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
                               f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
+        if W is None:  # the base point met the tolerance
+            W, W_in, trial = trial, trial_in, spare
         # one fixed-point sweep; makes the discrete mass telescope exactly
         # and perturbs the iterate only by O(dt |F|).  R = dt rhs(W) is
         # already evaluated at the accepted W.
         np.add(w0_in, R, out=W_in)
+        W[N] = w_boundary
         self.W, self.trial = W, trial
-        return norm, lam_min, iterations
+        wmin = np.minimum.reduce(W)
+        vmin = 1.0 + wmin
+        if vmin <= MARGIN_FLOOR:
+            raise PositivityError(int(np.argmin(W)), float(vmin))
+        wmax = np.maximum.reduce(W)
+        if not (math.isfinite(vmin) and math.isfinite(wmax)):
+            raise NewtonError("Newton step produced a non-finite state")
+        self.bounds = (wmin, wmax)
+        self.max_final_residual = max(self.max_final_residual, float(norm))
+        self.min_damping = min(self.min_damping, lam_min)
+        self.min_margin = min(self.min_margin, float(vmin))
+        return iterations
 
     def bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt23: float,
-             w_boundary: float) -> int:
+             w_boundary: float, bounds_prev: tuple[float, float],
+             bounds_n: tuple[float, float]) -> int:
         """One BDF2 step into ``W``: the solve with base (4 w_n - w_{n-1})/3
-        and step dt23 = 2 dt/3; returns its Newton iterations."""
+        and step dt23 = 2 dt/3; returns its Newton iterations.  The bounds
+        of w_{n-1} and w_n bound the base by the same operations, since
+        rounding is monotone."""
         base = self.base
-        np.multiply(w_n, self.four, out=base)
+        np.multiply(w_n, _FOUR, out=base)
         base -= w_prev
-        base /= self.three
-        return self.solve(base, dt23, w_boundary)
+        base /= _THREE
+        return self.solve(base, dt23, w_boundary,
+                          ((4.0 * bounds_n[0] - bounds_prev[1]) / 3.0,
+                           (4.0 * bounds_n[1] - bounds_prev[0]) / 3.0))
 
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
                        depth: int = 0) -> tuple[float, int, int]:
@@ -416,15 +473,6 @@ class _Newton:
         t_new, second, halved_second = self.backward_euler(
             self.W.copy(), t_half, dt / 2.0, boundary, depth + 1)
         return t_new, first + second, halved_first + halved_second + 1
-
-
-def nonlinear_rhs(w: GridFunction, params: ModelParams) -> GridFunction:
-    """Right side of the radial rescaled flow, flux form (see module doc)."""
-    _check_positivity(w.values)
-    kernel = _Newton(_workspace(w.grid, params))
-    out = np.zeros_like(w.values)
-    kernel.rhs(w.values, out[:kernel.ws.N])
-    return w.with_values(out)
 
 
 def step_nonlinear(state: EvolutionState, dt: float,
@@ -625,6 +673,8 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     # history (prev, cur) and hands the kernel the buffer prev leaves
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
+    # min and max of each history state, which bound the BDF2 base point
+    cur_bounds = (np.minimum.reduce(cur), np.maximum.reduce(cur))
     dt23 = 2.0 * dt / 3.0
     be_steps, halvings = 0, 0
     iterations, max_iterations, zero_steps = 0, 0, 0
@@ -634,7 +684,8 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         if prev is not None:
             try:
                 its = kernel.bdf2(prev, cur, dt23,
-                                  _boundary_value(boundary, t_new))
+                                  _boundary_value(boundary, t_new),
+                                  prev_bounds, cur_bounds)
             except EvolveError:
                 pass
         if its is None:
@@ -644,6 +695,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         t = t_new
         spare = np.empty_like(cur) if prev is None else prev
         prev, cur, kernel.W = cur, kernel.W, spare
+        prev_bounds, cur_bounds = cur_bounds, kernel.bounds
         iterations += its
         max_iterations = max(max_iterations, its)
         zero_steps += its == 0

@@ -435,6 +435,12 @@ def project(f: GridFunction, modes: list[ModeIndex],
     return q_part, p_part
 
 
+# the error state of a run of Crank-Nicolson steps: a right side that
+# overflows, or one formed from a non-finite x (inf - inf), is reported by
+# the step's own ValueError alone
+_CN_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
+
 def _crank_nicolson(op: TridiagonalOperator, dt: float):
     """The Crank-Nicolson step x -> (I - (dt/2) L)^-1 (I + (dt/2) L) x on
     op's unknowns, with I - (dt/2) L factored once for every step taken.
@@ -443,17 +449,24 @@ def _crank_nicolson(op: TridiagonalOperator, dt: float):
     finiteness check.  Factoring raises ValueError on non-finite bands and
     LinAlgError on a singular matrix; the step raises ValueError on a
     non-finite right side or result (a non-finite right side makes the
-    result non-finite, and then names itself).
+    result non-finite, and then names itself).  The right side is
+    ``_matvec``'s products in its order, formed in two buffers made here;
+    the caller runs the steps under ``np.errstate(**_CN_ERRSTATE)``.
     """
     lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
                          -0.5 * dt * op.sup[:-1])
     half_dt = 0.5 * dt
-    magnitudes = np.empty(op.diag.size)
+    diag, upper, lower = op.diag, op.sup[:-1], op.sub[1:]
+    magnitudes, y = np.empty(diag.size), np.empty(diag.size)
+    y_lo, y_hi, product = y[:-1], y[1:], np.empty(diag.size - 1)
 
     def step(x: np.ndarray) -> tuple[np.ndarray, float]:
-        y = _matvec(op, x)  # the right side x + (dt/2) L x, formed in place
-        y *= half_dt
-        y += x
+        # the right side x + (dt/2) L x
+        np.multiply(diag, x, out=y)
+        np.add(y_lo, np.multiply(upper, x[1:], out=product), out=y_lo)
+        np.add(y_hi, np.multiply(lower, x[:-1], out=product), out=y_hi)
+        np.multiply(y, half_dt, out=y)
+        np.add(y, x, out=y)
         x = _solve_factored_unchecked(lu, y)
         # np.maximum propagates nan, so the sup is finite exactly when x is
         sup = np.maximum.reduce(np.abs(x, out=magnitudes))
@@ -474,8 +487,9 @@ def step_linear(op: TridiagonalOperator, f: GridFunction,
         raise ValueError("operator/function mismatch")
     i0 = op.first_node
     out = np.zeros_like(f.values)
-    out[i0:op.grid.count], _ = _crank_nicolson(op, dt)(
-        f.values[i0:op.grid.count])
+    step = _crank_nicolson(op, dt)
+    with np.errstate(**_CN_ERRSTATE):
+        out[i0:op.grid.count], _ = step(f.values[i0:op.grid.count])
     return f.with_values(out)
 
 
@@ -551,7 +565,8 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     sups = np.empty(steps + 1)
     times[0] = 0.0
     sups[0] = 1.0
-    for j in range(steps):
-        x, sups[j + 1] = step(x)
-        times[j + 1] = (j + 1) * dt
+    with np.errstate(**_CN_ERRSTATE):
+        for j in range(steps):
+            x, sups[j + 1] = step(x)
+            times[j + 1] = (j + 1) * dt
     return fit_rate(times, sups, policy)

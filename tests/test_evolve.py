@@ -9,6 +9,9 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
 from fastdiff_lab.closedform import ModeIndex  # noqa: F401
 
+from helpers import nonlinear_rhs
+
+
 def zero_state(grid, params):
     return evolve.EvolutionState(
         0.0, geo.GridFunction(grid, 0, np.zeros(grid.count + 1)), params)
@@ -16,7 +19,7 @@ def zero_state(grid, params):
 
 def test_rhs_zero_at_fixed_point(grid12, params33):
     w = geo.GridFunction(grid12, 0, np.zeros(grid12.count + 1))
-    out = evolve.nonlinear_rhs(w, params33)
+    out = nonlinear_rhs(w, params33)
     assert np.all(out.values == 0.0)
 
 
@@ -25,7 +28,7 @@ def test_rhs_positivity_abort(grid12, params33):
     vals[37] = -1.5
     w = geo.GridFunction(grid12, 0, vals)
     with pytest.raises(evolve.PositivityError) as exc:
-        evolve.nonlinear_rhs(w, params33)
+        nonlinear_rhs(w, params33)
     assert exc.value.node == 37
     assert exc.value.value == pytest.approx(-0.5)
 
@@ -37,7 +40,7 @@ def test_rhs_linearization_consistency(grid12, params33):
     devs = []
     for eps in (1e-2, 5e-3):
         w = geo.GridFunction(grid12, 0, eps * v01)
-        rhs = evolve.nonlinear_rhs(w, params33)
+        rhs = nonlinear_rhs(w, params33)
         dev = rhs.values[:grid12.count - 1] - eps * lam * v01[:grid12.count - 1]
         devs.append(np.max(np.abs(dev)) / eps)
     # quadratic in amplitude until the O(h^2) floor
@@ -52,7 +55,7 @@ def test_rhs_matches_manufactured_time_derivative(params33):
         w = geo.GridFunction(
             grid, 0,
             cf.delayed_barenblatt_v(0.3, grid.nodes, tau0, bplus, params33) - 1.0)
-        rhs = evolve.nonlinear_rhs(w, params33)
+        rhs = nonlinear_rhs(w, params33)
         exact = cf.delayed_barenblatt_time_derivative(0.3, grid.nodes, tau0,
                                                       bplus, params33)
         errs.append(np.max(np.abs(rhs.values - exact)[:count - 1]))
@@ -378,7 +381,7 @@ def test_tiny_m_is_a_named_solver_failure(grid_coarse):
     params = cf.derive_params(1, 5e-324)
     w = geo.GridFunction(grid_coarse, 0, np.zeros(grid_coarse.count + 1))
     with pytest.raises(evolve.EvolveError, match="flux prefactor"):
-        evolve.nonlinear_rhs(w, params)
+        nonlinear_rhs(w, params)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,6 @@ TEST_ORACLES = {
         "exact time derivative that nonlinear_rhs is checked against",
     "fastdiff_lab.closedform.barenblatt_u":
         "the profile u_B that the isotropic affine density is checked against",
-    "fastdiff_lab.evolve.nonlinear_rhs":
-        "public face of the Newton kernel's rhs, checked against the oracle",
 }
 
 

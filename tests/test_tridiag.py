@@ -140,7 +140,22 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     return W
 
 
-def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33):
+@pytest.fixture
+def face_forms(monkeypatch):
+    """The face average of every rhs the Newton kernel evaluates: True for
+    the one-pass form, False for the four-pass one."""
+    forms, rhs = [], evolve._Newton.rhs
+
+    def spy(kernel, w_in, out, one_pass):
+        forms.append(one_pass)
+        return rhs(kernel, w_in, out, one_pass)
+
+    monkeypatch.setattr(evolve._Newton, "rhs", spy)
+    return forms
+
+
+def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33,
+                                                             face_forms):
     grid = geo.make_grid(12.0, 600)
     state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
     ws = evolve._workspace(grid, params33)
@@ -150,9 +165,13 @@ def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33):
         state = evolve.step_nonlinear(state, dt)
         w_oracle = _newton_be_solve_banded(ws, w_oracle, dt, 0.0)
         assert np.array_equal(state.w.values, w_oracle)
+    # v stays above 0.5: every damping trial takes the one-pass form, and
+    # the base point of a backward-Euler step, whose bounds are not known,
+    # the four-pass one
+    assert face_forms.count(False) == 20 and face_forms.count(True) >= 20
 
 
-def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33):
+def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33, face_forms):
     # evolve.run: one BE step starts the history, then BDF2 steps solve
     # W = base + (2/3) dt R(W), base = (4/3) w_n - (1/3) w_{n-1}, rounded
     # as (4 w_n - w_{n-1}) / 3
@@ -173,9 +192,16 @@ def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33):
     assert len(trace.snapshots) == len(oracle)
     for (_, got), want in zip(trace.snapshots, oracle):
         assert np.array_equal(got, want)
+    # v stays above 0.5, but two base points take four passes: the
+    # starting backward-Euler step's, whose bounds are not known, and the
+    # first BDF2 step's, whose bound from the history, (4 min w_1 -
+    # max w_0) / 3, lies below -0.5
+    assert face_forms.count(False) == 2 and not face_forms[0]
+    assert len(face_forms) > 40
 
 
-def test_damped_step_bitwise_equal_to_solve_banded_newton(params33):
+def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
+                                                         face_forms):
     # v drops to 0.1: full Newton updates overshoot, and the kernel reuses
     # its trial, residual and rhs buffers across rejected trials
     grid = geo.make_grid(12.0, 150)
@@ -190,6 +216,9 @@ def test_damped_step_bitwise_equal_to_solve_banded_newton(params33):
     assert (got.newton_iterations, got.dt_halvings) == (5, 0)
     assert any(not accepted for _, accepted in trials)
     assert np.array_equal(got.w.values, want)
+    # v starts at 0.1, and the damping trials' min v lies on both sides of
+    # 0.5: the one solve takes both forms
+    assert not face_forms[0] and any(face_forms)
 
 
 def _barenblatt_boundary(params, tau0):
@@ -201,7 +230,8 @@ def _barenblatt_boundary(params, tau0):
     return boundary
 
 
-def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33):
+def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
+                                                                  face_forms):
     # a nonzero value held at s_max, through step_nonlinear and run
     grid = geo.make_grid(12.0, 300)
     state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params33)
@@ -229,6 +259,45 @@ def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33):
     assert len(trace.snapshots) == len(oracle) == steps + 1
     for (_, got), want in zip(trace.snapshots, oracle):
         assert np.array_equal(got, want)
+    assert face_forms and not any(face_forms)  # v drops to 0.15
+
+
+def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
+                                                          face_forms):
+    # v >= 0.5 at every unknown, and 0.49 at s_max
+    grid = geo.make_grid(12.0, 300)
+    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+    ws = evolve._workspace(grid, params33)
+    w, dt, boundary = state.w.values.copy(), 1e-2, -0.51
+    kernel = evolve._Newton(ws)
+    for _ in range(5):
+        assert 1.0 + w[:-1].min() >= 0.5
+        want = _newton_be_solve_banded(ws, w, dt, boundary)
+        kernel.solve(w, dt, boundary, (w.min(), w.max()))
+        assert np.array_equal(kernel.W, want)
+        state = evolve.step_nonlinear(state, dt, lambda t: boundary)
+        assert np.array_equal(state.w.values, want)
+        w = want
+    assert face_forms and not any(face_forms)
+
+
+def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
+    # two neighbours at v = 0.5 exactly: a face sum s = 1, where s - 2 is
+    # still exact by Sterbenz's lemma
+    grid = geo.make_grid(12.0, 300)
+    w = np.maximum(-0.6 * np.exp(-(grid.nodes - 2.0) ** 2), -0.5)
+    assert (w == -0.5).sum() >= 2 and w[-1] > -0.5
+    ws = evolve._workspace(grid, params33)
+    kernel = evolve._Newton(ws)
+    for dt in (1e-3, 1e-2, 0.1):
+        face_forms.clear()
+        kernel.solve(w, dt, 0.0, (w.min(), w.max()))
+        assert np.array_equal(kernel.W, _newton_be_solve_banded(ws, w, dt, 0.0))
+        assert face_forms[0]
+    out = np.empty(grid.count)
+    kernel.v[-1] = 1.0 + w[-1]
+    kernel.rhs(w[:-1], out, True)
+    assert np.array_equal(out, _rhs_np_diff(ws, w))
 
 
 def test_step_linear_bitwise_equal_to_solve_banded(grid12, params33):
@@ -364,9 +433,9 @@ def test_semigroup_decay_blow_up_raises_at_the_step_linear_step(monkeypatch,
     op.diag = op.diag + 2.0 / dt * (1.0 + 2e-3)
     f0 = geo.GridFunction(grid, 0, np.exp(-((grid.nodes - 1.0) ** 2)))
     calls = []
-    matvec = linop._matvec
-    monkeypatch.setattr(linop, "_matvec",
-                        lambda o, x: calls.append(1) or matvec(o, x))
+    solve = linop._solve_factored_unchecked
+    monkeypatch.setattr(linop, "_solve_factored_unchecked",
+                        lambda lu, b: calls.append(1) or solve(lu, b))
     with pytest.raises(ValueError) as oracle:
         _semigroup_step_linear(op, f0, [], 1e3, dt, params33)
     oracle_steps = len(calls)

@@ -144,7 +144,8 @@ def _const(x: float) -> np.ndarray:
 
 _ZERO, _HALF, _ONE, _TWO, _THREE, _FOUR = map(
     _const, (0.0, 0.5, 1.0, 2.0, 3.0, 4.0))
-# below this, v_i + v_{i+1} - 2 is exact, and so the one-pass face average
+# v below this keeps v_i + v_{i+1} - 2 exact, as the one-pass face average
+# needs (module doc)
 _TWO53 = 2.0 ** 53
 
 
@@ -434,7 +435,7 @@ class _Newton:
         wmax = np.maximum.reduce(W)
         if not (math.isfinite(vmin) and math.isfinite(wmax)):
             raise NewtonError("Newton step produced a non-finite state")
-        self.bounds = (wmin, wmax)
+        self.bounds = (float(wmin), float(wmax))
         self.max_final_residual = max(self.max_final_residual, float(norm))
         self.min_damping = min(self.min_damping, lam_min)
         self.min_margin = min(self.min_margin, float(vmin))
@@ -674,7 +675,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
     # min and max of each history state, which bound the BDF2 base point
-    cur_bounds = (np.minimum.reduce(cur), np.maximum.reduce(cur))
+    cur_bounds = (float(np.minimum.reduce(cur)), float(np.maximum.reduce(cur)))
     dt23 = 2.0 * dt / 3.0
     be_steps, halvings = 0, 0
     iterations, max_iterations, zero_steps = 0, 0, 0

@@ -8,10 +8,11 @@ directly gives bitwise-identical solutions without that wrapper cost
 ``solve_banded`` raises.  There are two paths.
 
 A Newton iteration builds its matrix and right side afresh each time: it
-fills the four views (``_packed_views``) of one buffer, which
-``_solve_packed`` checks for finiteness in one pass and solves in place
-with ``dgtsv``; a caller that solves the same buffer again hands over the
-views it keeps with it.
+fills four views of one buffer, which ``_solve_packed`` checks for
+finiteness in one pass and solves in place with ``dgtsv``.  A plain buffer
+is read in the layout of ``_packed_views``; a caller that solves the same
+buffer again, in that layout or its own, hands over the views it keeps
+with it.
 
 A Crank-Nicolson step solves one fixed matrix: it is factored once with
 ``dgttrf`` and solved per right side with ``dgttrs``.  Both routines pivot

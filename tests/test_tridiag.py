@@ -300,6 +300,24 @@ def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
     assert np.array_equal(out, _rhs_np_diff(ws, w))
 
 
+def test_one_pass_face_average_needs_v_below_two_to_the_53(params33):
+    # up to s = v_i + v_{i+1} = 2^54 - 2 the one-pass form is the four-pass
+    # one bitwise; at s = 2^54 + 4, whose significand is odd, (s - 2)/2 + 1
+    # rounds to s/2 - 2, which is why the kernel also bounds max v
+    grid = geo.make_grid(12.0, 64)
+    ws = evolve._workspace(grid, params33)
+    kernel = evolve._Newton(ws)
+    w = np.random.default_rng(3).uniform(-0.5, 3.0, grid.count + 1)
+    out = np.empty(grid.count)
+    for pair, equal in (((2.0 ** 53 - 2, 2.0 ** 53 - 2), True),
+                        ((2.0 ** 53 - 1, 2.0 ** 53 + 2), False)):
+        w[20:22] = pair
+        assert (1.0 + w[20] + (1.0 + w[21]) < 2.0 ** 54) == equal
+        kernel.v[-1] = 1.0 + w[-1]
+        kernel.rhs(w[:-1], out, True)
+        assert np.array_equal(out, _rhs_np_diff(ws, w)) == equal
+
+
 def test_step_linear_bitwise_equal_to_solve_banded(grid12, params33):
     op = linop.assemble(0, params33.eta_cr, grid12, params33)
     f = geo.GridFunction(grid12, 0, np.exp(-((grid12.nodes - 1.0) ** 2)) * (

@@ -302,7 +302,7 @@ class _Newton:
             F, R, scratch, v[:N], ws.m1, dG, ws.Um, dG[1:], ws.half_dU[:-1],
             ws.neg_half_dU, right, left, system[1:2 * N], ws.CC, system[:N],
             d, system[1:3 * N], ws.minv3, b, (system, bands))
-        # dt and -dt as 0-d operands (see _ONE), filled when dt changes
+        # dt and -dt as 0-d operands (see _const), filled when dt changes
         self.dt, self.neg_dt, self.dt_value = np.empty(()), np.empty(()), None
         self.bounds = (math.nan, math.nan)
         self.max_final_residual = 0.0

@@ -238,9 +238,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
 def _newton_work(trace) -> dict:
     """Solver work of an evolution run, for the JSON summary."""
     return {"backward_euler_steps": trace.backward_euler_steps,
+            "linear_steps": trace.linear_steps,
             "newton_iterations": trace.newton_iterations,
             "max_newton_iterations": trace.max_newton_iterations,
-            "zero_newton_steps": trace.zero_newton_steps,
             "dt_halvings": trace.dt_halvings,
             "max_final_residual": trace.max_final_residual,
             "min_damping": trace.min_damping,

@@ -15,43 +15,40 @@ precision), and the discrete mass sum(w_i M_i) telescopes, so conservation
 holds to the boundary-flux level rather than to quadrature error.
 
 The building block is a backward-Euler (BE) step solved by a damped
-tridiagonal Newton iteration: first order in time, unconditionally
-stable, and on Newton failure it halves dt (counted in ``dt_halvings``).
-``run`` steps with the second-order backward differentiation formula
-(BDF2)
+tridiagonal Newton iteration, first order and unconditionally stable; on
+Newton failure it halves dt (``dt_halvings``), and a closing fixed-point
+sweep W = w0 + dt R(W) keeps its mass exact.  ``run`` steps with the
+linearly implicit second-order backward differentiation formula (BDF2) of
+Akrivis, Crouzeix and Makridakis (Numer. Math. 82, 1999): one Newton
+iteration for W = base + (2/3) dt R(W), base = (4 w_n - w_{n-1})/3, from
+the predictor P = 2 w_n - w_{n-1},
 
-    W = (4/3) w_n - (1/3) w_{n-1} + (2/3) dt R(W),
+    (I - (2/3) dt J(P)) delta = -(P - base - (2/3) dt R(P)),  W = P + delta,
 
-which is the same Newton solve with the combination as its base point and
-(2/3) dt as its step.  A BE step starts the history, and a BDF2 step whose
-Newton iteration fails is redone as a BE step (the history points stay dt
-apart, so BDF2 resumes on the next step).  Every accepted step ends with
-one fixed-point sweep W = base + dt' R(W), which keeps the discrete mass
-exact without affecting the order.  B is normalized to 1 here (see
-geometry).
+second order with no tolerance to meet, for one rhs, one Jacobian and one
+tridiagonal solve.  Its mass telescopes with no sweep: W - base = (2/3) dt
+(R(P) + J(P) delta), and both terms are differences of face fluxes.  A BE
+step starts the history and redoes a BDF2 step that fails a check (the
+history stays dt apart, so BDF2 resumes on the next step).  B is
+normalized to 1 here (see geometry).
 
-One Newton kernel, ``_Newton``, holds the only flux, rhs and Jacobian code
-and solves every step, those of ``run`` and ``step_nonlinear``.  Its
-``solve`` is one flat method: the damped Newton iteration, the closing
-sweep and the state checks, calling only ``_Newton.rhs`` and
-``tridiag._solve_packed`` on buffers, views and coefficients bound once
-per kernel (the grid's in the cached ``_Workspace``), so a step makes no
-array temporaries.  The kernel owns the checks: each Newton system must be
-finite and solvable, each damping trial must keep 1+w above
-``MARGIN_FLOOR``, |F| must reach ``NEWTON_TOL`` within ``NEWTON_MAXITER``
-iterations, and each accepted state must be finite and above
+One kernel, ``_Newton``, holds the only flux, rhs and Jacobian code and
+takes every step, on buffers, views and coefficients bound once per kernel
+(the grid's in the cached ``_Workspace``), so a step makes no array
+temporaries.  It owns the checks: each Newton system must be finite and
+solvable, each damping trial and predictor must keep 1+w above
+``MARGIN_FLOOR``, a BE solve must bring |F| to ``NEWTON_TOL`` within
+``NEWTON_MAXITER`` iterations, and each new state must be finite and above
 ``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
-Overflow while a system is built is expected at huge dt and is left to the
-finiteness check.  ``run`` keeps its states as arrays and never re-checks
-them.
+``run`` keeps its states as arrays and never re-checks them.
 
 The results are bitwise those of the allocating kernel
 (``tests/test_tridiag.py``'s oracles): reusing a buffer never changes an
 operation or its order, and every other rewrite is an identity exact in
 IEEE arithmetic.
 
-* The first residual is taken at the base point itself, where W - w0 is +0
-  at every finite node, as F = 0 - dt rhs(w0).
+* The first residual of a BE solve is taken at the base point itself,
+  where W - w0 is +0 at every finite node, as F = 0 - dt rhs(w0).
 * Zero padding: a zero in front of the fluxes and of the shifted right
   face derivatives gives d_t w_0 = (Phi_0 - 0)/M_0 and the first diagonal
   entry left_0 - 0 in the same subtraction as the other rows (x - 0 = x).
@@ -67,10 +64,9 @@ IEEE arithmetic.
   four passes of the flux form, equals s (dU/2) bitwise when dU/2 is exact,
   which ``_Workspace`` checks once.  ``rhs`` takes that one pass when every
   v of the evaluated state, the value at s_max included, lies in
-  [0.5, 2^53): for a damping trial the margin check's minimum and one
-  maximum tell, for a BDF2 base point the min and max of the two history
-  states bound (4 w_n - w_{n-1})/3 by the same operations, since rounding
-  is monotone.  Otherwise, and for a NaN, it takes the four.
+  [0.5, 2^53): for a damping trial or a predictor the margin check's
+  minimum and one maximum tell; a BE base point, whose bounds are not
+  known, takes the four, as does a NaN.
 
 ``run`` pays its diagnostics per block of recorded states, not per state
 (``_Records``): it copies each recorded state into one fixed block of
@@ -252,17 +248,16 @@ def _boundary_value(boundary, t: float) -> float:
 
 
 class _Newton:
-    """The Newton kernel (see module doc) and its scratch.
+    """The step kernel (see module doc) and its scratch.
 
     One instance serves a whole run.  Every buffer, view and coefficient is
-    bound here, once: ``rhs`` reads its operands from one tuple and
-    ``solve`` from another.  ``solve`` reads its base point in place and
-    leaves its result in ``W`` and the other iterate buffer in ``trial``; a
+    bound here, once, in one operand tuple per method.  ``solve`` reads its
+    base point in place and leaves its result in ``W`` and the other iterate
+    buffer in ``trial``; ``linear_bdf2`` leaves its result in ``W``.  A
     caller that keeps the result hands the kernel another buffer of N+1
-    nodes.  ``bounds`` holds min and max of the last result;
-    ``max_final_residual``, ``min_damping`` and ``min_margin`` gather the
-    worst final |F|, the smallest accepted damping factor and the smallest
-    1+w over the accepted solves.
+    nodes.  ``max_final_residual`` and ``min_damping`` gather the worst
+    final |F| and the smallest accepted damping factor of the BE solves,
+    ``min_margin`` the smallest 1+w of every accepted state.
 
     The Newton system lives in one buffer of 4N values laid out as
     [0 | du | dl, slot | d | b].  The right face derivatives fill du and the
@@ -274,18 +269,15 @@ class _Newton:
     ``_solve_packed`` over the whole buffer fails exactly when the system is
     not finite.
 
-    An iteration whose first damping trial is accepted makes 28 numpy
-    calls besides ``dgtsv`` and the finiteness check: 10 build the system
-    and -F; 3 make the trial and take its min and max (1 more when it is
-    damped, 1 fewer when its min rules out the one-pass form); and 15 take
-    its residual, 10 of them in ``rhs`` (3 more in the four-pass form).
-    Two of them are the powers v^m and v^(m-1) over the grid.
+    A BE iteration with an undamped first trial makes 28 numpy calls besides
+    ``dgtsv`` and its finiteness check, a BDF2 step 33; two per rhs and
+    Jacobian are the powers v^m and v^(m-1) over the grid.
     """
 
     def __init__(self, ws: _Workspace):
         N = ws.N
         self.ws = ws
-        self.W, self.trial, self.base = (np.empty(N + 1) for _ in range(3))
+        self.W, self.trial, base, P = (np.empty(N + 1) for _ in range(4))
         self.v, G = np.empty(N + 1), np.empty(N + 1)
         phi = np.zeros(N + 1)  # phi[0] stays 0: d_t w_0 = (phi_0 - 0) / M_0
         face, dG, F, R, scratch = (np.empty(N) for _ in range(5))
@@ -298,20 +290,20 @@ class _Newton:
         self.rhs_operands = (
             v[:N], v, v[:-1], v[1:], ws.m0, G, ws.U, G[:-1], G[1:], face,
             ws.half_dU, ws.dU, phi[1:], phi[:-1], ws.C, ws.masses)
-        self.solve_operands = (
-            F, R, scratch, v[:N], ws.m1, dG, ws.Um, dG[1:], ws.half_dU[:-1],
+        self.system_operands = (
+            F, v[:N], ws.m1, dG, ws.Um, dG[1:], ws.half_dU[:-1],
             ws.neg_half_dU, right, left, system[1:2 * N], ws.CC, system[:N],
             d, system[1:3 * N], ws.minv3, b, (system, bands))
+        self.solve_operands = (F, R, scratch)
+        self.linear_operands = (F, R, base, base[:N], P, P[:N])
         # dt and -dt as 0-d operands (see _const), filled when dt changes
         self.dt, self.neg_dt, self.dt_value = np.empty(()), np.empty(()), None
-        self.bounds = (math.nan, math.nan)
-        self.max_final_residual = 0.0
-        self.min_damping = 1.0
-        self.min_margin = math.inf
+        self.max_final_residual, self.min_damping, self.min_margin = \
+            0.0, 1.0, math.inf
 
     def rhs(self, w_in: np.ndarray, out: np.ndarray, one_pass: bool):
         """out = d_t w at the unknowns 0..N-1 given w there, and v = 1 + w;
-        v at s_max is left as it is (``solve`` sets it once per solve).
+        v at s_max is left as it is (``_start`` sets it once per step).
 
         The flux at the faces is Phi = C [(G_{i+1} - G_i) - dU vbar] with
         G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2, formed as
@@ -336,28 +328,56 @@ class _Newton:
         np.subtract(phi, phi_prev, out=out)
         out /= masses
 
+    def _start(self, dt: float, w_boundary: float) -> bool:
+        """Bind dt, set v at s_max; True if both allow the one-pass form."""
+        if dt != self.dt_value:
+            self.dt[()], self.neg_dt[()], self.dt_value = dt, -dt, dt
+        self.v[self.ws.N] = v_N = 1.0 + w_boundary
+        return self.ws.halves_exact and 0.5 <= v_N < _TWO53
+
+    def newton_update(self, dt: float) -> np.ndarray:
+        """delta from (I - dt J) delta = -F, J = d rhs / d w at the last
+        ``rhs``'s v; a non-finite or singular system raises NewtonError."""
+        (F, v_in, m1, dG, Um, dG_hi, half_dU_lo, neg_half_dU, right, left,
+         faces, CC, right_before, d, three_bands, minv3, b,
+         packed) = self.system_operands
+        # the left and right derivatives of Phi at face i+1/2 by w_i and
+        # w_{i+1} are C (-dG_i - half_dU_i) and C (dG_{i+1} - half_dU_i)
+        np.power(v_in, m1, out=dG)
+        dG *= Um
+        np.subtract(dG_hi, half_dU_lo, out=right)
+        np.subtract(neg_half_dU, dG, out=left)
+        faces *= CC
+        np.subtract(left, right_before, out=d)
+        three_bands *= minv3
+        three_bands *= self.neg_dt
+        d += _ONE
+        np.negative(F, out=b)
+        try:
+            return _solve_packed(packed)
+        except (ValueError, LinAlgError) as exc:
+            raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
+
+    def _accept(self, W: np.ndarray):
+        """Check a new state: finite, with 1+w above MARGIN_FLOOR."""
+        vmin = _check_positivity(W, MARGIN_FLOOR)
+        if not (math.isfinite(vmin) and math.isfinite(np.maximum.reduce(W))):
+            raise NewtonError("step produced a non-finite state")
+        self.min_margin = min(self.min_margin, vmin)
+
     # the decorator form enters the error state without building a context
     # manager per call; it covers the iteration and the checks
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def solve(self, w0: np.ndarray, dt: float, w_boundary: float,
-              bounds: tuple[float, float] | None = None) -> int:
+    def solve(self, w0: np.ndarray, dt: float, w_boundary: float) -> int:
         """Solve W = w0 + dt rhs(W) by damped Newton into ``W``, with the
         value at the truncation node s_max held at w_boundary; returns the
-        number of Newton iterations.  ``bounds``, if given, bound w0 below
-        and above (the base point then takes the one-pass face average when
-        they allow it).  Overflow is left to the checks: a non-finite
-        system or accepted iterate raises NewtonError.
+        number of Newton iterations.  Overflow is left to the checks: a
+        non-finite system or accepted iterate raises NewtonError.
         """
-        (F, R, scratch, v_in, m1, dG, Um, dG_hi, half_dU_lo, neg_half_dU,
-         right, left, faces, CC, right_before, d, three_bands, minv3, b,
-         packed) = self.solve_operands
-        rhs, solve_packed, N = self.rhs, _solve_packed, self.ws.N
-        if dt != self.dt_value:
-            self.dt[()], self.neg_dt[()], self.dt_value = dt, -dt, dt
-        dt_, neg_dt = self.dt, self.neg_dt
-        v_N = 1.0 + w_boundary
-        self.v[N] = v_N
-        exact = self.ws.halves_exact and 0.5 <= v_N < _TWO53
+        F, R, scratch = self.solve_operands
+        rhs, newton_update, N, dt_ = (self.rhs, self.newton_update,
+                                      self.ws.N, self.dt)
+        exact = self._start(dt, w_boundary)
         w0_in = w0[:N]
         # the iterate starts at the base point, read in place (W is None);
         # the trials take turns in the kernel's two buffers, and ``spare``
@@ -368,31 +388,14 @@ class _Newton:
         lam_min = 1.0
         # the first residual is taken at W == w0, where W - w0 is +0 at
         # every finite node, so F = 0 - R
-        rhs(w0_in, R, exact and bounds is not None
-            and 1.0 + bounds[0] >= 0.5 and 1.0 + bounds[1] < _TWO53)
+        rhs(w0_in, R, False)
         R *= dt_
         np.subtract(_ZERO, R, out=F)
         norm = np.maximum.reduce(np.abs(F, out=scratch))
         for iterations in range(NEWTON_MAXITER):
             if norm <= NEWTON_TOL:
                 break
-            # (I - dt J) delta = -F with J = d rhs / d w at v = 1 + W: the
-            # left and right derivatives of Phi at face i+1/2 by w_i and
-            # w_{i+1} are C (-dG_i - half_dU_i) and C (dG_{i+1} - half_dU_i)
-            np.power(v_in, m1, out=dG)
-            dG *= Um
-            np.subtract(dG_hi, half_dU_lo, out=right)
-            np.subtract(neg_half_dU, dG, out=left)
-            faces *= CC
-            np.subtract(left, right_before, out=d)
-            three_bands *= minv3
-            three_bands *= neg_dt
-            d += _ONE
-            np.negative(F, out=b)
-            try:
-                delta = solve_packed(packed)
-            except (ValueError, LinAlgError) as exc:
-                raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
+            delta = newton_update(dt)
             lam = 1.0
             for _damp in range(12):
                 if lam == 1.0:
@@ -428,33 +431,33 @@ class _Newton:
         np.add(w0_in, R, out=W_in)
         W[N] = w_boundary
         self.W, self.trial = W, trial
-        wmin = np.minimum.reduce(W)
-        vmin = 1.0 + wmin
-        if vmin <= MARGIN_FLOOR:
-            raise PositivityError(int(np.argmin(W)), float(vmin))
-        wmax = np.maximum.reduce(W)
-        if not (math.isfinite(vmin) and math.isfinite(wmax)):
-            raise NewtonError("Newton step produced a non-finite state")
-        self.bounds = (float(wmin), float(wmax))
+        self._accept(W)
         self.max_final_residual = max(self.max_final_residual, float(norm))
         self.min_damping = min(self.min_damping, lam_min)
-        self.min_margin = min(self.min_margin, float(vmin))
         return iterations
 
-    def bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt23: float,
-             w_boundary: float, bounds_prev: tuple[float, float],
-             bounds_n: tuple[float, float]) -> int:
-        """One BDF2 step into ``W``: the solve with base (4 w_n - w_{n-1})/3
-        and step dt23 = 2 dt/3; returns its Newton iterations.  The bounds
-        of w_{n-1} and w_n bound the base by the same operations, since
-        rounding is monotone."""
-        base = self.base
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def linear_bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt23: float,
+                    w_boundary: float):
+        """One linearly implicit BDF2 step into ``W`` (module doc) with
+        dt23 = 2 dt/3, from P = 2 w_n - w_{n-1}, whose own min and max pick
+        the face average."""
+        F, R, base, base_in, P, P_in = self.linear_operands
+        exact = self._start(dt23, w_boundary)
         np.multiply(w_n, _FOUR, out=base)
         base -= w_prev
         base /= _THREE
-        return self.solve(base, dt23, w_boundary,
-                          ((4.0 * bounds_n[0] - bounds_prev[1]) / 3.0,
-                           (4.0 * bounds_n[1] - bounds_prev[0]) / 3.0))
+        np.multiply(w_n, _TWO, out=P)
+        P -= w_prev
+        pmin = _check_positivity(P_in, MARGIN_FLOOR)
+        self.rhs(P_in, R, exact and pmin >= 0.5
+                 and 1.0 + np.maximum.reduce(P_in) < _TWO53)
+        R *= self.dt
+        np.subtract(P_in, base_in, out=F)
+        F -= R
+        np.add(P_in, self.newton_update(dt23), out=self.W[:-1])
+        self.W[-1] = w_boundary
+        self._accept(self.W)
 
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
                        depth: int = 0) -> tuple[float, int, int]:
@@ -476,6 +479,10 @@ class _Newton:
         return t_new, first + second, halved_first + halved_second + 1
 
 
+# step_nonlinear's kernels, one per workspace
+_kernel = lru_cache(maxsize=64)(_Newton)
+
+
 def step_nonlinear(state: EvolutionState, dt: float,
                    boundary=None) -> EvolutionState:
     """One backward-Euler step; on Newton divergence halves dt and retries.
@@ -485,10 +492,10 @@ def step_nonlinear(state: EvolutionState, dt: float,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    kernel = _Newton(_workspace(state.w.grid, state.params))
+    kernel = _kernel(_workspace(state.w.grid, state.params))
     t_new, iterations, halvings = kernel.backward_euler(
         state.w.values, state.t, dt, boundary)
-    return EvolutionState(t=t_new, w=state.w.with_values(kernel.W),
+    return EvolutionState(t=t_new, w=state.w.with_values(kernel.W.copy()),
                           params=state.params, newton_iterations=iterations,
                           dt_halvings=halvings)
 
@@ -581,18 +588,16 @@ class EvolutionTrace:
     min_v: np.ndarray
     max_v: np.ndarray
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    # steps taken by backward Euler: the start plus any redone BDF2 step
+    # steps by backward Euler (the start, redone BDF2 steps) and by BDF2
     backward_euler_steps: int = 0
-    # Newton iterations of the accepted solves, in total and in the costliest
-    # step, and the steps whose base point already met NEWTON_TOL
+    linear_steps: int = 0
+    # Newton iterations of the BE solves, in total and in the costliest step
     newton_iterations: int = 0
     max_newton_iterations: int = 0
-    zero_newton_steps: int = 0
     # times a backward-Euler step halved dt after a failed Newton solve
     dt_halvings: int = 0
-    # over the accepted Newton solves: the largest final |F|, the smallest
-    # damping factor of an accepted update (1 when none was damped) and the
-    # smallest 1+w of a new state (inf when no step was taken)
+    # the BE solves' largest final |F| and smallest accepted damping factor
+    # (1 when none was damped); the smallest 1+w of a new state (inf if none)
     max_final_residual: float = 0.0
     min_damping: float = 1.0
     min_margin: float = math.inf
@@ -674,32 +679,27 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     # history (prev, cur) and hands the kernel the buffer prev leaves
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
-    # min and max of each history state, which bound the BDF2 base point
-    cur_bounds = (float(np.minimum.reduce(cur)), float(np.maximum.reduce(cur)))
     dt23 = 2.0 * dt / 3.0
-    be_steps, halvings = 0, 0
-    iterations, max_iterations, zero_steps = 0, 0, 0
+    linear_steps, halvings, iterations, max_iterations = 0, 0, 0, 0
     observe(t, cur, 0)
     for j in range(1, steps + 1):
-        t_new, its = t + dt, None
-        if prev is not None:
+        t_new, linear = t + dt, prev is not None
+        if linear:
             try:
-                its = kernel.bdf2(prev, cur, dt23,
-                                  _boundary_value(boundary, t_new),
-                                  prev_bounds, cur_bounds)
+                kernel.linear_bdf2(prev, cur, dt23,
+                                   _boundary_value(boundary, t_new))
             except EvolveError:
-                pass
-        if its is None:
+                linear = False
+        if linear:
+            linear_steps += 1
+        else:
             t_new, its, halved = kernel.backward_euler(cur, t, dt, boundary)
-            be_steps += 1
             halvings += halved
+            iterations += its
+            max_iterations = max(max_iterations, its)
         t = t_new
         spare = np.empty_like(cur) if prev is None else prev
         prev, cur, kernel.W = cur, kernel.W, spare
-        prev_bounds, cur_bounds = cur_bounds, kernel.bounds
-        iterations += its
-        max_iterations = max(max_iterations, its)
-        zero_steps += its == 0
         if j % every == 0 or j == steps:
             observe(t, cur, j)
     records.flush()
@@ -709,10 +709,10 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         weighted=records.weighted, mass_defect=records.mass_defect,
         energy=records.energy, min_v=records.min_v, max_v=records.max_v,
         snapshots=snapshots,
-        backward_euler_steps=be_steps,
+        backward_euler_steps=steps - linear_steps,
+        linear_steps=linear_steps,
         newton_iterations=iterations,
         max_newton_iterations=max_iterations,
-        zero_newton_steps=zero_steps,
         dt_halvings=halvings,
         max_final_residual=kernel.max_final_residual,
         min_damping=kernel.min_damping,

@@ -188,8 +188,10 @@ def test_cmd_expand():
 
 def test_default_expand_reports_one_backward_euler_step():
     # BE starts the BDF2 history; no BDF2 step of the default run is redone
-    bundle = cli.cmd_expand(ExperimentConfig().validate())
-    assert bundle.summary["backward_euler_steps"] == 1
+    cfg = ExperimentConfig().validate()
+    s = cli.cmd_expand(cfg).summary
+    assert (s["backward_euler_steps"], s["linear_steps"]) == (1, 749)
+    assert round(cfg.time.t_final / cfg.time.dt) == 750
     assert cli.cmd_evolve(fast_cfg()).summary["backward_euler_steps"] == 1
 
 
@@ -198,12 +200,13 @@ def test_summary_records_newton_iterations(command):
     cfg = fast_cfg()
     s = command(cfg).summary
     steps = round(cfg.time.t_final / cfg.time.dt)
-    assert 0 <= s["zero_newton_steps"] <= steps
+    assert s["linear_steps"] + s["backward_euler_steps"] == steps
+    # the Newton work is that of the backward-Euler steps
     assert 1 <= s["max_newton_iterations"] <= evolve.NEWTON_MAXITER
     assert s["max_newton_iterations"] <= s["newton_iterations"] \
-        <= steps * s["max_newton_iterations"]
+        <= s["backward_euler_steps"] * s["max_newton_iterations"]
     assert s["dt_halvings"] == 0
-    # each accepted solve ends at or below the tolerance, undamped here
+    # each BE solve ends at or below the tolerance, undamped here
     assert 0.0 <= s["max_final_residual"] <= evolve.NEWTON_TOL
     assert s["min_damping"] == 1.0
     assert evolve.MARGIN_FLOOR < s["min_margin"] <= 1.0

@@ -213,17 +213,17 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
         grid_coarse, params33, monkeypatch):
     st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
     want = final_values(st0, 1e-2, 0.2)
-    bdf2, calls = evolve._Newton.bdf2, []
+    linear, calls = evolve._Newton.linear_bdf2, []
 
-    def fail_third(kernel, *args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise evolve.NewtonError("forced")
-        return bdf2(kernel, *args)
+    def fail_third(kernel, w_prev, w_n, dt23, w_boundary):
+        calls.append(dt23)
+        # a nan Dirichlet value makes the third step's system non-finite
+        return linear(kernel, w_prev, w_n, dt23,
+                      np.nan if len(calls) == 3 else w_boundary)
 
-    monkeypatch.setattr(evolve._Newton, "bdf2", fail_third)
+    monkeypatch.setattr(evolve._Newton, "linear_bdf2", fail_third)
     tr = evolve.run(st0, 1e-2, 0.2, evolve.RecordOptions(snapshot_every=1))
-    assert tr.backward_euler_steps == 2
+    assert (tr.backward_euler_steps, tr.linear_steps) == (2, 18)
     # every step after the start tries BDF2 (19 of 20), including the one
     # right after the redone step: the history stays dt apart
     assert len(calls) == 19
@@ -231,6 +231,37 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
     # one first-order step moves the end state by O(dt^2) only
     assert np.max(np.abs(tr.snapshots[-1][1] - want)) <= 1e-4
     assert tr.dt_halvings == 0
+
+
+def test_run_redoes_a_step_whose_predictor_loses_the_margin(
+        grid_coarse, params33, monkeypatch):
+    # a tall bump collapses in one long step, so P = 2 w_1 - w_0 overshoots
+    # below v = 0 where it stood; BE takes that step, BDF2 the next
+    st0 = evolve.bump_data(grid_coarse, 2.0, seed=1, params=params33,
+                           project_mass=False)
+    dt = 0.5
+    linear, errors = evolve._Newton.linear_bdf2, []
+
+    def spy(kernel, *args):
+        try:
+            return linear(kernel, *args)
+        except evolve.EvolveError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(evolve._Newton, "linear_bdf2", spy)
+    tr = evolve.run(st0, dt, 3 * dt, evolve.RecordOptions(snapshot_every=1))
+    assert (tr.backward_euler_steps, tr.linear_steps) == (2, 1)
+    [error] = errors
+    w0, w1 = (w for _, w in tr.snapshots[:2])
+    P = 2.0 * w1 - w0
+    assert isinstance(error, evolve.PositivityError)
+    assert error.value == 1.0 + P[:-1].min() <= evolve.MARGIN_FLOOR
+    # the redone step is the backward-Euler step from w_1
+    kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
+    kernel.backward_euler(w1, dt, dt, None)
+    assert np.array_equal(tr.snapshots[2][1], kernel.W)
+    assert tr.min_v.min() > evolve.MARGIN_FLOOR
 
 
 def test_a_halved_step_counts_its_halvings(grid_coarse, params33):
@@ -345,6 +376,23 @@ def test_workspace_cache_is_bounded(params33):
     for count in range(16, 16 + 80):
         evolve._workspace(geo.make_grid(12.0, count), params33)
     assert evolve._workspace.cache_info().currsize <= 64
+
+
+def test_step_nonlinear_reuses_a_bounded_kernel_and_hands_out_copies(
+        grid_coarse, params33):
+    st0 = evolve.bump_data(grid_coarse, 0.3, seed=7, params=params33)
+    first = evolve.step_nonlinear(st0, 1e-2)
+    second = evolve.step_nonlinear(first, 1e-2)
+    kernel = evolve._kernel(evolve._workspace(grid_coarse, params33))
+    assert evolve._kernel.cache_info().maxsize == 64
+    # one kernel serves both steps; neither state shares its scratch
+    assert evolve._kernel.cache_info().hits >= 1
+    buffers = (kernel.W, kernel.trial, kernel.v)
+    for state in (first, second):
+        assert not any(np.shares_memory(state.w.values, b) for b in buffers)
+    assert not np.shares_memory(first.w.values, second.w.values)
+    again = evolve.step_nonlinear(st0, 1e-2)
+    assert np.array_equal(again.w.values, first.w.values)
 
 
 def test_workspace_arrays_are_read_only(grid12, params33):

@@ -183,3 +183,14 @@ def test_runtime_rows_report_each_traces_compute_seconds():
     seconds = [run[3] for run in selftest._solves(True)[3].values()]
     assert [r.value for r in rows] == seconds
     assert all(0.0 < s < 120.0 for s in seconds)
+
+
+def test_second_order_gamma_converges_in_dt():
+    # criterion 5's fast case at its dt and at half of it: the linearly
+    # implicit BDF2 step has no solver tolerance, so gamma moves only by
+    # the O(dt^2) error of the time integrator
+    (m, dt, t_final, policy, count), = selftest._second_order_cases(True)
+    assert dt == 1e-3
+    gammas = [selftest._second_order_gamma((m, step, t_final, policy, count))
+              for step in (dt, dt / 2.0)]
+    assert abs(gammas[1] - gammas[0]) <= 1e-3 * abs(gammas[1])

@@ -97,6 +97,16 @@ def _jacobian_bands(ws, w_full):
     return lower, diag, upper
 
 
+def _newton_update_solve_banded(ws, w_full, dt, F):
+    """delta from (I - dt J) delta = -F with J at w_full (oracle)."""
+    lower, diag, upper = _jacobian_bands(ws, w_full)
+    ab = np.zeros((3, ws.N))
+    ab[0, 1:] = -dt * upper
+    ab[1, :] = 1.0 - dt * diag
+    ab[2, :-1] = -dt * lower
+    return scipy.linalg.solve_banded((1, 1), ab, -F)
+
+
 def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     """The Newton step as it stood on scipy.linalg.solve_banded (oracle):
     three rhs evaluations per step, the closing sweep included.  ``trials``
@@ -112,12 +122,7 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     for _ in range(evolve.NEWTON_MAXITER):
         if norm <= evolve.NEWTON_TOL:
             break
-        lower, diag, upper = _jacobian_bands(ws, W)
-        ab = np.zeros((3, ws.N))
-        ab[0, 1:] = -dt * upper
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * lower
-        delta = scipy.linalg.solve_banded((1, 1), ab, -F)
+        delta = _newton_update_solve_banded(ws, W, dt, F)
         lam = 1.0
         for _damp in range(12):
             trial = W.copy()
@@ -136,6 +141,22 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     else:
         raise evolve.NewtonError("Newton did not converge")
     W[:ws.N] = w0[:ws.N] + dt * _rhs_np_diff(ws, W)
+    evolve._check_positivity(W, evolve.MARGIN_FLOOR)
+    return W
+
+
+def _linear_bdf2_solve_banded(ws, prev, w, dt, w_boundary):
+    """The linearly implicit BDF2 step on scipy.linalg.solve_banded (oracle):
+    one Newton iteration for W = base + dt rhs(W), base = (4 w - prev)/3,
+    from the predictor P = 2 w - prev, with the rhs and bands at P."""
+    N = ws.N
+    base = (4.0 * w - prev) / 3.0
+    P = 2.0 * w - prev
+    P[N] = w_boundary
+    evolve._check_positivity(P[:N], evolve.MARGIN_FLOOR)
+    F = P[:N] - base[:N] - dt * _rhs_np_diff(ws, P)
+    W = P.copy()
+    W[:N] += _newton_update_solve_banded(ws, P, dt, F)
     evolve._check_positivity(W, evolve.MARGIN_FLOOR)
     return W
 
@@ -171,35 +192,6 @@ def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33,
     assert face_forms.count(False) == 20 and face_forms.count(True) >= 20
 
 
-def test_run_bdf2_bitwise_equal_to_solve_banded_newton(params33, face_forms):
-    # evolve.run: one BE step starts the history, then BDF2 steps solve
-    # W = base + (2/3) dt R(W), base = (4/3) w_n - (1/3) w_{n-1}, rounded
-    # as (4 w_n - w_{n-1}) / 3
-    grid = geo.make_grid(12.0, 600)
-    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
-    ws = evolve._workspace(grid, params33)
-    dt, steps = 4e-3, 20
-    trace = evolve.run(state, dt, steps * dt,
-                       evolve.RecordOptions(snapshot_every=1))
-    assert trace.backward_euler_steps == 1
-    prev = state.w.values.copy()
-    w = _newton_be_solve_banded(ws, prev, dt, 0.0)
-    oracle = [prev, w]
-    for _ in range(steps - 1):
-        base = (4.0 * w - prev) / 3.0
-        prev, w = w, _newton_be_solve_banded(ws, base, 2.0 * dt / 3.0, 0.0)
-        oracle.append(w)
-    assert len(trace.snapshots) == len(oracle)
-    for (_, got), want in zip(trace.snapshots, oracle):
-        assert np.array_equal(got, want)
-    # v stays above 0.5, but two base points take four passes: the
-    # starting backward-Euler step's, whose bounds are not known, and the
-    # first BDF2 step's, whose bound from the history, (4 min w_1 -
-    # max w_0) / 3, lies below -0.5
-    assert face_forms.count(False) == 2 and not face_forms[0]
-    assert len(face_forms) > 40
-
-
 def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
                                                          face_forms):
     # v drops to 0.1: full Newton updates overshoot, and the kernel reuses
@@ -232,7 +224,8 @@ def _barenblatt_boundary(params, tau0):
 
 def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
                                                                   face_forms):
-    # a nonzero value held at s_max, through step_nonlinear and run
+    # a nonzero value held at s_max, through step_nonlinear (and through
+    # run in test_run_linear_bdf2_bitwise_equal_to_solve_banded)
     grid = geo.make_grid(12.0, 300)
     state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params33)
     boundary = _barenblatt_boundary(params33, 0.15)
@@ -244,22 +237,47 @@ def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
         state = evolve.step_nonlinear(state, dt, boundary)
         assert w[-1] == boundary(state.t) != 0.0
         assert np.array_equal(state.w.values, w)
+    assert face_forms and not any(face_forms)  # v drops to 0.15
 
+
+@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
+def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
+                                                       case):
+    # evolve.run: one backward-Euler Newton step starts the history, then
+    # each step is the linearly implicit BDF2 step from P = 2 w_n - w_{n-1}
+    if case == "bump":
+        grid = geo.make_grid(12.0, 600)
+        state0 = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+        boundary, dt = None, 4e-3
+    else:  # a nonzero value held at s_max
+        grid = geo.make_grid(12.0, 300)
+        state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params33)
+        boundary, dt = _barenblatt_boundary(params33, 0.15), 1e-2
+    ws = evolve._workspace(grid, params33)
+    steps = 20
     trace = evolve.run(state0, dt, steps * dt,
                        evolve.RecordOptions(snapshot_every=1), boundary)
-    assert trace.backward_euler_steps == 1
+    assert (trace.backward_euler_steps, trace.linear_steps) == (1, steps - 1)
+    value = boundary or (lambda t: 0.0)
     prev = state0.w.values.copy()
-    w = _newton_be_solve_banded(ws, prev, dt, boundary(dt))
+    w = _newton_be_solve_banded(ws, prev, dt, value(trace.times[1]))
     oracle = [prev, w]
     for t in trace.times[2:]:
-        base = (4.0 * w - prev) / 3.0
-        prev, w = w, _newton_be_solve_banded(ws, base, 2.0 * dt / 3.0,
-                                             boundary(t))
+        prev, w = w, _linear_bdf2_solve_banded(ws, prev, w, 2.0 * dt / 3.0,
+                                               value(t))
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle) == steps + 1
     for (_, got), want in zip(trace.snapshots, oracle):
         assert np.array_equal(got, want)
-    assert face_forms and not any(face_forms)  # v drops to 0.15
+    be_forms = len(face_forms) - (steps - 1)  # one rhs per BDF2 step
+    if case == "bump":
+        # v stays above 0.5: only the starting backward-Euler step's base
+        # point, whose bounds are not known, takes four passes; every
+        # predictor's own min and max allow the one-pass form
+        assert face_forms.count(False) == 1 and not face_forms[0]
+        assert be_forms >= 2 and all(face_forms[be_forms:])
+    else:
+        assert be_forms >= 2 and not any(face_forms)  # v drops to 0.15
 
 
 def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
@@ -272,8 +290,12 @@ def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
     kernel = evolve._Newton(ws)
     for _ in range(5):
         assert 1.0 + w[:-1].min() >= 0.5
+        # the predictor 2 w - w is w exactly
+        kernel.linear_bdf2(w, w, dt, boundary)
+        assert np.array_equal(
+            kernel.W, _linear_bdf2_solve_banded(ws, w, w, dt, boundary))
         want = _newton_be_solve_banded(ws, w, dt, boundary)
-        kernel.solve(w, dt, boundary, (w.min(), w.max()))
+        kernel.solve(w, dt, boundary)
         assert np.array_equal(kernel.W, want)
         state = evolve.step_nonlinear(state, dt, lambda t: boundary)
         assert np.array_equal(state.w.values, want)
@@ -291,9 +313,13 @@ def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
     kernel = evolve._Newton(ws)
     for dt in (1e-3, 1e-2, 0.1):
         face_forms.clear()
-        kernel.solve(w, dt, 0.0, (w.min(), w.max()))
+        # the predictor 2 w - w is w exactly, min v 0.5
+        kernel.linear_bdf2(w, w, dt, 0.0)
+        assert face_forms == [True]
+        assert np.array_equal(kernel.W,
+                              _linear_bdf2_solve_banded(ws, w, w, dt, 0.0))
+        kernel.solve(w, dt, 0.0)
         assert np.array_equal(kernel.W, _newton_be_solve_banded(ws, w, dt, 0.0))
-        assert face_forms[0]
     out = np.empty(grid.count)
     kernel.v[-1] = 1.0 + w[-1]
     kernel.rhs(w[:-1], out, True)

@@ -1,11 +1,10 @@
 """Closed-form layer of the fast-diffusion laboratory.
 
 Everything in this module is exact (up to floating point): model parameters
-and regime landmarks, the stationary Barenblatt profile, the discrete
-spectrum of the linearized flow, the terminating hypergeometric
-eigenfunction polynomials, essential-spectrum thresholds in
-weighted spaces, the rate/weight trade-off tables, and the time-shifted
-Barenblatt quotient used as an exact nonlinear solution.
+and regime landmarks, the discrete spectrum of the linearized flow, the
+terminating hypergeometric eigenfunction polynomials, essential-spectrum
+thresholds in weighted spaces, the rate/weight trade-off tables, and the
+time-shifted Barenblatt quotient used as an exact nonlinear solution.
 
 Conventions
 -----------
@@ -36,7 +35,6 @@ __all__ = [
     "BranchBoundaryError",
     "derive_params",
     "landmarks",
-    "barenblatt_u",
     "eigenvalue",
     "essential_threshold",
     "is_admissible",
@@ -49,7 +47,6 @@ __all__ = [
     "lambda_second_order",
     "second_order_rates",
     "delayed_barenblatt_v",
-    "delayed_barenblatt_time_derivative",
     "P_STAR",
 ]
 
@@ -136,16 +133,6 @@ class ModeIndex:
     def degree(self) -> int:
         """Polynomial degree l + 2k of the eigenfunction."""
         return self.ell + 2 * self.k
-
-
-# ---------------------------------------------------------------------------
-# Barenblatt profile
-# ---------------------------------------------------------------------------
-
-def barenblatt_u(x_norm, params: ModelParams):
-    """Stationary rescaled profile u_B(x) = (B + |x|^2)^(-1/(1-m))."""
-    x = np.asarray(x_norm, dtype=float)
-    return (params.B + x * x) ** (-params.a)
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +388,3 @@ def delayed_barenblatt_v(t, s, tau0: float, Bplus: float,
     sh2 = np.sinh(ss) ** 2
     ratio = B * (1.0 + sh2) / (Bplus + theta2_B * sh2)
     return theta_n * ratio ** params.a
-
-
-def delayed_barenblatt_time_derivative(t: float, s, tau0: float, Bplus: float,
-                                       params: ModelParams):
-    """Exact d/dt of :func:`delayed_barenblatt_v` (manufactured-solution oracle)."""
-    theta = _delayed_theta(t, tau0, params)
-    E = math.exp(2.0 * params.p * t)
-    Ep = E + 2.0 * params.p * tau0
-    # d theta / dt = 2 p beta theta (1 - E/E')
-    dtheta = 2.0 * params.p * params.beta * theta * (1.0 - E / Ep)
-    ss = np.asarray(s, dtype=float)
-    sh2 = np.sinh(ss) ** 2
-    v = delayed_barenblatt_v(t, ss, tau0, Bplus, params)
-    B = params.B
-    dlogv_dtheta = params.n / theta - params.a * 2.0 * theta * B * sh2 / (
-        Bplus + theta * theta * B * sh2
-    )
-    return v * dlogv_dtheta * dtheta

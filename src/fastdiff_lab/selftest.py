@@ -298,7 +298,8 @@ def _manufactured_steps(fast):
 
 
 def _manufactured_items(fast):
-    """Criterion 6's runs, costliest first."""
+    """Criterion 6's runs: the h-refinement runs, then the BE and the BDF2
+    dt runs, each group costliest first."""
     count, be_dts, bdf2_dts, counts = _manufactured_steps(fast)
     return ([("bdf2", c, 2.5e-3) for c in counts[::-1]]
             + [("be", count, dt) for dt in be_dts[::-1]]
@@ -466,15 +467,14 @@ def _schedule(fast):
     Longest first, so that greedy list scheduling on two workers ends with
     the short solves and the workers finish close together.  Serial ms per
     solve at the fast resolution (medians of five fresh processes on a
-    2-core x86 machine): criterion 5 207; criterion 3 105 and 104;
-    criterion 8 75 (k0) and 46 (amplitude); criterion 9 37; criterion 4 24
-    (each bump decay) and 9 (each eigenfunction decay); criterion 6 34, 27,
-    16, 9, 6 and 3; criterion 2 5; criterion 1 2, 1 and 4.  The owners go
-    in the order of their costliest solve, except that criterion 6 goes
-    after criterion 4, so that its cheap last solves fill the end; each
-    owner's solves go in its own order (``_solve_items``).
+    2-core x86 machine): criterion 5 232; criterion 3 99 and 96;
+    criterion 8 66 (k0) and 42 (amplitude); criterion 9 54; criterion 4
+    34-36 (each bump decay) and 14-15 (each eigenfunction decay);
+    criterion 6 20, 17, 22, 12, 3 and 2; criterion 2 9; criterion 1 4, 2
+    and 6.  The owners go in the order of their costliest solve, each
+    owner's solves in its own order (``_solve_items``).
 
-    Criterion 10 (11 ms) stays in the calling process: it is the only
+    Criterion 10 (22 ms) stays in the calling process: it is the only
     caller of ``affine``, and a profiler or tracer of the calling process
     does not see what the workers run.
     """

@@ -1,8 +1,12 @@
 """Oracles the tests share that the program itself does not call."""
 
+import math
+
 import numpy as np
 
+from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
+from fastdiff_lab import geometry as geo
 
 
 def nonlinear_rhs(w, params):
@@ -15,3 +19,36 @@ def nonlinear_rhs(w, params):
     out = np.zeros_like(w.values)
     kernel.rhs(w.values[:N], out[:N], False)
     return w.with_values(out)
+
+
+def mass_defect(w, params):
+    """Mass defect int w u_B dx, with the finite-volume cell weights: the
+    same functional the flux form conserves (``evolve.run`` records it per
+    state with the same dot product)."""
+    masses = geo.cell_masses(w.grid, params)
+    return geo.sphere_area(params.n) * float(np.dot(w.values[:masses.size],
+                                                    masses))
+
+
+def barenblatt_u(x_norm, params):
+    """Stationary rescaled profile u_B(x) = (B + |x|^2)^(-1/(1-m))."""
+    x = np.asarray(x_norm, dtype=float)
+    return (params.B + x * x) ** (-params.a)
+
+
+def delayed_barenblatt_time_derivative(t, s, tau0, Bplus, params):
+    """Exact d/dt of ``closedform.delayed_barenblatt_v`` (manufactured-solution
+    oracle)."""
+    theta = cf._delayed_theta(t, tau0, params)
+    E = math.exp(2.0 * params.p * t)
+    Ep = E + 2.0 * params.p * tau0
+    # d theta / dt = 2 p beta theta (1 - E/E')
+    dtheta = 2.0 * params.p * params.beta * theta * (1.0 - E / Ep)
+    ss = np.asarray(s, dtype=float)
+    sh2 = np.sinh(ss) ** 2
+    v = cf.delayed_barenblatt_v(t, ss, tau0, Bplus, params)
+    B = params.B
+    dlogv_dtheta = params.n / theta - params.a * 2.0 * theta * B * sh2 / (
+        Bplus + theta * theta * B * sh2
+    )
+    return v * dlogv_dtheta * dtheta

@@ -8,6 +8,8 @@ import pytest
 from fastdiff_lab import affine
 from fastdiff_lab import closedform as cf
 
+from helpers import barenblatt_u
+
 
 @pytest.fixture(scope="module")
 def params_n2():
@@ -120,7 +122,7 @@ def test_affine_density_isotropic_reduces_to_barenblatt(params_n2):
     rho = affine.affine_density(st, 0.0, y, params_n2)
     # sigma = 1: Sigma = I, so the density is exactly u_B
     r = np.linalg.norm(y, axis=-1)
-    assert rho == pytest.approx(cf.barenblatt_u(r, params_n2))
+    assert rho == pytest.approx(barenblatt_u(r, params_n2))
 
 
 def test_affine_density_batch_shapes(params_n2):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from fastdiff_lab import closedform as cf
 from fastdiff_lab.closedform import ModeIndex, P_STAR
 
+from helpers import barenblatt_u, delayed_barenblatt_time_derivative
+
 
 # ---------------------------------------------------------------------------
 # derive_params / landmarks
@@ -84,12 +86,12 @@ def test_params_invariants(n, frac):
 # ---------------------------------------------------------------------------
 
 def test_barenblatt_u(params33):
-    assert cf.barenblatt_u(0.0, params33) == pytest.approx(1.0)
+    assert barenblatt_u(0.0, params33) == pytest.approx(1.0)
     p_half = cf.derive_params(3, 0.5, 1.0)
-    assert cf.barenblatt_u(1.0, p_half) == pytest.approx(0.25)
+    assert barenblatt_u(1.0, p_half) == pytest.approx(0.25)
     # far-field log-log slope is -(n+p)
     r = np.array([1e3, 2e3])
-    u = cf.barenblatt_u(r, params33)
+    u = barenblatt_u(r, params33)
     slope = np.log(u[1] / u[0]) / np.log(2.0)
     assert slope == pytest.approx(-(params33.n + params33.p), abs=1e-5)
 
@@ -377,7 +379,7 @@ def test_delayed_barenblatt_time_derivative(params33):
     t, dt = 0.4, 1e-5
     fd = (cf.delayed_barenblatt_v(t + dt, s, tau0, bplus, params33)
           - cf.delayed_barenblatt_v(t - dt, s, tau0, bplus, params33)) / (2 * dt)
-    an = cf.delayed_barenblatt_time_derivative(t, s, tau0, bplus, params33)
+    an = delayed_barenblatt_time_derivative(t, s, tau0, bplus, params33)
     assert an == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 

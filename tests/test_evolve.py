@@ -9,7 +9,8 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
 from fastdiff_lab.closedform import ModeIndex  # noqa: F401
 
-from helpers import nonlinear_rhs
+from helpers import (delayed_barenblatt_time_derivative, mass_defect,
+                     nonlinear_rhs)
 
 
 def zero_state(grid, params):
@@ -56,8 +57,8 @@ def test_rhs_matches_manufactured_time_derivative(params33):
             grid, 0,
             cf.delayed_barenblatt_v(0.3, grid.nodes, tau0, bplus, params33) - 1.0)
         rhs = nonlinear_rhs(w, params33)
-        exact = cf.delayed_barenblatt_time_derivative(0.3, grid.nodes, tau0,
-                                                      bplus, params33)
+        exact = delayed_barenblatt_time_derivative(0.3, grid.nodes, tau0,
+                                                   bplus, params33)
         errs.append(np.max(np.abs(rhs.values - exact)[:count - 1]))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
@@ -120,18 +121,18 @@ def test_run_delayed_barenblatt_extrema_limits(grid12, params33):
 
 def test_mass_defect(grid12, params33):
     zero = geo.GridFunction(grid12, 0, np.zeros(grid12.count + 1))
-    assert evolve._mass_defect(zero, params33) == 0.0
+    assert mass_defect(zero, params33) == 0.0
 
     s = grid12.nodes
     eps = 1e-3
     w00 = geo.GridFunction(
         grid12, 0, eps * cf.eigenfunction_v(ModeIndex(0, 0), s, params33))
-    assert abs(evolve._mass_defect(w00, params33)) > 1e-3 * eps
+    assert abs(mass_defect(w00, params33)) > 1e-3 * eps
 
     # the dilation mode is mass-neutral (quadrature level)
     w01 = eps * cf.eigenfunction_v(ModeIndex(0, 1), s, params33)
     w01 = geo.GridFunction(grid12, 0, w01)
-    assert abs(evolve._mass_defect(w01, params33)) <= 1e-8
+    assert abs(mass_defect(w01, params33)) <= 1e-8
 
 
 def test_energy(grid12, params33):
@@ -149,6 +150,25 @@ def test_energy(grid12, params33):
         np.trapezoid(np.tanh(grid.nodes) ** 2, grid.nodes))
     assert e_val == pytest.approx(ref, rel=1e-12)
     assert h1 == pytest.approx(0.43790283, abs=1e-7)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0 / 3.0, 0.9])
+def test_energy_density_is_accurate_at_small_amplitude(m):
+    # H(w) = [(1+w)^(m+1) - 1 - (m+1)w]/(m(m+1)) against 50-digit mpmath:
+    # the closed form would cancel to round-off here, and could go negative
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    params = cf.derive_params(3, m)
+    grid = geo.make_grid(2.0, 100)
+    weight = geo.sphere_area(3) * float(
+        np.trapezoid(geo.volume_weight(grid.nodes, 3), grid.nodes))
+    mm = mpmath.mpf(m)
+    for w in (1e-3, 1e-6, 1e-9, 1e-12, -1e-3, -1e-6, -1e-9, -1e-12):
+        x = mpmath.mpf(w)
+        want = float(((1 + x) ** (mm + 1) - 1 - (mm + 1) * x) / (mm * (mm + 1)))
+        values = np.full(grid.count + 1, w)
+        H = evolve._energy(grid, 1.0 + values, values, params) / weight
+        assert H == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_energy_quadratic_proxy(grid12, params33):
@@ -215,10 +235,10 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
     want = final_values(st0, 1e-2, 0.2)
     linear, calls = evolve._Newton.linear_bdf2, []
 
-    def fail_third(kernel, w_prev, w_n, dt23, w_boundary):
-        calls.append(dt23)
+    def fail_third(kernel, w_prev, w_n, dt, w_boundary):
+        calls.append(dt)
         # a nan Dirichlet value makes the third step's system non-finite
-        return linear(kernel, w_prev, w_n, dt23,
+        return linear(kernel, w_prev, w_n, dt,
                       np.nan if len(calls) == 3 else w_boundary)
 
     monkeypatch.setattr(evolve._Newton, "linear_bdf2", fail_third)
@@ -262,6 +282,42 @@ def test_run_redoes_a_step_whose_predictor_loses_the_margin(
     kernel.backward_euler(w1, dt, dt, None)
     assert np.array_equal(tr.snapshots[2][1], kernel.W)
     assert tr.min_v.min() > evolve.MARGIN_FLOOR
+
+
+def test_a_linear_step_makes_one_power_and_one_solve(grid_coarse, params33,
+                                                    monkeypatch):
+    # the work of each linearly implicit step of run, counted through
+    # evolve's own namespace: one power over the grid (v^m, which the
+    # Jacobian reuses) and one tridiagonal solve
+    counts = {"power": 0, "solve": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def power(*args, **kwargs):
+            counts["power"] += 1
+            return np.power(*args, **kwargs)
+
+    solve, linear, per_step = evolve._solve_packed, evolve._Newton.linear_bdf2, []
+
+    def counting_solve(system):
+        counts["solve"] += 1
+        return solve(system)
+
+    def spy(kernel, *args):
+        before = dict(counts)
+        linear(kernel, *args)
+        per_step.append(tuple(counts[k] - before[k] for k in counts))
+
+    monkeypatch.setattr(evolve, "np", CountingNumpy())
+    monkeypatch.setattr(evolve, "_solve_packed", counting_solve)
+    monkeypatch.setattr(evolve._Newton, "linear_bdf2", spy)
+    st0 = evolve.bump_data(grid_coarse, 0.3, seed=7, params=params33)
+    trace = evolve.run(st0, 4e-3, 20 * 4e-3)
+    assert trace.linear_steps == 19
+    assert per_step == [(1, 1)] * 19
 
 
 def test_a_halved_step_counts_its_halvings(grid_coarse, params33):
@@ -365,7 +421,7 @@ def test_builders(grid12, params33):
     with pytest.raises(ValueError, match="radial"):
         evolve.eigenmode_data(grid12, ModeIndex(1, 0), 0.03, params33)
     stb = evolve.bump_data(grid12, 0.05, seed=9, params=params33)
-    assert abs(evolve._mass_defect(stb.w, params33)) <= 1e-14
+    assert abs(mass_defect(stb.w, params33)) <= 1e-14
     stb2 = evolve.bump_data(grid12, 0.05, seed=9, params=params33)
     assert np.array_equal(stb.w.values, stb2.w.values)  # seeded determinism
     std = evolve.delayed_barenblatt_data(grid12, 0.1, 1.0, params33)
@@ -409,15 +465,23 @@ def test_run_refuses_a_partial_last_step(grid_coarse, params33):
     assert evolve.run(st, 2.5e-2, 0.1).times[-1] == pytest.approx(0.1)
 
 
+def _energy_density(w, m):
+    """H(w) node by node as ``evolve._energy`` forms it (oracle): the closed
+    form, and below |w| = 1e-2 its binomial series by ``np.polyval``."""
+    closed = ((1.0 + w) ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
+    coeffs = [0.5]
+    for k in range(2, 10):
+        coeffs.insert(0, coeffs[0] * (m + 1.0 - k) / (k + 1.0))
+    return np.where(np.abs(w) < 1e-2, np.polyval(coeffs, w) * w * w, closed)
+
+
 def test_observation_weights_are_the_pointwise_formulas(grid12, params33):
     # energy reads cached weights; the bits are those of the expressions
     # they replaced
     state = evolve.bump_data(grid12, 0.05, seed=5, params=params33)
     w, s = state.w, grid12.nodes
     for params in (params33, cf.derive_params(1, 0.5)):
-        m = params.m
-        H = ((1.0 + w.values) ** (m + 1.0) - 1.0 - (m + 1.0) * w.values) \
-            / (m * (m + 1.0))
+        H = _energy_density(w.values, params.m)
         want = geo.sphere_area(params.n) * float(
             np.trapezoid(H * geo.volume_weight(s, params.n), s))
         assert evolve._energy(grid12, 1.0 + w.values, w.values,
@@ -459,13 +523,13 @@ def every_step_run(params33):
 def _pointwise(grid, t, w, params):
     """One record by the pointwise formulas."""
     f = geo.GridFunction(grid, 0, w)
-    s, m, v = grid.nodes, params.m, 1.0 + w
-    H = (v ** (m + 1.0) - 1.0 - (m + 1.0) * w) / (m * (m + 1.0))
+    s, v = grid.nodes, 1.0 + w
+    H = _energy_density(w, params.m)
     energy = geo.sphere_area(params.n) * float(
         np.trapezoid(H * geo.volume_weight(s, params.n), s))
     return ([t, geo.weighted_sup(f, 0.0)]
             + [geo.weighted_sup(f, eta) for eta in BLOCK_ETAS]
-            + [evolve._mass_defect(f, params), energy,
+            + [mass_defect(f, params), energy,
                float(v.min()), float(v.max())])
 
 

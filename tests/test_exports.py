@@ -57,10 +57,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TEST_ORACLES = {
     "fastdiff_lab.linop.step_linear":
         "one Crank-Nicolson step, against which projection is checked to commute",
-    "fastdiff_lab.closedform.delayed_barenblatt_time_derivative":
-        "exact time derivative that nonlinear_rhs is checked against",
-    "fastdiff_lab.closedform.barenblatt_u":
-        "the profile u_B that the isotropic affine density is checked against",
 }
 
 

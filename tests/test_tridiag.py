@@ -81,36 +81,46 @@ def _rhs_np_diff(ws, w_full):
     return out
 
 
-def _jacobian_bands(ws, w_full):
-    """The Jacobian bands as they stood with 1/masses formed per call (oracle)."""
+def _face_derivatives(ws, w_full, textbook=False):
+    """The derivatives of Phi at the faces i+1/2 by w_i and by w_{i+1}
+    (oracle), with dG = m U v^(m-1) formed as the kernel forms it,
+    U m (v^m / v), or with ``textbook`` as the power v^(m-1)."""
     v = 1.0 + w_full
-    dG = ws.U * ws.m * v ** (ws.m - 1.0)
-    dphi_left = ws.C * (-dG[:-1] - 0.5 * ws.dU)
-    dphi_right = ws.C * (dG[1:] - 0.5 * ws.dU)
-    minv = 1.0 / ws.masses
+    dG = ws.U * ws.m * (v ** (ws.m - 1.0) if textbook else v ** ws.m / v)
+    return (ws.C * (-dG[:-1] - 0.5 * ws.dU),
+            ws.C * (dG[1:] - 0.5 * ws.dU))
+
+
+def _newton_update_solve_banded(ws, w_full, dt, shift, b, textbook=False):
+    """delta from (shift I - dt J) delta = b with J at w_full (oracle).  Each
+    band of face-derivative differences takes the kernel's one scale
+    (1/M)(-dt); ``textbook`` forms J = differences / M first, as the
+    allocating kernel did, and -dt J after."""
+    left, right = _face_derivatives(ws, w_full, textbook)
     N = ws.N
-    diag = np.empty(N)
-    diag[0] = dphi_left[0] * minv[0]
-    diag[1:] = (dphi_left[1:N] - dphi_right[:N - 1]) * minv[1:]
-    lower = -dphi_left[:N - 1] * minv[1:]
-    upper = dphi_right[:N - 1] * minv[:N - 1]
-    return lower, diag, upper
+    diag = left[:N].copy()
+    diag[1:] -= right[:N - 1]
+    minv = 1.0 / ws.masses
+    if textbook:
+        sub, diag, sup = (-dt * band for band in (
+            -left[:N - 1] * minv[1:], diag * minv, right[:N - 1] * minv[:-1]))
+    else:
+        scale = minv * -dt
+        sub, diag, sup = (left[:N - 1] * -scale[1:], diag * scale,
+                          right[:N - 1] * scale[:-1])
+    ab = np.zeros((3, N))
+    ab[0, 1:] = sup
+    ab[1, :] = diag + shift
+    ab[2, :-1] = sub
+    return scipy.linalg.solve_banded((1, 1), ab, b)
 
 
-def _newton_update_solve_banded(ws, w_full, dt, F):
-    """delta from (I - dt J) delta = -F with J at w_full (oracle)."""
-    lower, diag, upper = _jacobian_bands(ws, w_full)
-    ab = np.zeros((3, ws.N))
-    ab[0, 1:] = -dt * upper
-    ab[1, :] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * lower
-    return scipy.linalg.solve_banded((1, 1), ab, -F)
-
-
-def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
+def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None,
+                            textbook=False):
     """The Newton step as it stood on scipy.linalg.solve_banded (oracle):
     three rhs evaluations per step, the closing sweep included.  ``trials``
-    collects (damping factor, accepted) for every trial that met the margin."""
+    collects (damping factor, accepted) for every trial that met the margin;
+    ``textbook`` takes the textbook Jacobian (``_newton_update_solve_banded``)."""
     W = w0.copy()
     W[ws.N] = w_boundary
 
@@ -122,7 +132,7 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
     for _ in range(evolve.NEWTON_MAXITER):
         if norm <= evolve.NEWTON_TOL:
             break
-        delta = _newton_update_solve_banded(ws, W, dt, F)
+        delta = _newton_update_solve_banded(ws, W, dt, 1.0, -F, textbook)
         lam = 1.0
         for _damp in range(12):
             trial = W.copy()
@@ -146,18 +156,32 @@ def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None):
 
 
 def _linear_bdf2_solve_banded(ws, prev, w, dt, w_boundary):
-    """The linearly implicit BDF2 step on scipy.linalg.solve_banded (oracle):
-    one Newton iteration for W = base + dt rhs(W), base = (4 w - prev)/3,
-    from the predictor P = 2 w - prev, with the rhs and bands at P."""
+    """The linearly implicit BDF2 step on scipy.linalg.solve_banded, scaled
+    by 3/2 as the kernel is (oracle): from the predictor P = 2 w - prev,
+    (3/2 I - dt J(P)) delta = dt rhs(P) - (w - prev), W = P + delta."""
     N = ws.N
-    base = (4.0 * w - prev) / 3.0
     P = 2.0 * w - prev
     P[N] = w_boundary
     evolve._check_positivity(P[:N], evolve.MARGIN_FLOOR)
-    F = P[:N] - base[:N] - dt * _rhs_np_diff(ws, P)
+    b = dt * _rhs_np_diff(ws, P) - (w - prev)[:N]
     W = P.copy()
-    W[:N] += _newton_update_solve_banded(ws, P, dt, F)
+    W[:N] += _newton_update_solve_banded(ws, P, dt, 1.5, b)
     evolve._check_positivity(W, evolve.MARGIN_FLOOR)
+    return W
+
+
+def _textbook_bdf2(ws, prev, w, dt, w_boundary):
+    """The same step as the textbook writes it (cross-check): one Newton
+    iteration for W = base + (2/3) dt rhs(W), base = (4 w - prev)/3, from
+    P = 2 w - prev, with the Jacobian's m U v^(m-1) as a power."""
+    N = ws.N
+    dt23 = 2.0 * dt / 3.0
+    base = (4.0 * w - prev) / 3.0
+    P = 2.0 * w - prev
+    P[N] = w_boundary
+    F = P[:N] - base[:N] - dt23 * _rhs_np_diff(ws, P)
+    W = P.copy()
+    W[:N] += _newton_update_solve_banded(ws, P, dt23, 1.0, -F, textbook=True)
     return W
 
 
@@ -240,34 +264,41 @@ def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
     assert face_forms and not any(face_forms)  # v drops to 0.15
 
 
-@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
-def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
-                                                       case):
-    # evolve.run: one backward-Euler Newton step starts the history, then
-    # each step is the linearly implicit BDF2 step from P = 2 w_n - w_{n-1}
+def _run_bdf2_case(params, case, oracle_step, textbook=False):
+    """20 steps of evolve.run, and the same steps by the oracles: one
+    backward-Euler Newton step starts the history, then each step is the
+    linearly implicit BDF2 step from P = 2 w_n - w_{n-1} by ``oracle_step``."""
     if case == "bump":
         grid = geo.make_grid(12.0, 600)
-        state0 = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+        state0 = evolve.bump_data(grid, 0.3, seed=7, params=params)
         boundary, dt = None, 4e-3
     else:  # a nonzero value held at s_max
         grid = geo.make_grid(12.0, 300)
-        state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params33)
-        boundary, dt = _barenblatt_boundary(params33, 0.15), 1e-2
-    ws = evolve._workspace(grid, params33)
+        state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params)
+        boundary, dt = _barenblatt_boundary(params, 0.15), 1e-2
+    ws = evolve._workspace(grid, params)
     steps = 20
     trace = evolve.run(state0, dt, steps * dt,
                        evolve.RecordOptions(snapshot_every=1), boundary)
     assert (trace.backward_euler_steps, trace.linear_steps) == (1, steps - 1)
     value = boundary or (lambda t: 0.0)
     prev = state0.w.values.copy()
-    w = _newton_be_solve_banded(ws, prev, dt, value(trace.times[1]))
+    w = _newton_be_solve_banded(ws, prev, dt, value(trace.times[1]),
+                                textbook=textbook)
     oracle = [prev, w]
     for t in trace.times[2:]:
-        prev, w = w, _linear_bdf2_solve_banded(ws, prev, w, 2.0 * dt / 3.0,
-                                               value(t))
+        prev, w = w, oracle_step(ws, prev, w, dt, value(t))
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle) == steps + 1
-    for (_, got), want in zip(trace.snapshots, oracle):
+    return [got for _, got in trace.snapshots], oracle
+
+
+@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
+def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
+                                                       case):
+    states, oracle = _run_bdf2_case(params33, case, _linear_bdf2_solve_banded)
+    steps = len(states) - 1
+    for got, want in zip(states, oracle):
         assert np.array_equal(got, want)
     be_forms = len(face_forms) - (steps - 1)  # one rhs per BDF2 step
     if case == "bump":
@@ -278,6 +309,17 @@ def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
         assert be_forms >= 2 and all(face_forms[be_forms:])
     else:
         assert be_forms >= 2 and not any(face_forms)  # v drops to 0.15
+
+
+@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
+def test_run_linear_bdf2_agrees_with_the_textbook_form(params33, case):
+    # the kernel's system scaled by 3/2, with the Jacobian's m U v^(m-1) as
+    # Um (v^m / v) and one band scale, against the (2/3) dt form with the
+    # power: the same method, apart by round-off over 20 steps
+    states, oracle = _run_bdf2_case(params33, case, _textbook_bdf2,
+                                    textbook=True)
+    for got, want in zip(states, oracle):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_dirichlet_value_alone_below_half_takes_four_passes(params33,

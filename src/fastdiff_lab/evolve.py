@@ -268,7 +268,7 @@ class _Newton:
 
     Besides ``dgtsv`` and its finiteness check, a BE iteration with an
     undamped first trial makes 27 numpy calls and a BDF2 step 28, each one
-    power (v^m); a minimum or maximum is read by index, not by a reduce.
+    power (v^m); the margin and finiteness checks read extremes by index.
     """
 
     def __init__(self, ws: _Workspace):

@@ -94,14 +94,15 @@ def _initial_state(cfg: ExperimentConfig, params, grid):
     return evolve.delayed_barenblatt_data(grid, i.tau0, i.bplus, params)
 
 
-def _run(cfg: ExperimentConfig, params, etas=()):
+def _run(cfg: ExperimentConfig, params, etas=(), diagnostics=True):
     """The nonlinear run of cfg from its initial data, recording the
-    weighted sup norms of ``etas``."""
+    weighted sup norms of ``etas``, or no diagnostics at all."""
     state0 = _initial_state(cfg, params, _grid(cfg))
     return evolve.run(
         state0, cfg.time.dt, cfg.time.t_final,
         evolve.RecordOptions(etas=etas, record_every=cfg.time.record_every,
-                             snapshot_every=cfg.time.snapshot_every),
+                             snapshot_every=cfg.time.snapshot_every,
+                             diagnostics=diagnostics),
     )
 
 
@@ -252,7 +253,7 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     _require_unit_b(cfg)
     params = _params(cfg)
     _require_lambda_window(cfg, params)
-    trace = _run(cfg, params)
+    trace = _run(cfg, params, diagnostics=False)
     policy = _policy(cfg)
     # refuses p <= 2, where there is no lambda_01 mode, before any pairing
     shift = asymptotics.mod_time_shift(
@@ -304,7 +305,8 @@ def _sweep_item(args):
     cfg = apply_overrides(cfg, time={"dt": cfg.time.dt * scale,
                                      "t_final": cfg.time.t_final * scale})
     so = closedform.second_order_rates(params)
-    shift = asymptotics.mod_time_shift(_run(cfg, params), params,
+    shift = asymptotics.mod_time_shift(_run(cfg, params, diagnostics=False),
+                                       params,
                                        policy=_policy(cfg))
     return [index, mm, params.p, shift.gamma, so.gamma, so.delta,
             so.branch.value, shift.tau0, shift.shifted_rate.r_squared,

@@ -120,8 +120,12 @@ class ExperimentConfig:
             step_count(0.0, t.t_final, t.dt)
         except ValueError as exc:
             raise ConfigError(f"time.t_final/time.dt: {exc}") from exc
-        if t.record_every < 1 or t.snapshot_every < 1:
-            raise ConfigError("time.record_every/snapshot_every: must be >= 1")
+        for name in ("record_every", "snapshot_every"):
+            every = getattr(t, name)
+            if isinstance(every, bool) or not isinstance(every, int) \
+                    or every < 1:
+                raise ConfigError(
+                    f"time.{name}: must be an integer >= 1, got {every!r}")
         i = self.initial_data
         if i.kind not in ("eigenmode", "bump", "delayed-barenblatt"):
             raise ConfigError(f"initial_data.kind: unknown kind {i.kind!r}")

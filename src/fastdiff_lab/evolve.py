@@ -71,13 +71,19 @@ scaled by one product (1/M)(-dt), bound per dt.
   minimum and one maximum tell; a BE base point, whose bounds are not
   known, takes the four, as does a NaN.
 
-``run`` pays its diagnostics per block of ``geometry._ROWS`` recorded
-states (``_Records``), so the memory it holds does not grow with its steps.
+``run`` records the time and mass defect of each recorded state.  Its
+diagnostics (sup, weighted sups, min and max of v, energy) it pays per
+block of ``geometry._ROWS`` recorded states (``_Records``), so the memory
+it holds does not grow with its steps, and only when asked
+(``RecordOptions.diagnostics``): ``evolve`` and criteria 3, 7 and 11 read
+them; ``expand``, ``sweep`` and criteria 5, 6 and 8 read only snapshots,
+and their traces leave the diagnostic fields ``None``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -570,23 +576,51 @@ def comparison_envelope(state0: EvolutionState, params: ModelParams) -> Envelope
 # Traces
 # ---------------------------------------------------------------------------
 
+def _is_count(value) -> bool:
+    """An integer >= 1 (a bool is no count)."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
 @dataclass(frozen=True)
 class RecordOptions:
+    """What ``run`` keeps: the initial state, every ``record_every``-th
+    step and the last step are recorded, every ``snapshot_every``-th step
+    (none if None) is snapshotted.  Each recorded state gets its time and
+    mass defect; with ``diagnostics`` also its sup, its weighted sups for
+    ``etas``, min and max of v and energy, which a run without them leaves
+    ``None`` in the trace."""
     etas: tuple[float, ...] = ()
     record_every: int = 1
     snapshot_every: int | None = None
+    diagnostics: bool = True
+
+    def __post_init__(self):
+        if not _is_count(self.record_every):
+            raise ValueError(f"record_every: must be an int >= 1, got "
+                             f"{self.record_every!r}")
+        if self.snapshot_every is not None and not _is_count(self.snapshot_every):
+            raise ValueError(f"snapshot_every: must be None or an int >= 1, "
+                             f"got {self.snapshot_every!r}")
+        if self.etas and not self.diagnostics:
+            raise ValueError(f"etas: weighted sups {self.etas} are "
+                             f"diagnostics, which diagnostics=False skips")
 
 
 @dataclass
 class EvolutionTrace:
+    """A run's records: ``times`` and ``mass_defect`` per recorded state,
+    the snapshots and the solver statistics.  ``sup``, ``weighted``,
+    ``energy``, ``min_v`` and ``max_v`` are ``None`` when the run recorded
+    no diagnostics (``RecordOptions.diagnostics``)."""
     grid: RadialGrid
     times: np.ndarray
-    sup: np.ndarray
-    weighted: dict[float, np.ndarray]
+    sup: np.ndarray | None
+    weighted: dict[float, np.ndarray] | None
     mass_defect: np.ndarray
-    energy: np.ndarray
-    min_v: np.ndarray
-    max_v: np.ndarray
+    energy: np.ndarray | None
+    min_v: np.ndarray | None
+    max_v: np.ndarray | None
     snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     # steps by backward Euler (the start, redone BDF2 steps) and by BDF2
     backward_euler_steps: int = 0
@@ -604,60 +638,70 @@ class EvolutionTrace:
 
 
 class _Records:
-    """The diagnostics of a run's recorded states, ``_ROWS`` states at a
-    time.
+    """The records of a run's recorded states.
 
-    ``add`` copies a state into one fixed (``_ROWS``, N+1) block and takes
-    its mass defect, int w u_B dx with the cell masses, the functional the
-    flux form conserves (one dot product per state); each full block, and
-    the last one, gets its sup and weighted sups, min and max of v and
-    energy in a few array calls.  Every value is bitwise the pointwise
-    formula's: ``weighted_sup``, the one-state mass defect, min and max of
-    1 + w, and ``_energy`` of one state.
+    ``add`` takes a state's time and mass defect, int w u_B dx with the
+    cell masses, the functional the flux form conserves (one dot product
+    per state; ``finish`` scales them all by the sphere area).  With
+    diagnostics it also copies the state into one fixed (``_ROWS``, N+1)
+    block, and each full block, and the last one, gets its sup and weighted
+    sups, min and max of v and energy in a few array calls; without them
+    there is no block, and those fields stay ``None``.  Every value is
+    bitwise the pointwise formula's: ``weighted_sup``, the one-state mass
+    defect, min and max of 1 + w, and ``_energy`` of one state.
     """
 
     def __init__(self, grid: RadialGrid, params: ModelParams,
-                 etas: tuple[float, ...], count: int):
+                 record: RecordOptions, count: int):
         self.grid, self.params = grid, params
         self.masses = cell_masses(grid, params)
         self.area = sphere_area(params.n)
-        self.block, self.work = (np.empty((_ROWS, grid.count + 1))
-                                 for _ in range(2))
-        self.times, self.sup, self.mass_defect, self.energy, self.min_v, \
-            self.max_v = (np.empty(count) for _ in range(6))
-        self.weighted = {eta: np.empty(count) for eta in etas}
-        self.norms = [(0.0, self.sup), *self.weighted.items()]
-        self.start = 0  # record index of the block's first row
-        self.rows = 0   # states in the block
+        self.times, self.mass_defect = np.empty(count), np.empty(count)
+        self.count = 0  # states recorded
+        self.block = self.sup = self.weighted = self.energy = self.min_v = \
+            self.max_v = None
+        if record.diagnostics:
+            self.block, self.work = (np.empty((_ROWS, grid.count + 1))
+                                     for _ in range(2))
+            self.sup, self.energy, self.min_v, self.max_v = (
+                np.empty(count) for _ in range(4))
+            self.weighted = {eta: np.empty(count) for eta in record.etas}
+            self.norms = [(0.0, self.sup), *self.weighted.items()]
+            self.rows = 0  # states in the block
 
     def add(self, t: float, w: np.ndarray):
-        k = self.start + self.rows
+        k = self.count
         self.times[k] = t
         self.mass_defect[k] = np.dot(w[:self.masses.size], self.masses)
-        self.block[self.rows] = w
-        self.rows += 1
-        if self.rows == _ROWS:
-            self.flush()
+        self.count = k + 1
+        if self.block is not None:
+            self.block[self.rows] = w
+            self.rows += 1
+            if self.rows == _ROWS:
+                self.flush()
 
     def flush(self):
-        if not self.rows:
-            return
-        start, stop = self.start, self.start + self.rows
+        """The diagnostics of the block's states."""
+        start, stop = self.count - self.rows, self.count
         rows, work = self.block[:self.rows], self.work[:self.rows]
         for eta, out in self.norms:
             _weighted_sups(self.grid, rows, eta, work, out[start:stop])
-        self.mass_defect[start:stop] *= self.area
         v = np.add(rows, 1.0, out=work)
         np.minimum.reduce(v, axis=1, out=self.min_v[start:stop])
         np.maximum.reduce(v, axis=1, out=self.max_v[start:stop])
         self.energy[start:stop] = _energy(self.grid, v, rows, self.params)
-        self.start, self.rows = stop, 0
+        self.rows = 0
+
+    def finish(self):
+        if self.block is not None and self.rows:
+            self.flush()
+        self.mass_defect *= self.area
 
 
 def run(state0: EvolutionState, dt: float, t_final: float,
         record: RecordOptions = RecordOptions(),
         boundary=None) -> EvolutionTrace:
-    """Iterate BDF2 steps (see module doc), recording diagnostics."""
+    """Iterate BDF2 steps (see module doc), keeping what ``record`` asks."""
     params = state0.params
     grid = state0.w.grid
     steps = step_count(state0.t, t_final, dt)
@@ -666,7 +710,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
 
     # the start, every record_every-th step and the last step
     every = record.record_every
-    records = _Records(grid, params, record.etas,
+    records = _Records(grid, params, record,
                        1 + steps // every + (steps % every != 0))
     snapshots: list[tuple[float, np.ndarray]] = []
 
@@ -702,7 +746,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         prev, cur, kernel.W = cur, kernel.W, spare
         if j % every == 0 or j == steps:
             observe(t, cur, j)
-    records.flush()
+    records.finish()
 
     return EvolutionTrace(
         grid=grid, times=records.times, sup=records.sup,

@@ -222,7 +222,8 @@ def _second_order_gamma(case):
     state0 = evolve.bump_data(grid, 0.05, seed=11, params=params,
                               centers=(3.0, 7.0))
     trace = evolve.run(state0, dt, t_final,
-                       evolve.RecordOptions(record_every=4, snapshot_every=4))
+                       evolve.RecordOptions(record_every=4, snapshot_every=4,
+                                            diagnostics=False))
     return asymptotics.mod_time_shift(trace, params, policy=policy).gamma
 
 
@@ -279,7 +280,8 @@ def _manufactured_error(item):
     else:
         trace = evolve.run(st, dt, 1.0,
                            evolve.RecordOptions(record_every=steps,
-                                                snapshot_every=steps),
+                                                snapshot_every=steps,
+                                                diagnostics=False),
                            boundary=boundary)
         w = trace.snapshots[-1][1]
     return float(np.max(np.abs(w - exact(1.0))))
@@ -361,13 +363,15 @@ def _coefficient_run(item):
         state0 = evolve.eigenmode_data(grid, ModeIndex(0, 1), COEFFICIENT_EPS,
                                        params)
         trace = evolve.run(state0, 1e-3, 0.6,
-                           evolve.RecordOptions(record_every=5, snapshot_every=5))
+                           evolve.RecordOptions(record_every=5, snapshot_every=5,
+                                                diagnostics=False))
         return asymptotics.extract_coefficient(trace, ModeIndex(0, 1),
                                                params).limit
     state1 = evolve.bump_data(grid, 0.05, seed=3, params=params,
                               project_mass=False)
     trace1 = evolve.run(state1, 1e-3, 1.0,
-                        evolve.RecordOptions(record_every=10, snapshot_every=10))
+                        evolve.RecordOptions(record_every=10, snapshot_every=10,
+                                             diagnostics=False))
     c = asymptotics.extract_coefficient(trace1, ModeIndex(0, 0),
                                         params).estimates[:, 1]
     return float((c.max() - c.min()) / abs(c.mean()))
@@ -466,12 +470,12 @@ def _schedule(fast):
 
     Longest first, so that greedy list scheduling on two workers ends with
     the short solves and the workers finish close together.  Serial ms per
-    solve at the fast resolution (medians of five fresh processes on a
-    2-core x86 machine): criterion 5 232; criterion 3 99 and 96;
-    criterion 8 66 (k0) and 42 (amplitude); criterion 9 54; criterion 4
-    34-36 (each bump decay) and 14-15 (each eigenfunction decay);
-    criterion 6 20, 17, 22, 12, 3 and 2; criterion 2 9; criterion 1 4, 2
-    and 6.  The owners go in the order of their costliest solve, each
+    solve at the fast resolution (medians of five fresh processes, each
+    running the schedule in order, on a 2-core x86 machine): criterion 5
+    211; criterion 3 103 and 102; criterion 8 63 (k0) and 41 (amplitude);
+    criterion 9 58; criterion 4 36-37 (each bump decay) and 15 (each
+    eigenfunction decay); criterion 6 19, 19, 23, 12, 3 and 2; criterion 2
+    8; criterion 1 4, 2 and 6.  The owners go in the order of their costliest solve, each
     owner's solves in its own order (``_solve_items``).
 
     Criterion 10 (22 ms) stays in the calling process: it is the only

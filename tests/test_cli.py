@@ -186,6 +186,40 @@ def test_cmd_expand():
     assert bundle.table("coefficients").rows
 
 
+def test_expand_keeps_the_mass_record_of_its_run(monkeypatch):
+    # the benchmark's expand check: evolve.run rebound in evolve's
+    # namespace sees cmd_expand's run, whose trace carries one time and
+    # mass defect per record_every-th step and the last, and no diagnostics
+    cfg = config_from_dict({
+        "model": {"n": 3, "m": 0.7},
+        "grid": {"s_max": 12.0, "count": 400},
+        "time": {"dt": 2e-3, "t_final": 1.5, "record_every": 4,
+                 "snapshot_every": 4},
+        "initial_data": {"kind": "bump", "amplitude": 0.05, "seed": 11,
+                         "centers": (3.0, 7.0)},
+    }).validate()
+    traces, run = [], evolve.run
+
+    def keep(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(evolve, "run", keep)
+    cli.cmd_expand(cfg)
+    (trace,) = traces
+    steps = round(cfg.time.t_final / cfg.time.dt)
+    every = cfg.time.record_every
+    assert steps % every  # the last step is recorded off the record grid
+    recorded = [j for j in range(steps + 1) if j % every == 0 or j == steps]
+    assert trace.times.size == trace.mass_defect.size == len(recorded)
+    assert np.allclose(trace.times, np.array(recorded) * cfg.time.dt,
+                       rtol=0.0, atol=1e-12)
+    drift = float(np.max(np.abs(trace.mass_defect - trace.mass_defect[0])))
+    assert drift / (trace.times[-1] - trace.times[0]) <= 1e-6
+    for name in ("sup", "weighted", "energy", "min_v", "max_v"):
+        assert getattr(trace, name) is None, name
+
+
 def test_default_expand_reports_one_backward_euler_step():
     # BE starts the BDF2 history; no BDF2 step of the default run is redone
     cfg = ExperimentConfig().validate()
@@ -472,6 +506,31 @@ def test_b_other_than_one_exits_with_a_config_error(tmp_path):
                     "evolve"], tmp_path)
     line = assert_one_named_line(proc, 2, "config error:")
     assert "model.B" in line
+
+
+@pytest.mark.parametrize("field", ["record_every", "snapshot_every"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, 0, -1])
+def test_a_record_period_must_be_a_positive_integer(field, value):
+    cfg = config_from_dict({"time": {"dt": 0.004, "t_final": 0.2,
+                                     field: value},
+                            "grid": {"count": 100}})
+    with pytest.raises(ConfigError, match=f"time.{field}: .*integer >= 1"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("field", ["record_every", "snapshot_every"])
+def test_a_fractional_record_period_exits_with_a_config_error(tmp_path,
+                                                               field):
+    # record_every 2.5 reached run as a traceback, snapshot_every 2.5 took
+    # a snapshot every 5th step
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "time": {"dt": 0.004, "t_final": 0.2, field: 2.5},
+        "grid": {"count": 100}}))
+    for command in ("evolve", "expand"):
+        proc = run_cli(["--config", str(path), command], tmp_path)
+        line = assert_one_named_line(proc, 2, "config error:")
+        assert f"time.{field}" in line and "2.5" in line
 
 
 def test_partial_last_step_is_a_config_error(tmp_path):

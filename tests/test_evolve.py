@@ -533,11 +533,28 @@ def _pointwise(grid, t, w, params):
                float(v.min()), float(v.max())])
 
 
+DIAGNOSTICS = ("sup", "weighted", "energy", "min_v", "max_v")
+SOLVER_STATISTICS = ("backward_euler_steps", "linear_steps",
+                     "newton_iterations", "max_newton_iterations",
+                     "dt_halvings", "max_final_residual", "min_damping",
+                     "min_margin")
+
+
+def _record_cases():
+    """(every, snapshot_every, off_grid, diagnostics), ids without
+    diagnostics marked as such."""
+    return [pytest.param(*case, diagnostics, id="-".join(map(str, case))
+                         + ("" if diagnostics else "-no_diagnostics"))
+            for diagnostics in (True, False)
+            for case in [(2, 3, False), (3, 2, True), (1, None, False)]]
+
+
 @pytest.mark.parametrize("records", [1, ROWS - 1, ROWS, ROWS + 1, 151])
-@pytest.mark.parametrize("every, snapshot_every, off_grid",
-                         [(2, 3, False), (3, 2, True), (1, None, False)])
+@pytest.mark.parametrize("every, snapshot_every, off_grid, diagnostics",
+                         _record_cases())
 def test_block_records_are_the_pointwise_formulas(
-        every_step_run, params33, records, every, snapshot_every, off_grid):
+        every_step_run, params33, records, every, snapshot_every, off_grid,
+        diagnostics):
     # record counts at the block edges; an off-grid run's last step is
     # recorded although it is no multiple of record_every
     st0, states = every_step_run
@@ -545,22 +562,63 @@ def test_block_records_are_the_pointwise_formulas(
     steps = every * (records - 1)
     if off_grid and records > 1:
         steps -= every - 1
-    tr = evolve.run(st0, 1e-2, steps * 1e-2,
-                    evolve.RecordOptions(etas=BLOCK_ETAS, record_every=every,
-                                         snapshot_every=snapshot_every),
-                    boundary=_block_boundary)
+
+    def run(diagnostics):
+        return evolve.run(
+            st0, 1e-2, steps * 1e-2,
+            evolve.RecordOptions(etas=BLOCK_ETAS if diagnostics else (),
+                                 record_every=every,
+                                 snapshot_every=snapshot_every,
+                                 diagnostics=diagnostics),
+            boundary=_block_boundary)
+
+    tr = run(diagnostics)
     recorded = [j for j in range(steps + 1) if j % every == 0 or j == steps]
     assert len(recorded) == records == tr.times.size
-    got = np.column_stack([tr.times, tr.sup,
-                           *(tr.weighted[eta] for eta in BLOCK_ETAS),
-                           tr.mass_defect, tr.energy, tr.min_v, tr.max_v])
     want = np.array([_pointwise(grid, *states[j], params33) for j in recorded])
-    assert np.array_equal(got, want)
+    if diagnostics:
+        got = np.column_stack([tr.times, tr.sup,
+                               *(tr.weighted[eta] for eta in BLOCK_ETAS),
+                               tr.mass_defect, tr.energy, tr.min_v, tr.max_v])
+        assert np.array_equal(got, want)
+    else:
+        # times, mass defects and solver statistics are the diagnosed run's
+        assert np.array_equal(np.column_stack([tr.times, tr.mass_defect]),
+                              want[:, [0, -4]])
+        diagnosed = run(True)
+        for name in ("times", "mass_defect"):
+            assert np.array_equal(getattr(tr, name), getattr(diagnosed, name))
+        for name in SOLVER_STATISTICS:
+            assert getattr(tr, name) == getattr(diagnosed, name), name
+        for name in DIAGNOSTICS:
+            assert getattr(tr, name) is None, name
     snaps = [] if snapshot_every is None else [
         j for j in recorded if j % snapshot_every == 0]
     assert [t for t, _ in tr.snapshots] == [states[j][0] for j in snaps]
     for (_, w), j in zip(tr.snapshots, snaps):
         assert np.array_equal(w, states[j][1])
+
+
+@pytest.mark.parametrize("options, field", [
+    ({"record_every": 0}, "record_every"),
+    ({"record_every": -1}, "record_every"),
+    ({"record_every": 2.5}, "record_every"),
+    ({"record_every": True}, "record_every"),
+    ({"snapshot_every": 0}, "snapshot_every"),
+    ({"snapshot_every": 2.5}, "snapshot_every"),
+    ({"snapshot_every": True}, "snapshot_every"),
+    ({"etas": (0.5,), "diagnostics": False}, "etas"),
+])
+def test_record_options_name_a_bad_field(options, field):
+    # record_every=0 and snapshot_every=0 divided by zero inside run
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        evolve.RecordOptions(**options)
+
+
+def test_record_options_take_numpy_integers():
+    opts = evolve.RecordOptions(record_every=np.int64(3),
+                                snapshot_every=np.int32(2))
+    assert (opts.record_every, opts.snapshot_every) == (3, 2)
 
 
 def test_block_energy_is_the_one_state_energy(grid12, params33):

@@ -658,6 +658,7 @@ class _Records:
         self.area = sphere_area(params.n)
         self.times, self.mass_defect = np.empty(count), np.empty(count)
         self.count = 0  # states recorded
+        self.rows = 0   # states in the block
         self.block = self.sup = self.weighted = self.energy = self.min_v = \
             self.max_v = None
         if record.diagnostics:
@@ -667,7 +668,6 @@ class _Records:
                 np.empty(count) for _ in range(4))
             self.weighted = {eta: np.empty(count) for eta in record.etas}
             self.norms = [(0.0, self.sup), *self.weighted.items()]
-            self.rows = 0  # states in the block
 
     def add(self, t: float, w: np.ndarray):
         k = self.count
@@ -693,7 +693,7 @@ class _Records:
         self.rows = 0
 
     def finish(self):
-        if self.block is not None and self.rows:
+        if self.rows:
             self.flush()
         self.mass_defect *= self.area
 

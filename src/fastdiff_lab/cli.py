@@ -231,20 +231,16 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
         "sup_slope": rate_rows[0][2],
         "mass_drift": drift,
         "mass_drift_per_time": drift / max(trace.times[-1] - trace.times[0], 1e-300),
-        **_newton_work(trace),
+        **_solver_work(trace),
     }
     return bundle
 
 
-def _newton_work(trace) -> dict:
+def _solver_work(trace) -> dict:
     """Solver work of an evolution run, for the JSON summary."""
     return {"backward_euler_steps": trace.backward_euler_steps,
             "linear_steps": trace.linear_steps,
-            "newton_iterations": trace.newton_iterations,
-            "max_newton_iterations": trace.max_newton_iterations,
             "dt_halvings": trace.dt_halvings,
-            "max_final_residual": trace.max_final_residual,
-            "min_damping": trace.min_damping,
             "min_margin": trace.min_margin}
 
 
@@ -288,7 +284,7 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
         "branch": so.branch.value,
         "residual_slope": resid_fit.slope,
         "near_degenerate": shift.near_degenerate,
-        **_newton_work(trace),
+        **_solver_work(trace),
     }
     return bundle
 

@@ -121,11 +121,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"time.t_final/time.dt: {exc}") from exc
         for name in ("record_every", "snapshot_every"):
-            every = getattr(t, name)
-            if isinstance(every, bool) or not isinstance(every, int) \
-                    or every < 1:
-                raise ConfigError(
-                    f"time.{name}: must be an integer >= 1, got {every!r}")
+            _require_count(f"time.{name}", getattr(t, name))
         i = self.initial_data
         if i.kind not in ("eigenmode", "bump", "delayed-barenblatt"):
             raise ConfigError(f"initial_data.kind: unknown kind {i.kind!r}")
@@ -147,8 +143,8 @@ class ExperimentConfig:
         a = self.analysis
         if a.fit_value_lo >= a.fit_value_hi:
             raise ConfigError("analysis.fit_value_lo/hi: empty value window")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"jobs: must be >= 1, got {self.jobs}")
+        if self.jobs is not None:
+            _require_count("jobs", self.jobs)
         return self
 
     def to_dict(self) -> dict:
@@ -156,6 +152,12 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def _require_count(name: str, value) -> None:
+    """Refuse anything but an int >= 1 (a bool or an integral float too)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name}: must be an integer >= 1, got {value!r}")
 
 
 def _tupled(value):

@@ -14,34 +14,39 @@ the discrete flux exactly (Barenblatt is a fixed point to machine
 precision), and the discrete mass sum(w_i M_i) telescopes, so conservation
 holds to the boundary-flux level rather than to quadrature error.
 
-The building block is a backward-Euler (BE) step solved by a damped
-tridiagonal Newton iteration, first order and unconditionally stable; on
-Newton failure it halves dt (``dt_halvings``), and a closing fixed-point
-sweep W = w0 + dt R(W) keeps its mass exact.  ``run`` steps with the
+Every step is one linearization, one rhs, one Jacobian and one
+tridiagonal solve, with no tolerance to meet.  ``run`` steps with the
 linearly implicit second-order backward differentiation formula (BDF2) of
 Akrivis, Crouzeix and Makridakis (Numer. Math. 82, 1999): one Newton
 iteration for W = base + (2/3) dt R(W), base = (4 w_n - w_{n-1})/3, from
 the predictor P = 2 w_n - w_{n-1}.  Scaled by 3/2, where (3/2)(base - P)
 = -(w_n - w_{n-1}), it needs no base point:
 
-    (3/2 I - dt J(P)) delta = dt R(P) - (w_n - w_{n-1}),  W = P + delta,
+    (3/2 I - dt J(P)) delta = dt R(P) - (w_n - w_{n-1}),  W = P + delta.
 
-second order with no tolerance to meet, for one rhs, one Jacobian and one
-tridiagonal solve.  Its mass telescopes with no sweep: (3/2)(W - base) =
-dt (R(P) + J(P) delta), and both terms are differences of face fluxes.  A BE
-step starts the history and redoes a BDF2 step that fails a check (the
-history stays dt apart, so BDF2 resumes on the next step).  B is
+The first-order step that starts the history, redoes a BDF2 step that
+fails a check (the history stays dt apart, so BDF2 resumes on the next
+step) and is ``step_nonlinear``, is the same method with P = w_0, no
+history term and shift 1: the linearly implicit (Rosenbrock-) Euler step
+(Hairer and Wanner, Solving ODEs II, IV.7),
+
+    (I - dt J(w_0)) delta = dt R(w_0),  W = w_0 + delta,
+
+one Newton iteration of backward Euler (BE) from its base point, called the
+BE step here.  On a failed check it halves dt (``dt_halvings``).  At large
+dt it is the linearized step, not the converged BE solution.  Either step's
+mass telescopes: shift (W - base) = dt (R(P) + J(P) delta), with base = w_0
+for the BE step, and both terms are differences of face fluxes.  B is
 normalized to 1 here (see geometry).
 
 One kernel, ``_Newton``, holds the only flux, rhs and Jacobian code and
 takes every step, on buffers, views and coefficients bound once per kernel
 (the grid's in the cached ``_Workspace``), so a step makes no array
-temporaries.  It owns the checks: each Newton system must be finite and
-solvable, each damping trial and predictor must keep 1+w above
-``MARGIN_FLOOR``, a BE solve must bring |F| to ``NEWTON_TOL`` within
-``NEWTON_MAXITER`` iterations, and each new state must be finite and above
-``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
-``run`` keeps its states as arrays and never re-checks them.
+temporaries.  It owns the checks: each linear system must be finite and
+solvable, each P must keep 1+w above ``MARGIN_FLOOR``, and each new state
+must be finite and above ``MARGIN_FLOOR``; a failure is a ``NewtonError``
+or ``PositivityError``.  ``run`` keeps its states as arrays and never
+re-checks them.
 
 The results are bitwise those of ``tests/test_tridiag.py``'s allocating
 oracles: reusing a buffer never changes an operation or its order, and
@@ -50,8 +55,6 @@ from the textbook form by round-off only (bounded there): the Jacobian's
 m U v^(m-1) is Um (v^m / v), on the v^m of the rhs, and each band is
 scaled by one product (1/M)(-dt), bound per dt.
 
-* The first residual of a BE solve is taken at the base point itself,
-  where W - w0 is +0 at every finite node, as F = 0 - dt rhs(w0).
 * Zero padding: a zero in front of the fluxes and of the shifted right
   face derivatives gives d_t w_0 = (Phi_0 - 0)/M_0 and the first diagonal
   entry left_0 - 0 in the same subtraction as the other rows (x - 0 = x).
@@ -67,9 +70,8 @@ scaled by one product (1/M)(-dt), bound per dt.
   four passes of the flux form, equals s (dU/2) bitwise when dU/2 is exact,
   which ``_Workspace`` checks once.  ``rhs`` takes that one pass when every
   v of the evaluated state, the value at s_max included, lies in
-  [0.5, 2^53): for a damping trial or a predictor the margin check's
-  minimum and one maximum tell; a BE base point, whose bounds are not
-  known, takes the four, as does a NaN.
+  [0.5, 2^53): P's margin check gives its minimum, and one maximum the
+  rest; a NaN takes the four.
 
 ``run`` records the time and mass defect of each recorded state.  Its
 diagnostics (sup, weighted sups, min and max of v, energy) it pays per
@@ -129,8 +131,6 @@ __all__ = [
 # the equation degenerates at v = 0; refuse to approach it
 MARGIN_FLOOR = 1e-3
 
-NEWTON_TOL = 1e-11
-NEWTON_MAXITER = 20
 MAX_DT_HALVINGS = 8
 
 
@@ -142,8 +142,7 @@ def _const(x: float) -> np.ndarray:
     return a
 
 
-_ZERO, _HALF, _ONE, _THREE_HALVES, _TWO = map(
-    _const, (0.0, 0.5, 1.0, 1.5, 2.0))
+_HALF, _ONE, _THREE_HALVES, _TWO = map(_const, (0.5, 1.0, 1.5, 2.0))
 _TWO53 = 2.0 ** 53  # v below it keeps the one-pass face average exact
 
 
@@ -172,9 +171,8 @@ class EvolutionState:
     t: float
     w: GridFunction
     params: ModelParams
-    # Newton iterations of the step that produced this state, and the times
-    # it halved dt after a failed Newton solve
-    newton_iterations: int = 0
+    # the times the step that produced this state halved dt after a failed
+    # check
     dt_halvings: int = 0
 
     def __post_init__(self):
@@ -218,7 +216,7 @@ class _Workspace:
         # the one-pass face average needs half_dU exact (see _Newton)
         self.halves_exact = bool(np.array_equal(2.0 * self.half_dU, self.dU))
         self.neg_half_dU = -self.half_dU
-        # the Newton system's multipliers in _Newton's band layout: C over
+        # the linear system's multipliers in _Newton's band layout: C over
         # the right and left face derivatives, then 1/M over du, dl (with
         # the sign of the left derivative), the slot and d
         self.CC = np.concatenate((self.C[:-1], self.C))
@@ -255,15 +253,12 @@ class _Newton:
     """The step kernel (see module doc) and its scratch.
 
     One instance serves a whole run.  Every buffer, view and coefficient is
-    bound here, once, in one operand tuple per method.  ``solve`` reads its
-    base point in place and leaves its result in ``W`` and the other iterate
-    buffer in ``trial``; ``linear_bdf2`` leaves its result in ``W``.  A
-    caller that keeps the result hands the kernel another buffer of N+1
-    nodes.  ``max_final_residual`` and ``min_damping`` gather the worst
-    final |F| and the smallest accepted damping factor of the BE solves,
-    ``min_margin`` the smallest 1+w of every accepted state.
+    bound here, once, in one operand tuple per method.  Each step leaves its
+    result in ``W``; a caller that keeps the result hands the kernel another
+    buffer of N+1 nodes.  ``min_margin`` gathers the smallest 1+w of every
+    accepted state.
 
-    The Newton system lives in one buffer of 4N values laid out as
+    The linear system lives in one buffer of 4N values laid out as
     [0 | du | dl, slot | d | b].  The right face derivatives fill du and the
     left ones dl and the slot, so one product takes both by [C | C]; the
     zero and du, read shifted by one, give d = left - right in one
@@ -272,23 +267,23 @@ class _Newton:
     slot ends as left_{N-1} (-0), so ``_solve_packed``'s one finiteness
     check over the whole buffer fails exactly when the system is not finite.
 
-    Besides ``dgtsv`` and its finiteness check, a BE iteration with an
-    undamped first trial makes 27 numpy calls and a BDF2 step 28, each one
-    power (v^m); the margin and finiteness checks read extremes by index.
+    Besides ``dgtsv`` and its finiteness check, a BE step makes 25 numpy
+    calls and a BDF2 step 28, each one power (v^m); the margin and
+    finiteness checks read extremes by index.
     """
 
     def __init__(self, ws: _Workspace):
         N = ws.N
         self.ws = ws
-        self.W, self.trial, P, D = (np.empty(N + 1) for _ in range(4))
+        self.W, P, D = (np.empty(N + 1) for _ in range(3))
         self.v, vm, G = (np.empty(N + 1) for _ in range(3))
         phi = np.zeros(N + 1)  # phi[0] stays 0: d_t w_0 = (phi_0 - 0) / M_0
-        face, dG, F, R, scratch = (np.empty(N) for _ in range(5))
-        # the Newton system [0 | du | dl, slot | d | b] (see above)
+        face, dG = np.empty(N), np.empty(N)
+        # the linear system [0 | du | dl, slot | d | b] (see above)
         system = np.zeros(4 * N)
         right, left = system[1:N], system[N:2 * N]
-        d, b = system[2 * N:3 * N], system[3 * N:]
-        bands = (left[:-1], d, right, b)
+        d, self.b = system[2 * N:3 * N], system[3 * N:]
+        bands = (left[:-1], d, right, self.b)
         v = self.v
         self.minv3_dt = np.empty(3 * N - 1)
         self.rhs_operands = (
@@ -298,12 +293,10 @@ class _Newton:
             v[:N], vm[:N], dG, ws.Um, dG[1:], ws.half_dU[:-1], ws.neg_half_dU,
             right, left, system[1:2 * N], ws.CC, system[:N], d,
             system[1:3 * N], self.minv3_dt, (system, bands))
-        self.solve_operands = (F, R, scratch, b)
-        self.linear_operands = (P, P[:N], D, D[:N], b)
+        self.bdf2_operands = (P, P[:N], D, D[:N])
         # dt as a 0-d operand (see _const), filled when dt changes
         self.dt, self.dt_value = np.empty(()), None
-        self.max_final_residual, self.min_damping, self.min_margin = \
-            0.0, 1.0, math.inf
+        self.min_margin = math.inf
 
     def rhs(self, w_in: np.ndarray, out: np.ndarray, one_pass: bool):
         """out = d_t w at the unknowns 0..N-1 given w there, v = 1 + w and
@@ -362,123 +355,60 @@ class _Newton:
         except (ValueError, LinAlgError) as exc:
             raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
 
-    def _accept(self, W: np.ndarray):
-        """Check a new state: finite, with 1+w above MARGIN_FLOOR."""
+    # the decorator form enters the error state without building a context
+    # manager per call; it covers the step and the checks.  Overflow is left
+    # to the checks: a non-finite system or new state raises NewtonError.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def linear_step(self, P_in: np.ndarray, dt: float, w_boundary: float,
+                    shift: np.ndarray, D_in: np.ndarray | None = None):
+        """W = P + delta from (shift I - dt J(P)) delta = dt R(P) - D (no D
+        if None) into ``W``, with R and J taken at P and v at s_max
+        1 + w_boundary; P's own min and max pick the face average."""
+        W, b = self.W, self.b
+        exact = self._start(dt, w_boundary)
+        pmin = _check_positivity(P_in, MARGIN_FLOOR)
+        self.rhs(P_in, b, exact and pmin >= 0.5
+                 and 1.0 + P_in[P_in.argmax()] < _TWO53)
+        b *= self.dt
+        if D_in is not None:
+            b -= D_in
+        np.add(P_in, self.newton_update(dt, shift), out=W[:-1])
+        W[-1] = w_boundary
         vmin = _check_positivity(W, MARGIN_FLOOR)
         if not (math.isfinite(vmin) and math.isfinite(W[W.argmax()])):
             raise NewtonError("step produced a non-finite state")
         self.min_margin = min(self.min_margin, vmin)
 
-    # the decorator form enters the error state without building a context
-    # manager per call; it covers the iteration and the checks
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def solve(self, w0: np.ndarray, dt: float, w_boundary: float) -> int:
-        """Solve W = w0 + dt rhs(W) by damped Newton into ``W``, with the
-        value at the truncation node s_max held at w_boundary; returns the
-        number of Newton iterations.  Overflow is left to the checks: a
-        non-finite system or accepted iterate raises NewtonError.
-        """
-        F, R, scratch, b = self.solve_operands
-        rhs, newton_update, N, dt_ = (self.rhs, self.newton_update,
-                                      self.ws.N, self.dt)
-        exact = self._start(dt, w_boundary)
-        w0_in = w0[:N]
-        # the iterate starts at the base point, read in place (W is None);
-        # the trials take turns in the kernel's two buffers, and ``spare``
-        # is the one the next trial takes once this one is accepted
-        W, W_in = None, w0_in
-        trial, spare = self.trial, self.W
-        trial_in, spare_in = trial[:N], spare[:N]
-        lam_min = 1.0
-        # the first residual is taken at W == w0, where W - w0 is +0 at
-        # every finite node, so F = 0 - R
-        rhs(w0_in, R, False)
-        R *= dt_
-        np.subtract(_ZERO, R, out=F)
-        norm = np.maximum.reduce(np.abs(F, out=scratch))
-        for iterations in range(NEWTON_MAXITER):
-            if norm <= NEWTON_TOL:
-                break
-            np.negative(F, out=b)
-            delta = newton_update(dt, _ONE)
-            lam = 1.0
-            for _damp in range(12):
-                if lam == 1.0:
-                    np.add(W_in, delta, out=trial_in)
-                else:
-                    np.multiply(delta, lam, out=scratch)
-                    np.add(W_in, scratch, out=trial_in)
-                tmin = 1.0 + trial_in[trial_in.argmin()]
-                if tmin > MARGIN_FLOOR:
-                    rhs(trial_in, R, exact and tmin >= 0.5
-                        and 1.0 + trial_in[trial_in.argmax()] < _TWO53)
-                    R *= dt_
-                    np.subtract(trial_in, w0_in, out=F)
-                    F -= R
-                    nt = np.maximum.reduce(np.abs(F, out=scratch))
-                    if nt < norm or nt <= NEWTON_TOL:
-                        W, trial, spare = trial, spare, trial
-                        W_in, trial_in, spare_in = trial_in, spare_in, trial_in
-                        norm = nt
-                        lam_min = min(lam_min, lam)
-                        break
-                lam *= 0.5
-            else:
-                raise NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
-        else:
-            raise NewtonError(f"Newton did not reach {NEWTON_TOL} in "
-                              f"{NEWTON_MAXITER} iterations (|F| = {norm:.3e})")
-        if W is None:  # the base point met the tolerance
-            W, W_in, trial = trial, trial_in, spare
-        # one fixed-point sweep; makes the discrete mass telescope exactly
-        # and perturbs the iterate only by O(dt |F|).  R = dt rhs(W) is
-        # already evaluated at the accepted W.
-        np.add(w0_in, R, out=W_in)
-        W[N] = w_boundary
-        self.W, self.trial = W, trial
-        self._accept(W)
-        self.max_final_residual = max(self.max_final_residual, float(norm))
-        self.min_damping = min(self.min_damping, lam_min)
-        return iterations
-
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def linear_bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt: float,
                     w_boundary: float):
         """One linearly implicit BDF2 step into ``W`` (module doc) from
-        P = 2 w_n - w_{n-1}, whose own min and max pick the face average."""
-        P, P_in, D, D_in, b = self.linear_operands
-        exact = self._start(dt, w_boundary)
+        P = 2 w_n - w_{n-1}, with D = w_n - w_{n-1} and shift 3/2."""
+        P, P_in, D, D_in = self.bdf2_operands
         np.multiply(w_n, _TWO, out=P)
         P -= w_prev
-        pmin = _check_positivity(P_in, MARGIN_FLOOR)
-        # b = dt R(P) - (w_n - w_{n-1})
-        self.rhs(P_in, b, exact and pmin >= 0.5
-                 and 1.0 + P_in[P_in.argmax()] < _TWO53)
-        b *= self.dt
         np.subtract(w_n, w_prev, out=D)
-        b -= D_in
-        np.add(P_in, self.newton_update(dt, _THREE_HALVES), out=self.W[:-1])
-        self.W[-1] = w_boundary
-        self._accept(self.W)
+        self.linear_step(P_in, dt, w_boundary, _THREE_HALVES, D_in)
 
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
-                       depth: int = 0) -> tuple[float, int, int]:
-        """One BE step from (t, w) into ``W``; on Newton failure it halves dt,
-        up to MAX_DT_HALVINGS deep.  Returns the new time, the Newton
-        iterations and the dt halvings."""
+                       depth: int = 0) -> tuple[float, int]:
+        """One linearly implicit Euler step from (t, w) into ``W``: the BDF2
+        step's method with P = w, no D and shift 1.  On a failed check it
+        halves dt, up to MAX_DT_HALVINGS deep.  Returns the new time and
+        the dt halvings."""
         _check_positivity(w, MARGIN_FLOOR)
         t_new = t + dt
-        bval = _boundary_value(boundary, t_new)
         try:
-            return t_new, self.solve(w, dt, bval), 0
+            self.linear_step(w[:-1], dt, _boundary_value(boundary, t_new),
+                             _ONE)
+            return t_new, 0
         except EvolveError:
             if depth >= MAX_DT_HALVINGS:
                 raise
-        t_half, first, halved_first = self.backward_euler(
+        t_half, halved_first = self.backward_euler(
             w, t, dt / 2.0, boundary, depth + 1)
-        t_new, second, halved_second = self.backward_euler(
+        t_new, halved_second = self.backward_euler(
             self.W.copy(), t_half, dt / 2.0, boundary, depth + 1)
-        return t_new, first + second, halved_first + halved_second + 1
+        return t_new, halved_first + halved_second + 1
 
 
 # step_nonlinear's kernels, one per workspace
@@ -487,7 +417,9 @@ _kernel = lru_cache(maxsize=64)(_Newton)
 
 def step_nonlinear(state: EvolutionState, dt: float,
                    boundary=None) -> EvolutionState:
-    """One backward-Euler step; on Newton divergence halves dt and retries.
+    """One linearly implicit Euler step (see module doc); on a failed check
+    halves dt and retries.  At large dt this is the linearized step, not
+    the converged backward-Euler solution.
 
     ``boundary`` maps t to the Dirichlet value at s_max (default zero, the
     decaying far field of the truncation).
@@ -495,11 +427,10 @@ def step_nonlinear(state: EvolutionState, dt: float,
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     kernel = _kernel(_workspace(state.w.grid, state.params))
-    t_new, iterations, halvings = kernel.backward_euler(
-        state.w.values, state.t, dt, boundary)
+    t_new, halvings = kernel.backward_euler(state.w.values, state.t, dt,
+                                            boundary)
     return EvolutionState(t=t_new, w=state.w.with_values(kernel.W.copy()),
-                          params=state.params, newton_iterations=iterations,
-                          dt_halvings=halvings)
+                          params=state.params, dt_halvings=halvings)
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +556,9 @@ class EvolutionTrace:
     # steps by backward Euler (the start, redone BDF2 steps) and by BDF2
     backward_euler_steps: int = 0
     linear_steps: int = 0
-    # Newton iterations of the BE solves, in total and in the costliest step
-    newton_iterations: int = 0
-    max_newton_iterations: int = 0
-    # times a backward-Euler step halved dt after a failed Newton solve
+    # times a backward-Euler step halved dt after a failed check
     dt_halvings: int = 0
-    # the BE solves' largest final |F| and smallest accepted damping factor
-    # (1 when none was damped); the smallest 1+w of a new state (inf if none)
-    max_final_residual: float = 0.0
-    min_damping: float = 1.0
+    # the smallest 1+w of a new state (inf if none)
     min_margin: float = math.inf
 
 
@@ -724,7 +649,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     # history (prev, cur) and hands the kernel the buffer prev leaves
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
-    linear_steps, halvings, iterations, max_iterations = 0, 0, 0, 0
+    linear_steps, halvings = 0, 0
     observe(t, cur, 0)
     for j in range(1, steps + 1):
         t_new, linear = t + dt, prev is not None
@@ -737,10 +662,8 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         if linear:
             linear_steps += 1
         else:
-            t_new, its, halved = kernel.backward_euler(cur, t, dt, boundary)
+            t_new, halved = kernel.backward_euler(cur, t, dt, boundary)
             halvings += halved
-            iterations += its
-            max_iterations = max(max_iterations, its)
         t = t_new
         spare = np.empty_like(cur) if prev is None else prev
         prev, cur, kernel.W = cur, kernel.W, spare
@@ -755,11 +678,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         snapshots=snapshots,
         backward_euler_steps=steps - linear_steps,
         linear_steps=linear_steps,
-        newton_iterations=iterations,
-        max_newton_iterations=max_iterations,
         dt_halvings=halvings,
-        max_final_residual=kernel.max_final_residual,
-        min_damping=kernel.min_damping,
         min_margin=kernel.min_margin,
     )
 

@@ -7,7 +7,7 @@ directly gives bitwise-identical solutions without that wrapper cost
 (LAPACK Users' Guide, 3rd ed., ?gtsv), while raising the errors
 ``solve_banded`` raises.  There are two paths.
 
-A Newton iteration builds its matrix and right side afresh each time: it
+A nonlinear step builds its matrix and right side afresh each time: it
 fills four views of one buffer, which ``_solve_packed`` checks for
 finiteness in one pass and solves in place with ``dgtsv``.  A plain buffer
 is read in the layout of ``_packed_views``; a caller that solves the same
@@ -81,7 +81,7 @@ def _solve_packed(system) -> np.ndarray:
 
 def _factor_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
     """LU factors of the tridiagonal matrix with bands (dl, d, du), for
-    ``_solve_factored``.  The bands are left untouched.  Raises ValueError
+    ``_solve_factored_unchecked``.  The bands are left untouched.  Raises ValueError
     on non-finite bands and LinAlgError on a singular matrix."""
     _check_finite(dl, d, du)
     *lu, info = dgttrf(dl, d, du)
@@ -92,16 +92,10 @@ def _factor_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
     return tuple(lu)
 
 
-def _solve_factored(lu: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve the factored system for right side b (left untouched).
-    Raises ValueError on a non-finite right side."""
-    _check_finite(b)
-    return _solve_factored_unchecked(lu, b)
-
-
 def _solve_factored_unchecked(lu: tuple, b: np.ndarray) -> np.ndarray:
-    """``_solve_factored`` without the check of b, for a caller that checks
-    the solution: a non-finite entry of b makes the solution non-finite."""
+    """Solve the factored system for right side b (left untouched), with
+    no check of b, for a caller that checks the solution: a non-finite
+    entry of b makes the solution non-finite."""
     x, info = dgttrs(*lu, b)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")

@@ -230,20 +230,16 @@ def test_default_expand_reports_one_backward_euler_step():
 
 
 @pytest.mark.parametrize("command", [cli.cmd_evolve, cli.cmd_expand])
-def test_summary_records_newton_iterations(command):
+def test_summary_records_solver_work(command):
     cfg = fast_cfg()
     s = command(cfg).summary
     steps = round(cfg.time.t_final / cfg.time.dt)
     assert s["linear_steps"] + s["backward_euler_steps"] == steps
-    # the Newton work is that of the backward-Euler steps
-    assert 1 <= s["max_newton_iterations"] <= evolve.NEWTON_MAXITER
-    assert s["max_newton_iterations"] <= s["newton_iterations"] \
-        <= s["backward_euler_steps"] * s["max_newton_iterations"]
     assert s["dt_halvings"] == 0
-    # each BE solve ends at or below the tolerance, undamped here
-    assert 0.0 <= s["max_final_residual"] <= evolve.NEWTON_TOL
-    assert s["min_damping"] == 1.0
     assert evolve.MARGIN_FLOOR < s["min_margin"] <= 1.0
+    for key in ("newton_iterations", "max_newton_iterations",
+                "max_final_residual", "min_damping"):
+        assert key not in s
 
 
 def _selftest_results(seconds):
@@ -531,6 +527,22 @@ def test_a_fractional_record_period_exits_with_a_config_error(tmp_path,
         proc = run_cli(["--config", str(path), command], tmp_path)
         line = assert_one_named_line(proc, 2, "config error:")
         assert f"time.{field}" in line and "2.5" in line
+
+
+@pytest.mark.parametrize("value", [1.5, True, 2.0, 0])
+def test_jobs_must_be_a_positive_integer(value):
+    # 1.5 validated and reached the process pool as its worker count
+    cfg = config_from_dict({**SHORT_SWEEP, "jobs": value})
+    with pytest.raises(ConfigError, match=r"^jobs: .*integer >= 1"):
+        cfg.validate()
+
+
+def test_fractional_jobs_exit_with_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SHORT_SWEEP, "jobs": 1.5}))
+    proc = run_cli(["--config", str(path), "sweep"], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "jobs" in line and "1.5" in line
 
 
 def test_partial_last_step_is_a_config_error(tmp_path):

@@ -320,18 +320,27 @@ def test_a_linear_step_makes_one_power_and_one_solve(grid_coarse, params33,
     assert per_step == [(1, 1)] * 19
 
 
-def test_a_halved_step_counts_its_halvings(grid_coarse, params33):
+def test_a_halved_step_counts_its_halvings(grid_coarse, params33,
+                                           monkeypatch):
+    # the linear step keeps its margin at any dt here, so a step longer
+    # than 10 is made to fail: a nan Dirichlet value makes its system
+    # non-finite
+    linear_step = evolve._Newton.linear_step
+
+    def fail_long(kernel, P_in, dt, w_boundary, *args):
+        return linear_step(kernel, P_in, dt,
+                           np.nan if dt > 10.0 else w_boundary, *args)
+
+    monkeypatch.setattr(evolve._Newton, "linear_step", fail_long)
     st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,
                            project_mass=False)
     assert evolve.step_nonlinear(st0, 10.0).dt_halvings == 0
-    # Newton fails at dt = 20 and succeeds on both halves
+    # the step fails at dt = 20 and succeeds on both halves
     st = evolve.step_nonlinear(st0, 20.0)
     assert st.dt_halvings == 1
     half = evolve.step_nonlinear(st0, 10.0)
     full = evolve.step_nonlinear(half, 10.0)
     assert np.array_equal(st.w.values, full.w.values)
-    assert st.newton_iterations == \
-        half.newton_iterations + full.newton_iterations
     # a halved half-step adds its own halvings
     assert evolve.step_nonlinear(st0, 50.0).dt_halvings > 1
     tr = evolve.run(st0, 20.0, 20.0)
@@ -345,14 +354,14 @@ def test_a_non_finite_newton_system_is_a_named_error(grid_coarse, params33,
     kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
     with pytest.raises(evolve.NewtonError, match="Newton system at dt=1e"
                        r"\+306: array must not contain infs or NaNs"):
-        kernel.solve(st0.w.values, 1e306, 0.0)
-    steps, solve = [], evolve._Newton.solve
+        kernel.linear_step(st0.w.values[:-1], 1e306, 0.0, 1.0)
+    steps, linear_step = [], evolve._Newton.linear_step
 
-    def spy(kernel, w0, dt, w_boundary):
+    def spy(kernel, P_in, dt, *args):
         steps.append(dt)
-        return solve(kernel, w0, dt, w_boundary)
+        return linear_step(kernel, P_in, dt, *args)
 
-    monkeypatch.setattr(evolve._Newton, "solve", spy)
+    monkeypatch.setattr(evolve._Newton, "linear_step", spy)
     with pytest.raises(evolve.NewtonError):
         evolve.step_nonlinear(st0, 1e306)
     # the first half of each halved step fails, down to the last halving
@@ -369,23 +378,18 @@ def test_a_singular_newton_system_is_a_named_error(grid_coarse, params33,
     st0 = evolve.bump_data(grid_coarse, 0.05, seed=1, params=params33)
     kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
     with pytest.raises(evolve.NewtonError, match="singular matrix"):
-        kernel.solve(st0.w.values, 1e-2, 0.0)
+        kernel.linear_step(st0.w.values[:-1], 1e-2, 0.0, 1.0)
 
 
-def test_trace_records_residual_damping_and_margin(grid_coarse, params33):
-    # the damped start of the tridiag oracle: v drops to 0.1, and the first
-    # step halves its Newton updates
+def test_trace_records_the_smallest_margin(grid_coarse, params33):
+    # a negated bump: v starts at 0.1
     st0 = evolve.bump_data(grid_coarse, 0.9, seed=1, params=params33,
                            project_mass=False)
     st0 = evolve.EvolutionState(0.0, st0.w.with_values(-st0.w.values), params33)
     tr = evolve.run(st0, 1.0, 3.0)
-    assert 0.0 <= tr.max_final_residual <= evolve.NEWTON_TOL
-    assert tr.min_damping < 1.0
-    assert tr.min_damping == 0.5 ** round(-np.log2(tr.min_damping))
     assert evolve.MARGIN_FLOOR < tr.min_margin <= tr.min_v[1:].min()
     calm = evolve.run(zero_state(grid_coarse, params33), 1e-2, 0.1)
-    assert (calm.max_final_residual, calm.min_damping, calm.min_margin) == \
-        (0.0, 1.0, 1.0)
+    assert calm.min_margin == 1.0
 
 
 def test_nonlinear_slope_converges_to_linear(params33):
@@ -443,7 +447,7 @@ def test_step_nonlinear_reuses_a_bounded_kernel_and_hands_out_copies(
     assert evolve._kernel.cache_info().maxsize == 64
     # one kernel serves both steps; neither state shares its scratch
     assert evolve._kernel.cache_info().hits >= 1
-    buffers = (kernel.W, kernel.trial, kernel.v)
+    buffers = (kernel.W, kernel.v)
     for state in (first, second):
         assert not any(np.shares_memory(state.w.values, b) for b in buffers)
     assert not np.shares_memory(first.w.values, second.w.values)
@@ -534,9 +538,7 @@ def _pointwise(grid, t, w, params):
 
 
 DIAGNOSTICS = ("sup", "weighted", "energy", "min_v", "max_v")
-SOLVER_STATISTICS = ("backward_euler_steps", "linear_steps",
-                     "newton_iterations", "max_newton_iterations",
-                     "dt_halvings", "max_final_residual", "min_damping",
+SOLVER_STATISTICS = ("backward_euler_steps", "linear_steps", "dt_halvings",
                      "min_margin")
 
 

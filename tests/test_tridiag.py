@@ -8,7 +8,8 @@ from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab import linop
-from fastdiff_lab.tridiag import _factor_tridiag, _solve_factored, _solve_packed
+from fastdiff_lab.tridiag import (_factor_tridiag, _solve_factored_unchecked,
+                                  _solve_packed)
 
 from conftest import gaussian_profile
 
@@ -115,42 +116,17 @@ def _newton_update_solve_banded(ws, w_full, dt, shift, b, textbook=False):
     return scipy.linalg.solve_banded((1, 1), ab, b)
 
 
-def _newton_be_solve_banded(ws, w0, dt, w_boundary, trials=None,
-                            textbook=False):
-    """The Newton step as it stood on scipy.linalg.solve_banded (oracle):
-    three rhs evaluations per step, the closing sweep included.  ``trials``
-    collects (damping factor, accepted) for every trial that met the margin;
-    ``textbook`` takes the textbook Jacobian (``_newton_update_solve_banded``)."""
-    W = w0.copy()
-    W[ws.N] = w_boundary
-
-    def residual(wfull):
-        return wfull[:ws.N] - w0[:ws.N] - dt * _rhs_np_diff(ws, wfull)
-
-    F = residual(W)
-    norm = np.max(np.abs(F))
-    for _ in range(evolve.NEWTON_MAXITER):
-        if norm <= evolve.NEWTON_TOL:
-            break
-        delta = _newton_update_solve_banded(ws, W, dt, 1.0, -F, textbook)
-        lam = 1.0
-        for _damp in range(12):
-            trial = W.copy()
-            trial[:ws.N] += lam * delta
-            if 1.0 + trial[:ws.N].min() > evolve.MARGIN_FLOOR:
-                Ft = residual(trial)
-                nt = np.max(np.abs(Ft))
-                if trials is not None:
-                    trials.append((lam, nt < norm or nt <= evolve.NEWTON_TOL))
-                if nt < norm or nt <= evolve.NEWTON_TOL:
-                    W, F, norm = trial, Ft, nt
-                    break
-            lam *= 0.5
-        else:
-            raise evolve.NewtonError(f"Newton damping stalled at |F| = {norm:.3e}")
-    else:
-        raise evolve.NewtonError("Newton did not converge")
-    W[:ws.N] = w0[:ws.N] + dt * _rhs_np_diff(ws, W)
+def _linear_euler_solve_banded(ws, w0, dt, w_boundary):
+    """The linearly implicit Euler step on scipy.linalg.solve_banded
+    (oracle): with w0's value at s_max replaced by w_boundary,
+    (I - dt J(w0)) delta = dt rhs(w0), W = w0 + delta."""
+    N = ws.N
+    P = w0.copy()
+    P[N] = w_boundary
+    evolve._check_positivity(P[:N], evolve.MARGIN_FLOOR)
+    W = P.copy()
+    W[:N] += _newton_update_solve_banded(ws, P, dt, 1.0,
+                                         dt * _rhs_np_diff(ws, P))
     evolve._check_positivity(W, evolve.MARGIN_FLOOR)
     return W
 
@@ -185,6 +161,18 @@ def _textbook_bdf2(ws, prev, w, dt, w_boundary):
     return W
 
 
+def _textbook_euler(ws, w0, dt, w_boundary):
+    """The same step as the textbook writes it (cross-check): one Newton
+    iteration for backward Euler, W = w0 + dt rhs(W), from W = w0, with the
+    Jacobian's m U v^(m-1) as a power."""
+    N = ws.N
+    W = w0.copy()
+    W[N] = w_boundary
+    F = W[:N] - w0[:N] - dt * _rhs_np_diff(ws, W)
+    W[:N] += _newton_update_solve_banded(ws, W, dt, 1.0, -F, textbook=True)
+    return W
+
+
 @pytest.fixture
 def face_forms(monkeypatch):
     """The face average of every rhs the Newton kernel evaluates: True for
@@ -208,33 +196,28 @@ def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33,
     dt = 0.01
     for _ in range(20):
         state = evolve.step_nonlinear(state, dt)
-        w_oracle = _newton_be_solve_banded(ws, w_oracle, dt, 0.0)
+        w_oracle = _linear_euler_solve_banded(ws, w_oracle, dt, 0.0)
         assert np.array_equal(state.w.values, w_oracle)
-    # v stays above 0.5: every damping trial takes the one-pass form, and
-    # the base point of a backward-Euler step, whose bounds are not known,
-    # the four-pass one
-    assert face_forms.count(False) == 20 and face_forms.count(True) >= 20
+    # v stays above 0.5: each step's one rhs takes the one-pass form, picked
+    # by the base point's own min and max
+    assert face_forms == [True] * 20
 
 
 def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
                                                          face_forms):
-    # v drops to 0.1: full Newton updates overshoot, and the kernel reuses
-    # its trial, residual and rhs buffers across rejected trials
+    # v drops to 0.1 and dt is long: the damped start of backward Euler by
+    # Newton, which the linear step takes in one solve, with no damping
     grid = geo.make_grid(12.0, 150)
     bump = evolve.bump_data(grid, 0.9, seed=1, params=params33,
                             project_mass=False)
     state = evolve.EvolutionState(0.0, bump.w.with_values(-bump.w.values),
                                   params33)
     ws = evolve._workspace(grid, params33)
-    trials = []
-    want = _newton_be_solve_banded(ws, state.w.values, 1.0, 0.0, trials)
+    want = _linear_euler_solve_banded(ws, state.w.values, 1.0, 0.0)
     got = evolve.step_nonlinear(state, 1.0)
-    assert (got.newton_iterations, got.dt_halvings) == (5, 0)
-    assert any(not accepted for _, accepted in trials)
+    assert got.dt_halvings == 0
     assert np.array_equal(got.w.values, want)
-    # v starts at 0.1, and the damping trials' min v lies on both sides of
-    # 0.5: the one solve takes both forms
-    assert not face_forms[0] and any(face_forms)
+    assert face_forms == [False]  # v starts at 0.1
 
 
 def _barenblatt_boundary(params, tau0):
@@ -257,34 +240,38 @@ def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
     dt, steps = 1e-2, 20
     state, w = state0, state0.w.values.copy()
     for _ in range(steps):
-        w = _newton_be_solve_banded(ws, w, dt, boundary(state.t + dt))
+        w = _linear_euler_solve_banded(ws, w, dt, boundary(state.t + dt))
         state = evolve.step_nonlinear(state, dt, boundary)
         assert w[-1] == boundary(state.t) != 0.0
         assert np.array_equal(state.w.values, w)
-    assert face_forms and not any(face_forms)  # v drops to 0.15
+    assert face_forms == [False] * steps  # v drops to 0.15
 
 
-def _run_bdf2_case(params, case, oracle_step, textbook=False):
-    """20 steps of evolve.run, and the same steps by the oracles: one
-    backward-Euler Newton step starts the history, then each step is the
-    linearly implicit BDF2 step from P = 2 w_n - w_{n-1} by ``oracle_step``."""
+def _bdf2_case(params, case):
+    """(initial state, boundary or None, dt) of a 20-step test run."""
     if case == "bump":
         grid = geo.make_grid(12.0, 600)
-        state0 = evolve.bump_data(grid, 0.3, seed=7, params=params)
-        boundary, dt = None, 4e-3
-    else:  # a nonzero value held at s_max
-        grid = geo.make_grid(12.0, 300)
-        state0 = evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params)
-        boundary, dt = _barenblatt_boundary(params, 0.15), 1e-2
-    ws = evolve._workspace(grid, params)
+        return evolve.bump_data(grid, 0.3, seed=7, params=params), None, 4e-3
+    # a nonzero value held at s_max
+    grid = geo.make_grid(12.0, 300)
+    return (evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params),
+            _barenblatt_boundary(params, 0.15), 1e-2)
+
+
+def _run_bdf2_case(params, case, oracle_start, oracle_step):
+    """20 steps of evolve.run, and the same steps by the oracles: one
+    linearly implicit Euler step by ``oracle_start`` starts the history,
+    then each step is the linearly implicit BDF2 step from
+    P = 2 w_n - w_{n-1} by ``oracle_step``."""
+    state0, boundary, dt = _bdf2_case(params, case)
+    ws = evolve._workspace(state0.w.grid, params)
     steps = 20
     trace = evolve.run(state0, dt, steps * dt,
                        evolve.RecordOptions(snapshot_every=1), boundary)
     assert (trace.backward_euler_steps, trace.linear_steps) == (1, steps - 1)
     value = boundary or (lambda t: 0.0)
     prev = state0.w.values.copy()
-    w = _newton_be_solve_banded(ws, prev, dt, value(trace.times[1]),
-                                textbook=textbook)
+    w = oracle_start(ws, prev, dt, value(trace.times[1]))
     oracle = [prev, w]
     for t in trace.times[2:]:
         prev, w = w, oracle_step(ws, prev, w, dt, value(t))
@@ -296,19 +283,18 @@ def _run_bdf2_case(params, case, oracle_step, textbook=False):
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
 def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
                                                        case):
-    states, oracle = _run_bdf2_case(params33, case, _linear_bdf2_solve_banded)
-    steps = len(states) - 1
+    states, oracle = _run_bdf2_case(params33, case,
+                                    _linear_euler_solve_banded,
+                                    _linear_bdf2_solve_banded)
     for got, want in zip(states, oracle):
         assert np.array_equal(got, want)
-    be_forms = len(face_forms) - (steps - 1)  # one rhs per BDF2 step
+    # one rhs per step, the start's included; its form is picked by the
+    # evaluated state's own min and max
+    steps = len(states) - 1
     if case == "bump":
-        # v stays above 0.5: only the starting backward-Euler step's base
-        # point, whose bounds are not known, takes four passes; every
-        # predictor's own min and max allow the one-pass form
-        assert face_forms.count(False) == 1 and not face_forms[0]
-        assert be_forms >= 2 and all(face_forms[be_forms:])
+        assert face_forms == [True] * steps  # v stays above 0.5
     else:
-        assert be_forms >= 2 and not any(face_forms)  # v drops to 0.15
+        assert face_forms == [False] * steps  # v drops to 0.15
 
 
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
@@ -316,10 +302,26 @@ def test_run_linear_bdf2_agrees_with_the_textbook_form(params33, case):
     # the kernel's system scaled by 3/2, with the Jacobian's m U v^(m-1) as
     # Um (v^m / v) and one band scale, against the (2/3) dt form with the
     # power: the same method, apart by round-off over 20 steps
-    states, oracle = _run_bdf2_case(params33, case, _textbook_bdf2,
-                                    textbook=True)
+    states, oracle = _run_bdf2_case(params33, case, _textbook_euler,
+                                    _textbook_bdf2)
     for got, want in zip(states, oracle):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
+def test_step_nonlinear_agrees_with_the_textbook_form(params33, case):
+    # the kernel's linear Euler step, with the Jacobian's m U v^(m-1) as
+    # Um (v^m / v) and one band scale, against one Newton iteration of
+    # backward Euler with the power: apart by round-off over 20 steps
+    state, boundary, dt = _bdf2_case(params33, case)
+    ws = evolve._workspace(state.w.grid, params33)
+    value = boundary or (lambda t: 0.0)
+    w = state.w.values.copy()
+    for _ in range(20):
+        w = _textbook_euler(ws, w, dt, value(state.t + dt))
+        state = evolve.step_nonlinear(state, dt, boundary)
+        got = state.w.values
+        assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
@@ -336,8 +338,8 @@ def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
         kernel.linear_bdf2(w, w, dt, boundary)
         assert np.array_equal(
             kernel.W, _linear_bdf2_solve_banded(ws, w, w, dt, boundary))
-        want = _newton_be_solve_banded(ws, w, dt, boundary)
-        kernel.solve(w, dt, boundary)
+        want = _linear_euler_solve_banded(ws, w, dt, boundary)
+        kernel.backward_euler(w, 0.0, dt, lambda t: boundary)
         assert np.array_equal(kernel.W, want)
         state = evolve.step_nonlinear(state, dt, lambda t: boundary)
         assert np.array_equal(state.w.values, want)
@@ -355,13 +357,15 @@ def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
     kernel = evolve._Newton(ws)
     for dt in (1e-3, 1e-2, 0.1):
         face_forms.clear()
-        # the predictor 2 w - w is w exactly, min v 0.5
+        # the predictor 2 w - w is w exactly, min v 0.5, as is the base
+        # point of the linear Euler step
         kernel.linear_bdf2(w, w, dt, 0.0)
-        assert face_forms == [True]
         assert np.array_equal(kernel.W,
                               _linear_bdf2_solve_banded(ws, w, w, dt, 0.0))
-        kernel.solve(w, dt, 0.0)
-        assert np.array_equal(kernel.W, _newton_be_solve_banded(ws, w, dt, 0.0))
+        kernel.backward_euler(w, 0.0, dt, None)
+        assert np.array_equal(kernel.W,
+                              _linear_euler_solve_banded(ws, w, dt, 0.0))
+        assert face_forms == [True, True]
     out = np.empty(grid.count)
     kernel.v[-1] = 1.0 + w[-1]
     kernel.rhs(w[:-1], out, True)
@@ -414,18 +418,18 @@ def test_factored_solve_matches_gtsv_bitwise(N, seed):
     for k in range(3):
         rhs = b * (k + 1.0) - k
         expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), rhs)
-        assert np.array_equal(_solve_factored(lu, rhs), expected)
+        assert np.array_equal(_solve_factored_unchecked(lu, rhs), expected)
 
 
 def test_factored_solve_leaves_inputs_untouched():
     dl, d, du, b = random_system(64, 5)
     saved = [a.copy() for a in (dl, d, du, b)]
-    _solve_factored(_factor_tridiag(dl, d, du), b)
+    _solve_factored_unchecked(_factor_tridiag(dl, d, du), b)
     for a, s in zip((dl, d, du, b), saved):
         assert np.array_equal(a, s)
 
 
-@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("which", range(3))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_factored_solve_non_finite_input_raises_like_gtsv(which, bad):
     arrays = list(random_system(32, 3))
@@ -434,8 +438,7 @@ def test_factored_solve_non_finite_input_raises_like_gtsv(which, bad):
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        # bands are checked when factoring, the right side when solving
-        _solve_factored(_factor_tridiag(dl, d, du), b)
+        _factor_tridiag(dl, d, du)
 
 
 def test_factored_singular_system_raises_like_gtsv():

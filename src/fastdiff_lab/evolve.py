@@ -73,6 +73,11 @@ scaled by one product (1/M)(-dt), bound per dt.
   [0.5, 2^53): P's margin check gives its minimum, and one maximum the
   rest; a NaN takes the four.
 
+``run``'s trace counts its BE steps (``backward_euler_steps``), its BDF2
+steps (``linear_steps``) and its dt halvings (``dt_halvings``), and keeps
+the smallest 1+w of an accepted state (``min_margin``): the solver
+statistics of the ``evolve`` and ``expand`` summaries.
+
 ``run`` records the time and mass defect of each recorded state.  Its
 diagnostics (sup, weighted sups, min and max of v, energy) it pays per
 block of ``geometry._ROWS`` recorded states (``_Records``), so the memory
@@ -419,7 +424,9 @@ def step_nonlinear(state: EvolutionState, dt: float,
                    boundary=None) -> EvolutionState:
     """One linearly implicit Euler step (see module doc); on a failed check
     halves dt and retries.  At large dt this is the linearized step, not
-    the converged backward-Euler solution.
+    the converged backward-Euler solution: from the negated seed-1 bump of
+    amplitude 0.9 on 150 points (s_max = 12, n = 3, m = 2/3) at dt = 1,
+    the two differ by 0.92 in max|w|.
 
     ``boundary`` maps t to the Dirichlet value at s_max (default zero, the
     decaying far field of the truncation).

@@ -205,8 +205,8 @@ def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33,
 
 def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
                                                          face_forms):
-    # v drops to 0.1 and dt is long: the damped start of backward Euler by
-    # Newton, which the linear step takes in one solve, with no damping
+    # v starts at 0.1 and dt = 1 is long, where full Newton updates of
+    # backward Euler overshoot: the linear step still takes one solve
     grid = geo.make_grid(12.0, 150)
     bump = evolve.bump_data(grid, 0.9, seed=1, params=params33,
                             project_mass=False)

@@ -270,14 +270,6 @@ def _shifted_blocks(snapshots, grid, tau0: float, params: ModelParams):
         yield times, rows
 
 
-def _shifted_snapshots(trace, tau0: float, params: ModelParams):
-    """The snapshots of ``_shifted_blocks`` as a list of (t, w)."""
-    return [(t, w.copy())
-            for times, rows in _shifted_blocks(trace.snapshots, trace.grid,
-                                               tau0, params)
-            for t, w in zip(times, rows)]
-
-
 def _shifted_c01(trace, params: ModelParams):
     """tau0 -> the lambda_01 coefficient limit of the trace shifted by tau0.
 

@@ -418,7 +418,7 @@ def resolve_config(args) -> ExperimentConfig:
                   "sweep_m": tuple(args.sweep_m) if args.sweep_m else None},
         output={"directory": args.out,
                 "formats": tuple(args.format) if args.format else None},
-        jobs={"jobs": args.jobs} if args.jobs else {},
+        jobs={"jobs": args.jobs},
     )
     return cfg.validate()
 

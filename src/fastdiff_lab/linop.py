@@ -29,6 +29,12 @@ where h resolves the drift; the one refusal is a grid too coarse for the
 bands to be floats.  The far boundary is homogeneous Dirichlet at s_max:
 bound eigenfunctions decay exponentially, and quasi-continuum artifacts of
 the truncation are flagged, not matched.
+
+The linear semigroup is exact in time.  Through the diagonal symmetrizer D
+the bands are a symmetric tridiagonal matrix V diag(lambda) V^T, so
+e^{tL} f = D^{-1/2} V e^{t lambda} V^T D^{1/2} f; ``semigroup_decay`` takes
+it from the top eigenpairs alone, as many as its fit window needs, from the
+one symmetric eigensolve (``_top_eigh``) that serves every caller.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .closedform import (
     potential_profile,
 )
 from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
-from .tridiag import _check_finite, _factor_tridiag, _solve_factored_unchecked
 
 __all__ = [
     "TridiagonalOperator",
@@ -62,7 +67,6 @@ __all__ = [
     "top_eigenvalues",
     "eigen_residual",
     "project",
-    "step_linear",
     "semigroup_decay",
 ]
 
@@ -435,105 +439,43 @@ def project(f: GridFunction, modes: list[ModeIndex],
     return q_part, p_part
 
 
-# the error state of a run of Crank-Nicolson steps: a right side that
-# overflows, or one formed from a non-finite x (inf - inf), is reported by
-# the step's own ValueError alone
-_CN_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
-
-
-def _crank_nicolson(op: TridiagonalOperator, dt: float):
-    """The Crank-Nicolson step x -> (I - (dt/2) L)^-1 (I + (dt/2) L) x on
-    op's unknowns, with I - (dt/2) L factored once for every step taken.
-
-    The step returns the new x and its sup norm max|x|, which is also its
-    finiteness check.  Factoring raises ValueError on non-finite bands and
-    LinAlgError on a singular matrix; the step raises ValueError on a
-    non-finite right side or result (a non-finite right side makes the
-    result non-finite, and then names itself).  The right side is
-    ``_matvec``'s products in its order, formed in two buffers made here;
-    the caller runs the steps under ``np.errstate(**_CN_ERRSTATE)``.
-    """
-    lu = _factor_tridiag(-0.5 * dt * op.sub[1:], 1.0 - 0.5 * dt * op.diag,
-                         -0.5 * dt * op.sup[:-1])
-    half_dt = 0.5 * dt
-    diag, upper, lower = op.diag, op.sup[:-1], op.sub[1:]
-    magnitudes, y = np.empty(diag.size), np.empty(diag.size)
-    y_lo, y_hi, product = y[:-1], y[1:], np.empty(diag.size - 1)
-
-    def step(x: np.ndarray) -> tuple[np.ndarray, float]:
-        # the right side x + (dt/2) L x
-        np.multiply(diag, x, out=y)
-        np.add(y_lo, np.multiply(upper, x[1:], out=product), out=y_lo)
-        np.add(y_hi, np.multiply(lower, x[:-1], out=product), out=y_hi)
-        np.multiply(y, half_dt, out=y)
-        np.add(y, x, out=y)
-        x = _solve_factored_unchecked(lu, y)
-        # np.maximum propagates nan, so the sup is finite exactly when x is
-        sup = np.maximum.reduce(np.abs(x, out=magnitudes))
-        if not math.isfinite(sup):
-            _check_finite(y)
-            raise ValueError("grid function contains non-finite values")
-        return x, sup
-
-    return step
-
-
-def step_linear(op: TridiagonalOperator, f: GridFunction,
-                dt: float) -> GridFunction:
-    """One Crank-Nicolson step of d_t w = L_{l,eta} w (Dirichlet at s_max)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if f.grid != op.grid or f.ell != op.ell:
-        raise ValueError("operator/function mismatch")
-    i0 = op.first_node
-    out = np.zeros_like(f.values)
-    step = _crank_nicolson(op, dt)
-    with np.errstate(**_CN_ERRSTATE):
-        out[i0:op.grid.count], _ = step(f.values[i0:op.grid.count])
-    return f.with_values(out)
-
-
-def _deflate_discrete(op: TridiagonalOperator, values: np.ndarray,
-                      count: int) -> np.ndarray:
-    """Remove the top `count` discrete invariant directions exactly.
-
-    The analytic projection leaves an O(h^2) residue along each slow
-    discrete eigenvector, which plateaus a decay measurement; this deflates
-    against the matrix's own eigenvectors via the exact diagonal
-    symmetrizer, leaving the complement invariant to machine precision.
-    """
-    if count < 1:
-        return values
-    # the eigensolve checks the off-diagonal signs the log weights need
-    vals, vecs = _top_eigh(op, count, eigvals_only=False)
-    logw = op.symmetrizer_log_weights()
-    logw -= logw.max()
-    d_scale = np.exp(0.5 * logw)
-    i0 = op.first_node
-    x = values[i0:op.grid.count].copy()
-    xs = d_scale * x  # symmetric-frame coordinates
-    for j in range(vals.size):
-        xs -= vecs[:, j] * np.dot(vecs[:, j], xs)
-    out = values.copy()
-    out[i0:op.grid.count] = xs / d_scale
-    return out
+# the propagator starts from this many top eigenpairs and doubles them
+# until the dropped modes are below _TRUNCATION_TOL * value_lo at every
+# sample the fit window admits
+_FIRST_PAIRS = 32
+_TRUNCATION_TOL = 1e-6
+# multiply-adds per product of the sampling: OpenBLAS runs a matrix product
+# this small on the calling thread, where a larger one wakes BLAS threads
+# that, in the selftest pool's workers, spin against each other (on 2
+# cores the fast selftest takes 1.7 times as long with 256 sample times
+# per product)
+_PRODUCT_SIZE = 1 << 18
 
 
 def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
                     modes_to_remove: list[ModeIndex], t_final: float,
                     dt: float, params: ModelParams, policy=None):
-    """Evolve the spectral complement and fit its sup-norm decay slope.
+    """Evolve the spectral complement exactly in time and fit its sup-norm
+    decay slope.
 
     f0 is a conjugated profile (the weight eta lives in the operator); the
-    projection is performed on (cosh s)^eta f0 in the u_B^m pairing, with a
-    discrete deflation of the same number of top eigenvectors to clear the
-    O(h^2) projection residue.
-    The complement is normalized to unit sup norm and evolved by
-    ``step_linear``'s Crank-Nicolson step, factored once for the run.
-    Returns the RateFit of log sup|w(t)|; the semigroup estimate asserts
-    slope <= c_inf(eta) for the complement.
+    projection is performed on (cosh s)^eta f0 in the u_B^m pairing.  In
+    the symmetric frame y = D^{1/2} x of op's unknowns (D the diagonal
+    symmetrizer, ``symmetrizer_log_weights``) op is a symmetric tridiagonal
+    matrix V diag(lambda) V^T, so e^{tL} x = D^{-1/2} V (e^{lambda t} c)
+    with c = V^T y, exact in time.  The O(h^2) residue the analytic
+    projection leaves along each removed discrete mode is deflated by
+    zeroing the top len(modes_to_remove) coefficients.  Only the top K
+    eigenpairs are taken: K starts at ``_FIRST_PAIRS`` and doubles until
+    the dropped modes' bound max D^{-1/2} |c_dropped|_2 e^{lambda_K t},
+    with |c_dropped|_2^2 = |y|^2 - |c|^2 (Parseval), is at most
+    ``_TRUNCATION_TOL`` * value_lo at every sample the fit admits (the
+    last sample, if it admits none).  The samples, one per dt to t_final,
+    are normalized by the sup of the exact deflated profile
+    x - D^{-1/2} V_top c_top.  Returns the RateFit of log sup|w(t)|; the
+    semigroup estimate asserts slope <= c_inf(eta) for the complement.
     """
-    from .asymptotics import fit_rate
+    from .asymptotics import EmptyWindowError, WindowPolicy, fit_rate
 
     if f0.grid != op.grid or f0.ell != op.ell:
         raise ValueError("operator/function mismatch")
@@ -548,25 +490,49 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     cosh_eta = np.cosh(f0.grid.nodes) ** op.eta
     v0 = f0.with_values(cosh_eta * f0.values)
     if modes_to_remove:
-        _, p_part = project(v0, modes_to_remove, params)
-        w_vals = _deflate_discrete(op, p_part.values / cosh_eta,
-                                   len(modes_to_remove))
-    else:
-        w_vals = v0.values / cosh_eta
-    scale = np.abs(w_vals).max()
-    if scale == 0.0:
-        raise ValueError("projection removed the whole initial profile")
-
+        v0 = project(v0, modes_to_remove, params)[1]
     # the node(s) held at zero do not change the sup norm
-    step = _crank_nicolson(op, dt)
-    w = f0.with_values(w_vals / scale)
-    x = w.values[op.first_node:op.grid.count]
-    times = np.empty(steps + 1)
-    sups = np.empty(steps + 1)
-    times[0] = 0.0
-    sups[0] = 1.0
-    with np.errstate(**_CN_ERRSTATE):
-        for j in range(steps):
-            x, sups[j + 1] = step(x)
-            times[j + 1] = (j + 1) * dt
-    return fit_rate(times, sups, policy)
+    x = (v0.values / cosh_eta)[op.first_node:op.grid.count]
+    logw = op.symmetrizer_log_weights()
+    half_logw = 0.5 * (logw - logw.max())
+    inv_d = np.exp(-half_logw)
+    y = np.exp(half_logw) * x
+    norm2 = np.dot(y, y)
+    times = np.arange(steps + 1) * dt
+    policy = policy or WindowPolicy()
+    removed = len(modes_to_remove)
+    m = op.n_unknowns
+    count = min(max(_FIRST_PAIRS, removed), m)
+    while True:
+        lam, vecs = _top_eigh(op, count, eigvals_only=False)
+        c = np.einsum("ik,i->k", vecs, y)
+        dropped = math.sqrt(max(norm2 - np.dot(c, c), 0.0))
+        top = slice(count - removed, count)
+        scale = np.abs(
+            x - inv_d * np.einsum("ik,k->i", vecs[:, top], c[top])).max()
+        if scale == 0.0:
+            raise ValueError("projection removed the whole initial profile")
+        if not math.isfinite(scale):
+            raise ValueError("grid function contains non-finite values")
+        c[top] = 0.0
+        # the eigenvectors in node values, one per row
+        node_vecs = (vecs * inv_d[:, None]).T
+        sups = np.empty(steps + 1)
+        sups[0] = 1.0
+        # two times at least: numpy hands a one-row product to gemv, which
+        # OpenBLAS threads from far fewer multiply-adds
+        block = max(2, _PRODUCT_SIZE // (count * m))
+        for j in range(1, steps + 1, block):
+            t = times[j:j + block]
+            w_t = (np.exp(np.outer(t, lam)) * c) @ node_vecs
+            sups[j:j + t.size] = np.abs(w_t).max(axis=1) / scale
+        try:
+            fit = fit_rate(times, sups, policy)
+        except EmptyWindowError:
+            fit = None
+        checked = times[-1:] if fit is None else np.array(fit.window)
+        bound = inv_d.max() * dropped * np.exp(lam[0] * checked).max()
+        if count == m or bound <= _TRUNCATION_TOL * policy.value_lo * scale:
+            # an empty window is raised by fit_rate itself
+            return fit or fit_rate(times, sups, policy)
+        count = min(2 * count, m)

@@ -161,17 +161,18 @@ def _slow_modes(params):
 
 
 def _semigroup_items(fast):
-    """Criterion 4's runs: the bump runs (to t = 5) first, then the
-    eigenfunction runs (to t = 2)."""
+    """Criterion 4's runs: the eigenfunction runs (to t = 2, whose window
+    opens early enough to take 64 eigenpairs) first, then the bump runs (to
+    t = 5, 32 eigenpairs)."""
     slow = _slow_modes(derive_params(3, 2.0 / 3.0))
-    return [(fast, eta, None) for eta in slow] + [
-        (fast, eta, md) for eta, mds in slow.items() for md in mds]
+    return [(fast, eta, md) for eta, mds in slow.items() for md in mds] + [
+        (fast, eta, None) for eta in slow]
 
 
 def _semigroup_slope(item):
-    """Fitted slope of one criterion-4 Crank-Nicolson decay (a pool worker):
-    the bump with the modes above the continuum projected off or, given
-    ``mode``, that normalized eigenfunction."""
+    """Fitted slope of one criterion-4 decay under the exact linear
+    semigroup (a pool worker): the bump with the modes above the continuum
+    projected off or, given ``mode``, that normalized eigenfunction."""
     fast, eta, mode = item
     params = derive_params(3, 2.0 / 3.0)
     grid = geometry.make_grid(12.0, 600 if fast else 1200)
@@ -191,7 +192,8 @@ def _semigroup_slope(item):
 
 
 def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
-    """Projected linear decay attains c_inf(eta); eigen-components are slower."""
+    """Projected decay under the exact linear semigroup attains c_inf(eta);
+    eigen-components are slower."""
     results = []
     params = derive_params(3, 2.0 / 3.0)
     slopes = _owned(4, fast)
@@ -390,8 +392,8 @@ def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
 
 
 def _subcritical_slope(fast):
-    """Fitted slope of criterion 9's critically weighted Crank-Nicolson
-    decay at (3, 0.55) (a pool worker)."""
+    """Fitted slope of criterion 9's critically weighted decay under the
+    exact linear semigroup at (3, 0.55) (a pool worker)."""
     params = derive_params(3, 0.55)
     grid = geometry.make_grid(12.0, 600 if fast else 1200)
     s = grid.nodes
@@ -404,7 +406,8 @@ def _subcritical_slope(fast):
 
 
 def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
-    """m < m_2: critically weighted linear decay reaches -(p/2+1)^2."""
+    """m < m_2: critically weighted decay under the exact linear semigroup
+    reaches -(p/2+1)^2."""
     params = derive_params(3, 0.55)
     (slope,) = _owned(9, fast).values()
     bound = -0.97 * (params.p / 2.0 + 1.0) ** 2
@@ -455,8 +458,8 @@ def _solve_items(fast):
         5: (_second_order_gamma, _second_order_cases(fast)),
         3: (_rate_trace, [(n, m, fast) for n, m in RATE_CASES]),
         8: (_coefficient_run, [("k0", count), ("amplitude", count)]),
-        9: (_subcritical_slope, [fast]),
         4: (_semigroup_slope, _semigroup_items(fast)),
+        9: (_subcritical_slope, [fast]),
         6: (_manufactured_error, _manufactured_items(fast)),
         2: (_eigen_residuals,
             list(ACCEPTANCE_CASES[:1] if fast else ACCEPTANCE_CASES)),
@@ -472,11 +475,11 @@ def _schedule(fast):
     the short solves and the workers finish close together.  Serial ms per
     solve at the fast resolution (medians of five fresh processes, each
     running the schedule in order, on a 2-core x86 machine): criterion 5
-    211; criterion 3 103 and 102; criterion 8 63 (k0) and 41 (amplitude);
-    criterion 9 58; criterion 4 36-37 (each bump decay) and 15 (each
-    eigenfunction decay); criterion 6 19, 19, 23, 12, 3 and 2; criterion 2
-    8; criterion 1 4, 2 and 6.  The owners go in the order of their costliest solve, each
-    owner's solves in its own order (``_solve_items``).
+    146; criterion 3 67 and 65; criterion 8 42 (k0) and 26 (amplitude);
+    criterion 4 33 and 32 (each eigenfunction decay) and 13 (each bump
+    decay); criterion 9 14; criterion 6 12, 9, 5, 2, 2 and 1; criterion 2
+    6; criterion 1 3, 2 and 4.  The owners go in the order of their costliest
+    solve, each owner's solves in its own order (``_solve_items``).
 
     Criterion 10 (22 ms) stays in the calling process: it is the only
     caller of ``affine``, and a profiler or tracer of the calling process

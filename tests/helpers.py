@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
+from fastdiff_lab import asymptotics as asy
 from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
@@ -52,3 +54,27 @@ def delayed_barenblatt_time_derivative(t, s, tau0, Bplus, params):
         Bplus + theta * theta * B * sh2
     )
     return v * dlogv_dtheta * dtheta
+
+
+def shifted_snapshots(trace, tau0, params):
+    """The snapshots of ``asymptotics._shifted_blocks`` (the trace shifted
+    by tau0) as a list of (t, w)."""
+    return [(t, w.copy())
+            for times, rows in asy._shifted_blocks(trace.snapshots, trace.grid,
+                                                   tau0, params)
+            for t, w in zip(times, rows)]
+
+
+def propagate(op, x, times, removed=0):
+    """e^{tL} x on op's unknowns, one row per t in ``times``, from the full
+    eigendecomposition of the symmetric tridiagonal matrix similar to op,
+    with the coefficients of its top ``removed`` eigenvectors dropped: the
+    exact linear semigroup ``linop.semigroup_decay`` samples from its top
+    eigenpairs alone."""
+    logw = op.symmetrizer_log_weights()
+    half = 0.5 * (logw - logw.max())
+    lam, vecs = scipy.linalg.eigh_tridiagonal(
+        op.diag, np.sqrt(op.sup[:-1] * op.sub[1:]))
+    c = vecs.T @ (np.exp(half) * x)
+    c[c.size - removed:] = 0.0
+    return np.exp(-half) * ((np.exp(np.outer(times, lam)) * c) @ vecs.T)

@@ -17,6 +17,8 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
 from fastdiff_lab.config import config_from_dict, load_config
 
+from helpers import shifted_snapshots
+
 
 # ---------------------------------------------------------------------------
 # fit_rate
@@ -193,7 +195,7 @@ def test_mod_time_shift_idempotent(delayed_trace):
     params, tau_star, trace = delayed_trace
     res = asy.mod_time_shift(trace, params)
     shifted = dataclasses.replace(
-        trace, snapshots=asy._shifted_snapshots(trace, res.tau0, params))
+        trace, snapshots=shifted_snapshots(trace, res.tau0, params))
     res2 = asy.mod_time_shift(shifted, params)
     assert abs(res2.tau0) <= 0.02 * abs(res.tau0)
 
@@ -232,7 +234,7 @@ def test_shifted_c01_equals_extract_coefficient_limit_bitwise(bump_trace_07,
     c_of = asy._shifted_c01(trace, params)
     for tau0 in (0.0, 1e-3, -0.02, 0.3):
         view = dataclasses.replace(
-            trace, snapshots=asy._shifted_snapshots(trace, tau0, params))
+            trace, snapshots=shifted_snapshots(trace, tau0, params))
         want = asy.extract_coefficient(view, ModeIndex(0, 1), params).limit
         assert c_of(tau0) == want
 
@@ -341,7 +343,7 @@ def test_shifted_snapshots_are_the_pointwise_formula(bump_trace_07, count):
     params, trace = bump_trace_07
     trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
     for tau0 in (0.0, 0.05, -0.02):
-        got = asy._shifted_snapshots(trace, tau0, params)
+        got = shifted_snapshots(trace, tau0, params)
         want = _pointwise_shifted(trace, tau0, params)
         assert [t for t, _ in got] == [t for t, _ in want]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))

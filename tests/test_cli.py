@@ -537,6 +537,15 @@ def test_jobs_must_be_a_positive_integer(value):
         cfg.validate()
 
 
+def test_jobs_flag_zero_exits_with_a_config_error(tmp_path):
+    # a zero --jobs reaches the same worker-count check as a config file's
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SHORT_SWEEP))
+    proc = run_cli(["--config", str(path), "--jobs", "0", "sweep"], tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "jobs: must be an integer >= 1, got 0" in line
+
+
 def test_fractional_jobs_exit_with_a_config_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SHORT_SWEEP, "jobs": 1.5}))

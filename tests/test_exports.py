@@ -52,14 +52,6 @@ def test_every_import_is_used(name):
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# exported functions whose only callers are tests, which check the program
-# against them
-TEST_ORACLES = {
-    "fastdiff_lab.linop.step_linear":
-        "one Crank-Nicolson step, against which projection is checked to commute",
-}
-
-
 def _bindings(tree: ast.AST, module: str, package: str) -> dict[str, str]:
     """Dotted name of every name a module binds by import or by a top-level
     ``def``: ``from . import evolve`` binds ``evolve`` to
@@ -146,12 +138,9 @@ def test_every_exported_function_has_a_consumer():
         for export in getattr(module, "__all__", ()):
             qualified = f"{name}.{export}"
             fn = getattr(module, export)
-            if inspect.isfunction(fn) and id(fn) not in referenced and \
-                    qualified not in TEST_ORACLES:
+            if inspect.isfunction(fn) and id(fn) not in referenced:
                 unused.append(qualified)
     assert not unused, f"exported functions without a consumer: {unused}"
-    consumed = [o for o in TEST_ORACLES if id(_resolve(o)) in referenced]
-    assert not consumed, f"listed oracles that have a consumer: {consumed}"
 
 
 # ---------------------------------------------------------------------------

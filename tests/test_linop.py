@@ -1,9 +1,10 @@
-"""Operator assembly, spectra, residuals, projections, linear stepping."""
+"""Operator assembly, spectra, residuals, projections, the linear semigroup."""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fastdiff_lab import closedform as cf
 from fastdiff_lab import geometry as geo
@@ -12,6 +13,7 @@ from fastdiff_lab.asymptotics import WindowPolicy, fit_rate
 from fastdiff_lab.closedform import ModeIndex
 
 from conftest import gaussian_profile
+from helpers import propagate
 
 
 # ---------------------------------------------------------------------------
@@ -201,96 +203,181 @@ def test_project_mode_mismatch(grid12, params33):
 
 
 def test_project_commutes_with_step(grid12, params33):
+    # a step of the exact linear semigroup commutes with the projection
     op = linop.assemble(0, 0.0, grid12, params33)
     modes = [ModeIndex(0, 0)]
     f = gaussian_profile(grid12, 1.5)
     dt = 5e-3
-    a = linop.step_linear(op, linop.project(f, modes, params33)[1], dt)
-    b = linop.project(linop.step_linear(op, f, dt), modes, params33)[1]
+    N = grid12.count
+
+    def step(g):
+        out = g.values.copy()
+        out[:N] = propagate(op, g.values[:N], [dt])[0]
+        return g.with_values(out)
+
+    a = step(linop.project(f, modes, params33)[1])
+    b = linop.project(step(f), modes, params33)[1]
     scale = geo.weighted_sup(f, 0.0)
     assert np.max(np.abs(a.values - b.values)) <= 1e-4 * scale
 
 
 # ---------------------------------------------------------------------------
-# step_linear / semigroup_decay
+# semigroup_decay: the exact semigroup from the top eigenpairs
 # ---------------------------------------------------------------------------
 
-def test_step_linear_stationary_mode(grid12, params33):
+def decay_samples(monkeypatch, *args, **kwargs):
+    """semigroup_decay's fit, the (times, samples) it fitted last and the
+    pair counts of its eigensolves."""
+    from fastdiff_lab import asymptotics
+    fitted, counts = [], []
+    fit_rate, top_eigh = asymptotics.fit_rate, linop._top_eigh
+    monkeypatch.setattr(asymptotics, "fit_rate", lambda t, v, policy=None:
+                        fitted.append((t, v)) or fit_rate(t, v, policy))
+    monkeypatch.setattr(linop, "_top_eigh", lambda op, count, **kw:
+                        counts.append(count) or top_eigh(op, count, **kw))
+    try:
+        fit = linop.semigroup_decay(*args, **kwargs)
+    finally:
+        monkeypatch.undo()
+    return fit, fitted[-1], counts
+
+
+def _criterion_4_run(grid, params, eta_frac, kind):
+    """Criterion 4's shapes at eta = eta_frac * eta_cr: the bump with the
+    modes above the continuum removed (to t = 5, window 1e-9..1e-4) or the
+    slowest decaying eigenfunction (to t = 2, window 1e-5..0.5)."""
+    s = grid.nodes
+    eta = eta_frac * params.eta_cr
+    op = linop.assemble(0, eta, grid, params)
+    thr = cf.essential_threshold(0, eta, params)
+    modes = [md for md, lam in cf.admissible_modes(eta, params)
+             if md.ell == 0 and lam > thr]
+    if kind == "bump":
+        f0 = geo.GridFunction(grid, 0,
+                              np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
+        return op, f0, modes, 5.0, WindowPolicy(1e-9, 1e-4)
+    mode = [md for md in modes if cf.eigenvalue(md, params) < 0][-1]
+    wv = np.cosh(s) ** (-eta) * cf.eigenfunction_v(mode, s, params)
+    f0 = geo.GridFunction(grid, 0, wv / np.max(np.abs(wv)))
+    return op, f0, [], 2.0, WindowPolicy(1e-5, 0.5)
+
+
+RUNS = [(0.0, "bump"), (0.5, "bump"), (1.0, "bump"), (0.5, "eigen"),
+        (1.0, "eigen")]
+
+
+def _complement(op, f0, modes, params):
+    """The projected profile on op's unknowns, as semigroup_decay forms it."""
+    cosh_eta = np.cosh(f0.grid.nodes) ** op.eta
+    v0 = f0.with_values(cosh_eta * f0.values)
+    if modes:
+        v0 = linop.project(v0, modes, params)[1]
+    return (v0.values / cosh_eta)[op.first_node:op.grid.count]
+
+
+@pytest.mark.parametrize("eta_frac, kind", RUNS)
+def test_propagator_samples_match_the_full_eigendecomposition(
+        monkeypatch, grid_coarse, params33, eta_frac, kind):
+    # samples inside the fit window against every eigenpair: the bump runs
+    # agree to about 1e-12 relative and the eigenfunction runs to about
+    # 1e-10, the conditioning eps |L| / gap of the slow eigenvectors at
+    # |L| ~ 4/h^2, not the truncation, which the doubling keeps below
+    # 1e-6 * value_lo
+    op, f0, modes, t_final, policy = _criterion_4_run(grid_coarse, params33,
+                                                      eta_frac, kind)
+    fit, (times, sups), _ = decay_samples(monkeypatch, op, f0, modes, t_final,
+                                          8e-3, params33, policy=policy)
+    x = _complement(op, f0, modes, params33)
+    scale = np.abs(propagate(op, x, [0.0], len(modes))).max()
+    want = np.abs(propagate(op, x, times[1:], len(modes))).max(axis=1) / scale
+    assert sups[0] == 1.0
+    inside = (times[1:] >= fit.window[0]) & (times[1:] <= fit.window[1])
+    rtol = 1e-11 if kind == "bump" else 1e-9
+    np.testing.assert_allclose(sups[1:][inside], want[inside], rtol=rtol,
+                               atol=0.0)
+    exact = fit_rate(times[1:], want, policy)
+    assert fit.window == exact.window
+    assert fit.slope == pytest.approx(exact.slope, rel=rtol / 10.0)
+
+
+@pytest.mark.parametrize("eta_frac", [0.5, 1.0])
+def test_propagator_samples_match_expm(monkeypatch, grid_coarse, params33,
+                                       eta_frac):
+    # the eigenfunction runs (nothing removed) against the dense matrix
+    # exponential of op itself, at five times across the fit window
+    op, f0, modes, t_final, policy = _criterion_4_run(grid_coarse, params33,
+                                                      eta_frac, "eigen")
+    fit, (times, sups), _ = decay_samples(monkeypatch, op, f0, modes, t_final,
+                                          8e-3, params33, policy=policy)
+    x = f0.values[:grid_coarse.count]
+    L = np.diag(op.diag) + np.diag(op.sup[:-1], 1) + np.diag(op.sub[1:], -1)
+    window = np.flatnonzero((times >= fit.window[0]) & (times <= fit.window[1]))
+    for j in window[::len(window) // 4]:
+        want = np.abs(scipy.linalg.expm(times[j] * L) @ x).max() / np.abs(x).max()
+        assert sups[j] == pytest.approx(want, rel=1e-9)
+
+
+def test_propagator_doubles_its_pairs_until_the_dropped_modes_are_negligible(
+        monkeypatch, grid_coarse, params33):
+    # the bump's window opens near t = 1.3, where the 32 top pairs suffice;
+    # the eigenfunction's opens at t = 0.12 and needs 64
+    for kind, want in (("bump", [32]), ("eigen", [32, 64])):
+        op, f0, modes, t_final, policy = _criterion_4_run(
+            grid_coarse, params33, 0.5, kind)
+        _, _, counts = decay_samples(monkeypatch, op, f0, modes, t_final,
+                                     8e-3, params33, policy=policy)
+        assert counts == want
+
+
+def test_semigroup_keeps_the_mass_mode(monkeypatch, grid12, params33):
+    # v00 is an eigenfunction with eigenvalue 0 at eta = 0; the sampled
+    # analytic v00 differs from the discrete eigenvector by O(h^2).  The
+    # window opens at t = 0.1: one opening at t = dt would take every pair
     op = linop.assemble(0, 0.0, grid12, params33)
     v00 = geo.GridFunction(
         grid12, 0, cf.eigenfunction_v(ModeIndex(0, 0), grid12.nodes, params33))
-    dt = 5e-3
-    stepped = linop.step_linear(op, v00, dt)
-    diff = np.max(np.abs(stepped.values[:grid12.count] - v00.values[:grid12.count]))
-    assert diff <= 5e-4 * dt / 1e-3  # C h^2 dt sized
+    fit, (times, sups), _ = decay_samples(
+        monkeypatch, op, v00, [], 1.0, 5e-3, params33,
+        policy=WindowPolicy(0.5, 2.0, t_lo=0.1))
+    assert np.max(np.abs(sups[times >= 0.1] - 1.0)) <= 5e-5
+    assert abs(fit.slope) <= 5e-5
 
 
-def test_step_linear_eigen_decay(grid12, params33):
+def test_semigroup_decays_v01_at_minus_2p(grid12, params33):
     op = linop.assemble(0, 0.0, grid12, params33)
     v01 = cf.eigenfunction_v(ModeIndex(0, 1), grid12.nodes, params33)
     w = geo.GridFunction(grid12, 0, v01 / np.max(np.abs(v01)))
-    dt = 2e-3
-    times, sups = [0.0], [1.0]
-    for j in range(500):
-        w = linop.step_linear(op, w, dt)
-        times.append((j + 1) * dt)
-        sups.append(float(np.max(np.abs(w.values))))
-    fit = fit_rate(np.array(times), np.array(sups),
-                   WindowPolicy(value_lo=1e-3, value_hi=1.0, t_hi=1.0))
+    fit = linop.semigroup_decay(
+        op, w, [], 1.0, 2e-3, params33,
+        policy=WindowPolicy(value_lo=1e-3, value_hi=1.0, t_lo=0.1, t_hi=1.0))
     assert fit.slope == pytest.approx(-2 * params33.p, rel=0.02)
 
 
-def test_crank_nicolson_step_refuses_a_non_finite_result(grid12, params33):
-    # I - L has the pivot 2^-52: the right side 2e300 is finite, the
-    # solution overflows, and the step's own check names it
-    d = np.full(3, 1.0 - 2.0 ** -52)
-    op = linop.TridiagonalOperator(grid12, 0, 0.0, params33, np.zeros(3), d,
-                                   np.zeros(3))
-    step = linop._crank_nicolson(op, 2.0)
-    with pytest.raises(ValueError, match="grid function contains non-finite"):
-        step(np.full(3, 1e300))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_crank_nicolson_step_names_a_non_finite_right_side(grid12, params33,
-                                                           bad):
-    # an infinite entry forms inf - inf in the right side; in the error
-    # state its callers run it in, the step's ValueError is the only report
+def test_semigroup_decay_names_a_non_finite_profile(grid12, params33, bad):
     op = linop.assemble(0, 0.0, grid12, params33)
-    step = linop._crank_nicolson(op, 1e-2)
-    x = np.exp(-(grid12.nodes[op.first_node:grid12.count] - 1.5) ** 2)
-    x[5] = bad
-    with np.errstate(**linop._CN_ERRSTATE), \
-            pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        step(x)
+    f0 = gaussian_profile(grid12)
+    f0.values[5] = bad
+    with pytest.raises(ValueError, match="grid function contains non-finite"):
+        linop.semigroup_decay(op, f0, [], 1.0, 1e-2, params33)
 
 
-def test_crank_nicolson_step_returns_the_sup_norm(grid12, params33):
-    op = linop.assemble(0, 0.0, grid12, params33)
-    x = np.sin(grid12.nodes[op.first_node:grid12.count])
-    y, sup = linop._crank_nicolson(op, 1e-2)(x)
-    assert sup == np.abs(y).max()
-
-
-def test_step_linear_stability_bound(grid12, params33):
-    # amplification on the spectral complement stays under e^{(c_inf+tol) dt}
+def test_semigroup_complement_bound(grid12, params33):
+    # on the complement of the two top discrete modes the semigroup
+    # contracts the symmetrizer-weighted norm by e^{(c_inf+tol) t}
     eta = params33.eta_cr
     op = linop.assemble(0, eta, grid12, params33)
     cinf = cf.potential_profile(eta, params33)["c_inf"]
     logw = op.symmetrizer_log_weights()
     w = np.exp(0.5 * (logw - logw.max()))
     rng = np.random.default_rng(5)
-    dt = 0.01
+    times = np.array([0.0, 0.01, 0.1, 1.0])
     for _ in range(5):
-        vals = np.zeros(grid12.count + 1)
-        vals[:grid12.count] = rng.standard_normal(grid12.count) * np.exp(
+        x = rng.standard_normal(grid12.count) * np.exp(
             -0.1 * grid12.nodes[:grid12.count])
-        f = geo.GridFunction(grid12, 0, vals)
-        f = f.with_values(linop._deflate_discrete(op, f.values, 2))
-        g = linop.step_linear(op, f, dt)
-        num = np.linalg.norm(w * g.values[:grid12.count])
-        den = np.linalg.norm(w * f.values[:grid12.count])
-        assert num / den <= np.exp((cinf + 0.5) * dt)
+        rows = propagate(op, x, times, removed=2)
+        norms = np.linalg.norm(w * rows, axis=1)
+        assert (norms[1:] / norms[0] <= np.exp((cinf + 0.5) * times[1:])).all()
 
 
 def test_semigroup_decay_threshold(grid12, params33):
@@ -331,17 +418,22 @@ def test_semigroup_decay_refuses_a_partial_last_step(grid12, params33):
         linop.semigroup_decay(op, f0, [], 1.0, 3e-2, params33)
 
 
-def test_deflation_on_a_coarse_grid_at_large_p_is_finite():
+def test_deflation_on_a_coarse_grid_at_large_p_is_finite(monkeypatch):
     # p ~ 150: h = 0.02 is too coarse for the central g-frame drift, so
-    # those rows carry the drift inside the flux and keep their sign
+    # those rows carry the drift inside the flux and keep their sign;
+    # D^{-1/2} reaches 1e106 there, so the pairs double to the whole
+    # spectrum, and every sample stays finite without a warning
     params = cf.derive_params(3, 0.9867)
     grid = geo.make_grid(4.0, 200)
     op = linop.assemble(0, 0.0, grid, params)
     f0 = gaussian_profile(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = linop._deflate_discrete(op, f0.values, 1)
-    assert np.isfinite(out).all()
+        fit, (_, sups), counts = decay_samples(
+            monkeypatch, op, f0, [ModeIndex(0, 0)], 0.02, 1e-4, params,
+            policy=WindowPolicy(0.0, np.inf, min_samples=2))
+    assert counts == [32, 64, 128, 200]
+    assert np.isfinite(sups).all() and np.isfinite(fit.slope)
 
 
 def test_assemble_at_large_p_matches_every_radial_mode():

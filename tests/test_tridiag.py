@@ -1,17 +1,14 @@
 """The direct LAPACK tridiagonal kernels against the solve_banded form they replaced."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
-from fastdiff_lab import linop
-from fastdiff_lab.tridiag import (_factor_tridiag, _solve_factored_unchecked,
-                                  _solve_packed)
-
-from conftest import gaussian_profile
+from fastdiff_lab.tridiag import _solve_packed
 
 
 def random_system(N, seed):
@@ -28,8 +25,12 @@ def random_system(N, seed):
 
 
 def packed(dl, d, du, b):
-    """The system in the one buffer ``_solve_packed`` solves."""
-    return np.concatenate((dl, d, du, b))
+    """The system as ``_solve_packed`` takes it: one buffer and its four
+    views (sub-diagonal, diagonal, super-diagonal, right side)."""
+    N = d.size
+    buffer = np.concatenate((dl, d, du, b))
+    return buffer, (buffer[:N - 1], buffer[N - 1:2 * N - 1],
+                    buffer[2 * N - 1:3 * N - 2], buffer[3 * N - 2:])
 
 
 def banded(dl, d, du):
@@ -390,167 +391,24 @@ def test_one_pass_face_average_needs_v_below_two_to_the_53(params33):
         assert np.array_equal(out, _rhs_np_diff(ws, w)) == equal
 
 
-def test_step_linear_bitwise_equal_to_solve_banded(grid12, params33):
-    op = linop.assemble(0, params33.eta_cr, grid12, params33)
-    f = geo.GridFunction(grid12, 0, np.exp(-((grid12.nodes - 1.0) ** 2)) * (
-        np.arange(grid12.count + 1) < grid12.count))
-    dt = 0.01
-    x = f.values[:grid12.count].copy()
-    for _ in range(5):
-        f = linop.step_linear(op, f, dt)
-        ab = np.zeros((3, x.size))
-        ab[0, 1:] = -0.5 * dt * op.sup[:-1]
-        ab[1, :] = 1.0 - 0.5 * dt * op.diag
-        ab[2, :-1] = -0.5 * dt * op.sub[1:]
-        x = scipy.linalg.solve_banded((1, 1), ab, x + 0.5 * dt * linop._matvec(op, x))
-        assert np.array_equal(f.values[:grid12.count], x)
-
-
-# ---------------------------------------------------------------------------
-# factor once (?gttrf), solve per right side (?gttrs)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("N", [16, 600, 1200])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_factored_solve_matches_gtsv_bitwise(N, seed):
-    dl, d, du, b = random_system(N, seed)
-    lu = _factor_tridiag(dl, d, du)
-    for k in range(3):
-        rhs = b * (k + 1.0) - k
-        expected = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), rhs)
-        assert np.array_equal(_solve_factored_unchecked(lu, rhs), expected)
-
-
-def test_factored_solve_leaves_inputs_untouched():
-    dl, d, du, b = random_system(64, 5)
-    saved = [a.copy() for a in (dl, d, du, b)]
-    _solve_factored_unchecked(_factor_tridiag(dl, d, du), b)
-    for a, s in zip((dl, d, du, b), saved):
-        assert np.array_equal(a, s)
-
-
-@pytest.mark.parametrize("which", range(3))
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_factored_solve_non_finite_input_raises_like_gtsv(which, bad):
-    arrays = list(random_system(32, 3))
-    arrays[which][5] = bad
-    dl, d, du, b = arrays
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        _factor_tridiag(dl, d, du)
-
-
-def test_factored_singular_system_raises_like_gtsv():
-    N = 16
-    dl, d, du, b = np.zeros(N - 1), np.ones(N), np.zeros(N - 1), np.ones(N)
-    d[7] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        _factor_tridiag(dl, d, du)
-
-
-def _capture_fit(monkeypatch):
-    """Make semigroup_decay hand back (times, sups) instead of fitting."""
-    from fastdiff_lab import asymptotics
-    monkeypatch.setattr(asymptotics, "fit_rate",
-                        lambda times, sups, policy=None: (times, sups))
-
-
-def _semigroup_step_linear(op, f0, modes, t_final, dt, params):
-    """semigroup_decay as it stood on one step_linear call per step (oracle),
-    returning the (times, sups) it fitted."""
-    cosh_eta = np.cosh(f0.grid.nodes) ** op.eta
-    v0 = f0.with_values(cosh_eta * f0.values)
-    if modes:
-        _, p_part = linop.project(v0, modes, params)
-        w_vals = linop._deflate_discrete(op, p_part.values / cosh_eta, len(modes))
-    else:
-        w_vals = v0.values / cosh_eta
-    w = f0.with_values(w_vals / np.max(np.abs(w_vals)))
-    steps = int(round(t_final / dt))
-    times = np.empty(steps + 1)
-    sups = np.empty(steps + 1)
-    times[0] = 0.0
-    sups[0] = 1.0
-    for j in range(steps):
-        w = linop.step_linear(op, w, dt)
-        times[j + 1] = (j + 1) * dt
-        sups[j + 1] = np.max(np.abs(w.values))
-    return times, sups
-
-
-@pytest.mark.parametrize("count, dt", [(600, 4e-3), (1200, 2e-3)])
-@pytest.mark.parametrize("eta_frac", [0.0, 0.5, 1.0])
-def test_semigroup_decay_equals_step_linear_loop_bitwise(monkeypatch, params33,
-                                                         count, dt, eta_frac):
-    # the criterion-4 shapes: eta in {0, eta_cr/2, eta_cr}, projected data
-    grid = geo.make_grid(12.0, count)
-    s = grid.nodes
-    eta = eta_frac * params33.eta_cr
-    op = linop.assemble(0, eta, grid, params33)
-    thr = cf.essential_threshold(0, eta, params33)
-    modes = [md for md, lam in cf.admissible_modes(eta, params33)
-             if md.ell == 0 and lam > thr]
-    f0 = geo.GridFunction(grid, 0, np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
-    want = _semigroup_step_linear(op, f0, modes, 1.0, dt, params33)
-    _capture_fit(monkeypatch)
-    times, sups = linop.semigroup_decay(op, f0, modes, 1.0, dt, params33)
-    assert np.array_equal(times, want[0])
-    assert np.array_equal(sups, want[1])
-
-
-def test_semigroup_decay_equals_step_linear_loop_for_l1(monkeypatch, params33):
-    # l >= 1: the unknowns start at node 1
-    grid = geo.make_grid(12.0, 600)
-    op = linop.assemble(1, 0.0, grid, params33)
-    f0 = gaussian_profile(grid, ell=1)
-    want = _semigroup_step_linear(op, f0, [], 0.5, 4e-3, params33)
-    _capture_fit(monkeypatch)
-    times, sups = linop.semigroup_decay(op, f0, [], 0.5, 4e-3, params33)
-    assert np.array_equal(sups, want[1])
-
-
-def test_semigroup_decay_blow_up_raises_at_the_step_linear_step(monkeypatch,
-                                                                params33):
-    # an unstable operator: the Crank-Nicolson factor of the top mode is
-    # about -1e3 per step, so the values overflow after about a hundred steps
-    grid = geo.make_grid(12.0, 64)
-    op = linop.assemble(0, 0.0, grid, params33)
-    dt = 0.1
-    op.diag = op.diag + 2.0 / dt * (1.0 + 2e-3)
-    f0 = geo.GridFunction(grid, 0, np.exp(-((grid.nodes - 1.0) ** 2)))
-    calls = []
-    solve = linop._solve_factored_unchecked
-    monkeypatch.setattr(linop, "_solve_factored_unchecked",
-                        lambda lu, b: calls.append(1) or solve(lu, b))
-    with pytest.raises(ValueError) as oracle:
-        _semigroup_step_linear(op, f0, [], 1e3, dt, params33)
-    oracle_steps = len(calls)
-    calls.clear()
-    _capture_fit(monkeypatch)
-    with pytest.raises(ValueError) as got:
-        linop.semigroup_decay(op, f0, [], 1e3, dt, params33)
-    assert len(calls) == oracle_steps < 1e4
-    assert str(got.value) == str(oracle.value)
-
-
 @pytest.mark.parametrize("which", range(4))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_packed_pair_checks_and_solves_like_the_buffer(which, bad):
-    # the Newton kernel hands over (buffer, views); the finiteness check
-    # forms no mask and raises no floating-point warning
-    from fastdiff_lab.tridiag import _packed_views
-    system = packed(*random_system(32, 4))
-    want = _solve_packed(system.copy())
-    pair = system.copy()
-    assert np.array_equal(_solve_packed((pair, _packed_views(pair))), want)
+    # the pair solves the system its buffer holds, in place; the finiteness
+    # check over the whole buffer forms no mask and raises no
+    # floating-point warning
+    dl, d, du, b = random_system(32, 4)
+    want = scipy.linalg.solve_banded((1, 1), banded(dl, d, du), b)
+    pair = packed(dl, d, du, b)
+    x = _solve_packed(pair)
+    assert np.array_equal(x, want) and np.shares_memory(x, pair[0])
     arrays = list(random_system(32, 4))
     arrays[which][7] = bad
-    pair = packed(*arrays)
-    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-        _solve_packed((pair, _packed_views(pair)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError,
+                           match="array must not contain infs or NaNs"):
+            _solve_packed(packed(*arrays))
 
 
 def test_finiteness_zeros_are_shared_read_only_and_bounded():

@@ -80,6 +80,9 @@ class RateFit:
     window: tuple[float, float]
     n_samples: int
     policy: WindowPolicy
+    # fit_rate_or_widen found the policy window empty and fitted every
+    # positive sample instead
+    widened: bool = False
 
 
 def fit_rate(times, values, policy: WindowPolicy | None = None) -> RateFit:
@@ -121,8 +124,9 @@ def fit_rate(times, values, policy: WindowPolicy | None = None) -> RateFit:
 
 def fit_rate_or_widen(times, values, policy: WindowPolicy | None = None) -> RateFit:
     """fit_rate of values / max(values) over the policy window, widened to
-    every positive sample from two samples on if that window is empty; an
-    all-zero series (a stationary trace) fits to slope 0 over the full span."""
+    every positive sample from two samples on if that window is empty (the
+    fit is then marked ``widened``); an all-zero series (a stationary
+    trace) fits to slope 0 over the full span."""
     scale = values.max()
     if scale == 0.0:
         return RateFit(slope=0.0, intercept=0.0, r_squared=1.0,
@@ -136,7 +140,7 @@ def fit_rate_or_widen(times, values, policy: WindowPolicy | None = None) -> Rate
         pos = values[values > 0.0]
         wide = WindowPolicy(value_lo=float(pos.min()) / 2.0, value_hi=1.0,
                             min_samples=2)
-        return fit_rate(times, values, wide)
+        return replace(fit_rate(times, values, wide), widened=True)
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     _require_unit_b(cfg)
     params = _params(cfg)
     etas = tuple(e for e in _etas(cfg, params) if e != 0.0)
-    trace = _run(cfg, params, etas)
     bundle = ReportBundle("evolve", cfg.to_dict())
+    with bundle.stage("run"):
+        trace = _run(cfg, params, etas)
     header = ["t", "sup_norm"] + [f"sup_eta_{eta:g}" for eta in etas] + \
         ["mass_defect", "energy", "min_v", "max_v"]
     rows = []
@@ -216,24 +217,37 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     bundle.add_table("trace", header, rows)
 
     policy = _policy(cfg)
-    rate_rows = []
+    rate_rows, fits = [], []
     series = [("sup", 0.0, trace.sup)] + [
         (f"sup_eta_{eta:g}", eta, trace.weighted[eta]) for eta in etas]
-    for name, eta, values in series:
-        fit = asymptotics.fit_rate_or_widen(trace.times, values, policy)
-        rate_rows.append([name, eta, fit.slope, fit.r_squared,
-                          fit.window[0], fit.window[1]])
+    with bundle.stage("analysis"):
+        for name, eta, values in series:
+            fit = asymptotics.fit_rate_or_widen(trace.times, values, policy)
+            fits.append((name, fit))
+            rate_rows.append([name, eta, fit.slope, fit.r_squared,
+                              fit.window[0], fit.window[1]])
+        drift = float(np.max(np.abs(trace.mass_defect
+                                    - trace.mass_defect[0])))
     bundle.add_table("rates", ["norm", "eta", "slope", "r_squared",
                                "t_lo", "t_hi"], rate_rows)
-    drift = float(np.max(np.abs(trace.mass_defect - trace.mass_defect[0])))
     bundle.summary = {
         "lambda_01": -2.0 * params.p,
         "sup_slope": rate_rows[0][2],
         "mass_drift": drift,
         "mass_drift_per_time": drift / max(trace.times[-1] - trace.times[0], 1e-300),
+        "widened_fits": _widened_fits(fits),
         **_solver_work(trace),
     }
     return bundle
+
+
+def _widened_fits(fits) -> list[dict]:
+    """The fits of (name, RateFit) pairs whose empty window
+    ``fit_rate_or_widen`` widened to every positive sample, each with the
+    window it fitted."""
+    return [{"fit": name, "t_lo": fit.window[0], "t_hi": fit.window[1],
+             "n_samples": fit.n_samples}
+            for name, fit in fits if fit.widened]
 
 
 def _solver_work(trace) -> dict:
@@ -249,17 +263,20 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     _require_unit_b(cfg)
     params = _params(cfg)
     _require_lambda_window(cfg, params)
-    trace = _run(cfg, params, diagnostics=False)
-    policy = _policy(cfg)
-    # refuses p <= 2, where there is no lambda_01 mode, before any pairing
-    shift = asymptotics.mod_time_shift(
-        trace, params, Lambda=cfg.analysis.lambda_target, policy=policy)
-    records = [asymptotics.extract_coefficient(trace, mode, params)
-               for mode in (ModeIndex(0, 0), ModeIndex(0, 1))]
-    resid_fit = asymptotics.expansion_residual(
-        trace, shift.Lambda, [records[1]], params, policy=policy)
-
     bundle = ReportBundle("expand", cfg.to_dict())
+    with bundle.stage("run"):
+        trace = _run(cfg, params, diagnostics=False)
+    policy = _policy(cfg)
+    with bundle.stage("analysis"):
+        # refuses p <= 2, where there is no lambda_01 mode, before any
+        # pairing
+        shift = asymptotics.mod_time_shift(
+            trace, params, Lambda=cfg.analysis.lambda_target, policy=policy)
+        records = [asymptotics.extract_coefficient(trace, mode, params)
+                   for mode in (ModeIndex(0, 0), ModeIndex(0, 1))]
+        resid_fit = asymptotics.expansion_residual(
+            trace, shift.Lambda, [records[1]], params, policy=policy)
+
     bundle.add_table("coefficients",
                      ["ell", "k", "limit", "converged", "tail_fraction",
                       "flagged"],
@@ -284,6 +301,8 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
         "branch": so.branch.value,
         "residual_slope": resid_fit.slope,
         "near_degenerate": shift.near_degenerate,
+        "widened_fits": _widened_fits([("time_shift", shift.shifted_rate),
+                                       ("expansion_residual", resid_fit)]),
         **_solver_work(trace),
     }
     return bundle

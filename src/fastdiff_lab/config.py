@@ -136,10 +136,18 @@ class ExperimentConfig:
                 )
         if i.bplus <= 0:
             raise ConfigError(f"initial_data.bplus: must be positive, got {i.bplus}")
-        if not (0 < abs(i.amplitude) < 1) and i.kind != "delayed-barenblatt":
-            raise ConfigError(
-                f"initial_data.amplitude: need 0 < |amplitude| < 1, got {i.amplitude}"
-            )
+        if i.kind != "delayed-barenblatt":
+            if not (0 < abs(i.amplitude) < 1):
+                raise ConfigError(
+                    f"initial_data.amplitude: need 0 < |amplitude| < 1, "
+                    f"got {i.amplitude}"
+                )
+            if 1.0 + abs(i.amplitude) == 1.0:
+                # then 1 + w == 1 at every node and every flux is zero
+                raise ConfigError(
+                    f"initial_data.amplitude: {i.amplitude} cannot perturb "
+                    f"v = 1 + w, as 1 + |amplitude| rounds to 1"
+                )
         a = self.analysis
         if a.fit_value_lo >= a.fit_value_hi:
             raise ConfigError("analysis.fit_value_lo/hi: empty value window")

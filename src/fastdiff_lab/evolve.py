@@ -40,20 +40,26 @@ for the BE step, and both terms are differences of face fluxes.  B is
 normalized to 1 here (see geometry).
 
 One kernel, ``_Newton``, holds the only flux, rhs and Jacobian code and
-takes every step, on buffers, views and coefficients bound once per kernel
-(the grid's in the cached ``_Workspace``), so a step makes no array
-temporaries.  It owns the checks: each linear system must be finite and
-solvable, each P must keep 1+w above ``MARGIN_FLOOR``, and each new state
-must be finite and above ``MARGIN_FLOOR``; a failure is a ``NewtonError``
-or ``PositivityError``.  ``run`` keeps its states as arrays and never
-re-checks them.
+takes every step, BE and BDF2 alike, in one method call (``step``), on
+buffers, views and coefficients bound once per kernel (the grid's in the
+cached ``_Workspace``), so a step makes no array temporaries.  It owns the
+checks: each linear system must be finite and solvable, each P must keep
+1+w above ``MARGIN_FLOOR``, and each new state must be finite and above
+``MARGIN_FLOOR``; a failure is a ``NewtonError`` or ``PositivityError``.
+``run`` keeps its states as arrays and never re-checks them.  ``run`` and
+``step_nonlinear`` enter the floating-point error state the steps need
+(overflow, invalid and divide ignored: the checks catch what they would
+flag) once around their stepping; their records and a boundary keep the
+caller's state.
 
 The results are bitwise those of ``tests/test_tridiag.py``'s allocating
 oracles: reusing a buffer never changes an operation or its order, and
 every other rewrite is an identity exact in IEEE arithmetic.  They differ
 from the textbook form by round-off only (bounded there): the Jacobian's
 m U v^(m-1) is Um (v^m / v), on the v^m of the rhs, and each band is
-scaled by one product (1/M)(-dt), bound per dt.
+scaled by one product (1/M)(-dt), bound per dt.  Products and sums over
+adjacent buffers share one call where their operations are the oracles'
+(``_Newton``).
 
 * Zero padding: a zero in front of the fluxes and of the shifted right
   face derivatives gives d_t w_0 = (Phi_0 - 0)/M_0 and the first diagonal
@@ -62,7 +68,10 @@ scaled by one product (1/M)(-dt), bound per dt.
   (-a) b = -(a b) bitwise, and sums commute, so (-a) - b = (-b) - a.  The
   left face derivative C (-dG_i - dU_i/2) is formed as (-dU_i/2) - dG_i
   with no negation pass, and the sub-diagonal's (left / M) dt as
-  left ((-1/M) (-dt)), so one product scales all three bands.
+  left ((-1/M) (-dt)), so one product scales all three bands, and
+  dt R(P) as R(P) ((-1) (-dt)) in the same product.  A difference is the
+  sum with the negated operand, and negation is exact, so b - D =
+  b + (w_{n-1} - w_n).
 * Face average: let s = v_i + v_{i+1} (rounded) with 1 <= s < 2^54.  Then
   s - 2 is exact (Sterbenz's lemma for s <= 4; above, 2 is a multiple of
   ulp(s) <= 2 and the difference is smaller than s), so is its half, and
@@ -147,7 +156,7 @@ def _const(x: float) -> np.ndarray:
     return a
 
 
-_HALF, _ONE, _THREE_HALVES, _TWO = map(_const, (0.5, 1.0, 1.5, 2.0))
+_HALF, _ONE, _TWO = map(_const, (0.5, 1.0, 2.0))
 _TWO53 = 2.0 ** 53  # v below it keeps the one-pass face average exact
 
 
@@ -215,20 +224,28 @@ class _Workspace:
                 f"flux prefactor r^(n-1)/(m h cosh s) is not finite for n={n}, "
                 f"m={m!r} on the grid s_max={grid.s_max:g}, count={N}"
             )
-        # dG = m U v^(m-1) = Um (v^m / v) is needed at the unknowns 0..N-1
-        self.Um = self.U[:-1] * m
         self.half_dU = 0.5 * self.dU
         # the one-pass face average needs half_dU exact (see _Newton)
         self.halves_exact = bool(np.array_equal(2.0 * self.half_dU, self.dU))
         self.neg_half_dU = -self.half_dU
+        # G = U v^m at the nodes, dG = m U v^(m-1) = Um (v^m / v) at the
+        # unknowns 0..N-1 and the face average's last factor take one
+        # product in _Newton's layout [v^m | v^m / v | face]: by
+        # [U | Um | half_dU] for the one-pass average, [U | Um | dU] for
+        # the four-pass one
+        Um = self.U[:-1] * m
+        self.one_pass_scales = np.concatenate((self.U, Um, self.half_dU))
+        self.four_pass_scales = np.concatenate((self.U, Um, self.dU))
         # the linear system's multipliers in _Newton's band layout: C over
         # the right and left face derivatives, then 1/M over du, dl (with
-        # the sign of the left derivative), the slot and d
+        # the sign of the left derivative), the slot and d, and -1 over b,
+        # so a product by -dt scales the bands and takes b to dt b
         self.CC = np.concatenate((self.C[:-1], self.C))
-        self.minv3 = np.concatenate((self.minv[:-1], -self.minv[1:], [0.0],
-                                     self.minv))
-        for arr in (self.U, self.dU, self.C, self.minv, self.Um, self.half_dU,
-                    self.neg_half_dU, self.CC, self.minv3):
+        self.minv4 = np.concatenate((self.minv[:-1], -self.minv[1:], [0.0],
+                                     self.minv, np.full(N, -1.0)))
+        for arr in (self.U, self.dU, self.C, self.minv, self.half_dU,
+                    self.neg_half_dU, self.CC, self.minv4,
+                    self.one_pass_scales, self.four_pass_scales):
             arr.flags.writeable = False
         self.m0 = _const(m)
         self.m = m
@@ -254,6 +271,17 @@ def _boundary_value(boundary, t: float) -> float:
     return 0.0 if boundary is None else float(boundary(t))
 
 
+# the floating-point errors a step leaves to its checks (see _Newton)
+_STEP_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _in_caller_state(fn):
+    """``fn``, called in the floating-point error state current here: the
+    code ``run`` and ``step_nonlinear`` call between or within their steps
+    (the records, a boundary) keeps their caller's state."""
+    return np.errstate(**np.geterr())(fn)
+
+
 class _Newton:
     """The step kernel (see module doc) and its scratch.
 
@@ -263,148 +291,151 @@ class _Newton:
     buffer of N+1 nodes.  ``min_margin`` gathers the smallest 1+w of every
     accepted state.
 
+    ``rhs`` forms v^m, v^m / v and the face sums in one buffer
+    [v^m | v^m / v | face], so one product turns them into G, dG and the
+    face average's last factor (``_Workspace.one_pass_scales`` and
+    ``four_pass_scales``).
+
     The linear system lives in one buffer of 4N values laid out as
     [0 | du | dl, slot | d | b].  The right face derivatives fill du and the
     left ones dl and the slot, so one product takes both by [C | C]; the
     zero and du, read shifted by one, give d = left - right in one
-    subtraction; one product by ``minv3_dt`` = [1/M | -1/M | 0 | 1/M] (-dt),
-    bound by ``_start`` whenever dt changes, scales all three bands.  The
-    slot ends as left_{N-1} (-0), so ``_solve_packed``'s one finiteness
-    check over the whole buffer fails exactly when the system is not finite.
+    subtraction; one product by ``scale_dt`` = [1/M | -1/M | 0 | 1/M | -1]
+    (-dt), bound whenever dt changes, scales all three bands and takes b,
+    which holds R(P), to dt R(P).  One sum then adds the shift to d and, in
+    a BDF2 step, -D to b: ``shift_D`` holds [3/2 | -D], -D formed as
+    w_{n-1} - w_n, and b + (-D) is b - D bitwise.  The slot ends as
+    left_{N-1} (-0), so ``_solve_packed``'s one finiteness check over the
+    whole buffer fails exactly when the system is not finite.
 
-    Besides ``dgtsv`` and its finiteness check, a BE step makes 25 numpy
-    calls and a BDF2 step 28, each one power (v^m); the margin and
-    finiteness checks read extremes by index.
+    ``step`` is the whole step, its checks included, in one call (with one
+    call to ``rhs``).  Besides ``dgtsv`` and its finiteness check, a BE step
+    makes 22 numpy calls (its base point's margin check included) and a
+    BDF2 step 24, each one power (v^m), every output passed positionally;
+    the margin and finiteness checks read extremes by index.  It runs in
+    its caller's floating-point error state: ``run`` and ``step_nonlinear``
+    ignore overflow, invalid and divide once around their stepping
+    (``_STEP_ERRORS``) and leave overflow to the checks, where a non-finite
+    system or new state raises NewtonError.
     """
 
     def __init__(self, ws: _Workspace):
         N = ws.N
         self.ws = ws
-        self.W, P, D = (np.empty(N + 1) for _ in range(3))
-        self.v, vm, G = (np.empty(N + 1) for _ in range(3))
+        self.W, P = np.empty(N + 1), np.empty(N + 1)
+        self.v = v = np.empty(N + 1)
+        # [v^m | v^m / v | face], then [G | dG | face] (see above)
+        GdG = np.empty(3 * N + 1)
+        G, dG, face = GdG[:N + 1], GdG[N + 1:2 * N + 1], GdG[2 * N + 1:]
         phi = np.zeros(N + 1)  # phi[0] stays 0: d_t w_0 = (phi_0 - 0) / M_0
-        face, dG = np.empty(N), np.empty(N)
         # the linear system [0 | du | dl, slot | d | b] (see above)
         system = np.zeros(4 * N)
         right, left = system[1:N], system[N:2 * N]
-        d, self.b = system[2 * N:3 * N], system[3 * N:]
-        bands = (left[:-1], d, right, self.b)
-        v = self.v
-        self.minv3_dt = np.empty(3 * N - 1)
+        d, b = system[2 * N:3 * N], system[3 * N:]
+        # [3/2 | -D], -D = w_{n-1} - w_n at every node (see above)
+        shift_D = np.empty(2 * N + 1)
+        shift_D[:N] = 1.5
+        scale_dt = np.empty(4 * N - 1)
         self.rhs_operands = (
-            v[:N], v, v[:-1], v[1:], ws.m0, vm, G, ws.U, G[:-1], G[1:], face,
-            ws.half_dU, ws.dU, phi[1:], phi[:-1], ws.C, ws.masses)
-        self.system_operands = (
-            v[:N], vm[:N], dG, ws.Um, dG[1:], ws.half_dU[:-1], ws.neg_half_dU,
-            right, left, system[1:2 * N], ws.CC, system[:N], d,
-            system[1:3 * N], self.minv3_dt, (system, bands))
-        self.bdf2_operands = (P, P[:N], D, D[:N])
-        # dt as a 0-d operand (see _const), filled when dt changes
-        self.dt, self.dt_value = np.empty(()), None
+            v[:N], v, ws.m0, G, G[:N], dG, v[:-1], v[1:], face, GdG,
+            ws.one_pass_scales, ws.four_pass_scales, G[:-1], G[1:], phi[1:],
+            phi[:-1], ws.C, ws.masses)
+        self.step_operands = (
+            b, P, P[:N], shift_D[N:], v, N,
+            ws.halves_exact, dG, dG[1:], ws.half_dU[:-1], ws.neg_half_dU,
+            right, left, system[1:2 * N], ws.CC, system[:N], d, system[1:],
+            scale_dt, system[2 * N:], shift_D[:2 * N],
+            (system, (left[:-1], d, right, b)))
+        self.dt = None  # the dt scale_dt is bound to
         self.min_margin = math.inf
 
     def rhs(self, w_in: np.ndarray, out: np.ndarray, one_pass: bool):
-        """out = d_t w at the unknowns 0..N-1 given w there, v = 1 + w and
-        v^m; v at s_max is left as it is (``_start`` sets it once per step).
+        """out = d_t w at the unknowns 0..N-1 given w there; it also forms
+        v = 1 + w and, for the Jacobian, dG = Um (v^m / v).  v at s_max is
+        left as it is (``step`` sets it once per step).
 
         The flux at the faces is Phi = C [(G_{i+1} - G_i) - dU vbar] with
         G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2, formed as
         (v_i + v_{i+1}) half_dU when ``one_pass`` (see module doc).
         """
-        (v_in, v, v_lo, v_hi, m, vm, G, U, G_lo, G_hi, face, half_dU, dU, phi,
-         phi_prev, C, masses) = self.rhs_operands
-        np.add(w_in, _ONE, out=v_in)
-        np.power(v, m, out=vm)
-        np.multiply(vm, U, out=G)
-        np.add(v_lo, v_hi, out=face)
+        (v_in, v, m, vm, vm_in, dG, v_lo, v_hi, face, GdG,
+         one_pass_scales, four_pass_scales, G_lo, G_hi, phi, phi_prev, C,
+         masses) = self.rhs_operands
+        np.add(w_in, _ONE, v_in)
+        np.power(v, m, vm)
+        np.divide(vm_in, v_in, dG)
+        np.add(v_lo, v_hi, face)
         if one_pass:
-            face *= half_dU
+            np.multiply(GdG, one_pass_scales, GdG)
         else:
-            face -= _TWO
-            face *= _HALF
-            face += _ONE
-            face *= dU
-        np.subtract(G_hi, G_lo, out=phi)
-        phi -= face
-        phi *= C
-        np.subtract(phi, phi_prev, out=out)
-        out /= masses
+            np.subtract(face, _TWO, face)
+            np.multiply(face, _HALF, face)
+            np.add(face, _ONE, face)
+            np.multiply(GdG, four_pass_scales, GdG)
+        np.subtract(G_hi, G_lo, phi)
+        np.subtract(phi, face, phi)
+        np.multiply(phi, C, phi)
+        np.subtract(phi, phi_prev, out)
+        np.divide(out, masses, out)
 
-    def _start(self, dt: float, w_boundary: float) -> bool:
-        """Bind dt and the band scale, set v at s_max; True if one pass may."""
-        if dt != self.dt_value:
-            self.dt[()], self.dt_value = dt, dt
-            np.multiply(self.ws.minv3, -dt, out=self.minv3_dt)
-        self.v[self.ws.N] = v_N = 1.0 + w_boundary
-        return self.ws.halves_exact and 0.5 <= v_N < _TWO53
-
-    def newton_update(self, dt: float, shift: np.ndarray) -> np.ndarray:
-        """delta from (shift I - dt J) delta = b, J = d rhs / d w at the last
-        ``rhs``'s v, with b in the system buffer; a non-finite or singular
-        system raises NewtonError."""
-        (v_in, vm_in, dG, Um, dG_hi, half_dU_lo, neg_half_dU, right, left,
-         faces, CC, right_before, d, three_bands, minv3_dt,
-         packed) = self.system_operands
+    def step(self, w_n: np.ndarray, dt: float, w_boundary: float,
+             w_prev: np.ndarray | None = None):
+        """One linearly implicit step into ``W`` (module doc), with v at
+        s_max 1 + w_boundary: W = P + delta from
+        (shift I - dt J(P)) delta = dt R(P) - D.  The BDF2 step takes
+        P = 2 w_n - w_prev, D = w_n - w_prev and shift 3/2; with no
+        ``w_prev`` it is the Euler step, P = w_n, no D and shift 1.  P's own
+        min and max pick the face average.  A P or new state below
+        ``MARGIN_FLOOR`` raises PositivityError, a non-finite or singular
+        system or a non-finite new state NewtonError."""
+        (b, P, P_in, neg_D, v, N, halves_exact, dG, dG_hi,
+         half_dU_lo, neg_half_dU, right, left, faces, CC, right_before, d,
+         scaled, scale_dt, d_b, shift_D, packed) = self.step_operands
+        if w_prev is None:
+            P_in = w_n[:-1]
+        else:
+            np.multiply(w_n, _TWO, P)
+            np.subtract(P, w_prev, P)
+            np.subtract(w_prev, w_n, neg_D)
+        if dt != self.dt:
+            self.dt = dt
+            np.multiply(self.ws.minv4, -dt, scale_dt)
+        v[N] = v_N = 1.0 + w_boundary
+        pmin = _check_positivity(P_in, MARGIN_FLOOR)
+        self.rhs(P_in, b, halves_exact and 0.5 <= v_N < _TWO53
+                 and pmin >= 0.5 and 1.0 + P_in[P_in.argmax()] < _TWO53)
         # the left and right derivatives of Phi at face i+1/2 by w_i and
         # w_{i+1} are C (-dG_i - half_dU_i) and C (dG_{i+1} - half_dU_i)
-        np.divide(vm_in, v_in, out=dG)
-        dG *= Um
-        np.subtract(dG_hi, half_dU_lo, out=right)
-        np.subtract(neg_half_dU, dG, out=left)
-        faces *= CC
-        np.subtract(left, right_before, out=d)
-        three_bands *= minv3_dt
-        d += shift
+        np.subtract(dG_hi, half_dU_lo, right)
+        np.subtract(neg_half_dU, dG, left)
+        np.multiply(faces, CC, faces)
+        np.subtract(left, right_before, d)
+        np.multiply(scaled, scale_dt, scaled)
+        if w_prev is None:
+            np.add(d, _ONE, d)
+        else:
+            np.add(d_b, shift_D, d_b)
         try:
-            return _solve_packed(packed)
+            delta = _solve_packed(packed)
         except (ValueError, LinAlgError) as exc:
             raise NewtonError(f"Newton system at dt={dt:.6g}: {exc}") from exc
-
-    # the decorator form enters the error state without building a context
-    # manager per call; it covers the step and the checks.  Overflow is left
-    # to the checks: a non-finite system or new state raises NewtonError.
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def linear_step(self, P_in: np.ndarray, dt: float, w_boundary: float,
-                    shift: np.ndarray, D_in: np.ndarray | None = None):
-        """W = P + delta from (shift I - dt J(P)) delta = dt R(P) - D (no D
-        if None) into ``W``, with R and J taken at P and v at s_max
-        1 + w_boundary; P's own min and max pick the face average."""
-        W, b = self.W, self.b
-        exact = self._start(dt, w_boundary)
-        pmin = _check_positivity(P_in, MARGIN_FLOOR)
-        self.rhs(P_in, b, exact and pmin >= 0.5
-                 and 1.0 + P_in[P_in.argmax()] < _TWO53)
-        b *= self.dt
-        if D_in is not None:
-            b -= D_in
-        np.add(P_in, self.newton_update(dt, shift), out=W[:-1])
-        W[-1] = w_boundary
+        W = self.W
+        np.add(P_in, delta, W[:N])
+        W[N] = w_boundary
         vmin = _check_positivity(W, MARGIN_FLOOR)
         if not (math.isfinite(vmin) and math.isfinite(W[W.argmax()])):
             raise NewtonError("step produced a non-finite state")
         self.min_margin = min(self.min_margin, vmin)
 
-    def linear_bdf2(self, w_prev: np.ndarray, w_n: np.ndarray, dt: float,
-                    w_boundary: float):
-        """One linearly implicit BDF2 step into ``W`` (module doc) from
-        P = 2 w_n - w_{n-1}, with D = w_n - w_{n-1} and shift 3/2."""
-        P, P_in, D, D_in = self.bdf2_operands
-        np.multiply(w_n, _TWO, out=P)
-        P -= w_prev
-        np.subtract(w_n, w_prev, out=D)
-        self.linear_step(P_in, dt, w_boundary, _THREE_HALVES, D_in)
-
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
                        depth: int = 0) -> tuple[float, int]:
-        """One linearly implicit Euler step from (t, w) into ``W``: the BDF2
-        step's method with P = w, no D and shift 1.  On a failed check it
-        halves dt, up to MAX_DT_HALVINGS deep.  Returns the new time and
-        the dt halvings."""
+        """One linearly implicit Euler step from (t, w) into ``W``; on a
+        failed check it halves dt, up to MAX_DT_HALVINGS deep.  Returns the
+        new time and the dt halvings."""
         _check_positivity(w, MARGIN_FLOOR)
         t_new = t + dt
         try:
-            self.linear_step(w[:-1], dt, _boundary_value(boundary, t_new),
-                             _ONE)
+            self.step(w, dt, _boundary_value(boundary, t_new))
             return t_new, 0
         except EvolveError:
             if depth >= MAX_DT_HALVINGS:
@@ -434,8 +465,11 @@ def step_nonlinear(state: EvolutionState, dt: float,
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     kernel = _kernel(_workspace(state.w.grid, state.params))
-    t_new, halvings = kernel.backward_euler(state.w.values, state.t, dt,
-                                            boundary)
+    if boundary is not None:
+        boundary = _in_caller_state(boundary)
+    with np.errstate(**_STEP_ERRORS):
+        t_new, halvings = kernel.backward_euler(state.w.values, state.t, dt,
+                                                boundary)
     return EvolutionState(t=t_new, w=state.w.with_values(kernel.W.copy()),
                           params=state.params, dt_halvings=halvings)
 
@@ -645,9 +679,14 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     records = _Records(grid, params, record,
                        1 + steps // every + (steps % every != 0))
     snapshots: list[tuple[float, np.ndarray]] = []
+    # the stepping runs in _STEP_ERRORS, entered once; the records and the
+    # boundary keep the caller's error state
+    add = _in_caller_state(records.add)
+    if boundary is not None:
+        boundary = _in_caller_state(boundary)
 
     def observe(t: float, w: np.ndarray, step_index: int):
-        records.add(t, w)
+        add(t, w)
         if record.snapshot_every is not None and \
                 step_index % record.snapshot_every == 0:
             snapshots.append((t, w.copy()))
@@ -658,24 +697,25 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     t, prev, cur = state0.t, None, state0.w.values.copy()
     linear_steps, halvings = 0, 0
     observe(t, cur, 0)
-    for j in range(1, steps + 1):
-        t_new, linear = t + dt, prev is not None
-        if linear:
-            try:
-                kernel.linear_bdf2(prev, cur, dt,
-                                   _boundary_value(boundary, t_new))
-            except EvolveError:
-                linear = False
-        if linear:
-            linear_steps += 1
-        else:
-            t_new, halved = kernel.backward_euler(cur, t, dt, boundary)
-            halvings += halved
-        t = t_new
-        spare = np.empty_like(cur) if prev is None else prev
-        prev, cur, kernel.W = cur, kernel.W, spare
-        if j % every == 0 or j == steps:
-            observe(t, cur, j)
+    with np.errstate(**_STEP_ERRORS):
+        for j in range(1, steps + 1):
+            t_new, linear = t + dt, prev is not None
+            if linear:
+                try:
+                    kernel.step(cur, dt, _boundary_value(boundary, t_new),
+                                prev)
+                except EvolveError:
+                    linear = False
+            if linear:
+                linear_steps += 1
+            else:
+                t_new, halved = kernel.backward_euler(cur, t, dt, boundary)
+                halvings += halved
+            t = t_new
+            spare = np.empty_like(cur) if prev is None else prev
+            prev, cur, kernel.W = cur, kernel.W, spare
+            if j % every == 0 or j == steps:
+                observe(t, cur, j)
     records.finish()
 
     return EvolutionTrace(

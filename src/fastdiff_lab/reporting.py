@@ -2,10 +2,11 @@
 
 CSV dialect: comma-separated, '.' decimal, 17-significant-digit floats,
 header row, newline-terminated rows.  Identical configs (including seeds)
-produce byte-identical CSV bodies; wall time and versions live only in the
-summary's provenance block, which also names the platform, the git commit
-of the package's checkout (null outside one) and a sha256 of the resolved
-config.
+produce byte-identical CSV bodies; wall time, the wall seconds of each
+stage a command timed (``ReportBundle.stage``) and versions live only in
+the summary's provenance block, which also names the platform, the git
+commit of the package's checkout (null outside one) and a sha256 of the
+resolved config.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Table", "ReportBundle", "default_output_dir"]
@@ -51,6 +53,18 @@ class ReportBundle:
     summary: dict = field(default_factory=dict)
     tables: list[Table] = field(default_factory=list)
     started: float = field(default_factory=time.time)
+    # wall seconds per timed stage
+    stages: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the block as stage ``name``; the seconds go to the
+        summary's provenance as ``stages_s``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = time.perf_counter() - start
 
     def add_table(self, name: str, header: list[str], rows: list[list]):
         self.tables.append(Table(name, header, rows))
@@ -77,6 +91,7 @@ class ReportBundle:
                 "provenance": {
                     **_provenance(self.config),
                     "wall_time_s": time.time() - self.started,
+                    "stages_s": dict(self.stages),
                 },
             }
             path = os.path.join(directory, f"{self.command}_summary.json")

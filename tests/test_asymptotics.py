@@ -71,12 +71,13 @@ def test_fit_rate_or_widen():
     policy = asy.WindowPolicy()
     fit = asy.fit_rate_or_widen(t, vals, policy)
     assert fit.slope == pytest.approx(-2.0, abs=1e-12)
-    assert fit.n_samples == 5
+    assert fit.n_samples == 5 and fit.widened
     assert fit.policy.min_samples == 2
     assert fit.policy.value_lo == pytest.approx(vals[-1] / 2.0)
     # a window that holds enough samples is fitted as given
     wide = asy.WindowPolicy(value_lo=1e-3, value_hi=1.0, min_samples=2)
     assert asy.fit_rate_or_widen(t, vals, wide) == asy.fit_rate(t, vals, wide)
+    assert not asy.fit_rate(t, vals, wide).widened
     # the series is normalized to max 1 before the window applies
     scaled = asy.fit_rate_or_widen(t, 1e6 * vals, wide)
     assert scaled.slope == pytest.approx(-2.0, abs=1e-12)
@@ -84,6 +85,7 @@ def test_fit_rate_or_widen():
     # a stationary (all-zero) series fits to slope 0 over the full span
     flat = asy.fit_rate_or_widen(t, np.zeros_like(t), policy)
     assert (flat.slope, flat.r_squared, flat.window) == (0.0, 1.0, (0.0, 1.0))
+    assert not flat.widened
 
 
 # ---------------------------------------------------------------------------

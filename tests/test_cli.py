@@ -91,6 +91,24 @@ def test_shipped_configs_validate():
         load_config(path).validate()
 
 
+@pytest.mark.parametrize("kind", ["bump", "eigenmode"])
+def test_an_amplitude_that_cannot_perturb_v_is_refused(kind, tmp_path):
+    # 1 + w == 1 at every node: every flux would be exactly zero
+    for amplitude in (1e-300, -1e-17, 2.0 ** -53):
+        cfg = apply_overrides(ExperimentConfig(), initial_data={
+            "kind": kind, "amplitude": amplitude})
+        with pytest.raises(ConfigError, match="initial_data.amplitude: .* "
+                           "cannot perturb v = 1 \\+ w"):
+            cfg.validate()
+    # the smallest amplitude 1 + |amplitude| still tells apart from 1
+    apply_overrides(ExperimentConfig(), initial_data={
+        "kind": kind, "amplitude": 2.0 ** -52}).validate()
+    proc = run_cli(["--points", "200", "--amplitude", "1e-300", "expand"],
+                   tmp_path)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "initial_data.amplitude: 1e-300 cannot perturb" in proc.stderr
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig()
     again = config_from_dict(json.loads(cfg.to_json()))
@@ -319,6 +337,27 @@ def test_short_expand_widens_its_residual_fit():
     bundle = cli.cmd_expand(cfg)
     assert np.isfinite(bundle.summary["residual_slope"])
     assert np.isfinite(bundle.summary["gamma_measured"])
+    # the summary names the widened fit and the window it fitted
+    [widened] = [f for f in bundle.summary["widened_fits"]
+                 if f["fit"] == "expansion_residual"]
+    assert widened["n_samples"] >= 2
+    assert 0.0 <= widened["t_lo"] < widened["t_hi"] <= 0.5
+
+
+def test_a_widened_fit_is_named_in_the_summary():
+    # two recorded states leave the default value window empty: the sup
+    # fit widens to both, and the summary says so; the CSV rows as before
+    cfg = apply_overrides(ExperimentConfig(), grid={"count": 200},
+                          time={"t_final": 0.004}).validate()
+    bundle = cli.cmd_evolve(cfg)
+    assert bundle.summary["widened_fits"][0] == {
+        "fit": "sup", "t_lo": 0.0, "t_hi": 0.004, "n_samples": 2}
+    sup = bundle.table("rates").rows[0]
+    assert sup[0] == "sup" and (sup[4], sup[5]) == (0.0, 0.004)
+    # a run long enough to fill the window widens nothing
+    cfg = fast_cfg(time={"dt": 2e-3, "t_final": 1.2, "record_every": 2,
+                         "snapshot_every": 10})
+    assert cli.cmd_evolve(cfg).summary["widened_fits"] == []
 
 
 def test_cmd_sweep_partial_failure():
@@ -615,6 +654,10 @@ def test_summary_records_provenance_and_repeats_csv_bytes(tmp_path,
     assert prov["config_sha256"] == hashlib.sha256(canonical).hexdigest()
     assert prov["config_sha256"] == summary_b["provenance"]["config_sha256"]
     assert summary_a["summary"]["dt_halvings"] == 0
+    # the run and analysis stages are timed in the provenance only
+    stages = prov["stages_s"]
+    assert sorted(stages) == ["analysis", "run"]
+    assert all(0.0 <= s <= prov["wall_time_s"] for s in stages.values())
     other = reporting._provenance({**prov["config"], "jobs": 2})
     assert other["config_sha256"] != prov["config_sha256"]
 

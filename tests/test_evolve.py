@@ -233,15 +233,17 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
         grid_coarse, params33, monkeypatch):
     st0 = evolve.eigenmode_data(grid_coarse, ModeIndex(0, 1), 0.05, params33)
     want = final_values(st0, 1e-2, 0.2)
-    linear, calls = evolve._Newton.linear_bdf2, []
+    step, calls = evolve._Newton.step, []
 
-    def fail_third(kernel, w_prev, w_n, dt, w_boundary):
-        calls.append(dt)
-        # a nan Dirichlet value makes the third step's system non-finite
-        return linear(kernel, w_prev, w_n, dt,
-                      np.nan if len(calls) == 3 else w_boundary)
+    def fail_third(kernel, w_n, dt, w_boundary, w_prev=None):
+        if w_prev is not None:  # a BDF2 step
+            calls.append(dt)
+            # a nan Dirichlet value makes the third one's system non-finite
+            if len(calls) == 3:
+                w_boundary = np.nan
+        return step(kernel, w_n, dt, w_boundary, w_prev)
 
-    monkeypatch.setattr(evolve._Newton, "linear_bdf2", fail_third)
+    monkeypatch.setattr(evolve._Newton, "step", fail_third)
     tr = evolve.run(st0, 1e-2, 0.2, evolve.RecordOptions(snapshot_every=1))
     assert (tr.backward_euler_steps, tr.linear_steps) == (2, 18)
     # every step after the start tries BDF2 (19 of 20), including the one
@@ -260,16 +262,17 @@ def test_run_redoes_a_step_whose_predictor_loses_the_margin(
     st0 = evolve.bump_data(grid_coarse, 2.0, seed=1, params=params33,
                            project_mass=False)
     dt = 0.5
-    linear, errors = evolve._Newton.linear_bdf2, []
+    step, errors = evolve._Newton.step, []
 
-    def spy(kernel, *args):
+    def spy(kernel, w_n, dt, w_boundary, w_prev=None):
         try:
-            return linear(kernel, *args)
+            return step(kernel, w_n, dt, w_boundary, w_prev)
         except evolve.EvolveError as exc:
-            errors.append(exc)
+            if w_prev is not None:  # a BDF2 step
+                errors.append(exc)
             raise
 
-    monkeypatch.setattr(evolve._Newton, "linear_bdf2", spy)
+    monkeypatch.setattr(evolve._Newton, "step", spy)
     tr = evolve.run(st0, dt, 3 * dt, evolve.RecordOptions(snapshot_every=1))
     assert (tr.backward_euler_steps, tr.linear_steps) == (2, 1)
     [error] = errors
@@ -300,24 +303,75 @@ def test_a_linear_step_makes_one_power_and_one_solve(grid_coarse, params33,
             counts["power"] += 1
             return np.power(*args, **kwargs)
 
-    solve, linear, per_step = evolve._solve_packed, evolve._Newton.linear_bdf2, []
+    solve, step, per_step = evolve._solve_packed, evolve._Newton.step, []
 
     def counting_solve(system):
         counts["solve"] += 1
         return solve(system)
 
-    def spy(kernel, *args):
+    def spy(kernel, w_n, dt, w_boundary, w_prev=None):
         before = dict(counts)
-        linear(kernel, *args)
-        per_step.append(tuple(counts[k] - before[k] for k in counts))
+        step(kernel, w_n, dt, w_boundary, w_prev)
+        if w_prev is not None:  # a BDF2 step
+            per_step.append(tuple(counts[k] - before[k] for k in counts))
 
     monkeypatch.setattr(evolve, "np", CountingNumpy())
     monkeypatch.setattr(evolve, "_solve_packed", counting_solve)
-    monkeypatch.setattr(evolve._Newton, "linear_bdf2", spy)
+    monkeypatch.setattr(evolve._Newton, "step", spy)
     st0 = evolve.bump_data(grid_coarse, 0.3, seed=7, params=params33)
     trace = evolve.run(st0, 4e-3, 20 * 4e-3)
     assert trace.linear_steps == 19
     assert per_step == [(1, 1)] * 19
+
+
+def test_the_steps_ignore_state_is_entered_once_and_spares_the_caller(
+        grid_coarse, params33, monkeypatch):
+    # a run enters the ignore state its steps leave overflow to the checks
+    # in once, not once per step; its records, diagnostics included, and
+    # its boundary run in the caller's error state, as they did when each
+    # step entered the ignore state on its own
+    entered, seen = [], []
+    add, flush = evolve._Records.add, evolve._Records.flush
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def errstate(**kwargs):
+            if kwargs == evolve._STEP_ERRORS:
+                entered.append(kwargs)
+            return np.errstate(**kwargs)
+
+    def spy_add(records, t, w):
+        seen.append(("add", np.geterr()))
+        return add(records, t, w)
+
+    def spy_flush(records):
+        seen.append(("flush", np.geterr()))
+        return flush(records)
+
+    def boundary(t):
+        seen.append(("boundary", np.geterr()))
+        return 0.0
+
+    monkeypatch.setattr(evolve, "np", CountingNumpy())
+    monkeypatch.setattr(evolve._Records, "add", spy_add)
+    monkeypatch.setattr(evolve._Records, "flush", spy_flush)
+    st0 = evolve.bump_data(grid_coarse, 0.3, seed=7, params=params33)
+    with np.errstate(over="raise", divide="raise", invalid="raise",
+                     under="ignore"):
+        caller = np.geterr()
+        trace = evolve.run(st0, 4e-3, 20 * 4e-3, boundary=boundary)
+        assert len(entered) == 1
+        evolve.step_nonlinear(st0, 4e-3, boundary)
+        assert len(entered) == 2
+    assert trace.linear_steps == 19
+    names = [name for name, _ in seen]
+    assert names.count("add") == 21 and "flush" in names
+    assert names.count("boundary") == 21
+    assert all(state == caller for _, state in seen)
+    assert caller != {**caller, **evolve._STEP_ERRORS}
 
 
 def test_a_halved_step_counts_its_halvings(grid_coarse, params33,
@@ -325,13 +379,13 @@ def test_a_halved_step_counts_its_halvings(grid_coarse, params33,
     # the linear step keeps its margin at any dt here, so a step longer
     # than 10 is made to fail: a nan Dirichlet value makes its system
     # non-finite
-    linear_step = evolve._Newton.linear_step
+    step = evolve._Newton.step
 
-    def fail_long(kernel, P_in, dt, w_boundary, *args):
-        return linear_step(kernel, P_in, dt,
-                           np.nan if dt > 10.0 else w_boundary, *args)
+    def fail_long(kernel, w_n, dt, w_boundary, w_prev=None):
+        return step(kernel, w_n, dt, np.nan if dt > 10.0 else w_boundary,
+                    w_prev)
 
-    monkeypatch.setattr(evolve._Newton, "linear_step", fail_long)
+    monkeypatch.setattr(evolve._Newton, "step", fail_long)
     st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,
                            project_mass=False)
     assert evolve.step_nonlinear(st0, 10.0).dt_halvings == 0
@@ -352,16 +406,19 @@ def test_a_non_finite_newton_system_is_a_named_error(grid_coarse, params33,
     st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,
                            project_mass=False)
     kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
-    with pytest.raises(evolve.NewtonError, match="Newton system at dt=1e"
-                       r"\+306: array must not contain infs or NaNs"):
-        kernel.linear_step(st0.w.values[:-1], 1e306, 0.0, 1.0)
-    steps, linear_step = [], evolve._Newton.linear_step
+    # the step leaves overflow to its checks, in the error state of run
+    # and step_nonlinear
+    with np.errstate(**evolve._STEP_ERRORS), \
+            pytest.raises(evolve.NewtonError, match="Newton system at dt=1e"
+                          r"\+306: array must not contain infs or NaNs"):
+        kernel.step(st0.w.values, 1e306, 0.0)
+    steps, step = [], evolve._Newton.step
 
-    def spy(kernel, P_in, dt, *args):
+    def spy(kernel, w_n, dt, *args):
         steps.append(dt)
-        return linear_step(kernel, P_in, dt, *args)
+        return step(kernel, w_n, dt, *args)
 
-    monkeypatch.setattr(evolve._Newton, "linear_step", spy)
+    monkeypatch.setattr(evolve._Newton, "step", spy)
     with pytest.raises(evolve.NewtonError):
         evolve.step_nonlinear(st0, 1e306)
     # the first half of each halved step fails, down to the last halving
@@ -378,7 +435,7 @@ def test_a_singular_newton_system_is_a_named_error(grid_coarse, params33,
     st0 = evolve.bump_data(grid_coarse, 0.05, seed=1, params=params33)
     kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
     with pytest.raises(evolve.NewtonError, match="singular matrix"):
-        kernel.linear_step(st0.w.values[:-1], 1e-2, 0.0, 1.0)
+        kernel.step(st0.w.values, 1e-2, 0.0)
 
 
 def test_trace_records_the_smallest_margin(grid_coarse, params33):

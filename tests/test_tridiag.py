@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
 from fastdiff_lab.tridiag import _solve_packed
@@ -174,6 +175,19 @@ def _textbook_euler(ws, w0, dt, w_boundary):
     return W
 
 
+# (n, m): the default, n = 1 (C has no sinh^(n-1) factor) and p near 10.3
+MODELS = pytest.mark.parametrize("n, m", [(3, 2.0 / 3.0), (1, 0.5),
+                                          (3, 0.85)])
+
+
+def _one_pass(ws, P):
+    """The face average the kernel picks for an rhs evaluated at P (every
+    node, the Dirichlet value last), from P's own extremes: True for the
+    one-pass form."""
+    v = 1.0 + P
+    return bool(ws.halves_exact and v.min() >= 0.5 and v.max() < 2.0 ** 53)
+
+
 @pytest.fixture
 def face_forms(monkeypatch):
     """The face average of every rhs the Newton kernel evaluates: True for
@@ -188,20 +202,26 @@ def face_forms(monkeypatch):
     return forms
 
 
-def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(params33,
+@MODELS
+def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(n, m,
                                                              face_forms):
+    params = cf.derive_params(n, m, 1.0)
     grid = geo.make_grid(12.0, 600)
-    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
-    ws = evolve._workspace(grid, params33)
+    state = evolve.bump_data(grid, 0.3, seed=7, params=params)
+    ws = evolve._workspace(grid, params)
     w_oracle = state.w.values.copy()
     dt = 0.01
+    forms = []
     for _ in range(20):
+        forms.append(_one_pass(ws, np.append(w_oracle[:-1], 0.0)))
         state = evolve.step_nonlinear(state, dt)
         w_oracle = _linear_euler_solve_banded(ws, w_oracle, dt, 0.0)
         assert np.array_equal(state.w.values, w_oracle)
-    # v stays above 0.5: each step's one rhs takes the one-pass form, picked
-    # by the base point's own min and max
-    assert face_forms == [True] * 20
+    # each step's one rhs takes the form its base point's own min and max
+    # pick
+    assert face_forms == forms
+    if (n, m) == (3, 2.0 / 3.0):
+        assert face_forms == [True] * 20  # v stays above 0.5
 
 
 def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
@@ -253,17 +273,21 @@ def _bdf2_case(params, case):
     if case == "bump":
         grid = geo.make_grid(12.0, 600)
         return evolve.bump_data(grid, 0.3, seed=7, params=params), None, 4e-3
-    # a nonzero value held at s_max
+    # a nonzero value held at s_max; above p = 3, dt shrinks with the decay
+    # time 1/(2p), so the predictor keeps its margin (at p near 10.3 and
+    # dt = 1e-2, six BDF2 steps would be redone)
     grid = geo.make_grid(12.0, 300)
     return (evolve.delayed_barenblatt_data(grid, 0.15, 1.0, params),
-            _barenblatt_boundary(params, 0.15), 1e-2)
+            _barenblatt_boundary(params, 0.15),
+            1e-2 * min(1.0, 3.0 / params.p))
 
 
 def _run_bdf2_case(params, case, oracle_start, oracle_step):
     """20 steps of evolve.run, and the same steps by the oracles: one
     linearly implicit Euler step by ``oracle_start`` starts the history,
     then each step is the linearly implicit BDF2 step from
-    P = 2 w_n - w_{n-1} by ``oracle_step``."""
+    P = 2 w_n - w_{n-1} by ``oracle_step``.  Returns the run's states, the
+    oracle's and the face average each step's rhs should take."""
     state0, boundary, dt = _bdf2_case(params, case)
     ws = evolve._workspace(state0.w.grid, params)
     steps = 20
@@ -274,28 +298,34 @@ def _run_bdf2_case(params, case, oracle_start, oracle_step):
     prev = state0.w.values.copy()
     w = oracle_start(ws, prev, dt, value(trace.times[1]))
     oracle = [prev, w]
+    # the points each step evaluates its rhs at: w_0, then the predictors
+    points = [np.append(prev[:-1], value(trace.times[1]))]
     for t in trace.times[2:]:
+        points.append(np.append((2.0 * w - prev)[:-1], value(t)))
         prev, w = w, oracle_step(ws, prev, w, dt, value(t))
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle) == steps + 1
-    return [got for _, got in trace.snapshots], oracle
+    forms = [_one_pass(ws, P) for P in points]
+    return [got for _, got in trace.snapshots], oracle, forms
 
 
+@MODELS
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
-def test_run_linear_bdf2_bitwise_equal_to_solve_banded(params33, face_forms,
+def test_run_linear_bdf2_bitwise_equal_to_solve_banded(n, m, face_forms,
                                                        case):
-    states, oracle = _run_bdf2_case(params33, case,
-                                    _linear_euler_solve_banded,
-                                    _linear_bdf2_solve_banded)
+    params = cf.derive_params(n, m, 1.0)
+    states, oracle, forms = _run_bdf2_case(params, case,
+                                           _linear_euler_solve_banded,
+                                           _linear_bdf2_solve_banded)
     for got, want in zip(states, oracle):
         assert np.array_equal(got, want)
     # one rhs per step, the start's included; its form is picked by the
     # evaluated state's own min and max
-    steps = len(states) - 1
-    if case == "bump":
-        assert face_forms == [True] * steps  # v stays above 0.5
-    else:
-        assert face_forms == [False] * steps  # v drops to 0.15
+    assert face_forms == forms
+    if (n, m) == (3, 2.0 / 3.0):
+        steps = len(states) - 1
+        # v stays above 0.5 in the bump run and drops to 0.15 in the other
+        assert face_forms == [case == "bump"] * steps
 
 
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
@@ -303,8 +333,8 @@ def test_run_linear_bdf2_agrees_with_the_textbook_form(params33, case):
     # the kernel's system scaled by 3/2, with the Jacobian's m U v^(m-1) as
     # Um (v^m / v) and one band scale, against the (2/3) dt form with the
     # power: the same method, apart by round-off over 20 steps
-    states, oracle = _run_bdf2_case(params33, case, _textbook_euler,
-                                    _textbook_bdf2)
+    states, oracle, _ = _run_bdf2_case(params33, case, _textbook_euler,
+                                       _textbook_bdf2)
     for got, want in zip(states, oracle):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -336,7 +366,7 @@ def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
     for _ in range(5):
         assert 1.0 + w[:-1].min() >= 0.5
         # the predictor 2 w - w is w exactly
-        kernel.linear_bdf2(w, w, dt, boundary)
+        kernel.step(w, dt, boundary, w)
         assert np.array_equal(
             kernel.W, _linear_bdf2_solve_banded(ws, w, w, dt, boundary))
         want = _linear_euler_solve_banded(ws, w, dt, boundary)
@@ -360,7 +390,7 @@ def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
         face_forms.clear()
         # the predictor 2 w - w is w exactly, min v 0.5, as is the base
         # point of the linear Euler step
-        kernel.linear_bdf2(w, w, dt, 0.0)
+        kernel.step(w, dt, 0.0, w)
         assert np.array_equal(kernel.W,
                               _linear_bdf2_solve_banded(ws, w, w, dt, 0.0))
         kernel.backward_euler(w, 0.0, dt, None)

@@ -310,6 +310,7 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     the root; a couple of secant refinements absorb the higher-order terms.
     The shifted relative error is then measured in the (cosh s)^{-eta(Lambda)}
     weighted sup norm with Lambda = max{lambda_0^cont, lambda_02, lambda_20}.
+    A tau0 on the iterates' clamp bound is no root: AnalysisError.
     """
     mode01 = ModeIndex(0, 1)
     if mode01.degree >= params.p:
@@ -334,6 +335,7 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
 
     # iterates must stay inside the shifted-Barenblatt domain 1 + 2p tau0 > 0
     tau_min = -(1.0 - 1e-9) / (2.0 * params.p)
+    bounds = {0.5 * tau_min: "lower", -100.0 * tau_min: "upper"}
 
     def clamp(tau0: float) -> float:
         return min(max(tau0, 0.5 * tau_min), -100.0 * tau_min)
@@ -355,6 +357,11 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
         c = clamp(b - fb * (b - a) / (fb - fa))
         a, fa, b, fb = b, fb, c, c_of(c)
     tau0 = b
+    if tau0 in bounds:
+        raise AnalysisError(
+            f"time shift tau0={tau0:.6g} is the secant's {bounds[tau0]} clamp "
+            f"bound at p={params.p:.6g}, dt |lambda_01| = "
+            f"{trace.dt * 2.0 * params.p:.3g}: no root of c01(tau0) resolved")
 
     times, norms = _weighted_norms(
         _shifted_blocks(trace.snapshots, trace.grid, tau0, params),

@@ -250,12 +250,13 @@ def _widened_fits(fits) -> list[dict]:
             for name, fit in fits if fit.widened]
 
 
+_SOLVER_WORK = ("backward_euler_steps", "linear_steps", "dt_halvings",
+                "min_margin")  # EvolutionTrace fields
+
+
 def _solver_work(trace) -> dict:
     """Solver work of an evolution run, for the JSON summary."""
-    return {"backward_euler_steps": trace.backward_euler_steps,
-            "linear_steps": trace.linear_steps,
-            "dt_halvings": trace.dt_halvings,
-            "min_margin": trace.min_margin}
+    return {name: getattr(trace, name) for name in _SOLVER_WORK}
 
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
@@ -308,40 +309,50 @@ def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def _sweep_item(args):
-    index, cfg, mm = args
-    base_p = _params(cfg).p
-    cfg = apply_overrides(cfg, model={"m": mm})
-    cfg.validate()
-    params = _params(cfg)
-    # rates scale with p: keep the number of lambda_01 e-folds (and steps)
-    # fixed across the sweep by rescaling the base time configuration
-    scale = base_p / params.p
-    cfg = apply_overrides(cfg, time={"dt": cfg.time.dt * scale,
-                                     "t_final": cfg.time.t_final * scale})
-    so = closedform.second_order_rates(params)
-    shift = asymptotics.mod_time_shift(_run(cfg, params, diagnostics=False),
-                                       params,
-                                       policy=_policy(cfg))
+def _sweep_item(task):
+    """The gamma_delta row of one m, and its solver row if its run finished
+    (else None); a failure is the row's error and the other rows run."""
+    index, cfg, mm = task
+    solver = None
+    try:
+        base_p = _params(cfg).p
+        cfg = apply_overrides(cfg, model={"m": mm})
+        cfg.validate()
+        params = _params(cfg)
+        # rates scale with p: keep the number of lambda_01 e-folds (and
+        # steps) fixed by rescaling the base time configuration
+        scale = base_p / params.p
+        cfg = apply_overrides(cfg, time={"dt": cfg.time.dt * scale,
+                                         "t_final": cfg.time.t_final * scale})
+        so = closedform.second_order_rates(params)
+        trace = _run(cfg, params, diagnostics=False)
+        solver = [mm, *_solver_work(trace).values()]
+        shift = asymptotics.mod_time_shift(trace, params, policy=_policy(cfg))
+    except Exception as exc:
+        return [index, mm, *[""] * 8, f"{type(exc).__name__}: {exc}"], solver
     return [index, mm, params.p, shift.gamma, so.gamma, so.delta,
             so.branch.value, shift.tau0, shift.shifted_rate.r_squared,
-            shift.near_degenerate, ""]
+            shift.near_degenerate, ""], solver
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
-    """Map m to measured/closed-form (gamma, delta) rows, in parallel."""
+    """Map m to measured/closed-form (gamma, delta) rows, in parallel, with
+    the solver work of each m whose run finished."""
     _require_unit_b(cfg)
     ms = cfg.analysis.sweep_m
     if not ms:
         raise ConfigError("analysis.sweep_m: sweep requires a list of m values")
     tasks = [(i, cfg, mm) for i, mm in enumerate(ms)]
-    rows = _pool.map_ordered(_run_sweep_item, tasks, cfg.jobs)
+    items = _pool.map_ordered(_sweep_item, tasks, cfg.jobs)
+    rows = [row for row, _ in items]
     bundle = ReportBundle("sweep", cfg.to_dict())
     bundle.add_table("gamma_delta",
                      ["index", "m", "p", "gamma_measured", "gamma_closed",
                       "delta_closed", "branch", "tau0", "r_squared",
                       "near_degenerate", "error"],
                      rows)
+    bundle.add_table("solver", ["m", *_SOLVER_WORK],
+                     [solver for _, solver in items if solver is not None])
     failures = [r for r in rows if r[10]]
     bundle.summary = {
         "rows": len(rows),
@@ -351,15 +362,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
             default=None),
     }
     return bundle
-
-
-def _run_sweep_item(task):
-    index, _, mm = task
-    try:
-        return _sweep_item(task)
-    except Exception as exc:  # partial-failure contract: row errors, rest run
-        return [index, mm, "", "", "", "", "", "", "", "",
-                f"{type(exc).__name__}: {exc}"]
 
 
 def cmd_selftest(cfg: ExperimentConfig) -> tuple[ReportBundle, bool]:

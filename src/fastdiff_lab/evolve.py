@@ -10,9 +10,9 @@ w = v - 1 in geodesic coordinates.  The right side is evaluated in flux
 which is algebraically the reaction/transport/nonlinear-diffusion split
 L h(w) + (2/(1-m))[tanh s d_s + (n - (2/(1-m)) tanh^2 s)](w - h(w)) with
 h(w) = ((1+w)^m - 1)/m.  Two payoffs of the flux form: v == 1 annihilates
-the discrete flux exactly (Barenblatt is a fixed point to machine
-precision), and the discrete mass sum(w_i M_i) telescopes, so conservation
-holds to the boundary-flux level rather than to quadrature error.
+the discrete flux exactly unless dU/2 is subnormal (Barenblatt is a fixed
+point to machine precision), and the discrete mass sum(w_i M_i)
+telescopes, so conservation holds to the boundary-flux level.
 
 Every step is one linearization, one rhs, one Jacobian and one
 tridiagonal solve, with no tolerance to meet.  ``run`` steps with the
@@ -55,32 +55,25 @@ caller's state.
 The results are bitwise those of ``tests/test_tridiag.py``'s allocating
 oracles: reusing a buffer never changes an operation or its order, and
 every other rewrite is an identity exact in IEEE arithmetic.  They differ
-from the textbook form by round-off only (bounded there): the Jacobian's
-m U v^(m-1) is Um (v^m / v), on the v^m of the rhs, and each band is
-scaled by one product (1/M)(-dt), bound per dt.  Products and sums over
-adjacent buffers share one call where their operations are the oracles'
-(``_Newton``).
+from the textbook form by round-off only (bounded there): dG = m U v^(m-1)
+is Um (v^m / v); the face average (1 + (v_i + v_{i+1} - 2)/2) dU is
+(v_i + v_{i+1}) (dU/2); P is w_n - (w_{n-1} - w_n); and the flux
+differences reach dt R by one product with the bands, by (-1/M)(-dt).
+Products and sums over adjacent buffers share one call (``_Newton``).
 
 * Zero padding: a zero in front of the fluxes and of the shifted right
-  face derivatives gives d_t w_0 = (Phi_0 - 0)/M_0 and the first diagonal
-  entry left_0 - 0 in the same subtraction as the other rows (x - 0 = x).
-* Signs: a product's sign is the exclusive or of its factors', so
-  (-a) b = -(a b) bitwise, and sums commute, so (-a) - b = (-b) - a.  The
-  left face derivative C (-dG_i - dU_i/2) is formed as (-dU_i/2) - dG_i
-  with no negation pass, and the sub-diagonal's (left / M) dt as
-  left ((-1/M) (-dt)), so one product scales all three bands, and
-  dt R(P) as R(P) ((-1) (-dt)) in the same product.  A difference is the
-  sum with the negated operand, and negation is exact, so b - D =
+  face derivatives gives the first flux difference Phi_0 - 0 and the first
+  diagonal entry left_0 - 0 in the same subtraction as the other rows.
+* Signs: (-a) b = -(a b) bitwise and sums commute, so the left face
+  derivative C (-dG_i - dU_i/2) is (-dU_i/2) - dG_i with no negation pass,
+  the sub-diagonal's (left / M) dt is left ((-1/M) (-dt)), and b - D is
   b + (w_{n-1} - w_n).
-* Face average: let s = v_i + v_{i+1} (rounded) with 1 <= s < 2^54.  Then
-  s - 2 is exact (Sterbenz's lemma for s <= 4; above, 2 is a multiple of
-  ulp(s) <= 2 and the difference is smaller than s), so is its half, and
-  adding 1 gives s/2, which is representable.  So ((s - 2)/2 + 1) dU, the
-  four passes of the flux form, equals s (dU/2) bitwise when dU/2 is exact,
-  which ``_Workspace`` checks once.  ``rhs`` takes that one pass when every
-  v of the evaluated state, the value at s_max included, lies in
-  [0.5, 2^53): P's margin check gives its minimum, and one maximum the
-  rest; a NaN takes the four.
+* Margin bound: rounding is monotone, so with a = min w_n and
+  c = max w_{n-1} every P_i = fl(w_n,i - fl(w_{n-1},i - w_n,i)) is at
+  least lo = fl(a - fl(c - a)).  ``run`` hands the step a and c, which the
+  kernel read when it accepted those states; when 1 + lo clears
+  ``MARGIN_FLOOR`` P's own check cannot fail and is skipped.  A BE step's
+  P is its base point, which ``backward_euler`` checks.
 
 ``run``'s trace counts its BE steps (``backward_euler_steps``), its BDF2
 steps (``linear_steps``) and its dt halvings (``dt_halvings``), and keeps
@@ -156,8 +149,7 @@ def _const(x: float) -> np.ndarray:
     return a
 
 
-_HALF, _ONE, _TWO = map(_const, (0.5, 1.0, 2.0))
-_TWO53 = 2.0 ** 53  # v below it keeps the one-pass face average exact
+_ONE = _const(1.0)
 
 
 class EvolveError(RuntimeError):
@@ -225,27 +217,20 @@ class _Workspace:
                 f"m={m!r} on the grid s_max={grid.s_max:g}, count={N}"
             )
         self.half_dU = 0.5 * self.dU
-        # the one-pass face average needs half_dU exact (see _Newton)
-        self.halves_exact = bool(np.array_equal(2.0 * self.half_dU, self.dU))
         self.neg_half_dU = -self.half_dU
-        # G = U v^m at the nodes, dG = m U v^(m-1) = Um (v^m / v) at the
-        # unknowns 0..N-1 and the face average's last factor take one
-        # product in _Newton's layout [v^m | v^m / v | face]: by
-        # [U | Um | half_dU] for the one-pass average, [U | Um | dU] for
-        # the four-pass one
+        # G = U v^m at the nodes, dG = Um (v^m / v) at the unknowns and the
+        # face average take one product by [U | Um | dU/2] (see _Newton)
         Um = self.U[:-1] * m
-        self.one_pass_scales = np.concatenate((self.U, Um, self.half_dU))
-        self.four_pass_scales = np.concatenate((self.U, Um, self.dU))
+        self.scales = np.concatenate((self.U, Um, self.half_dU))
         # the linear system's multipliers in _Newton's band layout: C over
         # the right and left face derivatives, then 1/M over du, dl (with
-        # the sign of the left derivative), the slot and d, and -1 over b,
-        # so a product by -dt scales the bands and takes b to dt b
+        # the sign of the left derivative), the slot and d, and -1/M over
+        # b, so a product by -dt scales the bands and b to dt R
         self.CC = np.concatenate((self.C[:-1], self.C))
         self.minv4 = np.concatenate((self.minv[:-1], -self.minv[1:], [0.0],
-                                     self.minv, np.full(N, -1.0)))
+                                     self.minv, -self.minv))
         for arr in (self.U, self.dU, self.C, self.minv, self.half_dU,
-                    self.neg_half_dU, self.CC, self.minv4,
-                    self.one_pass_scales, self.four_pass_scales):
+                    self.neg_half_dU, self.CC, self.minv4, self.scales):
             arr.flags.writeable = False
         self.m0 = _const(m)
         self.m = m
@@ -258,13 +243,13 @@ def _workspace(grid: RadialGrid, params: ModelParams) -> _Workspace:
 
 
 def _check_positivity(w_values: np.ndarray, floor: float = 0.0) -> float:
-    """1 + min w (read by index; a NaN passes, as by a reduce), raising
-    PositivityError unless it lies above ``floor``."""
+    """min w (read by index; a NaN passes, as by a reduce), raising
+    PositivityError unless 1 + min w lies above ``floor``."""
     i = w_values.argmin()
-    vmin = 1.0 + w_values[i]
-    if vmin <= floor:
-        raise PositivityError(int(i), float(vmin))
-    return float(vmin)
+    w_min = float(w_values[i])
+    if 1.0 + w_min <= floor:
+        raise PositivityError(int(i), 1.0 + w_min)
+    return w_min
 
 
 def _boundary_value(boundary, t: float) -> float:
@@ -273,6 +258,9 @@ def _boundary_value(boundary, t: float) -> float:
 
 # the floating-point errors a step leaves to its checks (see _Newton)
 _STEP_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+# (min w, max w) of a state no check has read: no bound on its predictor
+_UNREAD = (-math.inf, math.inf)
 
 
 def _in_caller_state(fn):
@@ -287,36 +275,35 @@ class _Newton:
 
     One instance serves a whole run.  Every buffer, view and coefficient is
     bound here, once, in one operand tuple per method.  Each step leaves its
-    result in ``W``; a caller that keeps the result hands the kernel another
-    buffer of N+1 nodes.  ``min_margin`` gathers the smallest 1+w of every
-    accepted state.
+    result in ``W`` and its extremes (min w, max w) in ``extremes``; a
+    caller that keeps the result hands the kernel another buffer of N+1
+    nodes.  ``min_margin`` gathers the smallest 1+w of every accepted
+    state.
 
-    ``rhs`` forms v^m, v^m / v and the face sums in one buffer
-    [v^m | v^m / v | face], so one product turns them into G, dG and the
-    face average's last factor (``_Workspace.one_pass_scales`` and
-    ``four_pass_scales``).
+    ``rhs`` forms [v^m | v^m / v | face sums] in one buffer, so one product
+    by ``_Workspace.scales`` turns them into G, dG and the face average.
 
     The linear system lives in one buffer of 4N values laid out as
     [0 | du | dl, slot | d | b].  The right face derivatives fill du and the
     left ones dl and the slot, so one product takes both by [C | C]; the
     zero and du, read shifted by one, give d = left - right in one
-    subtraction; one product by ``scale_dt`` = [1/M | -1/M | 0 | 1/M | -1]
-    (-dt), bound whenever dt changes, scales all three bands and takes b,
-    which holds R(P), to dt R(P).  One sum then adds the shift to d and, in
-    a BDF2 step, -D to b: ``shift_D`` holds [3/2 | -D], -D formed as
-    w_{n-1} - w_n, and b + (-D) is b - D bitwise.  The slot ends as
-    left_{N-1} (-0), so ``_solve_packed``'s one finiteness check over the
-    whole buffer fails exactly when the system is not finite.
+    subtraction; one product by ``scale_dt`` = [1/M | -1/M | 0 | 1/M | -1/M]
+    (-dt), bound whenever dt changes, scales all three bands and takes the
+    flux differences in b to dt R(P).  One sum then adds the shift to d and,
+    in a BDF2 step, -D to b: ``shift_D`` holds [3/2 | -D], -D formed as
+    w_{n-1} - w_n (and P as w_n - (-D)).  The slot ends as left_{N-1} (-0),
+    so ``_solve_packed``'s one finiteness check over the whole buffer fails
+    exactly when the system is not finite.
 
-    ``step`` is the whole step, its checks included, in one call (with one
-    call to ``rhs``).  Besides ``dgtsv`` and its finiteness check, a BE step
-    makes 22 numpy calls (its base point's margin check included) and a
-    BDF2 step 24, each one power (v^m), every output passed positionally;
-    the margin and finiteness checks read extremes by index.  It runs in
-    its caller's floating-point error state: ``run`` and ``step_nonlinear``
-    ignore overflow, invalid and divide once around their stepping
-    (``_STEP_ERRORS``) and leave overflow to the checks, where a non-finite
-    system or new state raises NewtonError.
+    ``step`` is the whole step, its checks included, in one call.  Besides
+    ``dgtsv``, its finiteness check and the product binding ``scale_dt`` to
+    a new dt, a BDF2 step makes 20 numpy calls (21 when P's own margin
+    check runs) and a BE step 19, its base point's check included: one
+    power (v^m), every output passed positionally, extremes read by index.
+    It runs in its caller's floating-point error state: ``run`` and
+    ``step_nonlinear`` ignore overflow, invalid and divide once around
+    their stepping (``_STEP_ERRORS``), and a non-finite system or new
+    state raises NewtonError.
     """
 
     def __init__(self, ws: _Workspace):
@@ -327,7 +314,7 @@ class _Newton:
         # [v^m | v^m / v | face], then [G | dG | face] (see above)
         GdG = np.empty(3 * N + 1)
         G, dG, face = GdG[:N + 1], GdG[N + 1:2 * N + 1], GdG[2 * N + 1:]
-        phi = np.zeros(N + 1)  # phi[0] stays 0: d_t w_0 = (phi_0 - 0) / M_0
+        phi = np.zeros(N + 1)  # phi[0] stays 0: the first difference is phi_0
         # the linear system [0 | du | dl, slot | d | b] (see above)
         system = np.zeros(4 * N)
         right, left = system[1:N], system[N:2 * N]
@@ -338,72 +325,66 @@ class _Newton:
         scale_dt = np.empty(4 * N - 1)
         self.rhs_operands = (
             v[:N], v, ws.m0, G, G[:N], dG, v[:-1], v[1:], face, GdG,
-            ws.one_pass_scales, ws.four_pass_scales, G[:-1], G[1:], phi[1:],
-            phi[:-1], ws.C, ws.masses)
+            ws.scales, G[:-1], G[1:], phi[1:], phi[:-1], ws.C)
         self.step_operands = (
-            b, P, P[:N], shift_D[N:], v, N,
-            ws.halves_exact, dG, dG[1:], ws.half_dU[:-1], ws.neg_half_dU,
-            right, left, system[1:2 * N], ws.CC, system[:N], d, system[1:],
-            scale_dt, system[2 * N:], shift_D[:2 * N],
+            b, P, P[:N], shift_D[N:], v, N, dG, dG[1:], ws.half_dU[:-1],
+            ws.neg_half_dU, right, left, system[1:2 * N], ws.CC, system[:N],
+            d, system[1:], scale_dt, system[2 * N:], shift_D[:2 * N],
             (system, (left[:-1], d, right, b)))
         self.dt = None  # the dt scale_dt is bound to
+        self.extremes = _UNREAD
         self.min_margin = math.inf
 
-    def rhs(self, w_in: np.ndarray, out: np.ndarray, one_pass: bool):
-        """out = d_t w at the unknowns 0..N-1 given w there; it also forms
-        v = 1 + w and, for the Jacobian, dG = Um (v^m / v).  v at s_max is
-        left as it is (``step`` sets it once per step).
+    def rhs(self, w_in: np.ndarray, out: np.ndarray):
+        """out = M d_t w, the flux differences Phi_{i+1/2} - Phi_{i-1/2},
+        at the unknowns 0..N-1 given w there (``step``'s band-scale product
+        divides them by M); it also forms v = 1 + w and, for the Jacobian,
+        dG = Um (v^m / v).  v at s_max is left as it is (``step`` sets it
+        once per step).
 
         The flux at the faces is Phi = C [(G_{i+1} - G_i) - dU vbar] with
-        G = U v^m and vbar = 1 + (v_i + v_{i+1} - 2)/2, formed as
-        (v_i + v_{i+1}) half_dU when ``one_pass`` (see module doc).
+        G = U v^m and vbar dU = (v_i + v_{i+1}) (dU/2).
         """
-        (v_in, v, m, vm, vm_in, dG, v_lo, v_hi, face, GdG,
-         one_pass_scales, four_pass_scales, G_lo, G_hi, phi, phi_prev, C,
-         masses) = self.rhs_operands
+        (v_in, v, m, vm, vm_in, dG, v_lo, v_hi, face, GdG, scales, G_lo,
+         G_hi, phi, phi_prev, C) = self.rhs_operands
         np.add(w_in, _ONE, v_in)
         np.power(v, m, vm)
         np.divide(vm_in, v_in, dG)
         np.add(v_lo, v_hi, face)
-        if one_pass:
-            np.multiply(GdG, one_pass_scales, GdG)
-        else:
-            np.subtract(face, _TWO, face)
-            np.multiply(face, _HALF, face)
-            np.add(face, _ONE, face)
-            np.multiply(GdG, four_pass_scales, GdG)
+        np.multiply(GdG, scales, GdG)
         np.subtract(G_hi, G_lo, phi)
         np.subtract(phi, face, phi)
         np.multiply(phi, C, phi)
         np.subtract(phi, phi_prev, out)
-        np.divide(out, masses, out)
 
     def step(self, w_n: np.ndarray, dt: float, w_boundary: float,
-             w_prev: np.ndarray | None = None):
+             w_prev: np.ndarray | None = None, extremes=_UNREAD):
         """One linearly implicit step into ``W`` (module doc), with v at
         s_max 1 + w_boundary: W = P + delta from
         (shift I - dt J(P)) delta = dt R(P) - D.  The BDF2 step takes
-        P = 2 w_n - w_prev, D = w_n - w_prev and shift 3/2; with no
-        ``w_prev`` it is the Euler step, P = w_n, no D and shift 1.  P's own
-        min and max pick the face average.  A P or new state below
+        D = w_n - w_prev, P = w_n - (w_prev - w_n) and shift 3/2, and checks
+        P's margin only where ``extremes`` = (min w_n, max w_prev), as the
+        kernel read them, do not bound it above ``MARGIN_FLOOR`` (module
+        doc).  With no ``w_prev`` it is the Euler step: P = w_n, which its
+        caller checks, no D and shift 1.  A P or new state below
         ``MARGIN_FLOOR`` raises PositivityError, a non-finite or singular
         system or a non-finite new state NewtonError."""
-        (b, P, P_in, neg_D, v, N, halves_exact, dG, dG_hi,
-         half_dU_lo, neg_half_dU, right, left, faces, CC, right_before, d,
-         scaled, scale_dt, d_b, shift_D, packed) = self.step_operands
+        (b, P, P_in, neg_D, v, N, dG, dG_hi, half_dU_lo, neg_half_dU, right,
+         left, faces, CC, right_before, d, scaled, scale_dt, d_b, shift_D,
+         packed) = self.step_operands
         if w_prev is None:
             P_in = w_n[:-1]
         else:
-            np.multiply(w_n, _TWO, P)
-            np.subtract(P, w_prev, P)
             np.subtract(w_prev, w_n, neg_D)
+            np.subtract(w_n, neg_D, P)
+            w_min, prev_max = extremes
+            if not 1.0 + (w_min - (prev_max - w_min)) > MARGIN_FLOOR:
+                _check_positivity(P_in, MARGIN_FLOOR)
         if dt != self.dt:
             self.dt = dt
             np.multiply(self.ws.minv4, -dt, scale_dt)
-        v[N] = v_N = 1.0 + w_boundary
-        pmin = _check_positivity(P_in, MARGIN_FLOOR)
-        self.rhs(P_in, b, halves_exact and 0.5 <= v_N < _TWO53
-                 and pmin >= 0.5 and 1.0 + P_in[P_in.argmax()] < _TWO53)
+        v[N] = 1.0 + w_boundary
+        self.rhs(P_in, b)
         # the left and right derivatives of Phi at face i+1/2 by w_i and
         # w_{i+1} are C (-dG_i - half_dU_i) and C (dG_{i+1} - half_dU_i)
         np.subtract(dG_hi, half_dU_lo, right)
@@ -422,10 +403,12 @@ class _Newton:
         W = self.W
         np.add(P_in, delta, W[:N])
         W[N] = w_boundary
-        vmin = _check_positivity(W, MARGIN_FLOOR)
-        if not (math.isfinite(vmin) and math.isfinite(W[W.argmax()])):
+        w_min = _check_positivity(W, MARGIN_FLOOR)
+        w_max = float(W[W.argmax()])
+        if not (math.isfinite(w_min) and math.isfinite(w_max)):
             raise NewtonError("step produced a non-finite state")
-        self.min_margin = min(self.min_margin, vmin)
+        self.extremes = w_min, w_max
+        self.min_margin = min(self.min_margin, 1.0 + w_min)
 
     def backward_euler(self, w: np.ndarray, t: float, dt: float, boundary,
                        depth: int = 0) -> tuple[float, int]:
@@ -538,7 +521,7 @@ def comparison_envelope(state0: EvolutionState, params: ModelParams) -> Envelope
     time shift, and B_+- then absorbs the remaining factor, so each barrier's
     relative density stays on the correct side of c^+-1 for all times.
     """
-    vmin = _check_positivity(state0.w.values)
+    vmin = 1.0 + _check_positivity(state0.w.values)
     c = max(1.0 + float(state0.w.values.max()), 1.0 / vmin)
     C = c ** (1.0 + params.n / params.p)
     return Envelope(lower=1.0 / C, upper=C)
@@ -601,6 +584,8 @@ class EvolutionTrace:
     dt_halvings: int = 0
     # the smallest 1+w of a new state (inf if none)
     min_margin: float = math.inf
+    # the step the run took
+    dt: float = math.nan
 
 
 class _Records:
@@ -695,6 +680,9 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     # history (prev, cur) and hands the kernel the buffer prev leaves
     kernel = _Newton(_workspace(grid, params))
     t, prev, cur = state0.t, None, state0.w.values.copy()
+    # the extremes (min w, max w) of prev and cur: the kernel reads them
+    # when it accepts a state, and the initial state's are read here
+    prev_ext, cur_ext = None, (float(cur.min()), float(cur.max()))
     linear_steps, halvings = 0, 0
     observe(t, cur, 0)
     with np.errstate(**_STEP_ERRORS):
@@ -703,7 +691,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             if linear:
                 try:
                     kernel.step(cur, dt, _boundary_value(boundary, t_new),
-                                prev)
+                                prev, (cur_ext[0], prev_ext[1]))
                 except EvolveError:
                     linear = False
             if linear:
@@ -714,6 +702,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             t = t_new
             spare = np.empty_like(cur) if prev is None else prev
             prev, cur, kernel.W = cur, kernel.W, spare
+            prev_ext, cur_ext = cur_ext, kernel.extremes
             if j % every == 0 or j == steps:
                 observe(t, cur, j)
     records.finish()
@@ -727,6 +716,7 @@ def run(state0: EvolutionState, dt: float, t_final: float,
         linear_steps=linear_steps,
         dt_halvings=halvings,
         min_margin=kernel.min_margin,
+        dt=dt,
     )
 
 

@@ -475,10 +475,10 @@ def _schedule(fast):
     the short solves and the workers finish close together.  Serial ms per
     solve at the fast resolution (medians of five fresh processes, each
     running the schedule in order, on a 2-core x86 machine): criterion 5
-    146; criterion 3 67 and 65; criterion 8 42 (k0) and 26 (amplitude);
-    criterion 4 33 and 32 (each eigenfunction decay) and 13 (each bump
-    decay); criterion 9 14; criterion 6 12, 9, 5, 2, 2 and 1; criterion 2
-    6; criterion 1 3, 2 and 4.  The owners go in the order of their costliest
+    118; criterion 3 56 and 53; criterion 8 34 (k0) and 21 (amplitude);
+    criterion 4 30 and 31 (each eigenfunction decay) and 11 (each bump
+    decay); criterion 9 12; criterion 6 10, 9, 5, 2, 2 and 1; criterion 2
+    5; criterion 1 2, 2 and 4.  The owners go in the order of their costliest
     solve, each owner's solves in its own order (``_solve_items``).
 
     Criterion 10 (22 ms) stays in the calling process: it is the only

@@ -12,14 +12,16 @@ from fastdiff_lab import geometry as geo
 
 
 def nonlinear_rhs(w, params):
-    """Right side of the radial rescaled flow, flux form (see ``evolve``),
-    through the Newton kernel's own rhs with the four-pass face average."""
+    """Right side of the radial rescaled flow, flux form (see ``evolve``):
+    the Newton kernel's own flux differences, divided by the cell masses."""
     evolve._check_positivity(w.values)
-    kernel = evolve._Newton(evolve._workspace(w.grid, params))
+    ws = evolve._workspace(w.grid, params)
+    kernel = evolve._Newton(ws)
     N = w.grid.count
     kernel.v[N] = 1.0 + w.values[N]
     out = np.zeros_like(w.values)
-    kernel.rhs(w.values[:N], out[:N], False)
+    kernel.rhs(w.values[:N], out[:N])
+    out[:N] /= ws.masses
     return w.with_values(out)
 
 

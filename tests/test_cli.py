@@ -377,6 +377,28 @@ def test_cmd_sweep_partial_failure():
     assert rows[1][10] != ""  # the invalid row reports its error
     assert rows[0][10] == "" and rows[2][10] == ""
     assert bundle.summary["failures"] == 1
+    # the solver work of each m whose run finished, and none of the other
+    solver = bundle.table("solver")
+    assert solver.header == ["m", "backward_euler_steps", "linear_steps",
+                             "dt_halvings", "min_margin"]
+    assert [r[0] for r in solver.rows] == [0.7, 0.75]
+    for r in solver.rows:
+        assert r[1] >= 1 and r[1] + r[2] == 250 and r[3] == 0
+        assert evolve.MARGIN_FLOOR < r[4] < 1.0
+    assert "nan" not in solver.to_csv().lower()
+
+
+def test_a_sweep_row_whose_analysis_fails_keeps_its_solver_row(monkeypatch):
+    def refuse(trace, params, **kwargs):
+        raise cli.asymptotics.AnalysisError("refused")
+
+    monkeypatch.setattr(cli.asymptotics, "mod_time_shift", refuse)
+    cfg = config_from_dict({**SHORT_SWEEP, "jobs": 1}).validate()
+    bundle = cli.cmd_sweep(cfg)
+    assert [r[10] for r in bundle.table("gamma_delta").rows] == \
+        ["AnalysisError: refused"] * 2
+    assert [r[0] for r in bundle.table("solver").rows] == [0.7, 0.75]
+    assert "nan" not in bundle.table("gamma_delta").to_csv().lower()
 
 
 SHORT_SWEEP = {
@@ -510,6 +532,16 @@ def test_expand_too_short_to_fit_is_a_named_failure(tmp_path):
     proc = run_cli(["--n", "1", "--m", "0.5", "--points", "300",
                     "--tfinal", "0.02", "expand"], tmp_path)
     assert_one_named_line(proc, 3, "analysis failure:")
+
+
+def test_a_time_shift_on_the_secants_clamp_bound_is_a_named_failure(tmp_path):
+    # p = 37 at the default time scale: dt |lambda_01| = 0.3, the c01
+    # pairings are round-off amplified by e^(lambda_01 t), and the secant
+    # ends on a clamp bound of tau0, which would print gamma = 0.0998
+    proc = run_cli(["--m", "0.95", "expand"], tmp_path)
+    line = assert_one_named_line(proc, 3, "analysis failure:")
+    assert "clamp bound" in line and "p=37" in line
+    assert "dt |lambda_01| = 0.296" in line
 
 
 def test_lambda_target_outside_the_window_exits_with_a_config_error(tmp_path):

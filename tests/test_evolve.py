@@ -1,5 +1,8 @@
 """Nonlinear radial evolution: stationarity, consistency, conservation."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -235,13 +238,14 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
     want = final_values(st0, 1e-2, 0.2)
     step, calls = evolve._Newton.step, []
 
-    def fail_third(kernel, w_n, dt, w_boundary, w_prev=None):
+    def fail_third(kernel, w_n, dt, w_boundary, w_prev=None,
+                   extremes=evolve._UNREAD):
         if w_prev is not None:  # a BDF2 step
             calls.append(dt)
             # a nan Dirichlet value makes the third one's system non-finite
             if len(calls) == 3:
                 w_boundary = np.nan
-        return step(kernel, w_n, dt, w_boundary, w_prev)
+        return step(kernel, w_n, dt, w_boundary, w_prev, extremes)
 
     monkeypatch.setattr(evolve._Newton, "step", fail_third)
     tr = evolve.run(st0, 1e-2, 0.2, evolve.RecordOptions(snapshot_every=1))
@@ -264,9 +268,10 @@ def test_run_redoes_a_step_whose_predictor_loses_the_margin(
     dt = 0.5
     step, errors = evolve._Newton.step, []
 
-    def spy(kernel, w_n, dt, w_boundary, w_prev=None):
+    def spy(kernel, w_n, dt, w_boundary, w_prev=None,
+            extremes=evolve._UNREAD):
         try:
-            return step(kernel, w_n, dt, w_boundary, w_prev)
+            return step(kernel, w_n, dt, w_boundary, w_prev, extremes)
         except evolve.EvolveError as exc:
             if w_prev is not None:  # a BDF2 step
                 errors.append(exc)
@@ -289,39 +294,81 @@ def test_run_redoes_a_step_whose_predictor_loses_the_margin(
 
 def test_a_linear_step_makes_one_power_and_one_solve(grid_coarse, params33,
                                                     monkeypatch):
-    # the work of each linearly implicit step of run, counted through
-    # evolve's own namespace: one power over the grid (v^m, which the
-    # Jacobian reuses) and one tridiagonal solve
-    counts = {"power": 0, "solve": 0}
+    # the work of each linearly implicit step of run: every numpy call, the
+    # functions and ufuncs through evolve's own namespace and the array
+    # methods (argmin, argmax) through the profiler, besides the solve's
+    # dgtsv and finiteness check; one power over the grid (v^m, which the
+    # Jacobian reuses) and one tridiagonal solve each
+    counts = collections.Counter()
+
+    class Counted:
+        def __init__(self, name, fn):
+            self.name, self.fn = name, fn
+
+        def __call__(self, *args, **kwargs):
+            counts[self.name] += 1
+            return self.fn(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.fn, name)
 
     class CountingNumpy:
         def __getattr__(self, name):
-            return getattr(np, name)
+            attr = getattr(np, name)
+            if callable(attr) and not isinstance(attr, type):
+                return Counted(name, attr)
+            return attr
 
-        @staticmethod
-        def power(*args, **kwargs):
-            counts["power"] += 1
-            return np.power(*args, **kwargs)
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None),
+                                            np.ndarray):
+            counts[arg.__name__] += 1
 
-    solve, step, per_step = evolve._solve_packed, evolve._Newton.step, []
+    solve, per_step = evolve._solve_packed, []
+    step, backward_euler = evolve._Newton.step, evolve._Newton.backward_euler
 
     def counting_solve(system):
         counts["solve"] += 1
         return solve(system)
 
-    def spy(kernel, w_n, dt, w_boundary, w_prev=None):
-        before = dict(counts)
-        step(kernel, w_n, dt, w_boundary, w_prev)
-        if w_prev is not None:  # a BDF2 step
-            per_step.append(tuple(counts[k] - before[k] for k in counts))
+    def counted(kind, fn, kernel, *args):
+        before, bound = counts.copy(), kernel.dt
+        sys.setprofile(profile)
+        try:
+            return fn(kernel, *args)
+        finally:
+            sys.setprofile(None)
+            work = counts - before
+            # (kind, powers, solves, other calls, whether the step bound the
+            # band scale to a new dt: once per dt, not once per step)
+            per_step.append((kind, work["power"], work["solve"],
+                             sum(work.values()) - work["solve"],
+                             kernel.dt != bound))
+
+    def spy_step(kernel, w_n, dt, w_boundary, w_prev=None,
+                 extremes=evolve._UNREAD):
+        args = (w_n, dt, w_boundary, w_prev, extremes)
+        if w_prev is None:  # inside a BE step, counted whole below
+            return step(kernel, *args)
+        return counted("BDF2", step, kernel, *args)
+
+    def spy_backward_euler(kernel, *args):
+        return counted("BE", backward_euler, kernel, *args)
 
     monkeypatch.setattr(evolve, "np", CountingNumpy())
     monkeypatch.setattr(evolve, "_solve_packed", counting_solve)
-    monkeypatch.setattr(evolve._Newton, "step", spy)
+    monkeypatch.setattr(evolve._Newton, "step", spy_step)
+    monkeypatch.setattr(evolve._Newton, "backward_euler", spy_backward_euler)
     st0 = evolve.bump_data(grid_coarse, 0.3, seed=7, params=params33)
     trace = evolve.run(st0, 4e-3, 20 * 4e-3)
     assert trace.linear_steps == 19
-    assert per_step == [(1, 1)] * 19
+    be, *bdf2 = per_step
+    assert [row[:3] for row in per_step] == \
+        [("BE", 1, 1)] + [("BDF2", 1, 1)] * 19
+    # at most 20 calls per BDF2 step; the BE start makes fewer besides the
+    # one product that binds the band scale to dt
+    assert all(calls <= 20 and not bound for *_, calls, bound in bdf2)
+    assert be[4] and be[3] - 1 < 20
 
 
 def test_the_steps_ignore_state_is_entered_once_and_spares_the_caller(
@@ -381,9 +428,10 @@ def test_a_halved_step_counts_its_halvings(grid_coarse, params33,
     # non-finite
     step = evolve._Newton.step
 
-    def fail_long(kernel, w_n, dt, w_boundary, w_prev=None):
+    def fail_long(kernel, w_n, dt, w_boundary, w_prev=None,
+                  extremes=evolve._UNREAD):
         return step(kernel, w_n, dt, np.nan if dt > 10.0 else w_boundary,
-                    w_prev)
+                    w_prev, extremes)
 
     monkeypatch.setattr(evolve._Newton, "step", fail_long)
     st0 = evolve.bump_data(grid_coarse, 0.5, seed=1, params=params33,

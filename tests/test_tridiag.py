@@ -72,16 +72,34 @@ def test_singular_system_raises_like_solve_banded():
         _solve_packed(packed(dl, d, du, b))
 
 
-def _rhs_np_diff(ws, w_full):
-    """The flux-form rhs as it stood on np.diff (oracle)."""
+def _flux_differences(ws, w_full, textbook=False):
+    """The flux differences Phi_{i+1/2} - Phi_{i-1/2} at the unknowns on
+    np.diff (oracle), with the face average vbar dU formed as the kernel
+    forms it, (v_i + v_{i+1}) (dU/2), or with ``textbook`` as the flux
+    form's four passes (1 + (v_i + v_{i+1} - 2)/2) dU."""
     v = 1.0 + w_full
     G = ws.U * v**ws.m
-    vbar = 1.0 + 0.5 * (v[:-1] + v[1:] - 2.0)
-    phi = ws.C * (np.diff(G) - ws.dU * vbar)
+    if textbook:
+        face = ws.dU * (1.0 + 0.5 * (v[:-1] + v[1:] - 2.0))
+    else:
+        face = (v[:-1] + v[1:]) * (0.5 * ws.dU)
+    phi = ws.C * (np.diff(G) - face)
     out = np.empty(ws.N)
-    out[0] = phi[0] / ws.masses[0]
-    out[1:] = np.diff(phi) / ws.masses[1:]
+    out[0] = phi[0]
+    out[1:] = np.diff(phi)
     return out
+
+
+def _dt_rhs(ws, w_full, dt):
+    """dt R(w) as the kernel forms it (oracle): the flux differences times
+    one scale (1/M) dt."""
+    return _flux_differences(ws, w_full) * ((1.0 / ws.masses) * dt)
+
+
+def _rhs_np_diff(ws, w_full):
+    """The flux-form rhs as the textbook writes it (oracle): the four-pass
+    face average, each flux difference divided by its cell mass."""
+    return _flux_differences(ws, w_full, textbook=True) / ws.masses
 
 
 def _face_derivatives(ws, w_full, textbook=False):
@@ -127,21 +145,21 @@ def _linear_euler_solve_banded(ws, w0, dt, w_boundary):
     P[N] = w_boundary
     evolve._check_positivity(P[:N], evolve.MARGIN_FLOOR)
     W = P.copy()
-    W[:N] += _newton_update_solve_banded(ws, P, dt, 1.0,
-                                         dt * _rhs_np_diff(ws, P))
+    W[:N] += _newton_update_solve_banded(ws, P, dt, 1.0, _dt_rhs(ws, P, dt))
     evolve._check_positivity(W, evolve.MARGIN_FLOOR)
     return W
 
 
 def _linear_bdf2_solve_banded(ws, prev, w, dt, w_boundary):
     """The linearly implicit BDF2 step on scipy.linalg.solve_banded, scaled
-    by 3/2 as the kernel is (oracle): from the predictor P = 2 w - prev,
-    (3/2 I - dt J(P)) delta = dt rhs(P) - (w - prev), W = P + delta."""
+    by 3/2 as the kernel is (oracle): from the predictor
+    P = w - (prev - w), (3/2 I - dt J(P)) delta = dt rhs(P) - (w - prev),
+    W = P + delta."""
     N = ws.N
-    P = 2.0 * w - prev
+    P = w - (prev - w)
     P[N] = w_boundary
     evolve._check_positivity(P[:N], evolve.MARGIN_FLOOR)
-    b = dt * _rhs_np_diff(ws, P) - (w - prev)[:N]
+    b = _dt_rhs(ws, P, dt) - (w - prev)[:N]
     W = P.copy()
     W[:N] += _newton_update_solve_banded(ws, P, dt, 1.5, b)
     evolve._check_positivity(W, evolve.MARGIN_FLOOR)
@@ -151,7 +169,8 @@ def _linear_bdf2_solve_banded(ws, prev, w, dt, w_boundary):
 def _textbook_bdf2(ws, prev, w, dt, w_boundary):
     """The same step as the textbook writes it (cross-check): one Newton
     iteration for W = base + (2/3) dt rhs(W), base = (4 w - prev)/3, from
-    P = 2 w - prev, with the Jacobian's m U v^(m-1) as a power."""
+    P = 2 w - prev, with the Jacobian's m U v^(m-1) as a power and the
+    four-pass face average."""
     N = ws.N
     dt23 = 2.0 * dt / 3.0
     base = (4.0 * w - prev) / 3.0
@@ -166,7 +185,7 @@ def _textbook_bdf2(ws, prev, w, dt, w_boundary):
 def _textbook_euler(ws, w0, dt, w_boundary):
     """The same step as the textbook writes it (cross-check): one Newton
     iteration for backward Euler, W = w0 + dt rhs(W), from W = w0, with the
-    Jacobian's m U v^(m-1) as a power."""
+    Jacobian's m U v^(m-1) as a power and the four-pass face average."""
     N = ws.N
     W = w0.copy()
     W[N] = w_boundary
@@ -180,52 +199,21 @@ MODELS = pytest.mark.parametrize("n, m", [(3, 2.0 / 3.0), (1, 0.5),
                                           (3, 0.85)])
 
 
-def _one_pass(ws, P):
-    """The face average the kernel picks for an rhs evaluated at P (every
-    node, the Dirichlet value last), from P's own extremes: True for the
-    one-pass form."""
-    v = 1.0 + P
-    return bool(ws.halves_exact and v.min() >= 0.5 and v.max() < 2.0 ** 53)
-
-
-@pytest.fixture
-def face_forms(monkeypatch):
-    """The face average of every rhs the Newton kernel evaluates: True for
-    the one-pass form, False for the four-pass one."""
-    forms, rhs = [], evolve._Newton.rhs
-
-    def spy(kernel, w_in, out, one_pass):
-        forms.append(one_pass)
-        return rhs(kernel, w_in, out, one_pass)
-
-    monkeypatch.setattr(evolve._Newton, "rhs", spy)
-    return forms
-
-
 @MODELS
-def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(n, m,
-                                                             face_forms):
+def test_step_nonlinear_bitwise_equal_to_solve_banded_newton(n, m):
     params = cf.derive_params(n, m, 1.0)
     grid = geo.make_grid(12.0, 600)
     state = evolve.bump_data(grid, 0.3, seed=7, params=params)
     ws = evolve._workspace(grid, params)
     w_oracle = state.w.values.copy()
     dt = 0.01
-    forms = []
     for _ in range(20):
-        forms.append(_one_pass(ws, np.append(w_oracle[:-1], 0.0)))
         state = evolve.step_nonlinear(state, dt)
         w_oracle = _linear_euler_solve_banded(ws, w_oracle, dt, 0.0)
         assert np.array_equal(state.w.values, w_oracle)
-    # each step's one rhs takes the form its base point's own min and max
-    # pick
-    assert face_forms == forms
-    if (n, m) == (3, 2.0 / 3.0):
-        assert face_forms == [True] * 20  # v stays above 0.5
 
 
-def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
-                                                         face_forms):
+def test_damped_step_bitwise_equal_to_solve_banded_newton(params33):
     # v starts at 0.1 and dt = 1 is long, where full Newton updates of
     # backward Euler overshoot: the linear step still takes one solve
     grid = geo.make_grid(12.0, 150)
@@ -238,7 +226,6 @@ def test_damped_step_bitwise_equal_to_solve_banded_newton(params33,
     got = evolve.step_nonlinear(state, 1.0)
     assert got.dt_halvings == 0
     assert np.array_equal(got.w.values, want)
-    assert face_forms == [False]  # v starts at 0.1
 
 
 def _barenblatt_boundary(params, tau0):
@@ -250,8 +237,7 @@ def _barenblatt_boundary(params, tau0):
     return boundary
 
 
-def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
-                                                                  face_forms):
+def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33):
     # a nonzero value held at s_max, through step_nonlinear (and through
     # run in test_run_linear_bdf2_bitwise_equal_to_solve_banded)
     grid = geo.make_grid(12.0, 300)
@@ -265,7 +251,6 @@ def test_prescribed_boundary_bitwise_equal_to_solve_banded_newton(params33,
         state = evolve.step_nonlinear(state, dt, boundary)
         assert w[-1] == boundary(state.t) != 0.0
         assert np.array_equal(state.w.values, w)
-    assert face_forms == [False] * steps  # v drops to 0.15
 
 
 def _bdf2_case(params, case):
@@ -286,8 +271,8 @@ def _run_bdf2_case(params, case, oracle_start, oracle_step):
     """20 steps of evolve.run, and the same steps by the oracles: one
     linearly implicit Euler step by ``oracle_start`` starts the history,
     then each step is the linearly implicit BDF2 step from
-    P = 2 w_n - w_{n-1} by ``oracle_step``.  Returns the run's states, the
-    oracle's and the face average each step's rhs should take."""
+    P = 2 w_n - w_{n-1} by ``oracle_step``.  Returns the run's states and
+    the oracle's."""
     state0, boundary, dt = _bdf2_case(params, case)
     ws = evolve._workspace(state0.w.grid, params)
     steps = 20
@@ -298,43 +283,32 @@ def _run_bdf2_case(params, case, oracle_start, oracle_step):
     prev = state0.w.values.copy()
     w = oracle_start(ws, prev, dt, value(trace.times[1]))
     oracle = [prev, w]
-    # the points each step evaluates its rhs at: w_0, then the predictors
-    points = [np.append(prev[:-1], value(trace.times[1]))]
     for t in trace.times[2:]:
-        points.append(np.append((2.0 * w - prev)[:-1], value(t)))
         prev, w = w, oracle_step(ws, prev, w, dt, value(t))
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle) == steps + 1
-    forms = [_one_pass(ws, P) for P in points]
-    return [got for _, got in trace.snapshots], oracle, forms
+    return [got for _, got in trace.snapshots], oracle
 
 
 @MODELS
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
-def test_run_linear_bdf2_bitwise_equal_to_solve_banded(n, m, face_forms,
-                                                       case):
+def test_run_linear_bdf2_bitwise_equal_to_solve_banded(n, m, case):
     params = cf.derive_params(n, m, 1.0)
-    states, oracle, forms = _run_bdf2_case(params, case,
-                                           _linear_euler_solve_banded,
-                                           _linear_bdf2_solve_banded)
+    states, oracle = _run_bdf2_case(params, case, _linear_euler_solve_banded,
+                                    _linear_bdf2_solve_banded)
     for got, want in zip(states, oracle):
         assert np.array_equal(got, want)
-    # one rhs per step, the start's included; its form is picked by the
-    # evaluated state's own min and max
-    assert face_forms == forms
-    if (n, m) == (3, 2.0 / 3.0):
-        steps = len(states) - 1
-        # v stays above 0.5 in the bump run and drops to 0.15 in the other
-        assert face_forms == [case == "bump"] * steps
 
 
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
 def test_run_linear_bdf2_agrees_with_the_textbook_form(params33, case):
     # the kernel's system scaled by 3/2, with the Jacobian's m U v^(m-1) as
-    # Um (v^m / v) and one band scale, against the (2/3) dt form with the
-    # power: the same method, apart by round-off over 20 steps
-    states, oracle, _ = _run_bdf2_case(params33, case, _textbook_euler,
-                                       _textbook_bdf2)
+    # Um (v^m / v), one face average, P = w - (prev - w) and one band scale
+    # for the bands and the flux differences, against the (2/3) dt form
+    # with the power and the four-pass average: the same method, apart by
+    # round-off over 20 steps
+    states, oracle = _run_bdf2_case(params33, case, _textbook_euler,
+                                    _textbook_bdf2)
     for got, want in zip(states, oracle):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -342,8 +316,10 @@ def test_run_linear_bdf2_agrees_with_the_textbook_form(params33, case):
 @pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
 def test_step_nonlinear_agrees_with_the_textbook_form(params33, case):
     # the kernel's linear Euler step, with the Jacobian's m U v^(m-1) as
-    # Um (v^m / v) and one band scale, against one Newton iteration of
-    # backward Euler with the power: apart by round-off over 20 steps
+    # Um (v^m / v), one face average and one band scale for the bands and
+    # the flux differences, against one Newton iteration of backward Euler
+    # with the power and the four-pass average: apart by round-off over 20
+    # steps
     state, boundary, dt = _bdf2_case(params33, case)
     ws = evolve._workspace(state.w.grid, params33)
     value = boundary or (lambda t: 0.0)
@@ -355,70 +331,73 @@ def test_step_nonlinear_agrees_with_the_textbook_form(params33, case):
         assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w))
 
 
-def test_dirichlet_value_alone_below_half_takes_four_passes(params33,
-                                                          face_forms):
-    # v >= 0.5 at every unknown, and 0.49 at s_max
-    grid = geo.make_grid(12.0, 300)
-    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
-    ws = evolve._workspace(grid, params33)
-    w, dt, boundary = state.w.values.copy(), 1e-2, -0.51
+@pytest.mark.parametrize("case", ["bump", "prescribed_boundary"])
+def test_the_margin_bound_skips_only_a_check_that_cannot_fail(
+        params33, case, monkeypatch):
+    # lo = min w_1 - (max w_0 - min w_1) bounds P = w_1 - (w_0 - w_1) from
+    # below.  In the bump run 1 + lo clears the margin floor and the step
+    # skips P's own check; where v drops to 0.15 it cannot, the exact check
+    # runs and passes.  Either way the new state is the oracle's bitwise.
+    state0, boundary, dt = _bdf2_case(params33, case)
+    ws = evolve._workspace(state0.w.grid, params33)
+    value = boundary or (lambda t: 0.0)
     kernel = evolve._Newton(ws)
-    for _ in range(5):
-        assert 1.0 + w[:-1].min() >= 0.5
-        # the predictor 2 w - w is w exactly
-        kernel.step(w, dt, boundary, w)
-        assert np.array_equal(
-            kernel.W, _linear_bdf2_solve_banded(ws, w, w, dt, boundary))
-        want = _linear_euler_solve_banded(ws, w, dt, boundary)
-        kernel.backward_euler(w, 0.0, dt, lambda t: boundary)
-        assert np.array_equal(kernel.W, want)
-        state = evolve.step_nonlinear(state, dt, lambda t: boundary)
-        assert np.array_equal(state.w.values, want)
-        w = want
-    assert face_forms and not any(face_forms)
+    w0 = state0.w.values
+    kernel.backward_euler(w0, 0.0, dt, boundary)
+    w1, (w1_min, w1_max) = kernel.W.copy(), kernel.extremes
+    assert (w1_min, w1_max) == (w1.min(), w1.max())
+    lo = w1_min - (w0.max() - w1_min)
+    P = w1 - (w0 - w1)
+    assert np.all(lo <= P)
+    clears = 1.0 + lo > evolve.MARGIN_FLOOR
+    assert clears == (case == "bump")
+    assert 1.0 + P[:-1].min() > evolve.MARGIN_FLOOR
+    checked, check = [], evolve._check_positivity
+
+    def spy(w, floor=0.0):
+        checked.append(w.size)
+        return check(w, floor)
+
+    monkeypatch.setattr(evolve, "_check_positivity", spy)
+    kernel.W = np.empty_like(w1)
+    kernel.step(w1, dt, value(2.0 * dt), w0, (w1_min, w0.max()))
+    N = ws.N
+    # the new state's check, and P's (over the unknowns) unless the bound
+    # clears the floor
+    assert checked == ([N + 1] if clears else [N, N + 1])
+    monkeypatch.undo()
+    assert np.array_equal(
+        kernel.W, _linear_bdf2_solve_banded(ws, w0, w1, dt, value(2.0 * dt)))
 
 
-def test_min_v_exactly_one_half_takes_one_pass(params33, face_forms):
-    # two neighbours at v = 0.5 exactly: a face sum s = 1, where s - 2 is
-    # still exact by Sterbenz's lemma
-    grid = geo.make_grid(12.0, 300)
-    w = np.maximum(-0.6 * np.exp(-(grid.nodes - 2.0) ** 2), -0.5)
-    assert (w == -0.5).sum() >= 2 and w[-1] > -0.5
-    ws = evolve._workspace(grid, params33)
-    kernel = evolve._Newton(ws)
-    for dt in (1e-3, 1e-2, 0.1):
-        face_forms.clear()
-        # the predictor 2 w - w is w exactly, min v 0.5, as is the base
-        # point of the linear Euler step
-        kernel.step(w, dt, 0.0, w)
-        assert np.array_equal(kernel.W,
-                              _linear_bdf2_solve_banded(ws, w, w, dt, 0.0))
-        kernel.backward_euler(w, 0.0, dt, None)
-        assert np.array_equal(kernel.W,
-                              _linear_euler_solve_banded(ws, w, dt, 0.0))
-        assert face_forms == [True, True]
-    out = np.empty(grid.count)
-    kernel.v[-1] = 1.0 + w[-1]
-    kernel.rhs(w[:-1], out, True)
-    assert np.array_equal(out, _rhs_np_diff(ws, w))
-
-
-def test_one_pass_face_average_needs_v_below_two_to_the_53(params33):
-    # up to s = v_i + v_{i+1} = 2^54 - 2 the one-pass form is the four-pass
-    # one bitwise; at s = 2^54 + 4, whose significand is odd, (s - 2)/2 + 1
-    # rounds to s/2 - 2, which is why the kernel also bounds max v
+def test_one_face_average_is_the_four_pass_one_to_round_off(params33):
+    # v from 0.1 to 2^60, shuffled so that neighbours differ by up to 2^63:
+    # the kernel's (v_i + v_{i+1}) (dU/2) against the flux form's four
+    # passes (1 + (v_i + v_{i+1} - 2)/2) dU, and the kernel's flux
+    # differences bitwise the oracle's and, to round-off, the textbook's
     grid = geo.make_grid(12.0, 64)
     ws = evolve._workspace(grid, params33)
+    v = np.random.default_rng(3).permutation(
+        np.geomspace(0.1, 2.0 ** 60, grid.count + 1))
+    s = v[:-1] + v[1:]
+    one, four = s * ws.half_dU, (1.0 + (s - 2.0) * 0.5) * ws.dU
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(one - four) <= 2.0 * eps * np.abs(four))
+    # the one form is the four-pass one bitwise where s lies in [1, 2^54)
+    low = (s >= 1.0) & (s < 2.0 ** 54)
+    assert low.any() and np.array_equal(one[low], four[low])
+    w = v - 1.0
     kernel = evolve._Newton(ws)
-    w = np.random.default_rng(3).uniform(-0.5, 3.0, grid.count + 1)
+    kernel.v[-1] = v[-1]
     out = np.empty(grid.count)
-    for pair, equal in (((2.0 ** 53 - 2, 2.0 ** 53 - 2), True),
-                        ((2.0 ** 53 - 1, 2.0 ** 53 + 2), False)):
-        w[20:22] = pair
-        assert (1.0 + w[20] + (1.0 + w[21]) < 2.0 ** 54) == equal
-        kernel.v[-1] = 1.0 + w[-1]
-        kernel.rhs(w[:-1], out, True)
-        assert np.array_equal(out, _rhs_np_diff(ws, w)) == equal
+    kernel.rhs(w[:-1], out)
+    assert np.array_equal(out, _flux_differences(ws, w))
+    # the textbook's flux differences, each to round-off of its terms
+    G = ws.U * v ** ws.m
+    terms = ws.C * (G[1:] + G[:-1] + np.abs(four))
+    scale = terms + np.append(0.0, terms[:-1])
+    textbook = _flux_differences(ws, w, textbook=True)
+    assert np.all(np.abs(out - textbook) <= 4.0 * eps * scale)
 
 
 @pytest.mark.parametrize("which", range(4))

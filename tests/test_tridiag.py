@@ -400,6 +400,84 @@ def test_one_face_average_is_the_four_pass_one_to_round_off(params33):
     assert np.all(np.abs(out - textbook) <= 4.0 * eps * scale)
 
 
+def test_dirichlet_value_alone_below_half_takes_four_passes(params33):
+    # v >= 0.5 at every unknown, and 0.49 at s_max: every face sum is still
+    # at least 1, so the one face average gives the four-pass flux
+    # differences bitwise, and each step is the oracle's bitwise
+    grid = geo.make_grid(12.0, 300)
+    state = evolve.bump_data(grid, 0.3, seed=7, params=params33)
+    ws = evolve._workspace(grid, params33)
+    w, dt, boundary = state.w.values.copy(), 1e-2, -0.51
+    kernel = evolve._Newton(ws)
+    out = np.empty(grid.count)
+    for _ in range(5):
+        assert 1.0 + w[:-1].min() >= 0.5
+        P = w.copy()
+        P[-1] = boundary
+        v = 1.0 + P
+        assert (v[:-1] + v[1:]).min() >= 1.0
+        kernel.v[-1] = v[-1]
+        kernel.rhs(P[:-1], out)
+        assert np.array_equal(out, _flux_differences(ws, P, textbook=True))
+        # the predictor w - (w - w) is w exactly
+        kernel.step(w, dt, boundary, w)
+        assert np.array_equal(
+            kernel.W, _linear_bdf2_solve_banded(ws, w, w, dt, boundary))
+        want = _linear_euler_solve_banded(ws, w, dt, boundary)
+        kernel.backward_euler(w, 0.0, dt, lambda t: boundary)
+        assert np.array_equal(kernel.W, want)
+        state = evolve.step_nonlinear(state, dt, lambda t: boundary)
+        assert np.array_equal(state.w.values, want)
+        w = want
+
+
+def test_min_v_exactly_one_half_takes_one_pass(params33):
+    # two neighbours at v = 0.5 exactly: a face sum s = 1, where s - 2 is
+    # still exact by Sterbenz's lemma, so the one face average is the
+    # four-pass one bitwise
+    grid = geo.make_grid(12.0, 300)
+    w = np.maximum(-0.6 * np.exp(-(grid.nodes - 2.0) ** 2), -0.5)
+    assert (w == -0.5).sum() >= 2 and w[-1] > -0.5
+    ws = evolve._workspace(grid, params33)
+    kernel = evolve._Newton(ws)
+    for dt in (1e-3, 1e-2, 0.1):
+        # the predictor w - (w - w) is w exactly, min v 0.5, as is the base
+        # point of the linear Euler step
+        kernel.step(w, dt, 0.0, w)
+        assert np.array_equal(kernel.W,
+                              _linear_bdf2_solve_banded(ws, w, w, dt, 0.0))
+        kernel.backward_euler(w, 0.0, dt, None)
+        assert np.array_equal(kernel.W,
+                              _linear_euler_solve_banded(ws, w, dt, 0.0))
+    out = np.empty(grid.count)
+    kernel.v[-1] = 1.0 + w[-1]
+    kernel.rhs(w[:-1], out)
+    assert np.array_equal(out, _flux_differences(ws, w, textbook=True))
+
+
+def test_one_pass_face_average_needs_v_below_two_to_the_53(params33):
+    # up to s = v_i + v_{i+1} = 2^54 - 2 the one-pass form is the four-pass
+    # one bitwise; at s = 2^54 + 4, whose significand is odd, (s - 2)/2 + 1
+    # rounds to s/2 - 2, and the two forms part at that face alone
+    grid = geo.make_grid(12.0, 64)
+    ws = evolve._workspace(grid, params33)
+    kernel = evolve._Newton(ws)
+    w = np.random.default_rng(3).uniform(-0.5, 3.0, grid.count + 1)
+    out = np.empty(grid.count)
+    for pair, equal in (((2.0 ** 53 - 2, 2.0 ** 53 - 2), True),
+                        ((2.0 ** 53 - 1, 2.0 ** 53 + 2), False)):
+        w[20:22] = pair
+        assert (1.0 + w[20] + (1.0 + w[21]) < 2.0 ** 54) == equal
+        kernel.v[-1] = 1.0 + w[-1]
+        kernel.rhs(w[:-1], out)
+        assert np.array_equal(out, _flux_differences(ws, w))
+        textbook = _flux_differences(ws, w, textbook=True)
+        assert np.array_equal(out, textbook) == equal
+        # only the flux at the face between them differs
+        assert np.array_equal(out[:20], textbook[:20])
+        assert np.array_equal(out[22:], textbook[22:])
+
+
 @pytest.mark.parametrize("which", range(4))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_packed_pair_checks_and_solves_like_the_buffer(which, bad):

@@ -7,13 +7,15 @@ Sigma_0 is invariant under the fast-diffusion flow when sigma obeys
 
 Substituting the isotropic case Sigma = sigma I into the flow gives
 d sigma / d tau = (4/(1-m)) sigma^{n(1-m)/2}, so c_B = (2(p+n))^{p+n} for
-every B; the constant is attached to the states built here.
+every B, and the rate is taken in closed form,
+d sigma / d tau = 2(p+n) det(Sigma)^{1/(p+n)}: c_B itself is not a float
+from p+n = 128 on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .closedform import ModelParams
 
 __all__ = [
     "AffineState",
-    "calibrate_cb",
     "make_affine_state",
     "affine_density",
     "affine_pde_residual",
@@ -30,11 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineState:
-    """Traceless anisotropy Sigma_0, scalar sigma, closed-form constant cB."""
+    """Traceless anisotropy Sigma_0 and scalar sigma: Sigma = Sigma_0 + sigma I.
+
+    The eigendecomposition Sigma_0 = Q diag(d) Q^T is read once, when the
+    state is built; Sigma's axes are sigma + d_i.
+    """
 
     sigma0: np.ndarray
     sigma: float
-    cB: float
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+    Q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s0 = np.asarray(self.sigma0, dtype=float)
@@ -45,14 +51,13 @@ class AffineState:
             raise ValueError("sigma0 must be symmetric")
         if abs(np.trace(s0)) > 1e-10 * max(1.0, np.abs(s0).max()):
             raise ValueError(f"sigma0 must be traceless, trace = {np.trace(s0)}")
-
-    def axes(self) -> np.ndarray:
-        """Eigenvalues d_i of Sigma_0; Sigma's axes are sigma + d_i."""
-        return np.linalg.eigvalsh(self.sigma0)
+        d, Q = np.linalg.eigh(s0)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "Q", Q)
 
 
 def _sigma_axes(state: AffineState, sigma: float) -> np.ndarray:
-    axes = sigma + state.axes()
+    axes = sigma + state.d
     if axes.min() <= 0.0:
         raise ValueError(
             f"Sigma lost positive definiteness: axes {axes} at sigma={sigma}"
@@ -61,10 +66,9 @@ def _sigma_axes(state: AffineState, sigma: float) -> np.ndarray:
 
 
 def _sigma_rate(state: AffineState, sigma: float, params: ModelParams) -> float:
-    """d sigma / d tau = (cB det Sigma)^{1/(p+n)}."""
-    axes = _sigma_axes(state, sigma)
-    np_exp = params.n + params.p
-    return math.exp((math.log(state.cB) + np.log(axes).sum()) / np_exp)
+    """d sigma / d tau = 2(p+n) det(Sigma)^{1/(p+n)}."""
+    q = params.n + params.p
+    return 2.0 * q * math.exp(np.log(_sigma_axes(state, sigma)).sum() / q)
 
 
 def _rk4(state: AffineState, s: float, dtau: float,
@@ -93,41 +97,22 @@ def affine_density(state: AffineState, tau_elapsed: float, y,
                    params: ModelParams):
     """u_B(Sigma^{-1/2} y) det Sigma^{-1/2} at elapsed time along the trajectory.
 
-    y has shape (n,) or (..., n); the n x n eigenproblem of Sigma_0 is tiny.
+    y has shape (n,) or (..., n), taken to Sigma_0's eigenbasis.
     """
     adv = _advance(state, tau_elapsed, params)
-    d, Q = np.linalg.eigh(np.asarray(state.sigma0, dtype=float))
-    axes = adv.sigma + d
+    axes = adv.sigma + state.d
     if axes.min() <= 0.0:
         raise ValueError(f"Sigma lost positive definiteness: axes {axes}")
     yy = np.asarray(y, dtype=float)
-    z = yy @ Q  # coordinates in the eigenbasis
+    z = yy @ state.Q  # coordinates in the eigenbasis
     quad = (z * z / axes).sum(axis=-1)
     detroot = float(np.prod(axes) ** -0.5)
     return (params.B + quad) ** (-params.a) * detroot
 
 
-def calibrate_cb(params: ModelParams) -> float:
-    """The constant cB = (2(p+n))^{p+n} of the sigma flow (independent of B).
-
-    It is a float only for p+n < 128, where (2(p+n))^{p+n} < 256^128 = 2^1024;
-    beyond that a ValueError names p+n.
-    """
-    q = params.p + params.n
-    try:
-        return (2.0 * q) ** q
-    except OverflowError:
-        raise ValueError(
-            f"cB = (2(p+n))^(p+n) overflows a float for p+n = {q:.6g} "
-            f"(n={params.n}, m={params.m}); it is representable only for "
-            f"p+n < 128"
-        ) from None
-
-
 def make_affine_state(sigma0, sigma: float, params: ModelParams) -> AffineState:
-    """Build a state with the closed-form cB attached."""
-    state = AffineState(sigma0=np.asarray(sigma0, dtype=float), sigma=sigma,
-                        cB=calibrate_cb(params))
+    """Build a state, refusing a Sigma that is not positive definite."""
+    state = AffineState(sigma0=np.asarray(sigma0, dtype=float), sigma=sigma)
     _sigma_axes(state, sigma)  # positive definiteness up front
     return state
 

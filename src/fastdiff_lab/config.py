@@ -158,9 +158,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _require_count(name: str, value) -> None:
     """Refuse anything but an int >= 1 (a bool or an integral float too)."""

@@ -28,9 +28,7 @@ __all__ = [
     "make_grid",
     "refine",
     "step_count",
-    "volume_weight",
     "sphere_area",
-    "inner_product_uBm",
     "weighted_sup",
     "cell_masses",
     "tail_estimate",
@@ -133,38 +131,9 @@ class GridFunction:
         return GridFunction(self.grid, self.ell, values)
 
 
-def volume_weight(s, n: int):
-    """Radial density tanh^{n-1}(s) of the cigar volume element."""
-    s = np.asarray(s, dtype=float)
-    if n == 1:
-        return np.ones_like(s)
-    return np.tanh(s) ** (n - 1)
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of S^{n-1}; 2 for n = 1 (two half-lines)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _check_compatible(f: GridFunction, g: GridFunction):
-    if f.grid != g.grid:
-        raise ValueError("grid functions live on different grids")
-    if f.ell != g.ell:
-        raise ValueError(f"harmonic index mismatch: {f.ell} != {g.ell}")
-
-
-def inner_product_uBm(f: GridFunction, g: GridFunction,
-                      params: ModelParams) -> float:
-    """<f, g> in L^2_{u_B^m}: integral f g u_B^m r^{n-1} dr (B = 1).
-
-    In cigar coordinates the measure is (cosh s)^{-2 eta_cr} tanh^{n-1}s ds,
-    which makes multiplication by (cosh s)^{-eta_cr} an isometry onto L^2 of
-    the cigar.
-    """
-    _check_compatible(f, g)
-    s = f.grid.nodes
-    w = volume_weight(s, params.n) * np.cosh(s) ** (-2.0 * params.eta_cr)
-    return float(np.trapezoid(f.values * g.values * w, s))
 
 
 def weighted_sup(f: GridFunction, eta: float) -> float:

@@ -34,7 +34,9 @@ The linear semigroup is exact in time.  Through the diagonal symmetrizer D
 the bands are a symmetric tridiagonal matrix V diag(lambda) V^T, so
 e^{tL} f = D^{-1/2} V e^{t lambda} V^T D^{1/2} f; ``semigroup_decay`` takes
 it from the top eigenpairs alone, as many as its fit window needs, from the
-one symmetric eigensolve (``_top_eigh``) that serves every caller.
+one symmetric eigensolve (``_top_eigh``) that serves every caller.  The
+discrete modes a caller names are removed there, one way: mode (l, k) is
+the (k+1)-th top eigenpair of L_{l,eta}, and its coefficient is zeroed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .closedform import (
     is_admissible,
     potential_profile,
 )
-from .geometry import GridFunction, RadialGrid, inner_product_uBm, step_count
+from .geometry import GridFunction, RadialGrid, step_count
 
 __all__ = [
     "TridiagonalOperator",
@@ -65,8 +67,8 @@ __all__ = [
     "assemble",
     "apply",
     "top_eigenvalues",
+    "conjugated_eigenfunction",
     "eigen_residual",
-    "project",
     "semigroup_decay",
 ]
 
@@ -418,27 +420,6 @@ def eigen_residual(mode: ModeIndex, eta: float, grid: RadialGrid,
     return float(np.max(np.abs(resid[i0:grid.count - 1])))
 
 
-def project(f: GridFunction, modes: list[ModeIndex],
-            params: ModelParams) -> tuple[GridFunction, GridFunction]:
-    """Spectral projection by u_B^m-weighted pairings against v_{lk}.
-
-    q_part = sum_k v_{lk} <f, v_{lk}> / <v_{lk}, v_{lk}>, p_part = f - q_part.
-    Eigenfunctions with common l are orthogonal in this pairing, so the
-    diagonal formula is the full Gram solve.
-    """
-    s = f.grid.nodes
-    q = np.zeros_like(f.values)
-    for mode in modes:
-        if mode.ell != f.ell:
-            raise ValueError(f"mode {mode} does not ride on l={f.ell}")
-        v = GridFunction(f.grid, f.ell, eigenfunction_v(mode, s, params))
-        coeff = inner_product_uBm(f, v, params) / inner_product_uBm(v, v, params)
-        q += coeff * v.values
-    q_part = f.with_values(q)
-    p_part = f.with_values(f.values - q)
-    return q_part, p_part
-
-
 # the propagator starts from this many top eigenpairs and doubles them
 # until the dropped modes are below _TRUNCATION_TOL * value_lo at every
 # sample the fit window admits
@@ -455,44 +436,46 @@ _PRODUCT_SIZE = 1 << 18
 def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
                     modes_to_remove: list[ModeIndex], t_final: float,
                     dt: float, params: ModelParams, policy=None):
-    """Evolve the spectral complement exactly in time and fit its sup-norm
-    decay slope.
+    """Evolve f0 without the named discrete modes exactly in time and fit
+    its sup-norm decay slope.
 
-    f0 is a conjugated profile (the weight eta lives in the operator); the
-    projection is performed on (cosh s)^eta f0 in the u_B^m pairing.  In
+    f0 is a conjugated profile (the weight eta lives in the operator).  In
     the symmetric frame y = D^{1/2} x of op's unknowns (D the diagonal
     symmetrizer, ``symmetrizer_log_weights``) op is a symmetric tridiagonal
     matrix V diag(lambda) V^T, so e^{tL} x = D^{-1/2} V (e^{lambda t} c)
-    with c = V^T y, exact in time.  The O(h^2) residue the analytic
-    projection leaves along each removed discrete mode is deflated by
-    zeroing the top len(modes_to_remove) coefficients.  Only the top K
-    eigenpairs are taken: K starts at ``_FIRST_PAIRS`` and doubles until
-    the dropped modes' bound max D^{-1/2} |c_dropped|_2 e^{lambda_K t},
-    with |c_dropped|_2^2 = |y|^2 - |c|^2 (Parseval), is at most
-    ``_TRUNCATION_TOL`` * value_lo at every sample the fit admits (the
-    last sample, if it admits none).  The samples, one per dt to t_final,
-    are normalized by the sup of the exact deflated profile
-    x - D^{-1/2} V_top c_top.  Returns the RateFit of log sup|w(t)|; the
-    semigroup estimate asserts slope <= c_inf(eta) for the complement.
+    with c = V^T y, exact in time.  Each named mode (l, k) is removed by
+    zeroing its coefficient, that of the (k+1)-th largest eigenvalue, and
+    nothing else is removed; a mode not on op's l, not admissible at op's
+    eta or with k beyond the unknowns is a ValueError.  Only the top K
+    eigenpairs are taken: K starts at ``_FIRST_PAIRS`` (at least k+1 for
+    every named k) and doubles until the dropped modes' bound
+    max D^{-1/2} |c_dropped|_2 e^{lambda_K t}, with
+    |c_dropped|_2^2 = |y|^2 - |c|^2 (Parseval), is at most
+    ``_TRUNCATION_TOL`` * value_lo at every sample the fit admits (the last
+    sample, if it admits none).  The samples, one per dt to t_final, are
+    normalized by the sup of the deflated profile x - D^{-1/2} V_named
+    c_named.  Returns the RateFit of log sup|w(t)|; the semigroup estimate
+    asserts slope <= c_inf(eta) once every mode above the continuum is
+    removed.
     """
     from .asymptotics import EmptyWindowError, WindowPolicy, fit_rate
 
     if f0.grid != op.grid or f0.ell != op.ell:
         raise ValueError("operator/function mismatch")
-    steps = step_count(0.0, t_final, dt)
-    p = params.p
+    m = op.n_unknowns
     for mode in modes_to_remove:
-        if op.eta + mode.degree >= p:
+        if (mode.ell != op.ell or mode.k >= m
+                or not is_admissible(mode, op.eta, params)):
             raise ValueError(
-                f"pairing against {mode} not integrable at eta={op.eta} "
-                f"(needs eta + l + 2k < p = {p})"
+                f"cannot remove mode ({mode.ell},{mode.k}) from L_(l,eta) at "
+                f"l={op.ell}, eta={op.eta:.6g} on {m} unknowns: it is not "
+                f"one of its admissible discrete modes"
             )
-    cosh_eta = np.cosh(f0.grid.nodes) ** op.eta
-    v0 = f0.with_values(cosh_eta * f0.values)
-    if modes_to_remove:
-        v0 = project(v0, modes_to_remove, params)[1]
+    steps = step_count(0.0, t_final, dt)
     # the node(s) held at zero do not change the sup norm
-    x = (v0.values / cosh_eta)[op.first_node:op.grid.count]
+    x = f0.values[op.first_node:op.grid.count]
+    if not np.isfinite(x).all():
+        raise ValueError("grid function contains non-finite values")
     logw = op.symmetrizer_log_weights()
     half_logw = 0.5 * (logw - logw.max())
     inv_d = np.exp(-half_logw)
@@ -500,21 +483,17 @@ def semigroup_decay(op: TridiagonalOperator, f0: GridFunction,
     norm2 = np.dot(y, y)
     times = np.arange(steps + 1) * dt
     policy = policy or WindowPolicy()
-    removed = len(modes_to_remove)
-    m = op.n_unknowns
-    count = min(max(_FIRST_PAIRS, removed), m)
+    ks = sorted({mode.k for mode in modes_to_remove})
+    count = min(max([_FIRST_PAIRS] + [k + 1 for k in ks]), m)
     while True:
         lam, vecs = _top_eigh(op, count, eigvals_only=False)
         c = np.einsum("ik,i->k", vecs, y)
         dropped = math.sqrt(max(norm2 - np.dot(c, c), 0.0))
-        top = slice(count - removed, count)
-        scale = np.abs(
-            x - inv_d * np.einsum("ik,k->i", vecs[:, top], c[top])).max()
+        named = [count - 1 - k for k in ks]
+        scale = np.abs(x - inv_d * (vecs[:, named] @ c[named])).max()
         if scale == 0.0:
-            raise ValueError("projection removed the whole initial profile")
-        if not math.isfinite(scale):
-            raise ValueError("grid function contains non-finite values")
-        c[top] = 0.0
+            raise ValueError("the named modes are the whole initial profile")
+        c[named] = 0.0
         # the eigenvectors in node values, one per row
         node_vecs = (vecs * inv_d[:, None]).T
         sups = np.empty(steps + 1)

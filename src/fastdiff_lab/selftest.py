@@ -147,48 +147,50 @@ def criterion_3_leading_rate(fast: bool = False) -> list[CheckResult]:
 
 
 def _semigroup_modes(eta, params):
-    """The l=0 modes above the continuum that criterion 4 projects off."""
+    """The l=0 modes above the continuum that criteria 4 and 9 remove."""
     return [md for md, lam in closedform.admissible_modes(eta, params)
             if md.ell == 0 and lam > closedform.essential_threshold(0, eta, params)]
 
 
 def _slow_modes(params):
     """Criterion 4's weights, each with the retained eigen-component that
-    must decay strictly slower than the projected bump."""
+    must decay strictly slower than the bump with its modes removed."""
     return {eta: [md for md in _semigroup_modes(eta, params)
                   if closedform.eigenvalue(md, params) < 0][-1:]
             for eta in (0.0, params.eta_cr / 2.0, params.eta_cr)}
 
 
 def _semigroup_items(fast):
-    """Criterion 4's runs: the eigenfunction runs (to t = 2, whose window
-    opens early enough to take 64 eigenpairs) first, then the bump runs (to
-    t = 5, 32 eigenpairs)."""
+    """Criterion 4's runs, as ``_semigroup_slope`` items: the eigenfunction
+    runs (to t = 2, whose window opens early enough to take 64 eigenpairs)
+    first, then the bump runs (to t = 5, 32 eigenpairs)."""
+    count, dt = (600, 4e-3) if fast else (1200, 2e-3)
     slow = _slow_modes(derive_params(3, 2.0 / 3.0))
-    return [(fast, eta, md) for eta, mds in slow.items() for md in mds] + [
-        (fast, eta, None) for eta in slow]
+    eigen, bump = WindowPolicy(1e-5, 0.5), WindowPolicy(1e-9, 1e-4)
+    return ([(2.0 / 3.0, eta, md, count, 2.0, dt, eigen)
+             for eta, mds in slow.items() for md in mds]
+            + [(2.0 / 3.0, eta, None, count, 5.0, dt, bump) for eta in slow])
 
 
 def _semigroup_slope(item):
-    """Fitted slope of one criterion-4 decay under the exact linear
-    semigroup (a pool worker): the bump with the modes above the continuum
-    projected off or, given ``mode``, that normalized eigenfunction."""
-    fast, eta, mode = item
-    params = derive_params(3, 2.0 / 3.0)
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    s = grid.nodes
-    dt = 4e-3 if fast else 2e-3
+    """Fitted slope of one decay under the exact linear semigroup at n = 3
+    (a pool worker of criteria 4 and 9): the bump with the modes above the
+    continuum removed or, given ``mode``, that normalized eigenfunction.
+    The item is (m, eta, mode, grid count, t_final, dt, fit window)."""
+    m, eta, mode, count, t_final, dt, policy = item
+    params = derive_params(3, m)
+    grid = geometry.make_grid(12.0, count)
     op = linop.assemble(0, eta, grid, params)
     if mode is None:
+        s = grid.nodes
         f0 = geometry.GridFunction(grid, 0,
                                    np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
-        return linop.semigroup_decay(
-            op, f0, _semigroup_modes(eta, params), 5.0, dt, params,
-            policy=WindowPolicy(value_lo=1e-9, value_hi=1e-4)).slope
-    wv = np.cosh(s) ** (-eta) * closedform.eigenfunction_v(mode, s, params)
-    fe = geometry.GridFunction(grid, 0, wv / np.max(np.abs(wv)))
-    return linop.semigroup_decay(op, fe, [], 2.0, dt, params,
-                                 policy=WindowPolicy(1e-5, 0.5)).slope
+        modes = _semigroup_modes(eta, params)
+    else:
+        f0 = linop.conjugated_eigenfunction(mode, eta, grid, params)
+        modes = []
+    return linop.semigroup_decay(op, f0, modes, t_final, dt, params,
+                                 policy=policy).slope
 
 
 def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
@@ -196,17 +198,18 @@ def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
     eigen-components are slower."""
     results = []
     params = derive_params(3, 2.0 / 3.0)
-    slopes = _owned(4, fast)
+    # keyed by (eta, mode) of each _semigroup_slope item
+    slopes = {item[1:3]: slope for item, slope in _owned(4, fast).items()}
     for eta, slow in _slow_modes(params).items():
         cinf = closedform.potential_profile(eta, params)["c_inf"]
-        slope = slopes[fast, eta, None]
+        slope = slopes[eta, None]
         hi = cinf + 0.05 * abs(cinf)
         lo = cinf - 0.10 * abs(cinf)
         results.append(CheckResult(
             "4-semigroup", f"eta={eta:.3g} slope={slope:.4f} (c_inf={cinf:.4f})",
             slope, f"[{lo:.4f}, {hi:.4f}]", lo <= slope <= hi))
         for md in slow:
-            slope_e = slopes[fast, eta, md]
+            slope_e = slopes[eta, md]
             results.append(CheckResult(
                 "4-semigroup",
                 f"eta={eta:.3g} eigen ({md.ell},{md.k}) slope={slope_e:.4f}",
@@ -264,9 +267,7 @@ def _manufactured_error(item):
     grid = geometry.make_grid(12.0, count)
 
     def boundary(t):
-        E = np.exp(2 * params.p * t)
-        theta = (E / (E + 2 * params.p * tau0)) ** params.beta
-        return theta ** (-params.p) - 1.0
+        return closedform._delayed_theta(t, tau0, params) ** (-params.p) - 1.0
 
     def exact(t):
         return closedform.delayed_barenblatt_v(t, grid.nodes, tau0, bplus,
@@ -391,20 +392,6 @@ def criterion_8_coefficients(fast: bool = False) -> list[CheckResult]:
                         flat, "<= 1e-6", flat <= 1e-6)]
 
 
-def _subcritical_slope(fast):
-    """Fitted slope of criterion 9's critically weighted decay under the
-    exact linear semigroup at (3, 0.55) (a pool worker)."""
-    params = derive_params(3, 0.55)
-    grid = geometry.make_grid(12.0, 600 if fast else 1200)
-    s = grid.nodes
-    op = linop.assemble(0, params.eta_cr, grid, params)
-    modes = [md for md, _ in closedform.admissible_modes(params.eta_cr, params)
-             if md.ell == 0]
-    f0 = geometry.GridFunction(
-        grid, 0, np.cosh(s) ** (-params.eta_cr) * np.exp(-(s - 1.5) ** 2))
-    return linop.semigroup_decay(op, f0, modes, 8.0, 4e-3, params).slope
-
-
 def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
     """m < m_2: critically weighted decay under the exact linear semigroup
     reaches -(p/2+1)^2."""
@@ -417,7 +404,8 @@ def criterion_9_subcritical(fast: bool = False) -> list[CheckResult]:
 
 
 def criterion_10_affine(fast: bool = False) -> list[CheckResult]:
-    """Affine family (closed-form cB): scaled PDE residual <= 1e-4, second order."""
+    """Affine family (closed-form sigma rate): scaled PDE residual <= 1e-4,
+    second order."""
     params = derive_params(2, 2.0 / 3.0)
     state = affine.make_affine_state(np.diag([0.25, -0.25]), 1.0, params)
     h = 0.003125  # cheap enough that fast mode keeps the full resolution
@@ -459,7 +447,9 @@ def _solve_items(fast):
         3: (_rate_trace, [(n, m, fast) for n, m in RATE_CASES]),
         8: (_coefficient_run, [("k0", count), ("amplitude", count)]),
         4: (_semigroup_slope, _semigroup_items(fast)),
-        9: (_subcritical_slope, [fast]),
+        # criterion 9: the bump at (3, 0.55) and eta_cr to t = 8
+        9: (_semigroup_slope, [(0.55, derive_params(3, 0.55).eta_cr, None,
+                                count, 8.0, 4e-3, WindowPolicy())]),
         6: (_manufactured_error, _manufactured_items(fast)),
         2: (_eigen_residuals,
             list(ACCEPTANCE_CASES[:1] if fast else ACCEPTANCE_CASES)),
@@ -481,7 +471,7 @@ def _schedule(fast):
     5; criterion 1 2, 2 and 4.  The owners go in the order of their costliest
     solve, each owner's solves in its own order (``_solve_items``).
 
-    Criterion 10 (22 ms) stays in the calling process: it is the only
+    Criterion 10 (5 ms) stays in the calling process: it is the only
     caller of ``affine``, and a profiler or tracer of the calling process
     does not see what the workers run.
     """

@@ -67,16 +67,50 @@ def shifted_snapshots(trace, tau0, params):
             for t, w in zip(times, rows)]
 
 
-def propagate(op, x, times, removed=0):
+def propagate(op, x, times, modes=()):
     """e^{tL} x on op's unknowns, one row per t in ``times``, from the full
     eigendecomposition of the symmetric tridiagonal matrix similar to op,
-    with the coefficients of its top ``removed`` eigenvectors dropped: the
-    exact linear semigroup ``linop.semigroup_decay`` samples from its top
-    eigenpairs alone."""
+    with the coefficient of each named mode (l, k), the (k+1)-th top
+    eigenvector, dropped: the exact linear semigroup
+    ``linop.semigroup_decay`` samples from its top eigenpairs alone."""
     logw = op.symmetrizer_log_weights()
     half = 0.5 * (logw - logw.max())
     lam, vecs = scipy.linalg.eigh_tridiagonal(
         op.diag, np.sqrt(op.sup[:-1] * op.sub[1:]))
     c = vecs.T @ (np.exp(half) * x)
-    c[c.size - removed:] = 0.0
+    c[[c.size - 1 - mode.k for mode in modes]] = 0.0
     return np.exp(-half) * ((np.exp(np.outer(times, lam)) * c) @ vecs.T)
+
+
+def volume_weight(s, n):
+    """Radial density tanh^{n-1}(s) of the cigar volume element."""
+    s = np.asarray(s, dtype=float)
+    if n == 1:
+        return np.ones_like(s)
+    return np.tanh(s) ** (n - 1)
+
+
+def inner_product_uBm(f, g, params):
+    """<f, g> in L^2_{u_B^m}: integral f g u_B^m r^{n-1} dr (B = 1), by the
+    trapezoid rule on the grid.
+
+    In cigar coordinates the measure is (cosh s)^{-2 eta_cr} tanh^{n-1}s ds,
+    which makes multiplication by (cosh s)^{-eta_cr} an isometry onto L^2 of
+    the cigar.
+    """
+    s = f.grid.nodes
+    w = volume_weight(s, params.n) * np.cosh(s) ** (-2.0 * params.eta_cr)
+    return float(np.trapezoid(f.values * g.values * w, s))
+
+
+def orthogonalize(f, modes, params):
+    """f less its components along each v_{lk} in the u_B^m pairing (the
+    v_{lk} of one l are orthogonal there, so each coefficient is one
+    pairing)."""
+    s = f.grid.nodes
+    out = f.values.copy()
+    for mode in modes:
+        v = f.with_values(cf.eigenfunction_v(mode, s, params))
+        out -= (inner_product_uBm(f, v, params)
+                / inner_product_uBm(v, v, params)) * v.values
+    return f.with_values(out)

@@ -1,4 +1,4 @@
-"""Affinely self-similar family: closed-form cB, stepping, PDE residual."""
+"""Affinely self-similar family: closed-form sigma rate, stepping, PDE residual."""
 
 import math
 
@@ -28,8 +28,9 @@ def _fd_laplacian(f, y, h):
     return (4.0 * lap(h / 2.0) - lap(h)) / 3.0
 
 
-def _fd_cb(params):
-    """cB recovered from the flow at a diagonal anisotropic Sigma, sigma = 1.
+def _fd_rate(params):
+    """d sigma/d tau recovered from the flow at a diagonal anisotropic Sigma,
+    sigma = 1, with the traceless Sigma_0 it takes.
 
     With rho = det(Sigma)^{-1/2} (B + y' Sigma^{-1} y)^{-a}, d_tau rho equals
     (d sigma/d tau) * drho/dsigma for the analytic
@@ -37,15 +38,16 @@ def _fd_cb(params):
         drho/dsigma = rho [ -tr(Sigma^{-1})/2 + a (y'Sigma^{-2}y)/(B + y'Sigma^{-1}y) ],
 
     so each sample point gives d sigma/d tau = (Lap rho^m / m) / (drho/dsigma);
-    the points must agree, and cB = (d sigma/d tau)^{p+n} / det Sigma.
+    the points must agree.
     """
     n, m, a, B = params.n, params.m, params.a, params.B
     d = 0.3 * np.linspace(-1.0, 1.0, n)
-    axes = 1.0 + (d - d.mean())
-    det = float(np.prod(axes))
+    sigma0 = d - d.mean()
+    axes = 1.0 + sigma0
 
     def rho(y):
-        return det ** -0.5 * (B + float((y * y / axes).sum())) ** (-a)
+        return float(np.prod(axes)) ** -0.5 * (
+            B + float((y * y / axes).sum())) ** (-a)
 
     def drho_dsigma(y):
         quad1 = float((y * y / axes).sum())
@@ -58,8 +60,7 @@ def _fd_cb(params):
     rates = np.array([(_fd_laplacian(lambda z: rho(z) ** m, y, h) / m)
                       / drho_dsigma(y) for y in points])
     assert np.ptp(rates) / abs(rates.mean()) <= 1e-4
-    return math.exp((params.n + params.p) * math.log(rates.mean())
-                    - math.log(det))
+    return rates.mean(), np.diag(sigma0)
 
 
 @pytest.mark.parametrize("n, m, B", [(2, 2.0 / 3.0, 1.0), (1, 0.5, 1.0),
@@ -67,27 +68,32 @@ def _fd_cb(params):
                                      (6, 0.9, 0.3)])
 def test_calibration_matches_independent_derivation(n, m, B):
     # substituting the affine ansatz into the flow gives, by hand,
-    # d sigma/d tau = (4/(1-m)) det(Sigma)^((1-m)/2), i.e. cB = (2(p+n))^(p+n)
+    # d sigma/d tau = (4/(1-m)) det(Sigma)^((1-m)/2), i.e. cB = (2(p+n))^(p+n);
+    # cB = rate^(p+n) / det Sigma, so the rates' ratio to the (p+n) is cB's
     params = cf.derive_params(n, m, B)
-    assert affine.calibrate_cb(params) == pytest.approx(_fd_cb(params), rel=1e-4)
+    rate, sigma0 = _fd_rate(params)
+    state = affine.make_affine_state(sigma0, 1.0, params)
+    ratio = affine._sigma_rate(state, 1.0, params) / rate
+    assert ratio ** (params.p + params.n) == pytest.approx(1.0, rel=1e-4)
 
 
-def test_cb_overflow_is_a_named_error():
-    # (2(p+n))^(p+n) is a float only for p+n < 128
+def test_sigma_rate_is_a_float_where_cb_overflows():
+    # (2(p+n))^(p+n) is a float only for p+n < 128; the closed-form rate
+    # 2(p+n) det(Sigma)^(1/(p+n)) is one at every p+n
     params = cf.derive_params(3, 0.99)  # p+n = 200
-    with pytest.raises(ValueError, match=r"p\+n = 200 .*p\+n < 128"):
-        affine.calibrate_cb(params)
-    with pytest.raises(ValueError, match="overflows"):
-        affine.make_affine_state(np.diag([0.1, -0.1, 0.0]), 1.0, params)
-    below = cf.derive_params(3, 1.0 - 2.0 / 127.5)  # p+n = 127.5
-    assert math.isfinite(affine.calibrate_cb(below))
+    q = params.p + params.n
+    state = affine.make_affine_state(np.diag([0.1, -0.1, 0.0]), 1.0, params)
+    rate = affine._sigma_rate(state, 1.0, params)
+    assert rate == pytest.approx(2.0 * q * (1.1 * 0.9) ** (1.0 / q), rel=1e-14)
+    iso = affine.make_affine_state(np.zeros((3, 3)), 1.0, params)
+    assert affine._sigma_rate(iso, 1.0, params) == 2.0 * q
 
 
 def test_state_validation(params_n2):
     with pytest.raises(ValueError, match="traceless"):
-        affine.AffineState(np.diag([0.5, 0.1]), 1.0, 1.0)
+        affine.AffineState(np.diag([0.5, 0.1]), 1.0)
     with pytest.raises(ValueError, match="symmetric"):
-        affine.AffineState(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0, 1.0)
+        affine.AffineState(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
     with pytest.raises(ValueError, match="positive definiteness"):
         affine.make_affine_state(np.diag([0.5, -0.5]), 0.3, params_n2)
 

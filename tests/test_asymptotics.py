@@ -17,7 +17,7 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
 from fastdiff_lab.config import config_from_dict, load_config
 
-from helpers import shifted_snapshots
+from helpers import orthogonalize, shifted_snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,8 @@ def test_extract_coefficient_orthogonal_data(eigen_trace):
     # bump orthogonalized against psi_01 in the u_B^m pairing
     s = grid.nodes
     raw = 0.01 * np.exp(-((s - 1.2) ** 2))
-    from fastdiff_lab import linop
     f = geo.GridFunction(grid, 0, raw)
-    _, p_part = linop.project(f, [ModeIndex(0, 1)], params)
+    p_part = orthogonalize(f, [ModeIndex(0, 1)], params)
     st = evolve.EvolutionState(0.0, p_part, params)
     tr = evolve.run(st, 1e-3, 0.1,
                     evolve.RecordOptions(record_every=5, snapshot_every=5))

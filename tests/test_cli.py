@@ -111,7 +111,7 @@ def test_an_amplitude_that_cannot_perturb_v_is_refused(kind, tmp_path):
 
 def test_config_round_trip():
     cfg = ExperimentConfig()
-    again = config_from_dict(json.loads(cfg.to_json()))
+    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
 

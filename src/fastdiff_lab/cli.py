@@ -34,23 +34,17 @@ EXIT_SELFTEST = 4
 # the detail of a selftest row that measures wall-clock seconds
 RUNTIME_SUFFIX = " runtime_s"
 
+# spectrum's angular sectors l, and its eigenvalues per (eta, l)
+SPECTRUM_ELLS = (0, 1, 2)
+SPECTRUM_EIGEN_COUNT = 4
+
 
 def _params(cfg: ExperimentConfig):
-    return derive_params(cfg.model.n, cfg.model.m, cfg.model.B)
+    return derive_params(cfg.model.n, cfg.model.m)
 
 
 def _grid(cfg: ExperimentConfig):
     return geometry.make_grid(cfg.grid.s_max, cfg.grid.count)
-
-
-def _require_unit_b(cfg: ExperimentConfig):
-    """The nonlinear solver normalizes B to 1 while the pairings read
-    psi(r^2/B), so a run with B != 1 would mix two Barenblatts."""
-    if cfg.model.B != 1.0:
-        raise ConfigError(
-            f"model.B: nonlinear runs normalize B to 1 (B is a scaling "
-            f"symmetry), got {cfg.model.B}"
-        )
 
 
 def _require_lambda_window(cfg: ExperimentConfig, params):
@@ -60,7 +54,7 @@ def _require_lambda_window(cfg: ExperimentConfig, params):
     Lambda = cfg.analysis.lambda_target
     if Lambda is None:
         return
-    lam01 = -2.0 * params.p
+    lam01 = params.lambda_01
     try:  # the continuum side, with its rounding tolerance
         closedform.eta_for_target_rate(Lambda, params)
         if 2.0 * lam01 < Lambda <= lam01:
@@ -80,8 +74,7 @@ def _require_lambda_window(cfg: ExperimentConfig, params):
 def _policy(cfg: ExperimentConfig):
     a = cfg.analysis
     return asymptotics.WindowPolicy(value_lo=a.fit_value_lo,
-                                    value_hi=a.fit_value_hi,
-                                    t_lo=a.fit_t_lo, t_hi=a.fit_t_hi)
+                                    value_hi=a.fit_value_hi)
 
 
 def _initial_state(cfg: ExperimentConfig, params, grid):
@@ -94,15 +87,18 @@ def _initial_state(cfg: ExperimentConfig, params, grid):
     return evolve.delayed_barenblatt_data(grid, i.tau0, i.bplus, params)
 
 
-def _run(cfg: ExperimentConfig, params, etas=(), diagnostics=True):
-    """The nonlinear run of cfg from its initial data, recording the
-    weighted sup norms of ``etas``, or no diagnostics at all."""
+def _run(cfg: ExperimentConfig, params, etas=None):
+    """The nonlinear run of cfg from its initial data: given ``etas``, its
+    diagnostics with those weighted sup norms (evolve); else its snapshots
+    alone (expand, sweep)."""
     state0 = _initial_state(cfg, params, _grid(cfg))
+    diagnostics = etas is not None
     return evolve.run(
         state0, cfg.time.dt, cfg.time.t_final,
-        evolve.RecordOptions(etas=etas, record_every=cfg.time.record_every,
-                             snapshot_every=cfg.time.snapshot_every,
-                             diagnostics=diagnostics),
+        evolve.RecordOptions(
+            etas=etas or (), record_every=cfg.time.record_every,
+            snapshot_every=None if diagnostics else cfg.time.snapshot_every,
+            diagnostics=diagnostics),
     )
 
 
@@ -129,17 +125,17 @@ def cmd_spectrum(cfg: ExperimentConfig) -> ReportBundle:
     bundle.add_table("closed_form", ["eta", "ell", "k", "lambda"], closed_rows)
 
     thr_rows = [[eta, ell, closedform.essential_threshold(ell, eta, params)]
-                for eta in _etas(cfg, params) for ell in cfg.analysis.ell_list
+                for eta in _etas(cfg, params) for ell in SPECTRUM_ELLS
                 if not (params.n == 1 and ell > 1)]
     bundle.add_table("thresholds", ["eta", "ell", "threshold"], thr_rows)
 
     disc_rows = []
     for eta in _etas(cfg, params):
-        for ell in cfg.analysis.ell_list:
+        for ell in SPECTRUM_ELLS:
             if params.n == 1 and ell > 1:
                 continue
             op = linop.assemble(ell, eta, grid, params)
-            rep = linop.top_eigenvalues(op, cfg.analysis.eigen_count)
+            rep = linop.top_eigenvalues(op, SPECTRUM_EIGEN_COUNT)
             for e in rep.entries:
                 disc_rows.append([
                     eta, ell, e.value,
@@ -199,7 +195,6 @@ def cmd_modes(cfg: ExperimentConfig) -> ReportBundle:
 
 def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     """Nonlinear radial run: trace CSV plus fitted decay rates."""
-    _require_unit_b(cfg)
     params = _params(cfg)
     etas = tuple(e for e in _etas(cfg, params) if e != 0.0)
     bundle = ReportBundle("evolve", cfg.to_dict())
@@ -231,7 +226,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> ReportBundle:
     bundle.add_table("rates", ["norm", "eta", "slope", "r_squared",
                                "t_lo", "t_hi"], rate_rows)
     bundle.summary = {
-        "lambda_01": -2.0 * params.p,
+        "lambda_01": params.lambda_01,
         "sup_slope": rate_rows[0][2],
         "mass_drift": drift,
         "mass_drift_per_time": drift / max(trace.times[-1] - trace.times[0], 1e-300),
@@ -261,12 +256,11 @@ def _solver_work(trace) -> dict:
 
 def cmd_expand(cfg: ExperimentConfig) -> ReportBundle:
     """Coefficient extraction, time-shift modding, expansion residual."""
-    _require_unit_b(cfg)
     params = _params(cfg)
     _require_lambda_window(cfg, params)
     bundle = ReportBundle("expand", cfg.to_dict())
     with bundle.stage("run"):
-        trace = _run(cfg, params, diagnostics=False)
+        trace = _run(cfg, params)
     policy = _policy(cfg)
     with bundle.stage("analysis"):
         # refuses p <= 2, where there is no lambda_01 mode, before any
@@ -325,7 +319,7 @@ def _sweep_item(task):
         cfg = apply_overrides(cfg, time={"dt": cfg.time.dt * scale,
                                          "t_final": cfg.time.t_final * scale})
         so = closedform.second_order_rates(params)
-        trace = _run(cfg, params, diagnostics=False)
+        trace = _run(cfg, params)
         solver = [mm, *_solver_work(trace).values()]
         shift = asymptotics.mod_time_shift(trace, params, policy=_policy(cfg))
     except Exception as exc:
@@ -338,7 +332,6 @@ def _sweep_item(task):
 def cmd_sweep(cfg: ExperimentConfig) -> ReportBundle:
     """Map m to measured/closed-form (gamma, delta) rows, in parallel, with
     the solver work of each m whose run finished."""
-    _require_unit_b(cfg)
     ms = cfg.analysis.sweep_m
     if not ms:
         raise ConfigError("analysis.sweep_m: sweep requires a list of m values")
@@ -397,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--n", type=int, help="spatial dimension")
     parser.add_argument("--m", type=float, help="diffusion exponent")
-    parser.add_argument("--b-param", type=float, dest="b_param",
-                        help="Barenblatt mass parameter B")
     parser.add_argument("--smax", type=float, help="grid truncation radius")
     parser.add_argument("--points", type=int, help="grid interval count")
     parser.add_argument("--dt", type=float, help="time step")
@@ -429,7 +420,7 @@ def resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = apply_overrides(
         cfg,
-        model={"n": args.n, "m": args.m, "B": args.b_param},
+        model={"n": args.n, "m": args.m},
         grid={"s_max": args.smax, "count": args.points},
         time={"dt": args.dt, "t_final": args.tfinal},
         initial_data={"kind": args.kind, "k": args.k,

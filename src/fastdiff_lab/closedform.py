@@ -12,8 +12,9 @@ Conventions
   ``m in ](n-2)/n, 1[``, i.e. ``p > 0``.
 * ``eta_cr = p/2 - 1`` is the weight at which the conjugated operator is
   symmetric in the cigar volume.
-* Geodesic coordinate ``s`` on the cigar satisfies ``r = sqrt(B) sinh(s)``
-  and ``B cosh^2 s = (B + r^2)``.
+* The Barenblatt mass parameter B is a scaling symmetry of the flow and is
+  fixed at 1: the geodesic coordinate ``s`` on the cigar satisfies
+  ``r = sinh(s)`` and ``cosh^2 s = 1 + r^2``.
 * Eigenvalues ``lambda_{lk} = -[(l+2k)p + nl + 4k(1-l-k)]`` for integer
   ``l, k >= 0`` (``l <= 1`` when n = 1).
 """
@@ -57,7 +58,7 @@ P_STAR = 2.0 * (math.sqrt(2.0) + 1.0)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The (n, m, B) triple with derived quantities.
+    """The (n, m) pair with derived quantities.
 
     Use :func:`derive_params` to construct; the derived fields are redundant
     and must satisfy p = 2/(1-m) - n, beta = (1 + n/p)/2, eta_cr = p/2 - 1.
@@ -65,7 +66,6 @@ class ModelParams:
 
     n: int
     m: float
-    B: float
     p: float
     beta: float
     eta_cr: float
@@ -80,13 +80,23 @@ class ModelParams:
         """Essential-spectrum onset -(p/2+1)^2 at eta = eta_cr, l = 0."""
         return -((self.p / 2.0 + 1.0) ** 2)
 
+    @property
+    def lambda_01(self) -> float:
+        """Leading decay rate -2p of the (0, 1) mode."""
+        return -2.0 * self.p
+
 
 def derive_params(n: int, m: float, B: float = 1.0) -> ModelParams:
-    """Validate (n, m, B) and populate the derived parameters."""
+    """Validate (n, m) and populate the derived parameters.
+
+    B, the Barenblatt mass parameter, is a scaling symmetry the library
+    fixes at 1; any other value is refused.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"spatial dimension n must be an integer >= 1, got {n!r}")
-    if not B > 0:
-        raise ValueError(f"Barenblatt parameter B must be positive, got {B}")
+    if B != 1.0:
+        raise ValueError(
+            f"Barenblatt parameter B is a scaling symmetry fixed at 1, got {B!r}")
     m0 = (n - 2.0) / n
     if not (m0 < m < 1.0):
         raise ValueError(
@@ -99,7 +109,7 @@ def derive_params(n: int, m: float, B: float = 1.0) -> ModelParams:
             f"rounds to {p!r}, not positive"
         )
     beta = 0.5 * (1.0 + n / p)
-    return ModelParams(n=int(n), m=float(m), B=float(B), p=p, beta=beta,
+    return ModelParams(n=int(n), m=float(m), p=p, beta=beta,
                        eta_cr=p / 2.0 - 1.0)
 
 
@@ -189,9 +199,9 @@ def admissible_modes(eta: float,
 
 
 def _psi_coefficients(mode: ModeIndex, params: ModelParams) -> list[float]:
-    """Coefficients c_j of psi_{lk}(r) = r^l sum_j c_j (r^2/B)^j.
+    """Coefficients c_j of psi_{lk}(r) = r^l sum_j c_j r^{2j}.
 
-    Terminating 2F1(k+l-1-p/2, -k; l+n/2; -r^2/B) series.  The Pochhammer
+    Terminating 2F1(k+l-1-p/2, -k; l+n/2; -r^2) series.  The Pochhammer
     ratios are accumulated in exact rational arithmetic on the binary64
     value of p (floats are rational), then rounded once.
     """
@@ -220,7 +230,7 @@ def eigenfunction_psi(mode: ModeIndex, r, params: ModelParams,
     if not is_admissible(mode, eta, params):
         raise ValueError(f"mode {mode} not admissible at eta={eta}")
     rr = np.asarray(r, dtype=float)
-    z = rr * rr / params.B
+    z = rr * rr
     coeffs = _psi_coefficients(mode, params)
     acc = np.zeros_like(z) + coeffs[-1]
     for cj in reversed(coeffs[:-1]):
@@ -230,13 +240,10 @@ def eigenfunction_psi(mode: ModeIndex, r, params: ModelParams,
 
 def eigenfunction_v(mode: ModeIndex, s, params: ModelParams,
                     eta: float | None = None):
-    """Relative-density eigenfunction v_{lk}(s) = psi_{lk}(r) / (B + r^2).
-
-    Here r = sqrt(B) sinh s; for B = 1 this is (cosh s)^-2 psi(sinh s).
-    """
-    ss = np.asarray(s, dtype=float)
-    r = math.sqrt(params.B) * np.sinh(ss)
-    return eigenfunction_psi(mode, r, params, eta) / (params.B + r * r)
+    """Relative-density eigenfunction v_{lk}(s) = psi_{lk}(r) / (1 + r^2)
+    with r = sinh s, i.e. (cosh s)^-2 psi(sinh s)."""
+    r = np.sinh(np.asarray(s, dtype=float))
+    return eigenfunction_psi(mode, r, params, eta) / (1.0 + r * r)
 
 
 def potential_profile(eta: float, params: ModelParams) -> dict[str, float]:
@@ -336,9 +343,8 @@ def second_order_rates(params: ModelParams) -> SecondOrderRates:
         )
     Lambda, branch = lambda_second_order(params)
     eta = eta_for_target_rate(Lambda, params)
-    lam01 = -2.0 * p
     return SecondOrderRates(
-        gamma=Lambda / lam01,
+        gamma=Lambda / params.lambda_01,
         delta=eta / (params.n + p),
         branch=branch,
         Lambda=Lambda,
@@ -367,9 +373,9 @@ def delayed_barenblatt_v(t, s, tau0: float, Bplus: float,
     Exact solution of the rescaled radial flow; with theta(t) =
     [(1+2p tau)/(1+2p(tau+tau0))]^beta,
 
-        v(t, s) = theta^n [ B cosh^2 s / (B+ + theta^2 B sinh^2 s) ]^((n+p)/2).
+        v(t, s) = theta^n [ cosh^2 s / (B+ + theta^2 sinh^2 s) ]^((n+p)/2).
 
-    v == 1 for tau0 = 0, B+ = B; v -> u_{B+}/u_B uniformly at rate e^{-2pt};
+    v == 1 for tau0 = 0, B+ = 1; v -> u_{B+}/u_B uniformly at rate e^{-2pt};
     v -> theta^{-p} as s -> infinity at fixed t.
 
     ``t`` is one time or a sequence of times; a sequence gives one row per
@@ -381,10 +387,9 @@ def delayed_barenblatt_v(t, s, tau0: float, Bplus: float,
     scalar = np.ndim(t) == 0
     thetas = [_delayed_theta(ti, tau0, params) for ti in ([t] if scalar else t)]
     shape = () if scalar else (len(thetas), 1)
-    B = params.B
     theta_n = np.reshape([th ** params.n for th in thetas], shape)
-    theta2_B = np.reshape([th * th * B for th in thetas], shape)
+    theta2 = np.reshape([th * th for th in thetas], shape)
     ss = np.asarray(s, dtype=float)
     sh2 = np.sinh(ss) ** 2
-    ratio = B * (1.0 + sh2) / (Bplus + theta2_B * sh2)
+    ratio = (1.0 + sh2) / (Bplus + theta2 * sh2)
     return theta_n * ratio ** params.a

@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 class ModelConfig:
     n: int = 3
     m: float = 2.0 / 3.0
-    B: float = 1.0
+    B: float = 1.0  # a scaling symmetry: derive_params refuses B != 1
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,8 @@ class InitialDataConfig:
 class AnalysisConfig:
     etas: tuple[float, ...] = ()
     lambda_target: float | None = None
-    ell_list: tuple[int, ...] = (0, 1, 2)
-    eigen_count: int = 4
     fit_value_lo: float = 1e-8
     fit_value_hi: float = 1e-2
-    fit_t_lo: float | None = None
-    fit_t_hi: float | None = None
     sweep_m: tuple[float, ...] = ()
 
 

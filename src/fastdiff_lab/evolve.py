@@ -36,8 +36,7 @@ one Newton iteration of backward Euler (BE) from its base point, called the
 BE step here.  On a failed check it halves dt (``dt_halvings``).  At large
 dt it is the linearized step, not the converged BE solution.  Either step's
 mass telescopes: shift (W - base) = dt (R(P) + J(P) delta), with base = w_0
-for the BE step, and both terms are differences of face fluxes.  B is
-normalized to 1 here (see geometry).
+for the BE step, and both terms are differences of face fluxes.
 
 One kernel, ``_Newton``, holds the only flux, rhs and Jacobian code and
 takes every step, BE and BDF2 alike, in one method call (``step``), on
@@ -461,14 +460,6 @@ def step_nonlinear(state: EvolutionState, dt: float,
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _node_spacing(grid: RadialGrid) -> np.ndarray:
-    """``np.diff(grid.nodes)``, shared and so read-only."""
-    d = np.diff(grid.nodes)
-    d.flags.writeable = False
-    return d
-
-
 def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
             params: ModelParams):
     """E = int H(w) dmu over the cigar, H = [(1+w)^{m+1} - 1 - (m+1)w]/(m(m+1)),
@@ -501,7 +492,7 @@ def _energy(grid: RadialGrid, v: np.ndarray, w: np.ndarray,
     # tanh(s)**(n-1) is the cigar volume weight (all ones for n = 1)
     H *= _node_power(grid, "tanh", params.n - 1)
     y = np.add(H[..., 1:], H[..., :-1], out=mw[..., 1:])
-    y *= _node_spacing(grid)
+    y *= np.diff(grid.nodes)
     y /= 2.0
     E = sphere_area(params.n) * np.add.reduce(y, axis=-1)
     return float(E) if E.ndim == 0 else E
@@ -540,9 +531,10 @@ def _is_count(value) -> bool:
 @dataclass(frozen=True)
 class RecordOptions:
     """What ``run`` keeps: the initial state, every ``record_every``-th
-    step and the last step are recorded, every ``snapshot_every``-th step
-    (none if None) is snapshotted.  Each recorded state gets its time and
-    mass defect; with ``diagnostics`` also its sup, its weighted sups for
+    step and the last step are recorded; the initial state and every
+    ``snapshot_every``-th step (none if None), recorded or not, are
+    snapshotted.  Each recorded state gets its time and mass defect;
+    with ``diagnostics`` also its sup, its weighted sups for
     ``etas``, min and max of v and energy, which a run without them leaves
     ``None`` in the trace."""
     etas: tuple[float, ...] = ()
@@ -663,18 +655,12 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     every = record.record_every
     records = _Records(grid, params, record,
                        1 + steps // every + (steps % every != 0))
-    snapshots: list[tuple[float, np.ndarray]] = []
+    snap_every = record.snapshot_every
     # the stepping runs in _STEP_ERRORS, entered once; the records and the
     # boundary keep the caller's error state
     add = _in_caller_state(records.add)
     if boundary is not None:
         boundary = _in_caller_state(boundary)
-
-    def observe(t: float, w: np.ndarray, step_index: int):
-        add(t, w)
-        if record.snapshot_every is not None and \
-                step_index % record.snapshot_every == 0:
-            snapshots.append((t, w.copy()))
 
     # the kernel writes each new state into kernel.W, which then joins the
     # history (prev, cur) and hands the kernel the buffer prev leaves
@@ -684,7 +670,8 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     # when it accepts a state, and the initial state's are read here
     prev_ext, cur_ext = None, (float(cur.min()), float(cur.max()))
     linear_steps, halvings = 0, 0
-    observe(t, cur, 0)
+    add(t, cur)
+    snapshots = [] if snap_every is None else [(t, cur.copy())]
     with np.errstate(**_STEP_ERRORS):
         for j in range(1, steps + 1):
             t_new, linear = t + dt, prev is not None
@@ -704,7 +691,9 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             prev, cur, kernel.W = cur, kernel.W, spare
             prev_ext, cur_ext = cur_ext, kernel.extremes
             if j % every == 0 or j == steps:
-                observe(t, cur, j)
+                add(t, cur)
+            if snap_every is not None and j % snap_every == 0:
+                snapshots.append((t, cur.copy()))
     records.finish()
 
     return EvolutionTrace(

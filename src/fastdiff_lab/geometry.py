@@ -3,8 +3,8 @@
 The cigar is R^n with metric (1+|x|^2)^{-1} sum dx_i^2; its geodesic radius
 is s = arsinh|x| and the volume element is tanh^{n-1}(s) ds dw.  All
 computations here are per spherical-harmonic index l, so only radial
-profiles over a uniform s-grid are needed.  B is normalized to 1 in cigar
-coordinates (general B rescales x by sqrt(B) at the API boundary).
+profiles over a uniform s-grid are needed.  The Barenblatt parameter B is
+a scaling symmetry, fixed at 1.
 
 The equation is uniformly parabolic in s, so a uniform s-grid resolves the
 Euclidean far field at logarithmic cost (r = sinh s).  Truncation at s_max
@@ -31,7 +31,6 @@ __all__ = [
     "sphere_area",
     "weighted_sup",
     "cell_masses",
-    "tail_estimate",
 ]
 
 
@@ -183,14 +182,3 @@ def cell_masses(grid: RadialGrid, params: ModelParams) -> np.ndarray:
     array is cached and shared, so it is read-only.
     """
     return _cell_masses_cached(grid.s_max, grid.count, params.n, params.p)
-
-
-def tail_estimate(boundary_value: float, decay_rate: float) -> float:
-    """Bound on a truncated tail integral_|s>s_max| ~ |f(s_max)| / rate.
-
-    Assumes the integrand decays at least like e^{-rate (s - s_max)}; a
-    non-positive rate means the tail does not converge and yields inf.
-    """
-    if decay_rate <= 0.0:
-        return math.inf
-    return abs(boundary_value) / decay_rate

@@ -136,7 +136,7 @@ def criterion_3_leading_rate(fast: bool = False) -> list[CheckResult]:
     results = []
     for (n, m, _), (params, _, trace, seconds) in _owned(3, fast).items():
         fit = asymptotics.fit_rate(trace.times, trace.sup / trace.sup.max())
-        rel = abs(fit.slope / (-2.0 * params.p) - 1.0)
+        rel = abs(fit.slope / params.lambda_01 - 1.0)
         results.append(CheckResult(
             "3-leading-rate", f"n={n} m={m:.4g} slope={fit.slope:.4f}",
             rel, "<= 0.05", rel <= 0.05))
@@ -213,7 +213,7 @@ def criterion_4_semigroup(fast: bool = False) -> list[CheckResult]:
             results.append(CheckResult(
                 "4-semigroup",
                 f"eta={eta:.3g} eigen ({md.ell},{md.k}) slope={slope_e:.4f}",
-                slope_e - slope, "> 0 (strictly slower)",
+                slope_e - slope, "> 0.02 (strictly slower)",
                 slope_e > slope + 0.02))
     return results
 
@@ -429,7 +429,7 @@ def criterion_11_energy(fast: bool = False) -> list[CheckResult]:
     params, _, trace, _ = _owned(3, fast)[3, 2.0 / 3.0, fast]
     fit = asymptotics.fit_rate(trace.times, trace.energy / trace.energy.max(),
                                WindowPolicy(value_lo=1e-12, value_hi=1e-2))
-    target = 2.0 * (-2.0 * params.p)
+    target = 2.0 * params.lambda_01
     rel = abs(fit.slope / target - 1.0)
     results.append(CheckResult("11-energy",
                                f"E-slope {fit.slope:.3f} vs {target}",

@@ -35,9 +35,9 @@ def mass_defect(w, params):
 
 
 def barenblatt_u(x_norm, params):
-    """Stationary rescaled profile u_B(x) = (B + |x|^2)^(-1/(1-m))."""
+    """Stationary rescaled profile u_B(x) = (1 + |x|^2)^(-1/(1-m)) at B = 1."""
     x = np.asarray(x_norm, dtype=float)
-    return (params.B + x * x) ** (-params.a)
+    return (1.0 + x * x) ** (-params.a)
 
 
 def delayed_barenblatt_time_derivative(t, s, tau0, Bplus, params):
@@ -51,9 +51,8 @@ def delayed_barenblatt_time_derivative(t, s, tau0, Bplus, params):
     ss = np.asarray(s, dtype=float)
     sh2 = np.sinh(ss) ** 2
     v = cf.delayed_barenblatt_v(t, ss, tau0, Bplus, params)
-    B = params.B
-    dlogv_dtheta = params.n / theta - params.a * 2.0 * theta * B * sh2 / (
-        Bplus + theta * theta * B * sh2
+    dlogv_dtheta = params.n / theta - params.a * 2.0 * theta * sh2 / (
+        Bplus + theta * theta * sh2
     )
     return v * dlogv_dtheta * dtheta
 

@@ -1,7 +1,5 @@
 """Affinely self-similar family: closed-form sigma rate, stepping, PDE residual."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -32,31 +30,31 @@ def _fd_rate(params):
     """d sigma/d tau recovered from the flow at a diagonal anisotropic Sigma,
     sigma = 1, with the traceless Sigma_0 it takes.
 
-    With rho = det(Sigma)^{-1/2} (B + y' Sigma^{-1} y)^{-a}, d_tau rho equals
+    With rho = det(Sigma)^{-1/2} (1 + y' Sigma^{-1} y)^{-a}, d_tau rho equals
     (d sigma/d tau) * drho/dsigma for the analytic
 
-        drho/dsigma = rho [ -tr(Sigma^{-1})/2 + a (y'Sigma^{-2}y)/(B + y'Sigma^{-1}y) ],
+        drho/dsigma = rho [ -tr(Sigma^{-1})/2 + a (y'Sigma^{-2}y)/(1 + y'Sigma^{-1}y) ],
 
     so each sample point gives d sigma/d tau = (Lap rho^m / m) / (drho/dsigma);
     the points must agree.
     """
-    n, m, a, B = params.n, params.m, params.a, params.B
+    n, m, a = params.n, params.m, params.a
     d = 0.3 * np.linspace(-1.0, 1.0, n)
     sigma0 = d - d.mean()
     axes = 1.0 + sigma0
 
     def rho(y):
         return float(np.prod(axes)) ** -0.5 * (
-            B + float((y * y / axes).sum())) ** (-a)
+            1.0 + float((y * y / axes).sum())) ** (-a)
 
     def drho_dsigma(y):
         quad1 = float((y * y / axes).sum())
         quad2 = float((y * y / axes**2).sum())
-        return rho(y) * (-0.5 * (1.0 / axes).sum() + a * quad2 / (B + quad1))
+        return rho(y) * (-0.5 * (1.0 / axes).sum() + a * quad2 / (1.0 + quad1))
 
     points = [0.3 * np.ones(n), 0.7 * np.linspace(1.0, 2.0, n),
               1.2 * np.linspace(0.5, 1.0, n)[::-1].copy()]
-    h = 0.02 * math.sqrt(B)
+    h = 0.02
     rates = np.array([(_fd_laplacian(lambda z: rho(z) ** m, y, h) / m)
                       / drho_dsigma(y) for y in points])
     assert np.ptp(rates) / abs(rates.mean()) <= 1e-4
@@ -64,8 +62,8 @@ def _fd_rate(params):
 
 
 @pytest.mark.parametrize("n, m, B", [(2, 2.0 / 3.0, 1.0), (1, 0.5, 1.0),
-                                     (3, 0.8, 1.0), (4, 0.7, 2.5),
-                                     (6, 0.9, 0.3)])
+                                     (3, 0.8, 1.0), (4, 0.7, 1.0),
+                                     (6, 0.9, 1.0)])
 def test_calibration_matches_independent_derivation(n, m, B):
     # substituting the affine ansatz into the flow gives, by hand,
     # d sigma/d tau = (4/(1-m)) det(Sigma)^((1-m)/2), i.e. cB = (2(p+n))^(p+n);
@@ -119,7 +117,7 @@ def test_advance_is_repeated_affine_step(params_n2):
     s = st.sigma
     for _ in range(10):
         s = affine._rk4(st, s, 0.01, params_n2)
-    assert affine._advance(st, 0.1, params_n2).sigma == s
+    assert affine._advance(st, 0.1, params_n2) == s
 
 
 def test_affine_density_isotropic_reduces_to_barenblatt(params_n2):

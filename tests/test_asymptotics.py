@@ -173,7 +173,7 @@ def delayed_trace():
     params = cf.derive_params(3, 0.7)
     grid = geo.make_grid(12.0, 600)
     tau_star = 0.1
-    state0 = evolve.delayed_barenblatt_data(grid, tau_star, params.B, params)
+    state0 = evolve.delayed_barenblatt_data(grid, tau_star, 1.0, params)
 
     def boundary(t):
         E = np.exp(2 * params.p * t)
@@ -328,7 +328,7 @@ ROWS = geo._ROWS
 
 def _pointwise_shifted(trace, tau0, params):
     s = trace.grid.nodes
-    return [(t, (1.0 + w) / cf.delayed_barenblatt_v(t, s, tau0, params.B,
+    return [(t, (1.0 + w) / cf.delayed_barenblatt_v(t, s, tau0, 1.0,
                                                     params) - 1.0)
             for t, w in trace.snapshots]
 

@@ -52,6 +52,12 @@ def run_cli(args, tmp_path, env_extra=None):
     )
 
 
+def _config_file(tmp_path, data) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -238,6 +244,29 @@ def test_expand_keeps_the_mass_record_of_its_run(monkeypatch):
         assert getattr(trace, name) is None, name
 
 
+def test_only_expand_and_sweep_take_snapshots(monkeypatch):
+    # evolve reads its diagnostics, expand and sweep read only snapshots
+    options, run = [], evolve.run
+
+    def keep(state0, dt, t_final, record, **kwargs):
+        options.append(record)
+        return run(state0, dt, t_final, record, **kwargs)
+
+    monkeypatch.setattr(evolve, "run", keep)
+    cfg = fast_cfg(time={"dt": 5e-3, "t_final": 0.5, "record_every": 5,
+                         "snapshot_every": 10},
+                   initial_data={"kind": "bump", "amplitude": 0.05},
+                   analysis={"sweep_m": [2.0 / 3.0]})
+    cli.cmd_evolve(cfg)
+    cli.cmd_expand(cfg)
+    cli.cmd_sweep(apply_overrides(cfg, jobs={"jobs": 1}))
+    (evolved, *snapshotted) = options
+    assert evolved.snapshot_every is None and evolved.diagnostics
+    assert len(snapshotted) == 2
+    for record in snapshotted:
+        assert record.snapshot_every == 10 and not record.diagnostics
+
+
 def test_default_expand_reports_one_backward_euler_step():
     # BE starts the BDF2 history; no BDF2 step of the default run is redone
     cfg = ExperimentConfig().validate()
@@ -286,13 +315,15 @@ def test_selftest_csv_leaves_wall_clock_seconds_to_the_summary(monkeypatch):
         "1-eigenvalues n=3 m=0.6667": 7.5, "3-leading-rate n=1 m=0.5": 15.0}
 
 
-def test_b_other_than_one_is_a_config_error():
-    # the solver normalizes B to 1 while the pairings read psi(r^2/B)
-    cfg = apply_overrides(fast_cfg(), model={"B": 2.0},
-                          analysis={"sweep_m": (0.7,)}).validate()
-    for cmd in (cli.cmd_evolve, cli.cmd_expand, cli.cmd_sweep):
-        with pytest.raises(ConfigError, match="model.B"):
-            cmd(cfg)
+def test_b_other_than_one_is_a_config_error(tmp_path):
+    # B is a scaling symmetry fixed at 1: a config file that sets any
+    # other B fails validation, before a command reads it
+    for B in (2.0, 0.5, -1.0):
+        cfg = load_config(_config_file(tmp_path, {"model": {"B": B}}))
+        with pytest.raises(ConfigError,
+                           match=f"model: Barenblatt parameter B .* got {B}"):
+            cfg.validate()
+    load_config(_config_file(tmp_path, {"model": {"B": 1.0}})).validate()
 
 
 @pytest.mark.parametrize("m, s_max, Lambda", [
@@ -569,10 +600,26 @@ def test_inadmissible_eigenmode_k_exits_with_a_config_error(tmp_path, k):
 
 
 def test_b_other_than_one_exits_with_a_config_error(tmp_path):
-    proc = run_cli(["--b-param", "2", "--points", "300", "--tfinal", "0.5",
-                    "evolve"], tmp_path)
+    path = _config_file(tmp_path, {"model": {"B": 2},
+                                   "analysis": {"sweep_m": [0.7]}})
+    for command in ("spectrum", "modes", "evolve", "expand", "sweep"):
+        proc = run_cli(["--config", path, "--points", "300", command],
+                       tmp_path)
+        line = assert_one_named_line(proc, 2, "config error:")
+        assert "Barenblatt parameter B" in line, command
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ell_list", [-1]), ("eigen_count", 0), ("fit_t_lo", 0.5),
+    ("fit_t_hi", 2.0)])
+def test_a_retired_analysis_field_exits_with_a_config_error(tmp_path, field,
+                                                            value):
+    # spectrum's sectors and eigenvalue count and the fit's time window are
+    # no settings: a config file that sets one names it as unknown
+    path = _config_file(tmp_path, {"analysis": {field: value}})
+    proc = run_cli(["--config", path, "spectrum"], tmp_path)
     line = assert_one_named_line(proc, 2, "config error:")
-    assert "model.B" in line
+    assert f"analysis: unknown fields ['{field}']" in line
 
 
 @pytest.mark.parametrize("field", ["record_every", "snapshot_every"])

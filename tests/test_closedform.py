@@ -22,6 +22,7 @@ def test_derive_params_examples(params33):
     assert params33.p == pytest.approx(3.0)
     assert params33.beta == pytest.approx(1.0)
     assert params33.eta_cr == pytest.approx(0.5)
+    assert params33.lambda_01 == cf.eigenvalue(ModeIndex(0, 1), params33)
 
     p2 = cf.derive_params(3, 3.0 / 5.0, 1.0)  # the m_2 boundary
     assert p2.p == pytest.approx(2.0)
@@ -36,8 +37,10 @@ def test_derive_params_rejections():
         cf.derive_params(3, 1.2)
     with pytest.raises(ValueError, match="mass-preserving"):
         cf.derive_params(3, 1.0 / 3.0)  # m_0 itself is excluded
-    with pytest.raises(ValueError, match="B must be positive"):
-        cf.derive_params(3, 0.5, -1.0)
+    # B is a scaling symmetry, fixed at 1
+    for B in (-1.0, 0.0, 2.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="parameter B"):
+            cf.derive_params(3, 0.5, B)
     with pytest.raises(ValueError):
         cf.derive_params(0, 0.5)
 
@@ -197,12 +200,12 @@ def test_psi_trivial_cases(params33):
 
 
 def test_psi_general_k0_and_b_scaling():
-    params = cf.derive_params(3, 0.8, 2.5)
+    params = cf.derive_params(3, 0.8)
     r = np.linspace(0, 3, 7)
     assert cf.eigenfunction_psi(ModeIndex(1, 0), r, params) == pytest.approx(r)
-    # leading series term: 1 - (p/n) r^2 / B
+    # leading series term at B = 1: 1 - (p/n) r^2
     psi = cf.eigenfunction_psi(ModeIndex(0, 1), r, params)
-    assert psi == pytest.approx(1.0 - (params.p / params.n) * r**2 / params.B)
+    assert psi == pytest.approx(1.0 - (params.p / params.n) * r**2)
 
 
 def test_psi_inadmissible_rejected(params33):
@@ -229,7 +232,7 @@ def test_eigenfunction_orthogonality_quad(params33):
     # integral psi_0k psi_0k' u_B^(2-m) r^(n-1) dr = 0 for k != k'
     def pair(k1, k2):
         def integrand(r):
-            w = (params33.B + r**2) ** (-(params33.n + params33.p + 2) / 2)
+            w = (1.0 + r**2) ** (-(params33.n + params33.p + 2) / 2)
             return (cf.eigenfunction_psi(ModeIndex(0, k1), r, params33)
                     * cf.eigenfunction_psi(ModeIndex(0, k2), r, params33)
                     * w * r ** (params33.n - 1))
@@ -343,7 +346,7 @@ def test_second_order_cross_check_delta_formulas():
 def test_delayed_barenblatt_fixed_point(params33):
     s = np.linspace(0, 10, 21)
     for t in (0.0, 0.7, 3.0):
-        v = cf.delayed_barenblatt_v(t, s, 0.0, params33.B, params33)
+        v = cf.delayed_barenblatt_v(t, s, 0.0, 1.0, params33)
         assert v == pytest.approx(np.ones_like(s))
 
 
@@ -351,7 +354,7 @@ def test_delayed_barenblatt_limits(params33):
     s = np.linspace(0, 12, 601)
     tau0, bplus = 0.4, 0.7
     # t -> infinity: v -> u_{B+}/u_B at rate e^{-2pt} in sup norm
-    target = ((params33.B + np.sinh(s) ** 2)
+    target = ((1.0 + np.sinh(s) ** 2)
               / (bplus + np.sinh(s) ** 2)) ** params33.a
     errs = []
     for t in (1.0, 1.5):
@@ -388,7 +391,7 @@ def _delayed_barenblatt_pointwise(t, s, tau0, bplus, params):
     E = math.exp(2.0 * params.p * t)
     theta = (E / (E + 2.0 * params.p * tau0)) ** params.beta
     sh2 = np.sinh(s) ** 2
-    ratio = params.B * (1.0 + sh2) / (bplus + theta * theta * params.B * sh2)
+    ratio = (1.0 + sh2) / (bplus + theta * theta * sh2)
     return theta ** params.n * ratio ** params.a
 
 

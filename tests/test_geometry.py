@@ -139,11 +139,6 @@ def test_cell_masses_total(grid12, params33):
     assert masses.sum() == pytest.approx(ref, rel=1e-10)
 
 
-def test_tail_estimate():
-    assert geo.tail_estimate(1e-6, 2.0) == pytest.approx(5e-7)
-    assert geo.tail_estimate(1.0, 0.0) == np.inf
-
-
 def test_shared_cached_arrays_are_read_only(grid12, params33):
     masses = geo.cell_masses(grid12, params33)
     with pytest.raises(ValueError):

@@ -173,6 +173,15 @@ def _pairing_weights(grid, mode: ModeIndex, params: ModelParams):
     return num_w, den
 
 
+def _estimates(times, rows, lam: float, num_w, den: float):
+    """Rows (t, c(t)) of the coefficient functional of the snapshot rows at
+    ``times``, and the pairings <num_w, w>: one ``np.dot`` per row, as one
+    matrix-vector product rounds them differently."""
+    pairings = np.array([np.dot(num_w, w[:num_w.size]) for w in rows])
+    decay = np.array([math.exp(-lam * t) for t in times])
+    return np.column_stack([times, decay * pairings / den]), pairings
+
+
 def extract_coefficient(trace, mode: ModeIndex,
                         params: ModelParams) -> CoefficientRecord:
     """Coefficient record c_{lk}(t) from a trace with snapshots.
@@ -188,14 +197,13 @@ def extract_coefficient(trace, mode: ModeIndex,
             f"pairing against {mode} not integrable: l+2k={mode.degree} >= p={params.p}"
         )
     snaps = trace.snapshots
-    if not snaps:
+    if not len(snaps):
         raise ValueError("trace carries no snapshots")
     grid = trace.grid
-    lam = eigenvalue(mode, params)
-    num_w, den = _pairing_weights(grid, mode, params)
+    ests, pairings = _estimates(trace.snapshot_times, snaps,
+                                eigenvalue(mode, params),
+                                *_pairing_weights(grid, mode, params))
 
-    ests = np.empty((len(snaps), 2))
-    tail_fracs = []
     s_max = grid.s_max
     decay = params.p - mode.degree
     # snapshot-independent factors of the integrand value at the cut
@@ -203,16 +211,14 @@ def extract_coefficient(trace, mode: ModeIndex,
     uB_cut = math.cosh(s_max) ** (-(params.n + params.p))
     r_cut = np.sinh(s_max) ** (params.n - 1)
     cosh_cut = math.cosh(s_max)
-    for j, (t, w) in enumerate(snaps):
-        pairing = float(np.dot(num_w, w[:num_w.size]))
-        # integrand value at the cut ~ w(s_max) psi(s_max) u_B r^n / scale;
-        # a regrouped product would round the recorded tail bound differently
-        boundary = abs(w[-1]) * psi_cut * uB_cut * r_cut * cosh_cut
-        # the tail past the cut, whose integrand decays at least like
-        # e^{-decay (s - s_max)} with decay > 0, is at most boundary / decay
-        tail = boundary / decay
-        tail_fracs.append(tail / abs(pairing) if pairing != 0.0 else math.inf)
-        ests[j] = (t, math.exp(-lam * t) * pairing / den)
+    # integrand value at the cut ~ w(s_max) psi(s_max) u_B r^n / scale;
+    # a regrouped product would round the recorded tail bound differently
+    boundary = np.abs(snaps[:, -1]) * psi_cut * uB_cut * r_cut * cosh_cut
+    # the tail past the cut, whose integrand decays at least like
+    # e^{-decay (s - s_max)} with decay > 0, is at most boundary / decay
+    tail = boundary / decay
+    tail_fracs = np.divide(tail, np.abs(pairings), where=pairings != 0.0,
+                           out=np.full(tail.size, math.inf))
 
     tail_vals = ests[-_tail_count(len(snaps)):, 1]
     limit = float(tail_vals.mean())
@@ -247,57 +253,43 @@ class TimeShiftResult:
     near_degenerate: bool
 
 
-def _row_blocks(snapshots, grid):
-    """(times, rows) for consecutive blocks of at most ``_ROWS`` snapshots,
-    the rows stacked in one reused (``_ROWS``, N+1) buffer that the caller
-    may overwrite; a block is valid until the next one is made."""
-    buf = np.empty((_ROWS, grid.count + 1))
-    for start in range(0, len(snapshots), _ROWS):
-        chunk = snapshots[start:start + _ROWS]
-        rows = buf[:len(chunk)]
-        np.stack([w for _, w in chunk], out=rows)
-        yield [t for t, _ in chunk], rows
-
-
-def _shifted_blocks(snapshots, grid, tau0: float, params: ModelParams):
-    """``_row_blocks`` of the snapshots of rho(tau)/rho_B(tau + tau0) - 1
-    from w = rho/rho_B - 1, each row bitwise (1 + w) / q - 1 with q the
-    delayed Barenblatt at its time.
+def _shifted(trace, tau0: float, params: ModelParams, rows=slice(None)):
+    """The snapshots ``rows`` (a slice or indices) of
+    rho(tau)/rho_B(tau + tau0) - 1 from w = rho/rho_B - 1, each row bitwise
+    (1 + w) / q - 1 with q the delayed Barenblatt at its time.
 
     Same shift convention as closedform.delayed_barenblatt_v, so modding a
     trace that started from the time-shifted Barenblatt with shift tau*
     recovers tau0 = tau* (statements written against rho_B(tau - tau0) carry
     the opposite sign).
     """
-    for times, rows in _row_blocks(snapshots, grid):
-        rows += 1.0
-        rows /= delayed_barenblatt_v(times, grid.nodes, tau0, 1.0, params)
-        rows -= 1.0
-        yield times, rows
+    shifted = trace.snapshots[rows] + 1.0
+    shifted /= delayed_barenblatt_v(trace.snapshot_times[rows],
+                                    trace.grid.nodes, tau0, 1.0, params)
+    shifted -= 1.0
+    return shifted
 
 
-def _shifted_c01(trace, params: ModelParams):
-    """tau0 -> the lambda_01 coefficient limit of the trace shifted by tau0.
+def _shifted_c01(trace, params: ModelParams, keep=None):
+    """tau0 -> the lambda_01 coefficient limit of the snapshots ``keep``
+    (indices; all if None) shifted by tau0.
 
     That is ``extract_coefficient`` of the shifted snapshots, ``.limit``,
     which reads only the trailing ``_tail_count`` estimates: only those
     snapshots are shifted and paired, against weights computed once.
     """
     mode01 = ModeIndex(0, 1)
-    tail = trace.snapshots[-_tail_count(len(trace.snapshots)):]
+    if keep is None:
+        keep = np.arange(len(trace.snapshots))
+    tail = keep[-_tail_count(keep.size):]
+    times = trace.snapshot_times[tail]
     lam = eigenvalue(mode01, params)
-    num_w, den = _pairing_weights(trace.grid, mode01, params)
+    weights = _pairing_weights(trace.grid, mode01, params)
 
     def c_of(tau0: float) -> float:
-        # rows (t, c(t)) as extract_coefficient stores them, so the mean
-        # reduces the same strided column
-        ests = np.empty((len(tail), 2))
-        j = 0
-        for times, rows in _shifted_blocks(tail, trace.grid, tau0, params):
-            for t, w in zip(times, rows):
-                pairing = float(np.dot(num_w, w[:num_w.size]))
-                ests[j] = (t, math.exp(-lam * t) * pairing / den)
-                j += 1
+        # the mean reduces the strided column extract_coefficient's does
+        ests, _ = _estimates(times, _shifted(trace, tau0, params, tail), lam,
+                             *weights)
         return float(ests[:, 1].mean())
 
     return c_of
@@ -325,15 +317,12 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
     eta = eta_for_target_rate(Lambda, params)
 
     # evaluate the coefficient only where the signal is alive: amplified
-    # late-time noise would otherwise swamp the tail average at large p
-    _, sups = _weighted_norms(_row_blocks(trace.snapshots, trace.grid),
-                              trace.grid, 0.0, len(trace.snapshots))
-    alive = sups >= 1e-6 * sups.max()
-    if np.count_nonzero(alive) >= 8:
-        base_snaps = [sw for sw, keep in zip(trace.snapshots, alive) if keep]
-    else:
-        base_snaps = list(trace.snapshots)
-    c_of = _shifted_c01(replace(trace, snapshots=base_snaps), params)
+    # late-time noise would otherwise swamp the tail average at large p;
+    # the sups are bitwise weighted_sup's at eta = 0, a maximum being exact
+    snaps = trace.snapshots
+    sups = np.maximum(snaps.max(1), -snaps.min(1))
+    alive = np.flatnonzero(sups >= 1e-6 * sups.max())
+    c_of = _shifted_c01(trace, params, alive if alive.size >= 8 else None)
 
     # iterates must stay inside the shifted-Barenblatt domain 1 + 2p tau0 > 0
     tau_min = -(1.0 - 1e-9) / (2.0 * params.p)
@@ -365,12 +354,16 @@ def mod_time_shift(trace, params: ModelParams, Lambda: float | None = None,
             f"bound at p={params.p:.6g}, dt |lambda_01| = "
             f"{trace.dt * 2.0 * params.p:.3g}: no root of c01(tau0) resolved")
 
-    times, norms = _weighted_norms(
-        _shifted_blocks(trace.snapshots, trace.grid, tau0, params),
-        trace.grid, eta, len(trace.snapshots))
+    # _ROWS rows at a time: the whole shifted array and the delayed
+    # Barenblatt's temporaries would raise the peak memory of a run
+    norms = np.empty(len(snaps))
+    for start in range(0, len(snaps), _ROWS):
+        part = slice(start, start + _ROWS)
+        shifted = _shifted(trace, tau0, params, part)
+        _weighted_sups(trace.grid, shifted, eta, shifted, norms[part])
     # the shift may remove (almost) everything: then fit whatever positive
     # range is left rather than failing the whole record
-    fit = fit_rate_or_widen(times, norms, policy)
+    fit = fit_rate_or_widen(trace.snapshot_times, norms, policy)
     return TimeShiftResult(tau0=float(tau0), shifted_rate=fit, Lambda=Lambda,
                            eta=eta, c0=c0, gamma=fit.slope / params.lambda_01,
                            near_degenerate=_near_degenerate(Lambda, params))
@@ -405,34 +398,17 @@ def expansion_residual(trace, Lambda: float,
         raise AnalysisError(f"Lambda={Lambda} outside ]2 lambda_01, lambda_01] "
                             f"= ]{2.0 * lam01}, {lam01}]")
     eta = eta_for_target_rate(Lambda, params)
-    s = trace.grid.nodes
-    modes = [(rec.limit, eigenvalue(rec.mode, params),
-              eigenfunction_v(rec.mode, s, params)) for rec in coefficients]
-
-    def residual_blocks():
-        # each row bitwise w - sum of limit * exp(lambda t) * v_lk, with
-        # the products formed per time as the scalar loop forms them
-        term = np.empty((_ROWS, s.size))
-        for times, rows in _row_blocks(trace.snapshots, trace.grid):
-            for limit, lam_lk, basis in modes:
-                scale = np.array([limit * math.exp(lam_lk * t) for t in times])
-                rows -= np.multiply(scale[:, None], basis, out=term[:len(times)])
-            yield times, rows
-
-    times, norms = _weighted_norms(residual_blocks(), trace.grid, eta,
-                                   len(trace.snapshots))
+    s, times = trace.grid.nodes, trace.snapshot_times
+    # each difference is written into its product, so one mode (expand's
+    # case) costs one array of the snapshots' shape
+    resid = trace.snapshots
+    for rec in coefficients:
+        lam = eigenvalue(rec.mode, params)
+        # limit * exp(lambda t) per time, as the scalar formula forms it
+        term = np.outer([rec.limit * math.exp(lam * t) for t in times],
+                        eigenfunction_v(rec.mode, s, params))
+        resid = np.subtract(resid, term, out=term)
+    norms = np.empty(len(times))
+    _weighted_sups(trace.grid, resid, eta,
+                   resid if coefficients else np.empty_like(resid), norms)
     return fit_rate_or_widen(times, norms, policy)
-
-
-def _weighted_norms(blocks, grid, eta: float, count: int):
-    """Times and ``weighted_sup`` of every row of (times, rows) blocks,
-    whose rows are overwritten."""
-    times, norms = np.empty(count), np.empty(count)
-    start = 0
-    for block_times, rows in blocks:
-        stop = start + len(block_times)
-        times[start:stop] = block_times
-        _weighted_sups(grid, rows, eta, rows, norms[start:stop])
-        start = stop
-    return times, norms
-

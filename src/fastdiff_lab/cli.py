@@ -462,7 +462,7 @@ def main(argv=None) -> int:
                 "modes": cmd_modes,
             }[args.command](cfg)
             ok = True
-    except ConfigError as exc:
+    except (ConfigError, closedform.ModeCountError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvolveError, EigensolveError) as exc:

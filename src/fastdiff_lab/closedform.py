@@ -40,6 +40,8 @@ __all__ = [
     "essential_threshold",
     "is_admissible",
     "admissible_modes",
+    "MAX_MODES",
+    "ModeCountError",
     "eigenfunction_psi",
     "eigenfunction_v",
     "potential_profile",
@@ -50,6 +52,10 @@ __all__ = [
     "delayed_barenblatt_v",
     "P_STAR",
 ]
+
+# The longest list admissible_modes builds: it holds about (p/2+1)^2/4
+# modes at eta_cr, 250 500 at m = 0.999 (n = 2, 3), 25 million at m = 0.9999
+MAX_MODES = 300_000
 
 # Boundary between the two n=1 rate branches (intersection of the continuum
 # threshold -(p/2+1)^2 with -2(p+n) at n=1).
@@ -177,12 +183,27 @@ def is_admissible(mode: ModeIndex, eta: float, params: ModelParams) -> bool:
     return mode.k < _k_bound(mode.ell, eta, params)
 
 
+class ModeCountError(ValueError):
+    """An admissible-mode list longer than MAX_MODES, refused unbuilt."""
+
+
 def admissible_modes(eta: float,
                      params: ModelParams) -> list[tuple[ModeIndex, float]]:
     """All admissible (mode, eigenvalue) pairs at weight eta, descending lambda.
 
-    Ties (eigenvalue crossings) are ordered by (l, k).
+    Ties (eigenvalue crossings) are ordered by (l, k).  A list longer
+    than ``MAX_MODES`` is refused (ModeCountError) before it is built.
     """
+    # sector l <= L holds the k < (c - l)/2, c = p/2+1-|eta-eta_cr|: that is
+    # (L - l)//2 + 1 modes, L the largest integer below c (-1 if none)
+    L = max(math.ceil(2.0 * _k_bound(0, eta, params)) - 1, -1)
+    count = (sum((L - ell) // 2 + 1 for ell in range(min(L, 1) + 1))
+             if params.n == 1 else L + 1 + (L // 2) * ((L + 1) // 2))
+    if count > MAX_MODES:
+        raise ModeCountError(
+            f"p={params.p:.6g} has {count} admissible modes at "
+            f"eta={eta:.6g}, more than the {MAX_MODES} a list may hold: "
+            f"m is too close to 1")
     out = []
     ell = 0
     while _k_bound(ell, eta, params) > 0:

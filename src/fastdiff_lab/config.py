@@ -8,7 +8,9 @@ output.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 
 from .closedform import admissible_modes, derive_params
 from .geometry import step_count
@@ -30,6 +32,43 @@ CONFIG_SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (what the field must be, the test, the fields): the types validate's
+# value checks take for granted; a bool is an int to Python, and a JSON
+# list arrives as a tuple
+_FIELD_TYPES = [
+    ("an integer", _is_int,
+     ["model.n", "grid.count", "initial_data.k", "initial_data.seed"]),
+    ("an integer >= 1", lambda v: _is_int(v) and v >= 1,
+     ["time.record_every", "time.snapshot_every"]),
+    ("an integer >= 1", lambda v: v is None or _is_int(v) and v >= 1,
+     ["jobs"]),
+    ("a number", _is_real,
+     ["model.m", "model.B", "grid.s_max", "time.dt", "time.t_final",
+      "initial_data.amplitude", "initial_data.tau0", "initial_data.bplus",
+      "analysis.fit_value_lo", "analysis.fit_value_hi"]),
+    ("a number or null", lambda v: v is None or _is_real(v),
+     ["analysis.lambda_target"]),
+    ("a list of numbers",
+     lambda v: isinstance(v, tuple) and all(map(_is_real, v)),
+     ["initial_data.centers", "analysis.etas", "analysis.sweep_m"]),
+    ("a list of strings",
+     lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v),
+     ["output.formats"]),
+    ("a string or null", lambda v: v is None or isinstance(v, str),
+     ["output.directory"]),
+    ("true or false", lambda v: isinstance(v, bool),
+     ["initial_data.project_mass"]),
+]
 
 
 @dataclass(frozen=True)
@@ -97,17 +136,24 @@ class ExperimentConfig:
                 f"schema_version: expected {CONFIG_SCHEMA_VERSION}, "
                 f"got {self.schema_version}"
             )
-        mc = self.model
+        for kind, ok, names in _FIELD_TYPES:
+            for name in names:
+                value = attrgetter(name)(self)
+                if not ok(value):
+                    raise ConfigError(f"{name}: must be {kind}, got {value!r}")
+        mc, g, t, i, a = (self.model, self.grid, self.time,
+                          self.initial_data, self.analysis)
         try:
             params = derive_params(mc.n, mc.m, mc.B)
+            # eigenmode data's k, from the l=0 modes admissible at eta_cr
+            ks = [md.k for md, _ in admissible_modes(params.eta_cr, params)
+                  if md.ell == 0] if i.kind == "eigenmode" else None
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"model: {exc}") from exc
-        g = self.grid
         if g.s_max <= 0:
             raise ConfigError(f"grid.s_max: must be positive, got {g.s_max}")
         if g.count < 16:
             raise ConfigError(f"grid.count: must be >= 16, got {g.count}")
-        t = self.time
         if t.dt <= 0:
             raise ConfigError(f"time.dt: must be positive, got {t.dt}")
         if t.t_final <= 0:
@@ -116,14 +162,9 @@ class ExperimentConfig:
             step_count(0.0, t.t_final, t.dt)
         except ValueError as exc:
             raise ConfigError(f"time.t_final/time.dt: {exc}") from exc
-        for name in ("record_every", "snapshot_every"):
-            _require_count(f"time.{name}", getattr(t, name))
-        i = self.initial_data
         if i.kind not in ("eigenmode", "bump", "delayed-barenblatt"):
             raise ConfigError(f"initial_data.kind: unknown kind {i.kind!r}")
         if i.kind == "eigenmode":
-            ks = [md.k for md, _ in admissible_modes(params.eta_cr, params)
-                  if md.ell == 0]
             if i.k not in ks:
                 raise ConfigError(
                     f"initial_data.k: eigenmode data needs an l=0 mode "
@@ -144,21 +185,12 @@ class ExperimentConfig:
                     f"initial_data.amplitude: {i.amplitude} cannot perturb "
                     f"v = 1 + w, as 1 + |amplitude| rounds to 1"
                 )
-        a = self.analysis
         if a.fit_value_lo >= a.fit_value_hi:
             raise ConfigError("analysis.fit_value_lo/hi: empty value window")
-        if self.jobs is not None:
-            _require_count("jobs", self.jobs)
         return self
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _require_count(name: str, value) -> None:
-    """Refuse anything but an int >= 1 (a bool or an integral float too)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name}: must be an integer >= 1, got {value!r}")
 
 
 def _tupled(value):

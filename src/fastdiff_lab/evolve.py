@@ -92,7 +92,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -557,9 +557,9 @@ class RecordOptions:
 @dataclass
 class EvolutionTrace:
     """A run's records: ``times`` and ``mass_defect`` per recorded state,
-    the snapshots and the solver statistics.  ``sup``, ``weighted``,
-    ``energy``, ``min_v`` and ``max_v`` are ``None`` when the run recorded
-    no diagnostics (``RecordOptions.diagnostics``)."""
+    the snapshots with their times and the solver statistics.  ``sup``,
+    ``weighted``, ``energy``, ``min_v`` and ``max_v`` are ``None`` when the
+    run recorded no diagnostics (``RecordOptions.diagnostics``)."""
     grid: RadialGrid
     times: np.ndarray
     sup: np.ndarray | None
@@ -568,7 +568,10 @@ class EvolutionTrace:
     energy: np.ndarray | None
     min_v: np.ndarray | None
     max_v: np.ndarray | None
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    # the snapshotted states, one per row of a read-only (k, N+1) array,
+    # and their times, a read-only (k,) array
+    snapshots: np.ndarray
+    snapshot_times: np.ndarray
     # steps by backward Euler (the start, redone BDF2 steps) and by BDF2
     backward_euler_steps: int = 0
     linear_steps: int = 0
@@ -671,7 +674,12 @@ def run(state0: EvolutionState, dt: float, t_final: float,
     prev_ext, cur_ext = None, (float(cur.min()), float(cur.max()))
     linear_steps, halvings = 0, 0
     add(t, cur)
-    snapshots = [] if snap_every is None else [(t, cur.copy())]
+    # row j // snap_every holds step j, for j = 0 (the start) and every
+    # snap_every-th step
+    snaps = 0 if snap_every is None else 1 + steps // snap_every
+    snapshots, snapshot_times = np.empty((snaps, cur.size)), np.empty(snaps)
+    if snaps:
+        snapshots[0], snapshot_times[0] = cur, t
     with np.errstate(**_STEP_ERRORS):
         for j in range(1, steps + 1):
             t_new, linear = t + dt, prev is not None
@@ -692,15 +700,17 @@ def run(state0: EvolutionState, dt: float, t_final: float,
             prev_ext, cur_ext = cur_ext, kernel.extremes
             if j % every == 0 or j == steps:
                 add(t, cur)
-            if snap_every is not None and j % snap_every == 0:
-                snapshots.append((t, cur.copy()))
+            if snaps and j % snap_every == 0:
+                snapshots[j // snap_every] = cur
+                snapshot_times[j // snap_every] = t
     records.finish()
+    snapshots.flags.writeable = snapshot_times.flags.writeable = False
 
     return EvolutionTrace(
         grid=grid, times=records.times, sup=records.sup,
         weighted=records.weighted, mass_defect=records.mass_defect,
         energy=records.energy, min_v=records.min_v, max_v=records.max_v,
-        snapshots=snapshots,
+        snapshots=snapshots, snapshot_times=snapshot_times,
         backward_euler_steps=steps - linear_steps,
         linear_steps=linear_steps,
         dt_halvings=halvings,

@@ -286,7 +286,7 @@ def _manufactured_error(item):
                                                 snapshot_every=steps,
                                                 diagnostics=False),
                            boundary=boundary)
-        w = trace.snapshots[-1][1]
+        w = trace.snapshots[-1]
     return float(np.max(np.abs(w - exact(1.0))))
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import scipy.linalg
 
-from fastdiff_lab import asymptotics as asy
 from fastdiff_lab import closedform as cf
 from fastdiff_lab import evolve
 from fastdiff_lab import geometry as geo
@@ -55,15 +54,6 @@ def delayed_barenblatt_time_derivative(t, s, tau0, Bplus, params):
         Bplus + theta * theta * sh2
     )
     return v * dlogv_dtheta * dtheta
-
-
-def shifted_snapshots(trace, tau0, params):
-    """The snapshots of ``asymptotics._shifted_blocks`` (the trace shifted
-    by tau0) as a list of (t, w)."""
-    return [(t, w.copy())
-            for times, rows in asy._shifted_blocks(trace.snapshots, trace.grid,
-                                                   tau0, params)
-            for t, w in zip(times, rows)]
 
 
 def propagate(op, x, times, modes=()):

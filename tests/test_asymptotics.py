@@ -17,7 +17,13 @@ from fastdiff_lab import geometry as geo
 from fastdiff_lab.closedform import ModeIndex
 from fastdiff_lab.config import config_from_dict, load_config
 
-from helpers import orthogonalize, shifted_snapshots
+from helpers import orthogonalize
+
+
+def _first(trace, count):
+    """The trace with its first ``count`` snapshots (all if None)."""
+    return dataclasses.replace(trace, snapshots=trace.snapshots[:count],
+                               snapshot_times=trace.snapshot_times[:count])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def test_mod_time_shift_idempotent(delayed_trace):
     params, tau_star, trace = delayed_trace
     res = asy.mod_time_shift(trace, params)
     shifted = dataclasses.replace(
-        trace, snapshots=shifted_snapshots(trace, res.tau0, params))
+        trace, snapshots=asy._shifted(trace, res.tau0, params))
     res2 = asy.mod_time_shift(shifted, params)
     assert abs(res2.tau0) <= 0.02 * abs(res.tau0)
 
@@ -230,12 +236,11 @@ def test_shifted_c01_equals_extract_coefficient_limit_bitwise(bump_trace_07,
     # the secant's tail-only coefficient against extract_coefficient on the
     # fully shifted trace, down to a single snapshot
     params, trace = bump_trace_07
-    if count is not None:
-        trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    trace = _first(trace, count)
     c_of = asy._shifted_c01(trace, params)
     for tau0 in (0.0, 1e-3, -0.02, 0.3):
         view = dataclasses.replace(
-            trace, snapshots=shifted_snapshots(trace, tau0, params))
+            trace, snapshots=asy._shifted(trace, tau0, params))
         want = asy.extract_coefficient(view, ModeIndex(0, 1), params).limit
         assert c_of(tau0) == want
 
@@ -330,7 +335,7 @@ def _pointwise_shifted(trace, tau0, params):
     s = trace.grid.nodes
     return [(t, (1.0 + w) / cf.delayed_barenblatt_v(t, s, tau0, 1.0,
                                                     params) - 1.0)
-            for t, w in trace.snapshots]
+            for t, w in zip(trace.snapshot_times, trace.snapshots)]
 
 
 def _pointwise_norms(grid, snapshots, eta):
@@ -342,12 +347,12 @@ def _pointwise_norms(grid, snapshots, eta):
 @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, None])
 def test_shifted_snapshots_are_the_pointwise_formula(bump_trace_07, count):
     params, trace = bump_trace_07
-    trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    trace = _first(trace, count)
     for tau0 in (0.0, 0.05, -0.02):
-        got = shifted_snapshots(trace, tau0, params)
+        got = asy._shifted(trace, tau0, params)
         want = _pointwise_shifted(trace, tau0, params)
-        assert [t for t, _ in got] == [t for t, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, (_, b) in zip(got, want))
 
 
 @pytest.mark.parametrize("count", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
@@ -355,18 +360,20 @@ def test_mod_time_shift_passes_are_the_pointwise_formulas(bump_trace_07, count):
     # the trailing states are scaled far below the alive threshold, so the
     # alive scan drops them from the secant but not from the final norms
     params, trace = bump_trace_07
-    snaps = list(trace.snapshots[:count])
+    trace = _first(trace, count)
+    snaps = trace.snapshots.copy()
     dead = ROWS // 2
-    snaps[-dead:] = [(t, 1e-9 * w) for t, w in snaps[-dead:]]
+    snaps[-dead:] *= 1e-9
     trace = dataclasses.replace(trace, snapshots=snaps)
     res = asy.mod_time_shift(trace, params)
 
-    sups = np.array([np.abs(w).max() for _, w in snaps])
+    sups = np.array([np.abs(w).max() for w in snaps])
     alive = sups >= 1e-6 * sups.max()
     assert np.count_nonzero(~alive) == dead
-    base = [sw for sw, keep in zip(snaps, alive) if keep] \
-        if np.count_nonzero(alive) >= 8 else snaps
-    c_of = asy._shifted_c01(dataclasses.replace(trace, snapshots=base), params)
+    base = trace if np.count_nonzero(alive) < 8 else dataclasses.replace(
+        trace, snapshots=snaps[alive],
+        snapshot_times=trace.snapshot_times[alive])
+    c_of = asy._shifted_c01(base, params)
     assert res.c0 == c_of(0.0)
     times, norms = _pointwise_norms(
         trace.grid, _pointwise_shifted(trace, res.tau0, params), res.eta)
@@ -376,14 +383,14 @@ def test_mod_time_shift_passes_are_the_pointwise_formulas(bump_trace_07, count):
 @pytest.mark.parametrize("count", [2, ROWS, ROWS + 1, None])
 def test_expansion_residual_is_the_pointwise_formula(bump_trace_07, count):
     params, trace = bump_trace_07
-    trace = dataclasses.replace(trace, snapshots=trace.snapshots[:count])
+    trace = _first(trace, count)
     recs = [asy.extract_coefficient(trace, md, params)
             for md in (ModeIndex(0, 0), ModeIndex(0, 1))]
     Lambda = cf.second_order_rates(params).Lambda
     eta = cf.eta_for_target_rate(Lambda, params)
     s = trace.grid.nodes
     resid = []
-    for t, w in trace.snapshots:
+    for t, w in zip(trace.snapshot_times, trace.snapshots):
         r = w.copy()
         for rec in recs:
             r -= rec.limit * math.exp(cf.eigenvalue(rec.mode, params) * t) \

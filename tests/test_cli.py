@@ -44,11 +44,11 @@ def child_env(tmp_path, env_extra=None):
     return env
 
 
-def run_cli(args, tmp_path, env_extra=None):
+def run_cli(args, tmp_path, env_extra=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "fastdiff_lab.cli", *args],
         capture_output=True, text=True, env=child_env(tmp_path, env_extra),
-        cwd=str(tmp_path),
+        cwd=str(tmp_path), timeout=timeout,
     )
 
 
@@ -620,6 +620,39 @@ def test_a_retired_analysis_field_exits_with_a_config_error(tmp_path, field,
     proc = run_cli(["--config", path, "spectrum"], tmp_path)
     line = assert_one_named_line(proc, 2, "config error:")
     assert f"analysis: unknown fields ['{field}']" in line
+
+
+@pytest.mark.parametrize("data, command, field", [
+    ({"model": {"n": True}}, "modes", "model.n"),
+    ({"grid": {"count": 16.5}}, "modes", "grid.count"),
+    ({"grid": {"s_max": "12"}}, "modes", "grid.s_max"),
+    ({"time": {"dt": "0.004"}}, "modes", "time.dt"),
+    ({"initial_data": {"amplitude": "0.05"}}, "modes",
+     "initial_data.amplitude"),
+    ({"analysis": {"etas": 3}}, "modes", "analysis.etas"),
+    ({"initial_data": {"seed": 1.5}}, "expand", "initial_data.seed"),
+    ({"initial_data": {"project_mass": "no"}}, "evolve",
+     "initial_data.project_mass"),
+    ({"output": {"formats": 3}}, "modes", "output.formats"),
+    ({"output": {"directory": 5}}, "modes", "output.directory"),
+])
+def test_a_config_value_of_the_wrong_json_type_exits_with_a_config_error(
+        tmp_path, data, command, field):
+    # n = true ran n = 1, count 16.5 ran 16 intervals and project_mass
+    # "no" projected, all exiting 0; the others ended in a traceback
+    proc = run_cli(["--config", _config_file(tmp_path, data), command],
+                   tmp_path)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert line.startswith(f"config error: {field}: must be ")
+
+
+@pytest.mark.parametrize("args", [["modes"], ["spectrum"],
+                                  ["--kind", "eigenmode", "evolve"]])
+def test_m_near_one_refuses_the_mode_list_by_name(tmp_path, args):
+    # 2.5e11 modes at eta_cr: listing them ran without bound in memory
+    proc = run_cli(["--m", "0.999999", *args], tmp_path, timeout=60)
+    line = assert_one_named_line(proc, 2, "config error:")
+    assert "p=2e+06 has 250000500000 admissible modes" in line
 
 
 @pytest.mark.parametrize("field", ["record_every", "snapshot_every"])

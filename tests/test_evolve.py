@@ -211,7 +211,7 @@ def final_values(state0, dt, t_final, boundary=None):
                        evolve.RecordOptions(record_every=steps,
                                             snapshot_every=steps),
                        boundary=boundary)
-    return trace.snapshots[-1][1]
+    return trace.snapshots[-1]
 
 
 def test_run_bdf2_second_order(grid_coarse, params33):
@@ -255,7 +255,7 @@ def test_run_redoes_a_failed_bdf2_step_by_backward_euler(
     assert len(calls) == 19
     assert np.allclose(np.diff(tr.times), 1e-2)
     # one first-order step moves the end state by O(dt^2) only
-    assert np.max(np.abs(tr.snapshots[-1][1] - want)) <= 1e-4
+    assert np.max(np.abs(tr.snapshots[-1] - want)) <= 1e-4
     assert tr.dt_halvings == 0
 
 
@@ -281,14 +281,14 @@ def test_run_redoes_a_step_whose_predictor_loses_the_margin(
     tr = evolve.run(st0, dt, 3 * dt, evolve.RecordOptions(snapshot_every=1))
     assert (tr.backward_euler_steps, tr.linear_steps) == (2, 1)
     [error] = errors
-    w0, w1 = (w for _, w in tr.snapshots[:2])
+    w0, w1 = tr.snapshots[:2]
     P = 2.0 * w1 - w0
     assert isinstance(error, evolve.PositivityError)
     assert error.value == 1.0 + P[:-1].min() <= evolve.MARGIN_FLOOR
     # the redone step is the backward-Euler step from w_1
     kernel = evolve._Newton(evolve._workspace(grid_coarse, params33))
     kernel.backward_euler(w1, dt, dt, None)
-    assert np.array_equal(tr.snapshots[2][1], kernel.W)
+    assert np.array_equal(tr.snapshots[2], kernel.W)
     assert tr.min_v.min() > evolve.MARGIN_FLOOR
 
 
@@ -626,7 +626,7 @@ def every_step_run(params33):
     trace = evolve.run(st0, 1e-2, steps * 1e-2,
                        evolve.RecordOptions(snapshot_every=1),
                        boundary=_block_boundary)
-    return st0, trace.snapshots
+    return st0, list(zip(trace.snapshot_times, trace.snapshots))
 
 
 def _pointwise(grid, t, w, params):
@@ -702,8 +702,9 @@ def test_block_records_are_the_pointwise_formulas(
     # snapshots are taken every snapshot_every-th step, recorded or not
     snaps = [] if snapshot_every is None else [
         j for j in range(steps + 1) if j % snapshot_every == 0]
-    assert [t for t, _ in tr.snapshots] == [states[j][0] for j in snaps]
-    for (_, w), j in zip(tr.snapshots, snaps):
+    assert list(tr.snapshot_times) == [states[j][0] for j in snaps]
+    assert len(tr.snapshots) == len(snaps)
+    for w, j in zip(tr.snapshots, snaps):
         assert np.array_equal(w, states[j][1])
 
 
@@ -721,6 +722,26 @@ def test_record_options_name_a_bad_field(options, field):
     # record_every=0 and snapshot_every=0 divided by zero inside run
     with pytest.raises(ValueError, match=f"^{field}: "):
         evolve.RecordOptions(**options)
+
+
+@pytest.mark.parametrize("snapshot_every, times", [
+    (None, []), (3, [0.0, 0.03, 0.06]), (1, [0.01 * j for j in range(8)])])
+def test_run_snapshots_are_one_read_only_array(grid_coarse, params33,
+                                               snapshot_every, times):
+    # 7 steps: rows 0 .. 7 // snapshot_every, none without snapshots
+    st0 = evolve.bump_data(grid_coarse, 0.05, seed=1, params=params33)
+    tr = evolve.run(st0, 1e-2, 7e-2,
+                    evolve.RecordOptions(snapshot_every=snapshot_every))
+    assert tr.snapshots.shape == (len(times), grid_coarse.count + 1)
+    assert tr.snapshot_times.shape == (len(times),)
+    assert tr.snapshots.dtype == tr.snapshot_times.dtype == np.float64
+    assert np.allclose(tr.snapshot_times, times, rtol=0.0, atol=1e-12)
+    if times:
+        assert np.array_equal(tr.snapshots[0], st0.w.values)
+    for array in (tr.snapshots, tr.snapshot_times):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 def test_record_options_take_numpy_integers():

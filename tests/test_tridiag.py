@@ -287,7 +287,7 @@ def _run_bdf2_case(params, case, oracle_start, oracle_step):
         prev, w = w, oracle_step(ws, prev, w, dt, value(t))
         oracle.append(w)
     assert len(trace.snapshots) == len(oracle) == steps + 1
-    return [got for _, got in trace.snapshots], oracle
+    return list(trace.snapshots), oracle
 
 
 @MODELS
